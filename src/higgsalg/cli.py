@@ -10,7 +10,8 @@ Subcommands:
 
 Exit status: 0 success, 1 verification failure, 2 all substantive checks
 vacuous, 64 usage error, 65 domain error (a mathematically impossible
-request, such as a spectral realization with no real coupling).
+request, such as a spectral realization with no real coupling, or a
+malformed input file).
 Output is byte deterministic for fixed inputs.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -55,6 +57,33 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"tolerance coefficient must be >= 0, got {text!r}")
+    return value
+
+
+def _dimension(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"truncation dimension must be >= 2, got {text!r}")
+    return value
+
+
 def _kind_token(text: str) -> str:
     try:
         parse_kind_token(text)
@@ -78,6 +107,17 @@ def _emit(text: str, path: Optional[str]) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _load(path: str, parse, what: str):
+    """Read a JSON file and parse it; a malformed file raises ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    try:
+        return parse(data)
+    except (TypeError, ZeroDivisionError) as err:
+        # a value of the wrong JSON type, or a zero denominator
+        raise ValueError(f"malformed {what} file: {err}") from None
 
 
 def _point_args(sub: argparse.ArgumentParser, required: bool = True) -> None:
@@ -113,8 +153,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.input is not None:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            r = Realization.from_json_dict(json.load(fh))
+        r = _load(args.input, Realization.from_json_dict, "realization")
     else:
         if args.c1 is None or args.c3 is None or args.j2 is None:
             return _verify_usage_error()
@@ -136,8 +175,7 @@ def _cmd_sweep(args) -> int:
     if args.grid == "default":
         grid = default_grid()
     else:
-        with open(args.grid, "r", encoding="utf-8") as fh:
-            grid = grid_from_json(json.load(fh))
+        grid = _load(args.grid, grid_from_json, "grid")
     report = sweep(args.kinds, grid, dim=args.dim,
                    cfg=VerifyConfig(args.tolerance_coefficient))
     if args.format == "json":
@@ -163,7 +201,7 @@ def _cmd_export_transform(args) -> int:
         t = s1_closed_form(space, params, j, q0=args.q0)
     else:
         t = s2_matching(space, params, j, q0_even=args.q0, q0_odd=args.q0_odd)
-    _emit(json.dumps(t.to_json_dict(), indent=2) + "\n", args.output)
+    _emit(json.dumps(t.to_json_dict(), indent=2, allow_nan=False) + "\n", args.output)
     return 0
 
 
@@ -191,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     _point_args(p_verify, required=False)
     _build_args(p_verify)
     p_verify.add_argument("--input", default=None, help="verify a saved realization JSON instead of building")
-    p_verify.add_argument("--tolerance-coefficient", type=float, default=1e-12,
+    p_verify.add_argument("--tolerance-coefficient", type=_tolerance, default=1e-12,
                           help="float tolerance is this times dim times scale")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.add_argument("-o", "--output", default=None)
@@ -203,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated realization tokens")
     p_sweep.add_argument("--grid", default="default",
                          help="'default' or a JSON file of {c1, c3, j2} points")
-    p_sweep.add_argument("--dim", type=int, default=32)
-    p_sweep.add_argument("--tolerance-coefficient", type=float, default=1e-12)
+    p_sweep.add_argument("--dim", type=_dimension, default=32)
+    p_sweep.add_argument("--tolerance-coefficient", type=_tolerance, default=1e-12)
     p_sweep.add_argument("--format", choices=["text", "json"], default="text")
     p_sweep.add_argument("-o", "--output", default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -224,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     _point_args(p_tr)
     p_tr.add_argument("--map", choices=["s1", "s1-closed", "s2"], default="s1")
     p_tr.add_argument("--dim", type=int, default=32)
-    p_tr.add_argument("--q0", type=float, default=1.0, help="seed value at n = 0")
-    p_tr.add_argument("--q0-odd", type=float, default=1.0,
+    p_tr.add_argument("--q0", type=_finite_float, default=1.0, help="seed value at n = 0")
+    p_tr.add_argument("--q0-odd", type=_finite_float, default=1.0,
                       help="seed at n = 1 for the two-chain step-2 map")
     p_tr.add_argument("-o", "--output", default=None)
     p_tr.set_defaults(func=_cmd_export_transform)

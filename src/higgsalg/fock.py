@@ -13,7 +13,9 @@ states |0> .. |N-1>.  Two scalar fields are supported:
   the normalized basis unchanged.
 
 Operators are immutable; mixed-field arithmetic promotes rational to
-complex.
+complex.  The field also selects the storage: complex operators are dense
+arrays, rational operators keep only their nonzero diagonals (see
+``Operator``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from operator import add, mul, neg, sub
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -64,19 +67,92 @@ def _as_fraction(x: Scalar) -> Fraction:
         return x
     if isinstance(x, Rational):
         return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
     raise FieldError(f"exact field requires rational scalars, got {type(x).__name__}")
 
 
-class Operator:
-    """A dense matrix on a FockSpace, tagged with its scalar field.
+# -- banded storage of the exact field ----------------------------------------
+#
+# A rational operator is a dict {offset: tuple of Fraction}.  Offset d holds
+# the entries (i, i + d) in order of increasing row, so it has N - |d|
+# entries and starts at (row, column) = _band_start(d).  Only diagonals with
+# a nonzero entry are kept.
 
-    ``entries`` is a read-only numpy array: complex128 for the float
-    field, object-dtype of Fractions for the exact field.
+_ZERO = Fraction(0)
+
+_Bands = dict[int, tuple[Fraction, ...]]
+
+
+def _band_start(d: int) -> tuple[int, int]:
+    """(row, column) of the first entry on diagonal offset d."""
+    return (-d, 0) if d < 0 else (0, d)
+
+
+def _nonzero_bands(bands: _Bands) -> _Bands:
+    return {d: band for d, band in bands.items() if any(band)}
+
+
+def _band_matmul(n: int, x: _Bands, y: _Bands) -> _Bands:
+    """Product of two banded N x N matrices: offset dx times offset dy lands
+    on offset dx + dy, so the work is O(N * bands^2), not O(N^3)."""
+    out: dict[int, list] = {}
+    for dx, bx in x.items():
+        for dy, by in y.items():
+            dz = dx + dy
+            # rows r with (r, r + dx) and (r + dx, r + dz) both inside the matrix
+            lo = max(0, -dx, -dz)
+            hi = min(n, n - dx, n - dz)
+            if lo >= hi:
+                continue
+            cnt = hi - lo
+            ix = lo - _band_start(dx)[0]
+            iy = lo + dx - _band_start(dy)[0]
+            iz = lo - _band_start(dz)[0]
+            prods = map(mul, bx[ix:ix + cnt], by[iy:iy + cnt])
+            acc = out.get(dz)
+            if acc is None:
+                acc = out[dz] = [_ZERO] * (n - abs(dz))
+                acc[iz:iz + cnt] = prods
+            else:
+                acc[iz:iz + cnt] = map(add, acc[iz:iz + cnt], prods)
+    return {d: tuple(band) for d, band in out.items()}
+
+
+def _band_add(x: _Bands, y: _Bands, subtract: bool) -> _Bands:
+    """x + y, or x - y when ``subtract``, band by band."""
+    op = sub if subtract else add
+    out = dict(x)
+    for d, yb in y.items():
+        xb = x.get(d)
+        if xb is None:
+            out[d] = tuple(map(neg, yb)) if subtract else yb
+        else:
+            out[d] = tuple(map(op, xb, yb))
+    return out
+
+
+def _parse_rational(x) -> Fraction:
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"not a finite rational entry: {x!r}") from None
+
+
+class Operator:
+    """A matrix on a FockSpace, tagged with its scalar field.
+
+    The field selects the storage.  Complex operators hold a dense
+    complex128 array.  Rational operators hold only their nonzero
+    diagonals as exact Fractions: every generator of the step kinds is a
+    single band (a shift times a diagonal) and every product the checks
+    form stays within a few offsets, so products cost O(N * bands^2)
+    Fraction operations instead of the O(N^3) of a dense product.
+
+    ``entries`` is a read-only dense numpy array in either field:
+    complex128, or object-dtype of Fractions built from the bands on
+    first use.  The constructor takes a dense array in either field.
     """
 
-    __slots__ = ("space", "entries", "field", "_diag")
+    __slots__ = ("space", "field", "_bands", "_dense", "_diag")
 
     def __init__(self, space: FockSpace, entries: np.ndarray, field: str):
         if field not in (COMPLEX, RATIONAL):
@@ -84,27 +160,59 @@ class Operator:
         if entries.shape != (space.dim, space.dim):
             raise ValueError(f"entries shape {entries.shape} does not match dim {space.dim}")
         self.space = space
-        self.entries = _freeze(entries)
         self.field = field
-        nz = entries != (0 if field == COMPLEX else Fraction(0))
-        self._diag = not bool((nz & ~np.eye(space.dim, dtype=bool)).any())
+        if field == RATIONAL:
+            n = space.dim
+            self._bands = _nonzero_bands(
+                {d: tuple(map(_as_fraction, entries.diagonal(d))) for d in range(1 - n, n)}
+            )
+            self._dense = None
+        else:
+            self._bands = None
+            self._dense = _freeze(entries)
+            nz = entries != 0
+            self._diag = not bool((nz & ~np.eye(space.dim, dtype=bool)).any())
+
+    @staticmethod
+    def _banded(space: FockSpace, bands: _Bands) -> "Operator":
+        """Rational operator straight from its bands; all-zero bands are dropped."""
+        op = object.__new__(Operator)
+        op.space = space
+        op.field = RATIONAL
+        op._bands = _nonzero_bands(bands)
+        op._dense = None
+        return op
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._dense is None:
+            n = self.space.dim
+            self._dense = _freeze(self._scatter(np.full((n, n), _ZERO, dtype=object)))
+        return self._dense
+
+    def _scatter(self, ent: np.ndarray) -> np.ndarray:
+        """Write the bands into the zeroed N x N array ``ent``, converted
+        to its dtype."""
+        for d, band in self._bands.items():
+            r, c = _band_start(d)
+            idx = np.arange(len(band))
+            ent[idx + r, idx + c] = band
+        return ent
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def zeros(space: FockSpace, field: str = COMPLEX) -> "Operator":
         if field == RATIONAL:
-            ent = np.full((space.dim, space.dim), Fraction(0), dtype=object)
-        else:
-            ent = np.zeros((space.dim, space.dim), dtype=complex)
-        return Operator(space, ent, field)
+            return Operator._banded(space, {})
+        return Operator(space, np.zeros((space.dim, space.dim), dtype=complex), field)
 
     def _promote(self) -> "Operator":
         """Return the complex-field version of an exact operator."""
         if self.field == COMPLEX:
             return self
-        ent = np.array([[complex(x) for x in row] for row in self.entries], dtype=complex)
-        return Operator(self.space, ent, COMPLEX)
+        n = self.space.dim
+        return Operator(self.space, self._scatter(np.zeros((n, n), dtype=complex)), COMPLEX)
 
     @staticmethod
     def _align(a: "Operator", b: "Operator") -> tuple["Operator", "Operator", str]:
@@ -118,45 +226,57 @@ class Operator:
 
     def __matmul__(self, other: "Operator") -> "Operator":
         a, b, field = Operator._align(self, other)
-        # diagonal factors turn the cubic product into a row or column
-        # scaling, which matters for exact-field work
+        if field == RATIONAL:
+            return Operator._banded(a.space, _band_matmul(a.space.dim, a._bands, b._bands))
+        # a diagonal factor turns the cubic product into a row or column
+        # scaling
         if a._diag:
-            ent = a.entries.diagonal()[:, None] * b.entries
+            ent = a._dense.diagonal()[:, None] * b._dense
         elif b._diag:
-            ent = a.entries * b.entries.diagonal()[None, :]
+            ent = a._dense * b._dense.diagonal()[None, :]
         else:
-            ent = a.entries @ b.entries
+            ent = a._dense @ b._dense
         return Operator(a.space, ent, field)
 
     def __add__(self, other: "Operator") -> "Operator":
         a, b, field = Operator._align(self, other)
-        return Operator(a.space, a.entries + b.entries, field)
+        if field == RATIONAL:
+            return Operator._banded(a.space, _band_add(a._bands, b._bands, subtract=False))
+        return Operator(a.space, a._dense + b._dense, field)
 
     def __sub__(self, other: "Operator") -> "Operator":
         a, b, field = Operator._align(self, other)
-        return Operator(a.space, a.entries - b.entries, field)
+        if field == RATIONAL:
+            return Operator._banded(a.space, _band_add(a._bands, b._bands, subtract=True))
+        return Operator(a.space, a._dense - b._dense, field)
 
     def __neg__(self) -> "Operator":
-        return Operator(self.space, -self.entries, self.field)
+        if self.field == RATIONAL:
+            return Operator._banded(
+                self.space, {d: tuple(map(neg, band)) for d, band in self._bands.items()}
+            )
+        return Operator(self.space, -self._dense, COMPLEX)
 
     def scale(self, c: Scalar) -> "Operator":
         if self.field == RATIONAL:
-            if isinstance(c, (int, Fraction)) or isinstance(c, Rational):
+            if isinstance(c, Rational):
                 f = _as_fraction(c)
-                ent = np.array([[f * x for x in row] for row in self.entries], dtype=object)
-                return Operator(self.space, ent, RATIONAL)
+                return Operator._banded(
+                    self.space,
+                    {d: tuple(f * x for x in band) for d, band in self._bands.items()},
+                )
             return self._promote().scale(c)
-        return Operator(self.space, complex(c) * self.entries, COMPLEX)
+        return Operator(self.space, complex(c) * self._dense, COMPLEX)
 
     def __rmul__(self, c: Scalar) -> "Operator":
         return self.scale(c)
 
     def adjoint(self) -> "Operator":
         """Conjugate transpose.  In the exact field entries are real
-        rationals, so this is the plain transpose of the stored matrix."""
+        rationals, so this is the plain transpose: offset d becomes -d."""
         if self.field == RATIONAL:
-            return Operator(self.space, self.entries.T.copy(), RATIONAL)
-        return Operator(self.space, self.entries.conj().T.copy(), COMPLEX)
+            return Operator._banded(self.space, {-d: band for d, band in self._bands.items()})
+        return Operator(self.space, self._dense.conj().T.copy(), COMPLEX)
 
     def power(self, k: int) -> "Operator":
         if k < 0:
@@ -172,15 +292,34 @@ class Operator:
         """Entrywise max-magnitude norm.  Exact (a Fraction) for the
         rational field, a float otherwise."""
         if self.field == RATIONAL:
-            worst = Fraction(0)
-            for row in self.entries:
-                for x in row:
-                    if abs(x) > worst:
+            return max((abs(x) for band in self._bands.values() for x in band), default=_ZERO)
+        if self._dense.size == 0:
+            return 0.0
+        return float(np.abs(self._dense).max())
+
+    def diagonal(self) -> Sequence:
+        """The main-diagonal entries (n, n) for n = 0 .. N-1."""
+        if self.field == RATIONAL:
+            return self._bands.get(0, (_ZERO,) * self.space.dim)
+        return self._dense.diagonal()
+
+    def block_max(self, states: Sequence[int]):
+        """Entrywise max magnitude over the principal submatrix on
+        ``states``; 0 when ``states`` is empty.  Exact (a Fraction) for the
+        rational field, a float otherwise."""
+        if self.field == RATIONAL:
+            inside = [False] * self.space.dim
+            for s in states:
+                inside[s] = True
+            worst = _ZERO
+            for d, band in self._bands.items():
+                r, c = _band_start(d)
+                for t, x in enumerate(band):
+                    if inside[r + t] and inside[c + t] and abs(x) > worst:
                         worst = abs(x)
             return worst
-        if self.entries.size == 0:
-            return 0.0
-        return float(np.abs(self.entries).max())
+        idx = np.asarray(states, dtype=int)
+        return float(np.abs(self._dense[np.ix_(idx, idx)]).max(initial=0.0))
 
     def interior(self, size: int) -> np.ndarray:
         """Leading principal block, where truncation artifacts cannot reach."""
@@ -202,11 +341,14 @@ class Operator:
         if self.field == RATIONAL:
             entries = [str(x) for row in self.entries for x in row]
         else:
-            entries = [[float(x.real), float(x.imag)] for row in self.entries for x in row]
+            entries = [[float(x.real), float(x.imag)] for row in self._dense for x in row]
         return {"dim": self.space.dim, "field": self.field, "entries": entries}
 
     @staticmethod
     def from_json_dict(data: dict) -> "Operator":
+        """Inverse of ``to_json_dict``.  Raises ValueError on a malformed
+        payload: a bad dim, entry count or field, or an entry that is not
+        a finite number of the field."""
         dim = data["dim"]
         field = data["field"]
         space = FockSpace(dim)
@@ -214,19 +356,27 @@ class Operator:
         if len(flat) != dim * dim:
             raise ValueError("entry count does not match dim*dim")
         if field == RATIONAL:
-            ent = np.array(
-                [[Fraction(flat[i * dim + j]) for j in range(dim)] for i in range(dim)],
-                dtype=object,
-            )
-        elif field == COMPLEX:
-            ent = np.array(
-                [[complex(flat[i * dim + j][0], flat[i * dim + j][1]) for j in range(dim)]
-                 for i in range(dim)],
-                dtype=complex,
-            )
-        else:
-            raise ValueError(f"unknown field {field!r}")
-        return Operator(space, ent, field)
+            bands = {}
+            for d in range(1 - dim, dim):
+                r, c = _band_start(d)
+                bands[d] = tuple(
+                    _parse_rational(flat[(r + t) * dim + c + t]) for t in range(dim - abs(d))
+                )
+            return Operator._banded(space, bands)
+        if field == COMPLEX:
+            try:
+                pairs = np.array(flat, dtype=float)
+            except (TypeError, ValueError):
+                raise ValueError("complex entries must be [re, im] number pairs") from None
+            if pairs.shape != (dim * dim, 2):
+                raise ValueError("complex entries must be [re, im] number pairs")
+            if not np.isfinite(pairs).all():
+                raise ValueError("operator entries must be finite")
+            ent = np.empty(dim * dim, dtype=complex)
+            ent.real = pairs[:, 0]
+            ent.imag = pairs[:, 1]
+            return Operator(space, ent.reshape(dim, dim), COMPLEX)
+        raise ValueError(f"unknown field {field!r}")
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -246,10 +396,7 @@ def annihilation(space: FockSpace, field: str = COMPLEX) -> Operator:
     """
     n = space.dim
     if field == RATIONAL:
-        ent = np.full((n, n), Fraction(0), dtype=object)
-        for m in range(1, n):
-            ent[m - 1, m] = Fraction(m)
-        return Operator(space, ent, RATIONAL)
+        return Operator._banded(space, {1: tuple(Fraction(m) for m in range(1, n))})
     ent = np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)
     return Operator(space, ent, COMPLEX)
 
@@ -257,12 +404,8 @@ def annihilation(space: FockSpace, field: str = COMPLEX) -> Operator:
 def creation(space: FockSpace, field: str = COMPLEX) -> Operator:
     """Raising matrix a+; adjoint of ``annihilation`` in the complex field,
     the unit-entry shift in the exact monomial basis."""
-    n = space.dim
     if field == RATIONAL:
-        ent = np.full((n, n), Fraction(0), dtype=object)
-        for m in range(0, n - 1):
-            ent[m + 1, m] = Fraction(1)
-        return Operator(space, ent, RATIONAL)
+        return Operator._banded(space, {-1: (Fraction(1),) * (space.dim - 1)})
     return annihilation(space, COMPLEX).adjoint()
 
 
@@ -297,10 +440,9 @@ def diagonal_operator(
         if len(vals) != space.dim:
             raise ValueError(f"need {space.dim} diagonal values, got {len(vals)}")
     if field == RATIONAL:
-        ent = np.full((space.dim, space.dim), Fraction(0), dtype=object)
-        for m, v in enumerate(vals):
-            ent[m, m] = Fraction(0) if v is None else _as_fraction(v)
-        return Operator(space, ent, RATIONAL)
+        return Operator._banded(
+            space, {0: tuple(_ZERO if v is None else _as_fraction(v) for v in vals)}
+        )
     ent = np.zeros((space.dim, space.dim), dtype=complex)
     for m, v in enumerate(vals):
         ent[m, m] = 0j if v is None else complex(v)

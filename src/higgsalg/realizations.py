@@ -107,19 +107,34 @@ class Realization:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Realization":
+        """Inverse of ``to_json_dict``.  Raises ValueError on a malformed
+        file: an unknown kind, operators of different dims, a mask whose
+        length is not dim, a window missing on a spectral kind or present
+        on any other, or an operator entry that is not finite."""
+        kind = data["kind"]
+        if kind not in STEP_KINDS + VILLAIN_KINDS:
+            raise ValueError(f"unknown realization kind {kind!r}")
+        ops = {name: Operator.from_json_dict(data[name]) for name in ("jp", "jm", "j3")}
+        op_dims = [op.space.dim for op in ops.values()]
+        if any(d != data["dim"] for d in op_dims):
+            raise ValueError(f"operator dims {op_dims} do not all equal dim {data['dim']!r}")
+        mask = tuple(bool(b) for b in data["mask"])
+        if len(mask) != data["dim"]:
+            raise ValueError(f"mask has {len(mask)} entries, dim is {data['dim']}")
+        if (kind in VILLAIN_KINDS) != ("window" in data):
+            need = "needs" if kind in VILLAIN_KINDS else "must not have"
+            raise ValueError(f"realization kind {kind!r} {need} a momentum window")
         window = None
         if "window" in data:
             window = (Fraction(data["window"][0]), Fraction(data["window"][1]))
         return Realization(
-            kind=data["kind"],
+            kind=kind,
             step_k=data["k"],
             j2=data["j2"],
             params=AlgebraParams.of(data["c1"], data["c3"]),
-            jp=Operator.from_json_dict(data["jp"]),
-            jm=Operator.from_json_dict(data["jm"]),
-            j3=Operator.from_json_dict(data["j3"]),
-            admissible_mask=tuple(bool(b) for b in data["mask"]),
+            admissible_mask=mask,
             window=window,
+            **ops,
         )
 
 

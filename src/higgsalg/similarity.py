@@ -62,7 +62,10 @@ def s1_recurrence(
     s(n)^2 = F_1(n-1) s(n-1)^2, seeded with s(0) = q0.
 
     The chain stops at the first nonpositive weight; the top weight
-    F_1(2j) always vanishes, so no chain passes n = 2j.
+    F_1(2j) always vanishes, so no chain passes n = 2j.  It also stops
+    (mask False, entry 0.0) at the first entry that is not a finite
+    float, where the squares overflow at large j, so every masked-in
+    entry is finite.
     """
     jf = _frac(j)
     entries = [0.0] * space.dim
@@ -77,6 +80,8 @@ def s1_recurrence(
         if factor <= 0:
             break
         sq *= float(factor)
+        if not math.isfinite(sq):
+            break
         entries[n] = math.sqrt(sq) if q0 >= 0 else -math.sqrt(sq)
         mask[n] = True
     return DiagonalTransform(q0=q0, entries=tuple(entries), mask=tuple(mask))
@@ -90,8 +95,10 @@ def s1_closed_form(
         s(n) = q0 sqrt( (-c3/4)^n (-2j)_n (-z+)_n (-z-)_n ),
 
     with (x)_n the rising factorial and z-+ the roots of the bond
-    quadratic.  Needs c3 != 0 and real roots.  The domain mask is taken
-    from the exact weight signs, identical to the recurrence version.
+    quadratic.  Needs c3 != 0 and real roots.  The domain mask is the
+    recurrence version's, taken from the exact weight signs, except that
+    the chain also stops (mask False, entry 0.0) at the first entry that
+    is not a finite float, where the float Pochhammers overflow.
     """
     jf = _frac(j)
     roots = z_boundaries(params, jf)
@@ -99,17 +106,24 @@ def s1_closed_form(
         raise ValueError("closed-form scaling needs real roots of the bond quadratic")
     zm, zp = roots
     base = -float(params.c3) / 4.0
-    mask = s1_recurrence(space, params, jf, q0).mask
+    mask = list(s1_recurrence(space, params, jf, q0).mask)
     entries = [0.0] * space.dim
     for n in range(space.dim):
         if not mask[n]:
             break
-        val = (base ** n) * float(pochhammer(-2.0 * float(jf), n))
+        try:
+            val = (base ** n) * float(pochhammer(-2.0 * float(jf), n))
+        except OverflowError:  # float ** raises where * gives inf
+            val = math.inf
         val *= float(pochhammer(-zp, n)) * float(pochhammer(-zm, n))
         # the masked region keeps the radicand positive; roundoff may dip
         # a true zero slightly negative at the chain edge
-        entries[n] = q0 * math.sqrt(max(val, 0.0))
-    return DiagonalTransform(q0=q0, entries=tuple(entries), mask=mask)
+        entry = q0 * math.sqrt(max(val, 0.0))
+        if not math.isfinite(entry):
+            mask[n:] = [False] * (space.dim - n)
+            break
+        entries[n] = entry
+    return DiagonalTransform(q0=q0, entries=tuple(entries), mask=tuple(mask))
 
 
 def s2_matching(
@@ -120,7 +134,9 @@ def s2_matching(
     q0_odd: float = 1.0,
 ) -> DiagonalTransform:
     """Step-2 scaling: two independent parity chains seeded at n = 0 and
-    n = 1, each obeying s(n+2)^2 = F_2(n) s(n)^2."""
+    n = 1, each obeying s(n+2)^2 = F_2(n) s(n)^2.  A chain stops at its
+    first nonpositive weight or at its first square that is not a finite
+    float."""
     jf = _frac(j)
     entries = [0.0] * space.dim
     mask = [False] * space.dim
@@ -139,6 +155,8 @@ def s2_matching(
         if factor <= 0:
             continue
         squares[n] = float(factor) * squares[n - 2]
+        if not math.isfinite(squares[n]):
+            continue
         entries[n] = math.sqrt(squares[n]) if entries[n - 2] >= 0 else -math.sqrt(squares[n])
         mask[n] = True
     return DiagonalTransform(

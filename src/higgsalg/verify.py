@@ -17,8 +17,6 @@ judged by convergence across dimensions, not by a fixed tolerance.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -192,21 +190,6 @@ def _tol(cfg: VerifyConfig, dim: int, scale: float) -> float:
     return cfg.tolerance_coefficient * dim * max(1.0, scale)
 
 
-def _abs(x) -> Union[float, Fraction]:
-    return abs(x)
-
-
-def _block_norm(entries: np.ndarray, states: Sequence[int]):
-    """Entrywise max magnitude over the principal submatrix on ``states``."""
-    worst = None
-    for i in states:
-        for l in states:
-            v = _abs(entries[i, l])
-            if worst is None or v > worst:
-                worst = v
-    return worst
-
-
 # -- step-kind checks ---------------------------------------------------------
 
 def _step_checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
@@ -228,20 +211,13 @@ def _step_checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
     if not states:
         checks.append(_vacuous_check(name_r1, substantive=True, exact=exact))
     else:
-        residual = max(_abs(closure.entries[n, n]) for n in states)
+        closure_diag = closure.diagonal()
+        residual = max(abs(closure_diag[n]) for n in states)
         if exact:
             checks.append(_passed_check(name_r1, residual, Fraction(0), len(states), True, True))
         else:
-            scale = max(
-                float(
-                    max(
-                        _abs(up_down.entries[n, n]),
-                        _abs(down_up.entries[n, n]),
-                        _abs(rhs.entries[n, n]),
-                    )
-                )
-                for n in states
-            )
+            diags = (up_down.diagonal(), down_up.diagonal(), rhs.diagonal())
+            scale = max(float(max(abs(d[n]) for d in diags)) for n in states)
             checks.append(
                 _passed_check(
                     name_r1, float(residual), _tol(cfg, dim, scale), len(states), True, False
@@ -287,15 +263,13 @@ def _step_checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
         checks.append(_vacuous_check(name_forms, substantive=False, exact=exact))
     else:
         diff = c_sym - c_prod
-        residual = _block_norm(diff.entries, states)
+        residual = diff.block_max(states)
         if exact:
             checks.append(
                 _passed_check(name_forms, residual, Fraction(0), len(states), False, True)
             )
         else:
-            scale = float(_block_norm(c_sym.entries, states)) + float(
-                _block_norm(c_prod.entries, states)
-            )
+            scale = float(c_sym.block_max(states)) + float(c_prod.block_max(states))
             checks.append(
                 _passed_check(
                     name_forms, float(residual), _tol(cfg, dim, scale), len(states), False, False
@@ -312,10 +286,9 @@ def _step_checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
             checks.append(_vacuous_check("casimir-scalar", substantive=True, exact=exact))
         else:
             worst = None
-            cscale = float(_block_norm(c_sym.entries, states)) if not exact else 0.0
+            cscale = float(c_sym.block_max(states)) if not exact else 0.0
             for op in (jp, jm, j3):
-                com = commutator(c_sym, op)
-                v = _block_norm(com.entries, states)
+                v = commutator(c_sym, op).block_max(states)
                 if worst is None or v > worst:
                     worst = v
             if exact:
@@ -334,7 +307,8 @@ def _step_checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
                         False,
                     )
                 )
-            dev = max(_abs(c_sym.entries[n, n] - (lam if exact else complex(lam))) for n in states)
+            c_diag = c_sym.diagonal()
+            dev = max(abs(c_diag[n] - (lam if exact else complex(lam))) for n in states)
             if exact:
                 checks.append(
                     _passed_check("casimir-scalar", dev, Fraction(0), len(states), True, True)
@@ -550,11 +524,11 @@ def parse_kind_token(token: str) -> tuple[str, int]:
 
 
 def _sweep_one(
-    params: AlgebraParams, j2: int, token: str, dim: int, cfg: VerifyConfig
+    params: AlgebraParams, j2: int, token: str, space: FockSpace, cfg: VerifyConfig
 ) -> SweepEntry:
     kind, num = parse_kind_token(token)
     try:
-        r = build_realization(FockSpace(dim), params, Fraction(j2, 2), kind, num)
+        r = build_realization(space, params, Fraction(j2, 2), kind, num)
         report = verify_realization(r, cfg)
         return SweepEntry(str(params.c1), str(params.c3), j2, token, report)
     except ValueError as err:
@@ -567,27 +541,21 @@ def sweep(
     dim: int = 32,
     cfg: Optional[VerifyConfig] = None,
 ) -> SweepReport:
-    """Verify every requested realization at every grid point.
+    """Verify every requested realization at every grid point, in order:
+    the report is the cross product grid x tokens.
 
-    Order of the report is the cross product grid x tokens, regardless of
-    how many worker threads the HIGGSALG_THREADS variable requests.
+    Entries run one after another in this thread; the work is pure Python
+    and holds the interpreter lock, so worker threads measured no gain.
+    A truncation dimension below 2 raises ValueError once, before any
+    entry is built.
     """
     cfg = cfg or VerifyConfig()
-    jobs = [(params, j2, token) for params, j2 in grid for token in tokens]
-    workers = 1
-    env = os.environ.get("HIGGSALG_THREADS")
-    if env:
-        try:
-            workers = max(1, int(env))
-        except ValueError:
-            workers = 1
-    if workers == 1:
-        entries = [_sweep_one(p, j2, t, dim, cfg) for p, j2, t in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(
-                pool.map(lambda job: _sweep_one(job[0], job[1], job[2], dim, cfg), jobs)
-            )
+    space = FockSpace(dim)
+    entries = [
+        _sweep_one(params, j2, token, space, cfg)
+        for params, j2 in grid
+        for token in tokens
+    ]
     return SweepReport(tuple(entries))
 
 

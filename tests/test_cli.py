@@ -177,3 +177,95 @@ def test_export_operator(capsys):
     # diagonal runs j, j - 1, ... in the number basis
     diag = [Fraction(doc["entries"][i * 6 + i]) for i in range(6)]
     assert diag == [Fraction(2) - n for n in range(6)]
+
+
+def _saved_realization(tmp_path, field="rational"):
+    path = tmp_path / "r.json"
+    code = main([
+        "build", "--c1", "2", "--c3", "0", "--j2", "4",
+        "--kind", "dyson:1", "--dim", "4", "--field", field, "-o", str(path),
+    ])
+    assert code == 0
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("field,path,value", [
+    pytest.param("rational", ("kind",), "bogus", id="unknown-kind"),
+    pytest.param("rational", ("j3",), {"dim": 5, "field": "rational", "entries": ["0"] * 25},
+                 id="dims-differ"),
+    pytest.param("rational", ("mask",), [1, 1, 1], id="short-mask"),
+    pytest.param("rational", ("kind",), "villain1", id="villain-without-window"),
+    pytest.param("rational", ("window",), ["-2", "2"], id="window-on-step-kind"),
+    pytest.param("complex", ("jp", "entries", 1, 0), float("inf"), id="infinite-entry"),
+    pytest.param("complex", ("j3", "entries", 0, 1), float("nan"), id="nan-entry"),
+    pytest.param("rational", ("mask",), 4, id="mask-not-a-list"),
+    pytest.param("rational", ("c1",), "1/0", id="zero-denominator"),
+])
+def test_malformed_realization_file_exits_65(tmp_path, capsys, field, path, value):
+    saved, doc = _saved_realization(tmp_path, field)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    saved.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["verify", "--input", str(saved)])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("grid", [
+    [{"c1": "1/0", "c3": "1", "j2": 2}],
+    {"c1": "1", "c3": "1", "j2": 2},
+    [{"c1": "1", "c3": "1", "j2": "two"}],
+])
+def test_malformed_grid_file_exits_65(tmp_path, capsys, grid):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    code = main(["sweep", "--grid", str(path), "--dim", "8"])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--c1", "2", "--c3", "0", "--j2", "4", "--kind", "hp:1", "--dim", "8"],
+    ["sweep", "--kinds", "hp:1", "--dim", "8"],
+])
+def test_bad_tolerance_is_a_usage_error(capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--tolerance-coefficient", value])
+    assert exc.value.code == 64
+    assert capsys.readouterr().out == ""
+
+
+def test_sweep_dim_checked_before_fan_out(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--dim", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 64
+    assert captured.out == ""
+    assert "truncation dimension must be >= 2" in captured.err
+
+
+def test_export_transform_is_strict_json_at_large_spin(capsys):
+    # the float squares of the s1 chain overflow from n = 46 on at this point
+    code = main(["export", "transform", "--c1", "1", "--c3", "1", "--j2", "400", "--dim", "402"])
+    out = capsys.readouterr().out
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    doc = json.loads(out, parse_constant=reject)
+    assert sum(doc["mask"]) == 46
+    assert all(m == 0 for m in doc["mask"][46:])
+    assert all(x == 0.0 for x in doc["entries"][46:])
+
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "transform", "--c1", "1", "--c3", "1", "--j2", "4", "--q0", "nan"])
+    assert exc.value.code == 64

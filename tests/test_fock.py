@@ -172,3 +172,81 @@ def test_serialization_rejects_bad_payload():
         Operator.from_json_dict({"dim": 2, "field": "rational", "entries": ["1"]})
     with pytest.raises(ValueError):
         Operator.from_json_dict({"dim": 2, "field": "octonion", "entries": ["1"] * 4})
+    # entries that are not finite numbers of the field
+    for bad in ("1/0", "inf", "nan", float("inf"), [1, 2]):
+        with pytest.raises(ValueError):
+            Operator.from_json_dict({"dim": 2, "field": "rational", "entries": ["1", bad, "0", "0"]})
+    for bad in ([float("nan"), 0.0], [0.0, float("-inf")], ["x", 0.0], [1.0]):
+        with pytest.raises(ValueError):
+            Operator.from_json_dict(
+                {"dim": 2, "field": "complex", "entries": [[1.0, 0.0], bad, [0.0, 0.0], [0.0, 0.0]]}
+            )
+
+
+# -- banded exact core against a dense reference -------------------------------
+
+_SMALL_FRACTIONS = st.builds(
+    Fraction, st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=12)
+)
+
+
+@st.composite
+def _rational_operator_pairs(draw):
+    """Two rational operators on one space, each either dense (every entry
+    drawn) or banded (entries drawn on a random set of offsets only)."""
+    dim = draw(st.integers(min_value=2, max_value=8))
+
+    def operator():
+        if draw(st.booleans()):
+            vals = draw(st.lists(_SMALL_FRACTIONS, min_size=dim * dim, max_size=dim * dim))
+            ent = np.array(vals, dtype=object).reshape(dim, dim)
+        else:
+            ent = np.full((dim, dim), Fraction(0), dtype=object)
+            for d in draw(st.sets(st.integers(1 - dim, dim - 1), max_size=4)):
+                size = dim - abs(d)
+                band = draw(st.lists(_SMALL_FRACTIONS, min_size=size, max_size=size))
+                for t, v in enumerate(band):
+                    ent[(t - d, t) if d < 0 else (t, t + d)] = v
+        return Operator(FockSpace(dim), ent, RATIONAL)
+
+    return operator(), operator()
+
+
+def _assert_exact(op, ref):
+    assert op.field == RATIONAL
+    assert op.entries.shape == ref.shape
+    for got, want in zip(op.entries.flat, ref.flat):
+        assert isinstance(got, Fraction) and got == want
+
+
+@given(
+    _rational_operator_pairs(),
+    _SMALL_FRACTIONS,
+    st.integers(min_value=0, max_value=3),
+    st.sets(st.integers(min_value=0, max_value=7)),
+)
+@settings(max_examples=100, deadline=None)
+def test_banded_arithmetic_matches_dense_reference(pair, c, k, states):
+    a, b = pair
+    x, y = a.entries, b.entries
+    dim = a.space.dim
+    _assert_exact(a @ b, x @ y)
+    _assert_exact(a + b, x + y)
+    _assert_exact(a - b, x - y)
+    _assert_exact(-a, -x)
+    _assert_exact(a.scale(c), c * x)
+    _assert_exact(a.adjoint(), x.T)
+    ref = np.full((dim, dim), Fraction(0), dtype=object)
+    np.fill_diagonal(ref, Fraction(1))
+    for _ in range(k):
+        ref = ref @ x
+    _assert_exact(a.power(k), ref)
+    norm = a.max_norm()
+    assert isinstance(norm, Fraction) and norm == max(abs(v) for v in x.flat)
+    assert list(a.diagonal()) == list(x.diagonal())
+    block = sorted(s for s in states if s < dim)
+    want = max((abs(x[i, l]) for i in block for l in block), default=Fraction(0))
+    assert a.block_max(block) == want
+    promoted = a + Operator.zeros(a.space, COMPLEX)
+    assert np.array_equal(promoted.entries, x.astype(float).astype(complex))
+    _assert_exact(Operator.from_json(a.to_json()), x)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from higgsalg import (
     AlgebraParams,
@@ -152,3 +155,35 @@ def test_transform_json_round_trip():
     t = s2_matching(FockSpace(6), SU2_PARAMS, 2, q0_even=1.0, q0_odd=0.5)
     back = DiagonalTransform.from_json_dict(t.to_json_dict())
     assert back == t
+
+
+def _strict_json(t) -> dict:
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(json.dumps(t.to_json_dict(), allow_nan=False), parse_constant=reject)
+
+
+@given(
+    c1=st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+    c3=st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 3)),
+    j2=st.integers(min_value=150, max_value=500),
+    q0=st.floats(min_value=-1e3, max_value=1e3),
+)
+@example(c1=Fraction(1), c3=Fraction(1), j2=400, q0=1.0)
+@settings(max_examples=25, deadline=None)
+def test_masked_in_transform_entries_are_finite_at_large_spin(c1, c3, j2, q0):
+    sp = FockSpace(j2 + 2)
+    j = Fraction(j2, 2)
+    params = AlgebraParams.of(c1, c3)
+    # a second coupling pair with real roots of the bond quadratic, which
+    # the closed form needs: 8 c1 / c3 <= -(2j + 1)^2
+    rooted = AlgebraParams.of(-c3 * (Fraction((j2 + 1) ** 2, 8) + abs(c1)), c3)
+    for t in (
+        s1_recurrence(sp, params, j, q0),
+        s1_closed_form(sp, rooted, j, q0),
+        s2_matching(sp, params, j, q0, -q0),
+    ):
+        assert all(math.isfinite(x) for x, m in zip(t.entries, t.mask) if m)
+        assert all(x == 0.0 for x, m in zip(t.entries, t.mask) if not m)
+        assert _strict_json(t)["mask"] == [int(m) for m in t.mask]

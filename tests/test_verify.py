@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
 
 from higgsalg import (
     AlgebraParams,
@@ -16,6 +17,7 @@ from higgsalg import (
     VerifyConfig,
     build_realization,
     default_grid,
+    dyson_quadratic,
     dyson_simple,
     exit_code,
     grid_from_json,
@@ -174,6 +176,11 @@ def test_sweep_counts_over_default_grid():
     assert sweep_exit_code(report) == 0
 
 
+def test_sweep_rejects_small_dim_once():
+    with pytest.raises(ValueError, match="truncation dimension"):
+        sweep(["hp:1", "dyson:1"], default_grid(), dim=1)
+
+
 def test_sweep_records_build_failures_as_errors():
     grid = [(AlgebraParams.of(3, -1), 2)]
     report = sweep(["villain:2"], grid, dim=16)
@@ -200,6 +207,18 @@ def test_sweep_is_deterministic_across_thread_counts(monkeypatch):
     monkeypatch.setenv("HIGGSALG_THREADS", "4")
     threaded = report_to_json(sweep(["hp:1", "dyson:1"], grid, dim=12))
     assert serial == threaded
+
+
+@pytest.mark.parametrize("build", [dyson_simple, dyson_quadratic])
+def test_exact_verify_never_builds_the_dense_view(monkeypatch, build):
+    r = build(FockSpace(12), AlgebraParams.of(1, 1), Fraction(5, 2))
+
+    def dense_view(self):
+        raise AssertionError("the exact checks built a dense view")
+
+    monkeypatch.setattr(Operator, "entries", property(dense_view))
+    report = verify_realization(r)
+    assert report.passed and report.field_name == "rational"
 
 
 def test_tolerance_scales_with_coefficient():
