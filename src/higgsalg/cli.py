@@ -74,14 +74,22 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _dimension(text: str) -> int:
+def _int_at_least(text: str, low: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"truncation dimension must be >= 2, got {text!r}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {text!r}")
     return value
+
+
+def _dimension(text: str) -> int:
+    return _int_at_least(text, 2, "truncation dimension")
+
+
+def _doubled_spin(text: str) -> int:
+    return _int_at_least(text, 0, "doubled spin 2j")
 
 
 def _kind_token(text: str) -> str:
@@ -123,13 +131,13 @@ def _load(path: str, parse, what: str):
 def _point_args(sub: argparse.ArgumentParser, required: bool = True) -> None:
     sub.add_argument("--c1", type=_rational, required=required, help="linear structure constant, as p/q")
     sub.add_argument("--c3", type=_rational, required=required, help="cubic structure constant, as p/q")
-    sub.add_argument("--j2", type=int, required=required, help="doubled spin 2j (a nonnegative integer)")
+    sub.add_argument("--j2", type=_doubled_spin, required=required, help="doubled spin 2j (a nonnegative integer)")
 
 
 def _build_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kind", type=_kind_token, default="hp:1",
                      help="realization token: hp:K, dyson:K, or villain:FORM")
-    sub.add_argument("--dim", type=int, default=32, help="truncation dimension")
+    sub.add_argument("--dim", type=_dimension, default=32, help="truncation dimension")
     sub.add_argument("--field", choices=["rational", "complex"], default=RATIONAL,
                      help="scalar field for one-sided realizations")
     sub.add_argument("--coefficients", choices=["printed", "derived"], default="derived",
@@ -261,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="diagonal similarity scaling as JSON")
     _point_args(p_tr)
     p_tr.add_argument("--map", choices=["s1", "s1-closed", "s2"], default="s1")
-    p_tr.add_argument("--dim", type=int, default=32)
+    p_tr.add_argument("--dim", type=_dimension, default=32)
     p_tr.add_argument("--q0", type=_finite_float, default=1.0, help="seed value at n = 0")
     p_tr.add_argument("--q0-odd", type=_finite_float, default=1.0,
                       help="seed at n = 1 for the two-chain step-2 map")

@@ -430,8 +430,7 @@ def diagonal_operator(
     """diag(f(0), ..., f(N-1)) from a sequence or a callable of n.
 
     A value of None marks an entry with no defined matrix element; it is
-    stored as 0.  Callers tracking admissibility keep the mask themselves
-    (see ``masked_diagonal``).
+    stored as 0.  Callers tracking admissibility keep the mask themselves.
     """
     if callable(values):
         vals = [values(m) for m in space.occupations()]
@@ -447,21 +446,6 @@ def diagonal_operator(
     for m, v in enumerate(vals):
         ent[m, m] = 0j if v is None else complex(v)
     return Operator(space, ent, COMPLEX)
-
-
-def masked_diagonal(
-    space: FockSpace,
-    values: Union[Sequence[Scalar], Callable[[int], Scalar]],
-    field: str = COMPLEX,
-) -> tuple[Operator, list[bool]]:
-    """Like ``diagonal_operator`` but also returns the admissibility mask:
-    mask[n] is False exactly where the value was None."""
-    if callable(values):
-        vals = [values(m) for m in space.occupations()]
-    else:
-        vals = list(values)
-    mask = [v is not None for v in vals]
-    return diagonal_operator(space, vals, field), mask
 
 
 def pochhammer(q: Scalar, n: int):

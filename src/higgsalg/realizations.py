@@ -1,6 +1,7 @@
 """Single-boson matrix realizations of the cubic algebra.
 
-Three families are built here, all on a truncated Fock space:
+``build_realization`` is the entry point: it builds any of the three
+families below, all on a truncated Fock space:
 
 * ``hp`` (step k): J- = (a+)^k sqrt(F_k(nhat)), J+ its adjoint, with
   J3 = j - nhat.  Hermitian pairing holds only where the weight F_k is
@@ -9,10 +10,10 @@ Three families are built here, all on a truncated Fock space:
 * ``dyson`` (step k): J- = (a+)^k F_k(nhat), J+ = a^k.  Non-unitary, but
   the defining commutator closes identically at every occupation number,
   so these are built over the exact rational field by default.
-* ``villain1`` / ``villain2``: phase-operator form J+ = e^{iX} w(P) with
-  J3 = P, built spectrally.  Identities hold only asymptotically, on the
-  spectral window |p| <= j, with truncation error decaying as the
-  dimension grows.
+* ``villain`` (form 1 or 2, stored as kind ``villain1`` / ``villain2``):
+  phase-operator form J+ = e^{iX} w(P) with J3 = P, built spectrally.
+  Identities hold only asymptotically, on the spectral window |p| <= j,
+  with truncation error decaying as the dimension grows.
 
 The step-k weight sequence F_k comes from a three-term recurrence in n;
 for k = 1 and k = 2 closed forms are available and are checked against
@@ -108,16 +109,27 @@ class Realization:
     @staticmethod
     def from_json_dict(data: dict) -> "Realization":
         """Inverse of ``to_json_dict``.  Raises ValueError on a malformed
-        file: an unknown kind, operators of different dims, a mask whose
-        length is not dim, a window missing on a spectral kind or present
-        on any other, or an operator entry that is not finite."""
-        kind = data["kind"]
+        file: an unknown kind, a step k that is not an integer >= 1 (or not
+        1 on a spectral kind), a j2 that is not an integer >= 0, operators
+        of different dims or fields, a mask entry other than 0 or 1, a mask
+        whose length is not dim, a window missing on a spectral kind or
+        present on any other, or an operator entry that is not finite."""
+        kind, k, j2 = data["kind"], data["k"], data["j2"]
         if kind not in STEP_KINDS + VILLAIN_KINDS:
             raise ValueError(f"unknown realization kind {kind!r}")
+        if not _is_int(k) or k < 1 or (kind in VILLAIN_KINDS and k != 1):
+            raise ValueError(f"kind {kind!r} needs a step k >= 1 (1 if spectral), got {k!r}")
+        if not _is_int(j2) or j2 < 0:
+            raise ValueError(f"j2 must be an integer >= 0, got {j2!r}")
         ops = {name: Operator.from_json_dict(data[name]) for name in ("jp", "jm", "j3")}
         op_dims = [op.space.dim for op in ops.values()]
         if any(d != data["dim"] for d in op_dims):
             raise ValueError(f"operator dims {op_dims} do not all equal dim {data['dim']!r}")
+        op_fields = [op.field for op in ops.values()]
+        if len(set(op_fields)) != 1:
+            raise ValueError(f"operator fields {op_fields} differ")
+        if any(b not in (0, 1) for b in data["mask"]):
+            raise ValueError("mask entries must be 0 or 1")
         mask = tuple(bool(b) for b in data["mask"])
         if len(mask) != data["dim"]:
             raise ValueError(f"mask has {len(mask)} entries, dim is {data['dim']}")
@@ -129,13 +141,17 @@ class Realization:
             window = (Fraction(data["window"][0]), Fraction(data["window"][1]))
         return Realization(
             kind=kind,
-            step_k=data["k"],
-            j2=data["j2"],
+            step_k=k,
+            j2=j2,
             params=AlgebraParams.of(data["c1"], data["c3"]),
             admissible_mask=mask,
             window=window,
             **ops,
         )
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _require_j2(j: RationalLike) -> tuple[Fraction, int]:
@@ -298,53 +314,6 @@ def _dyson_step(
     )
 
 
-def hp_simple(space: FockSpace, params: AlgebraParams, j: RationalLike) -> Realization:
-    """Step-1 square-root realization; the classical su(2) ladder at
-    (c1, c3) = (2, 0)."""
-    return _unitary_step(space, params, j, 1)
-
-
-def hp_quadratic(space: FockSpace, params: AlgebraParams, j: RationalLike) -> Realization:
-    """Step-2 square-root realization: J- moves two quanta at a time."""
-    return _unitary_step(space, params, j, 2)
-
-
-def dyson_simple(
-    space: FockSpace, params: AlgebraParams, j: RationalLike, field: str = RATIONAL
-) -> Realization:
-    """Step-1 one-sided realization; closure is exact at every n."""
-    return _dyson_step(space, params, j, 1, field)
-
-
-def dyson_quadratic(
-    space: FockSpace, params: AlgebraParams, j: RationalLike, field: str = RATIONAL
-) -> Realization:
-    """Step-2 one-sided realization; closure is exact at every n."""
-    return _dyson_step(space, params, j, 2, field)
-
-
-def generic_realization(
-    space: FockSpace,
-    params: AlgebraParams,
-    j: RationalLike,
-    k: int,
-    mode: str = "unitary",
-    field: str = RATIONAL,
-    coefficients: str = "derived",
-) -> Realization:
-    """Arbitrary-step constructor driven by the weight recurrence.
-
-    mode 'unitary' pairs each bond with its adjoint under a square-root
-    split (complex field); mode 'dyson' puts the whole weight on the
-    raising side and keeps the requested field.
-    """
-    if mode == "unitary":
-        return _unitary_step(space, params, j, k, coefficients)
-    if mode == "dyson":
-        return _dyson_step(space, params, j, k, field, coefficients)
-    raise ValueError(f"mode must be 'unitary' or 'dyson', got {mode!r}")
-
-
 # -- spectral (phase-operator) constructors -----------------------------------
 
 def g_constant(params: AlgebraParams, j: RationalLike, form: int = 1) -> float:
@@ -444,11 +413,11 @@ def build_realization(
     field: str = RATIONAL,
     coefficients: str = "derived",
 ) -> Realization:
-    """Uniform entry point used by the command line.
+    """The one constructor for every family.
 
-    kind 'hp' or 'dyson' with step k >= 1; kind 'villain' where k names
-    the radicand form (1 or 2).  Kind strings 'villain1'/'villain2' are
-    accepted too.
+    kind 'hp' (square-root split, complex field) or 'dyson' (whole weight
+    on the raising side, in ``field``) with step k >= 1; kind 'villain'
+    where k names the radicand form (1 or 2).
     """
     if kind == KIND_HP:
         return _unitary_step(space, params, j, k, coefficients)
@@ -456,6 +425,4 @@ def build_realization(
         return _dyson_step(space, params, j, k, field, coefficients)
     if kind == "villain":
         return villain_boson(space, params, j, form=k)
-    if kind in VILLAIN_KINDS:
-        return villain_boson(space, params, j, form=1 if kind == KIND_VILLAIN1 else 2)
     raise ValueError(f"unknown realization kind {kind!r}")

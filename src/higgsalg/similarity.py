@@ -178,17 +178,14 @@ def conjugate(realization: Realization, transform: DiagonalTransform) -> Realiza
     k = realization.step_k
     n = realization.space.dim
     tmask = transform.mask
-    s = transform.entries
+    keep = np.array(tmask, dtype=bool)
+    # 1.0 off the domain keeps the division finite on entries dropped anyway
+    s = np.where(keep, np.array(transform.entries, dtype=float), 1.0)
 
     def carry(op: Operator) -> Operator:
         src = op._promote().entries
-        out = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for l in range(n):
-                if src[i, l] == 0:
-                    continue
-                if tmask[i] and tmask[l]:
-                    out[i, l] = s[i] * src[i, l] / s[l]
+        live = (src != 0) & keep[:, None] & keep[None, :]
+        out = np.where(live, s[:, None] * src / s[None, :], 0)
         return Operator(realization.space, out, COMPLEX)
 
     new_mask = []

@@ -20,6 +20,7 @@ from higgsalg import (
     SU2_PARAMS,
     admissible_states,
     annihilation,
+    build_realization,
     closed_form_k1,
     closed_form_k2,
     conjugate,
@@ -27,10 +28,7 @@ from higgsalg import (
     default_grid,
     diagonal_operator,
     discriminant,
-    dyson_simple,
     g_constant,
-    generic_realization,
-    hp_simple,
     product_recurrence,
     root_side_admissible,
     s1_closed_form,
@@ -118,12 +116,12 @@ def test_criterion_4_step1_invariant_scalar(capsys):
     ok = True
     for params, j2 in default_grid():
         j = Fraction(j2, 2)
-        rep = verify_realization(hp_simple(FockSpace(32), params, j))
+        rep = verify_realization(build_realization(FockSpace(32), params, j, "hp", 1))
         for name in ("casimir-commutes", "casimir-scalar"):
             c = _check(rep, name)
             if not c.vacuous and not c.residual <= 1e-10:
                 ok = False
-        rep = verify_realization(dyson_simple(FockSpace(16), params, j))
+        rep = verify_realization(build_realization(FockSpace(16), params, j, "dyson", 1))
         for name in ("casimir-commutes", "casimir-scalar"):
             c = _check(rep, name)
             if not c.exact or (not c.vacuous and c.residual != 0):
@@ -135,7 +133,7 @@ def test_criterion_5_linear_point_regression(capsys):
     ok = True
     for j2 in range(1, 7):
         j = Fraction(j2, 2)
-        r = hp_simple(FockSpace(16), SU2_PARAMS, j)
+        r = build_realization(FockSpace(16), SU2_PARAMS, j, "hp", 1)
         for n in range(j2):
             m = j - n - 1
             want = math.sqrt(float(j * (j + 1) - m * (m + 1)))
@@ -145,7 +143,7 @@ def test_criterion_5_linear_point_regression(capsys):
             ok = False
 
         sp = FockSpace(12)
-        d = dyson_simple(sp, SU2_PARAMS, j)
+        d = build_realization(sp, SU2_PARAMS, j, "dyson", 1)
         weight = diagonal_operator(sp, [Fraction(j2 - n) for n in range(12)], RATIONAL)
         if ((weight @ annihilation(sp, RATIONAL)) - d.jp).max_norm() != 0:
             ok = False
@@ -166,8 +164,8 @@ def test_criterion_6_diagonal_map_transport(capsys):
         t = s1_recurrence(sp, params, j)
         if sum(t.mask) >= 3:
             compared_points += 1
-            carried = conjugate(dyson_simple(sp, params, j, field="complex"), t)
-            target = hp_simple(sp, params, j)
+            carried = conjugate(build_realization(sp, params, j, "dyson", 1, field="complex"), t)
+            target = build_realization(sp, params, j, "hp", 1)
             for n in range(sp.dim - 1):
                 if t.mask[n] and t.mask[n + 1] and target.admissible_mask[n]:
                     lo = abs(carried.jm.entries[n + 1, n] - target.jm.entries[n + 1, n])
@@ -175,7 +173,7 @@ def test_criterion_6_diagonal_map_transport(capsys):
                     if lo > 1e-10 or hi > 1e-10:
                         ok = False
             residual, measured = unitarization_residual(
-                dyson_simple(sp, params, j, field="complex"), t
+                build_realization(sp, params, j, "dyson", 1, field="complex"), t
             )
             if measured < 2 or residual > 1e-10:
                 ok = False
@@ -254,7 +252,7 @@ def test_criterion_9_step3_constructor(capsys):
     nonvacuous = 0
     for coup in ((2, 0), (1, 1), (2, 1), (0, 2)):
         params = AlgebraParams.of(*coup)
-        r = generic_realization(FockSpace(48), params, 3, k=3, mode="unitary")
+        r = build_realization(FockSpace(48), params, 3, "hp", 3)
         rep = verify_realization(r)
         closure = _check(rep, "ladder-closure")
         if closure.vacuous:
@@ -265,7 +263,7 @@ def test_criterion_9_step3_constructor(capsys):
         for name in ("ladder-closure", "grading-raise-k3", "grading-lower-k3"):
             if not _check(rep, name).residual <= 1e-9:
                 ok = False
-        d = generic_realization(FockSpace(48), params, 3, k=3, mode="dyson")
+        d = build_realization(FockSpace(48), params, 3, "dyson", 3)
         drep = verify_realization(d)
         dclosure = _check(drep, "ladder-closure")
         if dclosure.vacuous or dclosure.residual != 0 or not drep.passed:

@@ -200,6 +200,16 @@ def _saved_realization(tmp_path, field="rational"):
     pytest.param("complex", ("j3", "entries", 0, 1), float("nan"), id="nan-entry"),
     pytest.param("rational", ("mask",), 4, id="mask-not-a-list"),
     pytest.param("rational", ("c1",), "1/0", id="zero-denominator"),
+    pytest.param("rational", ("k",), -1, id="negative-step"),
+    pytest.param("rational", ("k",), 0, id="zero-step"),
+    pytest.param("rational", ("k",), "1", id="string-step"),
+    pytest.param("rational", ("k",), 1.5, id="fractional-step"),
+    pytest.param("rational", ("k",), True, id="boolean-step"),
+    pytest.param("rational", ("j2",), "2", id="string-j2"),
+    pytest.param("rational", ("j2",), -3, id="negative-j2"),
+    pytest.param("rational", ("jm",), {"dim": 4, "field": "complex", "entries": [[0.0, 0.0]] * 16},
+                 id="mixed-fields"),
+    pytest.param("rational", ("mask",), [1, 1, 1, 2], id="mask-entry-not-0-or-1"),
 ])
 def test_malformed_realization_file_exits_65(tmp_path, capsys, field, path, value):
     saved, doc = _saved_realization(tmp_path, field)
@@ -239,6 +249,36 @@ def test_malformed_grid_file_exits_65(tmp_path, capsys, grid):
 def test_bad_tolerance_is_a_usage_error(capsys, command, value):
     with pytest.raises(SystemExit) as exc:
         main(command + ["--tolerance-coefficient", value])
+    assert exc.value.code == 64
+    assert capsys.readouterr().out == ""
+
+
+_POINT = ["--c1", "1", "--c3", "1", "--j2", "4"]
+
+
+@pytest.mark.parametrize("command", [
+    ["build", *_POINT],
+    ["verify", *_POINT],
+    ["export", "operator", *_POINT, "--which", "jp"],
+    ["export", "transform", *_POINT],
+], ids=["build", "verify", "export-operator", "export-transform"])
+def test_dim_below_two_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--dim", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 64
+    assert captured.out == ""
+    assert "truncation dimension must be >= 2" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["build"], ["verify"], ["table"], ["export", "operator", "--which", "jp"],
+    ["export", "transform"],
+], ids=["build", "verify", "table", "export-operator", "export-transform"])
+@pytest.mark.parametrize("j2", ["-1", "two"])
+def test_bad_j2_is_a_usage_error(capsys, command, j2):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--c1", "1", "--c3", "1", "--j2", j2])
     assert exc.value.code == 64
     assert capsys.readouterr().out == ""
 

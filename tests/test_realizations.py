@@ -26,12 +26,7 @@ from higgsalg import (
     commutator,
     creation,
     diagonal_operator,
-    dyson_quadratic,
-    dyson_simple,
     g_constant,
-    generic_realization,
-    hp_quadratic,
-    hp_simple,
     momentum_window_projector,
     parse_kind_token,
     product_recurrence,
@@ -113,12 +108,12 @@ def test_recurrence_guards():
     with pytest.raises(ValueError):
         product_recurrence(SU2_PARAMS, 2, 1, 5, coefficients="guessed")
     with pytest.raises(ValueError):
-        hp_simple(FockSpace(8), SU2_PARAMS, Fraction(1, 3))
+        build_realization(FockSpace(8), SU2_PARAMS, Fraction(1, 3), "hp", 1)
 
 
 def test_hp_reproduces_su2_ladder():
     j = 3
-    r = hp_simple(FockSpace(16), SU2_PARAMS, j)
+    r = build_realization(FockSpace(16), SU2_PARAMS, j, "hp", 1)
     for n in range(2 * j):
         m = j - n - 1  # target weight of the raising element into state n
         want = math.sqrt(j * (j + 1) - m * (m + 1))
@@ -133,7 +128,7 @@ def test_dyson_su2_is_displaced_number_form():
     # and J- = a+, exactly, in the monomial basis
     j2 = 4
     sp = FockSpace(12)
-    r = dyson_simple(sp, SU2_PARAMS, Fraction(j2, 2))
+    r = build_realization(sp, SU2_PARAMS, Fraction(j2, 2), "dyson", 1)
     weight = diagonal_operator(sp, [Fraction(j2 - n) for n in range(12)], RATIONAL)
     assert ((weight @ annihilation(sp, RATIONAL)) - r.jp).max_norm() == 0
     assert (creation(sp, RATIONAL) - r.jm).max_norm() == 0
@@ -142,7 +137,7 @@ def test_dyson_su2_is_displaced_number_form():
 def test_step2_ladder_grading():
     # a two-quantum step shifts the displaced weight by two units, and
     # the realization satisfies exactly that grading, not the unit one
-    r = hp_quadratic(FockSpace(20), AlgebraParams.of(1, 1), 3)
+    r = build_realization(FockSpace(20), AlgebraParams.of(1, 1), 3, "hp", 2)
     double = (commutator(r.j3, r.jp) - 2 * r.jp).max_norm()
     single = (commutator(r.j3, r.jp) - 1 * r.jp).max_norm()
     assert double < 1e-13
@@ -150,7 +145,7 @@ def test_step2_ladder_grading():
 
 
 def test_mask_su11_is_empty():
-    r = hp_simple(FockSpace(10), SU11_PARAMS, 2)
+    r = build_realization(FockSpace(10), SU11_PARAMS, 2, "hp", 1)
     assert not any(r.admissible_mask)
     assert r.jp.max_norm() == 0.0 and r.jm.max_norm() == 0.0
 
@@ -158,21 +153,21 @@ def test_mask_su11_is_empty():
 def test_mask_partial_point():
     # (3, -1), j = 2: weights vanish at n = 1, 2 and the displaced range
     # cap removes everything from n = 4 up
-    r = hp_simple(FockSpace(10), AlgebraParams.of(3, -1), 2)
+    r = build_realization(FockSpace(10), AlgebraParams.of(3, -1), 2, "hp", 1)
     assert r.admissible_mask == (False, True, True, False, False, False, False, False, False, False)
 
 
 def test_mask_range_cap_blocks_tail():
     # for c1 < 0 the weight turns positive again past n = 2j; the mask
     # must not resurrect those bonds
-    r = hp_simple(FockSpace(12), SU11_PARAMS, 2)
+    r = build_realization(FockSpace(12), SU11_PARAMS, 2, "hp", 1)
     assert not any(r.admissible_mask[5:])
-    r2 = hp_quadratic(FockSpace(12), AlgebraParams.of(1, 1), Fraction(1, 2))
+    r2 = build_realization(FockSpace(12), AlgebraParams.of(1, 1), Fraction(1, 2), "hp", 2)
     assert not any(r2.admissible_mask)  # a two-quantum step cannot fit in 2j = 1
 
 
 def test_dyson_mask_all_true():
-    r = dyson_quadratic(FockSpace(9), AlgebraParams.of(-2, 1), Fraction(3, 2))
+    r = build_realization(FockSpace(9), AlgebraParams.of(-2, 1), Fraction(3, 2), "dyson", 2)
     assert all(r.admissible_mask)
 
 
@@ -244,25 +239,18 @@ def test_dispatch_matches_named_constructors():
     sp = FockSpace(10)
     params = AlgebraParams.of(2, 1)
     j = Fraction(5, 2)
-    via = build_realization(sp, params, j, "hp", 1)
-    named = hp_simple(sp, params, j)
-    assert (via.jm - named.jm).max_norm() == 0.0
-    via2 = build_realization(sp, params, j, "dyson", 2)
-    named2 = dyson_quadratic(sp, params, j)
-    assert (via2.jm - named2.jm).max_norm() == 0
     v = build_realization(sp, params, j, "villain", 2)
     assert v.kind == "villain2" and v.step_k == 1
+    assert (v.jp - villain_boson(sp, params, j, form=2).jp).max_norm() == 0.0
     with pytest.raises(ValueError):
         build_realization(sp, params, j, "borel", 1)
-
-
-def test_generic_mode_guard():
+    # the stored spectral kinds are not constructor kinds
     with pytest.raises(ValueError):
-        generic_realization(FockSpace(8), SU2_PARAMS, 2, 1, mode="sideways")
+        build_realization(sp, params, j, "villain2", 1)
 
 
 def test_realization_json_round_trip_exact():
-    r = dyson_simple(FockSpace(8), AlgebraParams.of(-2, 1), Fraction(5, 2))
+    r = build_realization(FockSpace(8), AlgebraParams.of(-2, 1), Fraction(5, 2), "dyson", 1)
     back = Realization.from_json_dict(r.to_json_dict())
     assert back.kind == r.kind and back.step_k == r.step_k and back.j2 == r.j2
     assert back.params == r.params
@@ -283,7 +271,7 @@ def test_unitary_entries_are_masked_roots():
     # every present lowering entry is sqrt((n+1)...(n+k) F_k(n)); every
     # masked-out bond is exactly zero
     params = AlgebraParams.of(3, -1)
-    r = hp_simple(FockSpace(10), params, 2)
+    r = build_realization(FockSpace(10), params, 2, "hp", 1)
     for n in range(9):
         if r.admissible_mask[n]:
             want = math.sqrt((n + 1) * float(closed_form_k1(params, Fraction(2), n)))

@@ -6,6 +6,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,11 +15,9 @@ from higgsalg import (
     AlgebraParams,
     FockSpace,
     SU2_PARAMS,
+    build_realization,
     conjugate,
-    dyson_quadratic,
-    dyson_simple,
-    hp_quadratic,
-    hp_simple,
+    default_grid,
     s1_closed_form,
     s1_recurrence,
     s2_matching,
@@ -82,8 +81,8 @@ def test_conjugation_carries_one_sided_to_square_root(coup, j2):
     j = Fraction(j2, 2)
     t = s1_recurrence(sp, params, j)
     assert sum(t.mask) >= 3
-    carried = conjugate(dyson_simple(sp, params, j, field="complex"), t)
-    target = hp_simple(sp, params, j)
+    carried = conjugate(build_realization(sp, params, j, "dyson", 1, field="complex"), t)
+    target = build_realization(sp, params, j, "hp", 1)
     for n in range(sp.dim - 1):
         if t.mask[n] and t.mask[n + 1] and target.admissible_mask[n]:
             assert abs(carried.jm.entries[n + 1, n] - target.jm.entries[n + 1, n]) < 1e-10
@@ -95,7 +94,7 @@ def test_conjugation_narrows_mask():
     params = AlgebraParams.of(-2, 1)
     j = Fraction(3, 2)
     t = s1_recurrence(sp, params, j)
-    carried = conjugate(dyson_simple(sp, params, j, field="complex"), t)
+    carried = conjugate(build_realization(sp, params, j, "dyson", 1, field="complex"), t)
     # the one-sided mask is all-true, but the map only exists on the
     # two-state chain
     assert carried.admissible_mask[0] is True
@@ -105,7 +104,38 @@ def test_conjugation_narrows_mask():
 def test_conjugation_dimension_guard():
     t = s1_recurrence(FockSpace(8), SU2_PARAMS, 2)
     with pytest.raises(ValueError):
-        conjugate(dyson_simple(FockSpace(10), SU2_PARAMS, 2), t)
+        conjugate(build_realization(FockSpace(10), SU2_PARAMS, 2, "dyson", 1), t)
+
+
+def _conjugate_entrywise(op, transform) -> np.ndarray:
+    """Reference for ``conjugate``: s(i) A[i, l] / s(l) one entry at a
+    time, keeping only nonzero entries whose two ends are in the domain."""
+    src = op._promote().entries
+    n = src.shape[0]
+    s, keep = transform.entries, transform.mask
+    out = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for l in range(n):
+            if src[i, l] != 0 and keep[i] and keep[l]:
+                out[i, l] = s[i] * src[i, l] / s[l]
+    return out
+
+
+@pytest.mark.parametrize("q0", [1.0, -2.5])
+@pytest.mark.parametrize("dim", [8, 24])
+def test_conjugate_matches_entrywise_reference(dim, q0):
+    # every chain of the default grid ends inside the truncation at dim 24,
+    # so dropped entries are covered, and q0 < 0 flips the signs of s
+    sp = FockSpace(dim)
+    for params, j2 in default_grid():
+        j = Fraction(j2, 2)
+        t = s1_recurrence(sp, params, j, q0)
+        for field in ("rational", "complex"):
+            r = build_realization(sp, params, j, "dyson", 1, field=field)
+            carried = conjugate(r, t)
+            for name in ("jp", "jm", "j3"):
+                want = _conjugate_entrywise(getattr(r, name), t)
+                assert getattr(carried, name).entries.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("coup,j2", [((2, 0), 6), ((1, 1), 5), ((0, 2), 4)])
@@ -113,7 +143,7 @@ def test_unitarization_metric(coup, j2):
     sp = FockSpace(12)
     params = AlgebraParams.of(*coup)
     j = Fraction(j2, 2)
-    r = dyson_simple(sp, params, j, field="complex")
+    r = build_realization(sp, params, j, "dyson", 1, field="complex")
     t = s1_recurrence(sp, params, j)
     residual, measured = unitarization_residual(r, t)
     assert measured >= 3
@@ -138,8 +168,8 @@ def test_s2_carries_one_sided_step2_to_square_root():
         params = AlgebraParams.of(*coup)
         j = Fraction(j2, 2)
         t = s2_matching(sp, params, j)
-        carried = conjugate(dyson_quadratic(sp, params, j, field="complex"), t)
-        target = hp_quadratic(sp, params, j)
+        carried = conjugate(build_realization(sp, params, j, "dyson", 2, field="complex"), t)
+        target = build_realization(sp, params, j, "hp", 2)
         compared = 0
         for n in range(sp.dim - 2):
             if t.mask[n] and t.mask[n + 2] and target.admissible_mask[n]:

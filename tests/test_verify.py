@@ -17,11 +17,8 @@ from higgsalg import (
     VerifyConfig,
     build_realization,
     default_grid,
-    dyson_quadratic,
-    dyson_simple,
     exit_code,
     grid_from_json,
-    hp_simple,
     interior_check_states,
     report_to_json,
     sweep,
@@ -31,7 +28,7 @@ from higgsalg import (
 
 
 def test_exact_one_sided_realization_verifies_to_zero():
-    r = dyson_simple(FockSpace(12), AlgebraParams.of(-2, 1), Fraction(5, 2))
+    r = build_realization(FockSpace(12), AlgebraParams.of(-2, 1), Fraction(5, 2), "dyson", 1)
     report = verify_realization(r)
     assert report.passed and not report.vacuous_only
     for c in report.checks:
@@ -41,7 +38,7 @@ def test_exact_one_sided_realization_verifies_to_zero():
 
 
 def test_float_square_root_realization_check_roster():
-    report = verify_realization(hp_simple(FockSpace(10), SU2_PARAMS, 3))
+    report = verify_realization(build_realization(FockSpace(10), SU2_PARAMS, 3, "hp", 1))
     assert report.passed
     names = [c.name for c in report.checks]
     assert names == [
@@ -58,20 +55,20 @@ def test_float_square_root_realization_check_roster():
 
 
 def test_one_sided_roster_has_no_adjoint_check():
-    report = verify_realization(dyson_simple(FockSpace(8), SU2_PARAMS, 2))
+    report = verify_realization(build_realization(FockSpace(8), SU2_PARAMS, 2, "dyson", 1))
     assert "adjoint-pairing" not in [c.name for c in report.checks]
 
 
 def test_unbounded_chain_reports_vacuous():
     # (-2, 0) admits no finite square-root chain at all
-    report = verify_realization(hp_simple(FockSpace(10), SU11_PARAMS, 2))
+    report = verify_realization(build_realization(FockSpace(10), SU11_PARAMS, 2, "hp", 1))
     assert report.passed
     assert report.vacuous_only
     assert exit_code(report) == 2
 
 
 def test_tampered_matrix_element_fails():
-    base = hp_simple(FockSpace(8), SU2_PARAMS, 2)
+    base = build_realization(FockSpace(8), SU2_PARAMS, 2, "hp", 1)
     entries = base.jm.entries.copy()
     entries[1, 0] += 0.5
     broken = Realization(
@@ -93,10 +90,10 @@ def test_tampered_matrix_element_fails():
 
 def test_interior_states_respect_mask_and_edge():
     # (3, -1), 2j = 4: the chain is 1, 2 but state 1 sits on a broken bond
-    r = hp_simple(FockSpace(10), AlgebraParams.of(3, -1), 2)
+    r = build_realization(FockSpace(10), AlgebraParams.of(3, -1), 2, "hp", 1)
     assert interior_check_states(r) == [2]
     # full su2 chain: everything below the truncation buffer qualifies
-    full = hp_simple(FockSpace(10), SU2_PARAMS, 3)
+    full = build_realization(FockSpace(10), SU2_PARAMS, 3, "hp", 1)
     assert interior_check_states(full) == [0, 1, 2, 3, 4, 5]
 
 
@@ -119,7 +116,7 @@ def test_spectral_checks_are_asymptotic():
 
 
 def test_report_json_shape():
-    report = verify_realization(hp_simple(FockSpace(8), SU2_PARAMS, 2))
+    report = verify_realization(build_realization(FockSpace(8), SU2_PARAMS, 2, "hp", 1))
     doc = json.loads(report_to_json(report))
     assert set(doc) == {
         "kind", "k", "j2", "c1", "c3", "dim", "field",
@@ -134,9 +131,9 @@ def test_report_json_shape():
 
 
 def test_report_text_has_verdict_line():
-    good = verify_realization(dyson_simple(FockSpace(8), SU2_PARAMS, 2))
+    good = verify_realization(build_realization(FockSpace(8), SU2_PARAMS, 2, "dyson", 1))
     assert good.to_text().strip().endswith("overall: pass")
-    empty = verify_realization(hp_simple(FockSpace(10), SU11_PARAMS, 2))
+    empty = verify_realization(build_realization(FockSpace(10), SU11_PARAMS, 2, "hp", 1))
     assert empty.to_text().strip().endswith("overall: vacuous")
 
 
@@ -209,9 +206,9 @@ def test_sweep_is_deterministic_across_thread_counts(monkeypatch):
     assert serial == threaded
 
 
-@pytest.mark.parametrize("build", [dyson_simple, dyson_quadratic])
-def test_exact_verify_never_builds_the_dense_view(monkeypatch, build):
-    r = build(FockSpace(12), AlgebraParams.of(1, 1), Fraction(5, 2))
+@pytest.mark.parametrize("k", [1, 2], ids=["dyson-1", "dyson-2"])
+def test_exact_verify_never_builds_the_dense_view(monkeypatch, k):
+    r = build_realization(FockSpace(12), AlgebraParams.of(1, 1), Fraction(5, 2), "dyson", k)
 
     def dense_view(self):
         raise AssertionError("the exact checks built a dense view")
@@ -223,6 +220,6 @@ def test_exact_verify_never_builds_the_dense_view(monkeypatch, build):
 
 def test_tolerance_scales_with_coefficient():
     cfg = VerifyConfig(tolerance_coefficient=1e-6)
-    report = verify_realization(hp_simple(FockSpace(8), SU2_PARAMS, 2), cfg)
+    report = verify_realization(build_realization(FockSpace(8), SU2_PARAMS, 2, "hp", 1), cfg)
     closure = report.checks[0]
     assert closure.tolerance >= 1e-6 * 8
