@@ -11,13 +11,14 @@ Subcommands:
 Exit status: 0 success, 1 verification failure, 2 all substantive checks
 vacuous, 64 usage error, 65 domain error (a mathematically impossible
 request, such as a spectral realization with no real coupling, or a
-malformed input file).
+malformed input file), 70 internal error (any other exception).
 Output is byte deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -42,6 +43,7 @@ from .verify import (
 
 USAGE_ERROR = 64
 DOMAIN_ERROR = 65
+INTERNAL_ERROR = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -245,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = subs.add_parser("sweep",
                               help="verify realizations across a coupling/spin grid")
-    p_sweep.add_argument("--kinds", type=_kind_list, default=["hp:1", "dyson:1"],
+    p_sweep.add_argument("--kinds", type=_kind_list, default=("hp:1", "dyson:1"),
                          help="comma-separated realization tokens")
     p_sweep.add_argument("--grid", default="default",
                          help="'default' or a JSON file of {c1, c3, j2} points")
@@ -287,17 +289,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process.  Parsing leaves
+    it unchanged and every default is immutable, so calls cannot leak into
+    one another."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as err:
+    except (ValueError, KeyError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return DOMAIN_ERROR
-    except OSError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return DOMAIN_ERROR
+    except Exception as err:  # the CLI boundary: exit 1 stays "a check failed"
+        message = " ".join(str(err).split())
+        sys.stderr.write(f"error: internal: {type(err).__name__}: {message}\n")
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ states |0> .. |N-1>.  Two scalar fields are supported:
   the normalized basis unchanged.
 
 Operators are immutable; mixed-field arithmetic promotes rational to
-complex.  The field also selects the storage: complex operators are dense
-arrays, rational operators keep only their nonzero diagonals (see
-``Operator``).
+complex.  The ladder and diagonal constructors keep only an operator's
+diagonals, in either field; a complex operator built from a dense array
+stays dense (see ``Operator``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from operator import add, mul, neg, sub
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -70,16 +69,18 @@ def _as_fraction(x: Scalar) -> Fraction:
     raise FieldError(f"exact field requires rational scalars, got {type(x).__name__}")
 
 
-# -- banded storage of the exact field ----------------------------------------
+# -- banded storage ------------------------------------------------------------
 #
-# A rational operator is a dict {offset: tuple of Fraction}.  Offset d holds
-# the entries (i, i + d) in order of increasing row, so it has N - |d|
-# entries and starts at (row, column) = _band_start(d).  Only diagonals with
-# a nonzero entry are kept.
+# A banded operator is a dict {offset: 1-D numpy array}.  Offset d holds the
+# entries (i, i + d) in order of increasing row, so it has N - |d| entries and
+# starts at (row, column) = _band_start(d).  Only diagonals with a nonzero
+# entry are kept.  The arrays hold Fractions (object dtype) in the rational
+# field and complex128 in the complex field; numpy applies + - * elementwise
+# to either dtype, so the band routines below serve both fields.
 
 _ZERO = Fraction(0)
 
-_Bands = dict[int, tuple[Fraction, ...]]
+_Bands = dict[int, np.ndarray]
 
 
 def _band_start(d: int) -> tuple[int, int]:
@@ -87,14 +88,27 @@ def _band_start(d: int) -> tuple[int, int]:
     return (-d, 0) if d < 0 else (0, d)
 
 
-def _nonzero_bands(bands: _Bands) -> _Bands:
-    return {d: band for d, band in bands.items() if any(band)}
+def _band(values, field: str) -> np.ndarray:
+    return np.array(values, dtype=object if field == RATIONAL else complex)
 
 
-def _band_matmul(n: int, x: _Bands, y: _Bands) -> _Bands:
+def _zero_band(size: int, field: str) -> np.ndarray:
+    if field == RATIONAL:
+        return np.full(size, _ZERO, dtype=object)
+    return np.zeros(size, dtype=complex)
+
+
+def _nonzero(bands: _Bands) -> _Bands:
+    """The bands with a nonzero entry, made read-only."""
+    return {d: _freeze(band) for d, band in bands.items() if any(band)}
+
+
+def _band_matmul(n: int, x: _Bands, y: _Bands, field: str) -> _Bands:
     """Product of two banded N x N matrices: offset dx times offset dy lands
-    on offset dx + dy, so the work is O(N * bands^2), not O(N^3)."""
-    out: dict[int, list] = {}
+    on offset dx + dy, so the work is O(N * bands^2), not O(N^3).  An entry
+    that only one pair of bands reaches is that single product, as in a
+    dense product."""
+    out: _Bands = {}
     for dx, bx in x.items():
         for dy, by in y.items():
             dz = dx + dy
@@ -107,27 +121,27 @@ def _band_matmul(n: int, x: _Bands, y: _Bands) -> _Bands:
             ix = lo - _band_start(dx)[0]
             iy = lo + dx - _band_start(dy)[0]
             iz = lo - _band_start(dz)[0]
-            prods = map(mul, bx[ix:ix + cnt], by[iy:iy + cnt])
+            prods = bx[ix:ix + cnt] * by[iy:iy + cnt]
             acc = out.get(dz)
-            if acc is None:
-                acc = out[dz] = [_ZERO] * (n - abs(dz))
-                acc[iz:iz + cnt] = prods
+            if acc is not None:
+                acc[iz:iz + cnt] += prods
+            elif cnt == n - abs(dz):
+                out[dz] = prods
             else:
-                acc[iz:iz + cnt] = map(add, acc[iz:iz + cnt], prods)
-    return {d: tuple(band) for d, band in out.items()}
-
-
-def _band_add(x: _Bands, y: _Bands, subtract: bool) -> _Bands:
-    """x + y, or x - y when ``subtract``, band by band."""
-    op = sub if subtract else add
-    out = dict(x)
-    for d, yb in y.items():
-        xb = x.get(d)
-        if xb is None:
-            out[d] = tuple(map(neg, yb)) if subtract else yb
-        else:
-            out[d] = tuple(map(op, xb, yb))
+                acc = out[dz] = _zero_band(n - abs(dz), field)
+                acc[iz:iz + cnt] = prods
     return out
+
+
+def _band_add(n: int, x: _Bands, y: _Bands, field: str, subtract: bool) -> _Bands:
+    """x + y, or x - y when ``subtract``, band by band; a band missing on
+    one side counts as zeros there."""
+    op = np.subtract if subtract else np.add
+
+    def side(bands: _Bands, d: int) -> np.ndarray:
+        return bands[d] if d in bands else _zero_band(n - abs(d), field)
+
+    return {d: op(side(x, d), side(y, d)) for d in {**x, **y}}
 
 
 def _parse_rational(x) -> Fraction:
@@ -140,19 +154,28 @@ def _parse_rational(x) -> Fraction:
 class Operator:
     """A matrix on a FockSpace, tagged with its scalar field.
 
-    The field selects the storage.  Complex operators hold a dense
-    complex128 array.  Rational operators hold only their nonzero
-    diagonals as exact Fractions: every generator of the step kinds is a
-    single band (a shift times a diagonal) and every product the checks
-    form stays within a few offsets, so products cost O(N * bands^2)
-    Fraction operations instead of the O(N^3) of a dense product.
+    Storage is banded or dense.  The band constructors (``annihilation``,
+    ``creation``, ``diagonal_operator``, ``identity_op``, ``number_op``)
+    and all arithmetic on their results keep only the diagonals: every
+    generator of the step kinds is a single band (a shift times a
+    diagonal) and every product the checks form stays within a few
+    offsets, so a product costs O(N * bands^2) scalar operations instead
+    of the O(N^3) of a dense one.  Rational operators are always banded;
+    built from a dense array they keep its nonzero diagonals.  A complex
+    operator built from a dense array stays a dense complex128 array, as
+    do ``position``, ``momentum`` and everything the spectral kinds build
+    from them; an operation that mixes the two storages densifies the
+    banded operand first.
 
-    ``entries`` is a read-only dense numpy array in either field:
-    complex128, or object-dtype of Fractions built from the bands on
-    first use.  The constructor takes a dense array in either field.
+    ``entries`` is a read-only dense numpy array in either storage:
+    complex128, or object dtype of Fractions, built from the bands on
+    first use.  Off the bands a complex operator holds zeros whose signs
+    are those dense arithmetic leaves there (``_zeros``), so its dense
+    view, and the JSON written from it, is what dense arithmetic gives
+    bit for bit.
     """
 
-    __slots__ = ("space", "field", "_bands", "_dense", "_diag")
+    __slots__ = ("space", "field", "_bands", "_dense", "_zeros")
 
     def __init__(self, space: FockSpace, entries: np.ndarray, field: str):
         if field not in (COMPLEX, RATIONAL):
@@ -161,122 +184,138 @@ class Operator:
             raise ValueError(f"entries shape {entries.shape} does not match dim {space.dim}")
         self.space = space
         self.field = field
+        self._zeros = None
         if field == RATIONAL:
             n = space.dim
-            self._bands = _nonzero_bands(
-                {d: tuple(map(_as_fraction, entries.diagonal(d))) for d in range(1 - n, n)}
-            )
+            bands = {d: _band([_as_fraction(x) for x in entries.diagonal(d)], RATIONAL)
+                     for d in range(1 - n, n)}
+            self._bands = _nonzero(bands)
             self._dense = None
         else:
             self._bands = None
             self._dense = _freeze(entries)
-            nz = entries != 0
-            self._diag = not bool((nz & ~np.eye(space.dim, dtype=bool)).any())
 
     @staticmethod
-    def _banded(space: FockSpace, bands: _Bands) -> "Operator":
-        """Rational operator straight from its bands; all-zero bands are dropped."""
+    def _banded(space: FockSpace, field: str, bands: _Bands, zeros=None) -> "Operator":
+        """Operator straight from its bands; all-zero bands are dropped.
+        ``zeros`` (complex field only) returns a dense array whose entries
+        off the kept bands are this operator's; None means +0.0 there."""
         op = object.__new__(Operator)
         op.space = space
-        op.field = RATIONAL
-        op._bands = _nonzero_bands(bands)
+        op.field = field
+        op._bands = _nonzero(bands)
         op._dense = None
+        op._zeros = zeros if field == COMPLEX else None
         return op
+
+    def _with(self, bands: _Bands, zeros=None) -> "Operator":
+        return Operator._banded(self.space, self.field, bands, zeros)
 
     @property
     def entries(self) -> np.ndarray:
         if self._dense is None:
             n = self.space.dim
-            self._dense = _freeze(self._scatter(np.full((n, n), _ZERO, dtype=object)))
+            if self.field == RATIONAL:
+                base = np.full((n, n), _ZERO, dtype=object)
+            elif self._zeros is None:
+                base = np.zeros((n, n), dtype=complex)
+            else:
+                base = np.array(self._zeros(), dtype=complex, order="C")
+            for d, band in self._bands.items():
+                r, c = _band_start(d)
+                idx = np.arange(len(band))
+                base[idx + r, idx + c] = band
+            self._dense = _freeze(base)
         return self._dense
 
-    def _scatter(self, ent: np.ndarray) -> np.ndarray:
-        """Write the bands into the zeroed N x N array ``ent``, converted
-        to its dtype."""
-        for d, band in self._bands.items():
-            r, c = _band_start(d)
-            idx = np.arange(len(band))
-            ent[idx + r, idx + c] = band
-        return ent
+    def _is_diagonal(self) -> bool:
+        return self._bands.keys() <= {0}
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def zeros(space: FockSpace, field: str = COMPLEX) -> "Operator":
-        if field == RATIONAL:
-            return Operator._banded(space, {})
-        return Operator(space, np.zeros((space.dim, space.dim), dtype=complex), field)
+        return Operator._banded(space, field, {})
 
     def _promote(self) -> "Operator":
         """Return the complex-field version of an exact operator."""
         if self.field == COMPLEX:
             return self
-        n = self.space.dim
-        return Operator(self.space, self._scatter(np.zeros((n, n), dtype=complex)), COMPLEX)
+        return Operator._banded(
+            self.space, COMPLEX, {d: band.astype(complex) for d, band in self._bands.items()}
+        )
 
     @staticmethod
-    def _align(a: "Operator", b: "Operator") -> tuple["Operator", "Operator", str]:
+    def _align(a: "Operator", b: "Operator") -> tuple["Operator", "Operator"]:
+        """Both operands in one field and one storage."""
         if a.space != b.space:
             raise ValueError("operators live on different truncations")
-        if a.field == b.field:
-            return a, b, a.field
-        return a._promote(), b._promote(), COMPLEX
+        if a.field != b.field:
+            a, b = a._promote(), b._promote()
+        if (a._bands is None) != (b._bands is None):
+            a, b = (op if op._bands is None else Operator(op.space, op.entries, COMPLEX)
+                    for op in (a, b))
+        return a, b
 
     # -- arithmetic -----------------------------------------------------------
+    #
+    # Each banded complex result carries ``zeros``: the dense formula of its
+    # operation, which places the signed zeros off the bands.  It runs only
+    # when the dense view is asked for.
 
     def __matmul__(self, other: "Operator") -> "Operator":
-        a, b, field = Operator._align(self, other)
-        if field == RATIONAL:
-            return Operator._banded(a.space, _band_matmul(a.space.dim, a._bands, b._bands))
-        # a diagonal factor turns the cubic product into a row or column
-        # scaling
-        if a._diag:
-            ent = a._dense.diagonal()[:, None] * b._dense
-        elif b._diag:
-            ent = a._dense * b._dense.diagonal()[None, :]
-        else:
-            ent = a._dense @ b._dense
-        return Operator(a.space, ent, field)
+        a, b = Operator._align(self, other)
+        if a._bands is None:
+            return Operator(a.space, a._dense @ b._dense, COMPLEX)
+        bands = _band_matmul(a.space.dim, a._bands, b._bands, a.field)
+        # a diagonal factor scales the rows or the columns of the other one
+        if a._is_diagonal():
+            return a._with(bands, lambda: a.diagonal()[:, None] * b.entries)
+        if b._is_diagonal():
+            return a._with(bands, lambda: a.entries * b.diagonal()[None, :])
+        return a._with(bands)
 
     def __add__(self, other: "Operator") -> "Operator":
-        a, b, field = Operator._align(self, other)
-        if field == RATIONAL:
-            return Operator._banded(a.space, _band_add(a._bands, b._bands, subtract=False))
-        return Operator(a.space, a._dense + b._dense, field)
+        a, b = Operator._align(self, other)
+        if a._bands is None:
+            return Operator(a.space, a._dense + b._dense, COMPLEX)
+        return a._with(_band_add(a.space.dim, a._bands, b._bands, a.field, subtract=False),
+                       lambda: a.entries + b.entries)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        a, b, field = Operator._align(self, other)
-        if field == RATIONAL:
-            return Operator._banded(a.space, _band_add(a._bands, b._bands, subtract=True))
-        return Operator(a.space, a._dense - b._dense, field)
+        a, b = Operator._align(self, other)
+        if a._bands is None:
+            return Operator(a.space, a._dense - b._dense, COMPLEX)
+        return a._with(_band_add(a.space.dim, a._bands, b._bands, a.field, subtract=True),
+                       lambda: a.entries - b.entries)
 
     def __neg__(self) -> "Operator":
-        if self.field == RATIONAL:
-            return Operator._banded(
-                self.space, {d: tuple(map(neg, band)) for d, band in self._bands.items()}
-            )
-        return Operator(self.space, -self._dense, COMPLEX)
+        if self._bands is None:
+            return Operator(self.space, -self._dense, COMPLEX)
+        return self._with({d: -band for d, band in self._bands.items()}, lambda: -self.entries)
 
     def scale(self, c: Scalar) -> "Operator":
         if self.field == RATIONAL:
-            if isinstance(c, Rational):
-                f = _as_fraction(c)
-                return Operator._banded(
-                    self.space,
-                    {d: tuple(f * x for x in band) for d, band in self._bands.items()},
-                )
-            return self._promote().scale(c)
-        return Operator(self.space, complex(c) * self._dense, COMPLEX)
+            if not isinstance(c, Rational):
+                return self._promote().scale(c)
+            c = _as_fraction(c)
+        else:
+            c = complex(c)
+        if self._bands is None:
+            return Operator(self.space, c * self._dense, COMPLEX)
+        return self._with({d: c * band for d, band in self._bands.items()},
+                          lambda: c * self.entries)
 
     def __rmul__(self, c: Scalar) -> "Operator":
         return self.scale(c)
 
     def adjoint(self) -> "Operator":
-        """Conjugate transpose.  In the exact field entries are real
-        rationals, so this is the plain transpose: offset d becomes -d."""
-        if self.field == RATIONAL:
-            return Operator._banded(self.space, {-d: band for d, band in self._bands.items()})
-        return Operator(self.space, self._dense.conj().T.copy(), COMPLEX)
+        """Conjugate transpose: offset d becomes -d.  In the exact field
+        entries are real rationals, so this is the plain transpose."""
+        if self._bands is None:
+            return Operator(self.space, self._dense.conj().T.copy(), COMPLEX)
+        return self._with({-d: band.conj() for d, band in self._bands.items()},
+                          lambda: self.entries.conj().T)
 
     def power(self, k: int) -> "Operator":
         if k < 0:
@@ -288,38 +327,43 @@ class Operator:
 
     # -- inspection -----------------------------------------------------------
 
+    def _largest(self, worst: list):
+        """Largest of the magnitudes ``worst``, or zero: a Fraction for the
+        rational field, a float otherwise (NaN when one is NaN)."""
+        if self.field == RATIONAL:
+            return max(worst, default=_ZERO)
+        return float(np.max(worst, initial=0.0))
+
     def max_norm(self):
         """Entrywise max-magnitude norm.  Exact (a Fraction) for the
         rational field, a float otherwise."""
-        if self.field == RATIONAL:
-            return max((abs(x) for band in self._bands.values() for x in band), default=_ZERO)
-        if self._dense.size == 0:
-            return 0.0
-        return float(np.abs(self._dense).max())
+        if self._bands is None:
+            return float(np.abs(self._dense).max())
+        return self._largest([np.abs(band).max() for band in self._bands.values()])
 
     def diagonal(self) -> Sequence:
         """The main-diagonal entries (n, n) for n = 0 .. N-1."""
-        if self.field == RATIONAL:
-            return self._bands.get(0, (_ZERO,) * self.space.dim)
-        return self._dense.diagonal()
+        if self._bands is None:
+            return self._dense.diagonal()
+        band = self._bands.get(0)
+        return _zero_band(self.space.dim, self.field) if band is None else band
 
     def block_max(self, states: Sequence[int]):
         """Entrywise max magnitude over the principal submatrix on
         ``states``; 0 when ``states`` is empty.  Exact (a Fraction) for the
         rational field, a float otherwise."""
-        if self.field == RATIONAL:
-            inside = [False] * self.space.dim
-            for s in states:
-                inside[s] = True
-            worst = _ZERO
-            for d, band in self._bands.items():
-                r, c = _band_start(d)
-                for t, x in enumerate(band):
-                    if inside[r + t] and inside[c + t] and abs(x) > worst:
-                        worst = abs(x)
-            return worst
         idx = np.asarray(states, dtype=int)
-        return float(np.abs(self._dense[np.ix_(idx, idx)]).max(initial=0.0))
+        if self._bands is None:
+            return float(np.abs(self._dense[np.ix_(idx, idx)]).max(initial=0.0))
+        inside = np.zeros(self.space.dim, dtype=bool)
+        inside[idx] = True
+        worst = []
+        for d, band in self._bands.items():
+            r, c = _band_start(d)
+            picked = band[inside[r:r + len(band)] & inside[c:c + len(band)]]
+            if picked.size:
+                worst.append(np.abs(picked).max())
+        return self._largest(worst)
 
     def interior(self, size: int) -> np.ndarray:
         """Leading principal block, where truncation artifacts cannot reach."""
@@ -341,7 +385,7 @@ class Operator:
         if self.field == RATIONAL:
             entries = [str(x) for row in self.entries for x in row]
         else:
-            entries = [[float(x.real), float(x.imag)] for row in self._dense for x in row]
+            entries = [[float(x.real), float(x.imag)] for row in self.entries for x in row]
         return {"dim": self.space.dim, "field": self.field, "entries": entries}
 
     @staticmethod
@@ -356,13 +400,8 @@ class Operator:
         if len(flat) != dim * dim:
             raise ValueError("entry count does not match dim*dim")
         if field == RATIONAL:
-            bands = {}
-            for d in range(1 - dim, dim):
-                r, c = _band_start(d)
-                bands[d] = tuple(
-                    _parse_rational(flat[(r + t) * dim + c + t]) for t in range(dim - abs(d))
-                )
-            return Operator._banded(space, bands)
+            ent = _band([_parse_rational(x) for x in flat], RATIONAL)
+            return Operator(space, ent.reshape(dim, dim), RATIONAL)
         if field == COMPLEX:
             try:
                 pairs = np.array(flat, dtype=float)
@@ -396,16 +435,18 @@ def annihilation(space: FockSpace, field: str = COMPLEX) -> Operator:
     """
     n = space.dim
     if field == RATIONAL:
-        return Operator._banded(space, {1: tuple(Fraction(m) for m in range(1, n))})
-    ent = np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)
-    return Operator(space, ent, COMPLEX)
+        band = _band([Fraction(m) for m in range(1, n)], RATIONAL)
+    else:
+        band = np.sqrt(np.arange(1, n)).astype(complex)
+    return Operator._banded(space, field, {1: band})
 
 
 def creation(space: FockSpace, field: str = COMPLEX) -> Operator:
     """Raising matrix a+; adjoint of ``annihilation`` in the complex field,
     the unit-entry shift in the exact monomial basis."""
     if field == RATIONAL:
-        return Operator._banded(space, {-1: (Fraction(1),) * (space.dim - 1)})
+        ones = _band([Fraction(1)] * (space.dim - 1), RATIONAL)
+        return Operator._banded(space, RATIONAL, {-1: ones})
     return annihilation(space, COMPLEX).adjoint()
 
 
@@ -439,13 +480,11 @@ def diagonal_operator(
         if len(vals) != space.dim:
             raise ValueError(f"need {space.dim} diagonal values, got {len(vals)}")
     if field == RATIONAL:
-        return Operator._banded(
-            space, {0: tuple(_ZERO if v is None else _as_fraction(v) for v in vals)}
-        )
-    ent = np.zeros((space.dim, space.dim), dtype=complex)
-    for m, v in enumerate(vals):
-        ent[m, m] = 0j if v is None else complex(v)
-    return Operator(space, ent, COMPLEX)
+        band = [_ZERO if v is None else _as_fraction(v) for v in vals]
+    else:
+        field = COMPLEX
+        band = [0j if v is None else complex(v) for v in vals]
+    return Operator._banded(space, field, {0: _band(band, field)})
 
 
 def pochhammer(q: Scalar, n: int):
@@ -477,15 +516,15 @@ _SQRT2 = np.sqrt(2.0)
 
 
 def position(space: FockSpace) -> Operator:
-    """X = (a + a+)/sqrt(2); Hermitian, complex field only."""
-    a = annihilation(space)
-    return (1.0 / _SQRT2) * (a + a.adjoint())
+    """X = (a + a+)/sqrt(2); Hermitian, complex field only, stored dense."""
+    a = annihilation(space).entries
+    return Operator(space, complex(1.0 / _SQRT2) * (a + a.conj().T), COMPLEX)
 
 
 def momentum(space: FockSpace) -> Operator:
-    """P = -i (a - a+)/sqrt(2); Hermitian, complex field only."""
-    a = annihilation(space)
-    return (-1j / _SQRT2) * (a - a.adjoint())
+    """P = -i (a - a+)/sqrt(2); Hermitian, complex field only, stored dense."""
+    a = annihilation(space).entries
+    return Operator(space, complex(-1j / _SQRT2) * (a - a.conj().T), COMPLEX)
 
 
 def unitary_exp(h: Operator, theta: float) -> Operator:

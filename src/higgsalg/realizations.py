@@ -264,8 +264,11 @@ def _unitary_step(
     coefficients: str = "derived",
 ) -> Realization:
     jf, j2 = _require_j2(j)
-    weights = _weight_values(params, jf, k, space.dim - 1, coefficients)
-    mask = tuple(weights[n] >= 0 and n + k <= j2 for n in range(space.dim))
+    # a bond n -> n + k exists only up to n = 2j - k, so later weights
+    # would all be masked out; they are not computed
+    top = min(space.dim - 1, j2 - k)
+    weights = _weight_values(params, jf, k, top, coefficients)
+    mask = tuple(n <= top and weights[n] >= 0 for n in range(space.dim))
     root = [math.sqrt(float(weights[n])) if mask[n] else 0.0 for n in range(space.dim)]
     ap = creation(space, COMPLEX)
     jm = ap.power(k) @ diagonal_operator(space, root, COMPLEX)

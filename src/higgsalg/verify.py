@@ -29,6 +29,7 @@ from .realizations import (
     Realization,
     STEP_KINDS,
     VILLAIN_KINDS,
+    _is_int,
     build_realization,
     momentum_window_projector,
 )
@@ -359,10 +360,15 @@ def default_grid() -> list[tuple[AlgebraParams, int]]:
 
 
 def grid_from_json(data) -> list[tuple[AlgebraParams, int]]:
-    """Grid points as [{"c1": "p/q", "c3": "p/q", "j2": int}, ...]."""
+    """Grid points as [{"c1": "p/q", "c3": "p/q", "j2": int}, ...].  Raises
+    ValueError on a j2 that is not an integer >= 0 (a float, a bool or a
+    string included)."""
     out = []
     for row in data:
-        out.append((AlgebraParams.of(row["c1"], row["c3"]), int(row["j2"])))
+        j2 = row["j2"]
+        if not _is_int(j2) or j2 < 0:
+            raise ValueError(f"grid j2 must be an integer >= 0, got {j2!r}")
+        out.append((AlgebraParams.of(row["c1"], row["c3"]), j2))
     return out
 
 

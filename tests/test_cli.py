@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from higgsalg import AlgebraParams, representation_table
+from higgsalg import cli
 from higgsalg.cli import main
 
 
@@ -309,3 +310,50 @@ def test_export_transform_is_strict_json_at_large_spin(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["export", "transform", "--c1", "1", "--c3", "1", "--j2", "4", "--q0", "nan"])
     assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("j2", [2.5, -1, True, "3"], ids=["float", "negative", "bool", "string"])
+def test_bad_grid_j2_exits_65(tmp_path, capsys, j2):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([{"c1": "1", "c3": "1", "j2": j2}]))
+    code = main(["sweep", "--grid", str(path), "--dim", "8", "--kinds", "hp:1"])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err.startswith("error: grid j2 must be an integer >= 0")
+    assert captured.err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_70(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("builder broke\non two lines")
+
+    monkeypatch.setattr(cli, "build_realization", broken)
+    code = main(["build", "--c1", "1", "--c3", "1", "--j2", "4", "--dim", "8"])
+    captured = capsys.readouterr()
+    assert code == 70
+    assert captured.out == ""
+    assert captured.err == "error: internal: RuntimeError: builder broke on two lines\n"
+
+
+_VERIFY_POINTS = [
+    ["--c1", "1", "--c3", "1", "--j2", "5", "--dim", "12"],
+    ["--c1", "3", "--c3", "-1", "--j2", "6", "--dim", "40"],
+]
+
+
+@pytest.mark.parametrize("kind", [
+    ["--kind", "hp:1"], ["--kind", "hp:2"], ["--kind", "hp:3"],
+    ["--kind", "dyson:1", "--field", "complex"],
+], ids=["hp-1", "hp-2", "hp-3", "dyson-complex-1"])
+def test_verify_input_matches_direct_verify(tmp_path, capsys, kind):
+    """A saved realization loads as dense arrays; verifying it prints what
+    verifying the banded original prints, byte for byte."""
+    for i, point in enumerate(_VERIFY_POINTS):
+        path = tmp_path / f"r{i}.json"
+        assert main(["build", *point, *kind, "-o", str(path)]) == 0
+        for fmt in ("text", "json"):
+            direct = main(["verify", *point, *kind, "--format", fmt]), capsys.readouterr().out
+            loaded = main(["verify", "--input", str(path), "--format", fmt])
+            loaded = loaded, capsys.readouterr().out
+            assert loaded == direct

@@ -250,3 +250,101 @@ def test_banded_arithmetic_matches_dense_reference(pair, c, k, states):
     promoted = a + Operator.zeros(a.space, COMPLEX)
     assert np.array_equal(promoted.entries, x.astype(float).astype(complex))
     _assert_exact(Operator.from_json(a.to_json()), x)
+
+
+def test_dense_view_keeps_the_signs_of_zeros():
+    """Off the bands, a complex dense view holds the signed zeros that
+    dense arithmetic leaves there, so JSON written from it is unchanged."""
+    sp = FockSpace(5)
+    a = annihilation(sp)
+    d = diagonal_operator(sp, [1.0, -2.0, 0.0, -0.5, 3.0])
+    x, w = a.entries, d.diagonal()
+    cases = [
+        (a.adjoint(), x.conj().T),
+        (d @ a, w[:, None] * x),
+        (a @ d, x * w[None, :]),
+        (-a, -x),
+        (a.scale(-1.5), complex(-1.5) * x),
+        (a - a.adjoint(), x - x.conj().T),
+        (d @ a.adjoint(), w[:, None] * x.conj().T),
+    ]
+    for got, want in cases:
+        assert got.entries.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+# -- banded complex field against dense numpy ----------------------------------
+
+_BAND_VALUES = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+def _same_numbers(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal, and bit for bit on every nonzero real or imaginary part (a
+    zero part may differ in sign only)."""
+    g, w = (np.ascontiguousarray(m).view(float) for m in (got, want))
+    nz = w != 0
+    return np.array_equal(g, w) and g[nz].tobytes() == w[nz].tobytes()
+
+
+@st.composite
+def _complex_band_operands(draw):
+    """Two banded complex operators on one space and their dense numpy twins.
+
+    ``shape`` picks the product class: "single" (one band each),
+    "diag-left" / "diag-right" (one factor diagonal, the other up to three
+    bands) or "multi" (up to three bands each).  Within an operator every
+    entry is real or every entry is imaginary, as in the step kinds and
+    the quadratures; products of general complex entries round differently
+    in BLAS, which fuses multiply and add.
+    """
+    dim = draw(st.integers(min_value=2, max_value=9))
+    shape = draw(st.sampled_from(["single", "diag-left", "diag-right", "multi"]))
+
+    def operator(most):
+        if most == 0:
+            offsets = {0}
+        else:
+            offsets = draw(st.sets(st.integers(1 - dim, dim - 1), min_size=1, max_size=most))
+        axis = draw(st.sampled_from([1.0, 1j]))
+        bands, dense = {}, np.zeros((dim, dim), dtype=complex)
+        for d in sorted(offsets):
+            size = dim - abs(d)
+            band = np.array(draw(st.lists(_BAND_VALUES, min_size=size, max_size=size))) * axis
+            bands[d] = band
+            dense += np.diag(band, d)
+        return Operator._banded(FockSpace(dim), COMPLEX, bands), dense
+
+    most = {"single": (1, 1), "diag-left": (0, 3), "diag-right": (3, 0), "multi": (3, 3)}[shape]
+    return shape, operator(most[0]), operator(most[1])
+
+
+@given(
+    _complex_band_operands(),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    st.integers(min_value=0, max_value=3),
+    st.sets(st.integers(min_value=0, max_value=8)),
+)
+@settings(max_examples=150, deadline=None)
+def test_banded_complex_matches_dense_numpy(operands, c, k, states):
+    shape, (a, x), (b, y) = operands
+    dim = a.space.dim
+    product = (a @ b).entries
+    if shape == "multi":
+        # several terms per entry: the band sums may round differently
+        assert np.all(np.abs(product - x @ y) <= 1e-12 * (np.abs(x) @ np.abs(y)))
+    else:
+        # every entry is a single product, as the checks of the step kinds form
+        assert _same_numbers(product, x @ y)
+    assert _same_numbers((a + b).entries, x + y)
+    assert _same_numbers((a - b).entries, x - y)
+    assert _same_numbers((-a).entries, -x)
+    assert _same_numbers(a.scale(c).entries, complex(c) * x)
+    assert _same_numbers(a.adjoint().entries, x.conj().T)
+    if shape == "single" or shape == "diag-left":
+        assert _same_numbers(a.power(k).entries, np.linalg.matrix_power(x, k))
+    dense = Operator(a.space, x, COMPLEX)
+    assert a.max_norm() == dense.max_norm() == float(np.abs(x).max())
+    assert np.array_equal(a.diagonal(), x.diagonal())
+    block = sorted(s for s in states if s < dim)
+    assert a.block_max(block) == dense.block_max(block)
+    assert a.field == COMPLEX and (a @ dense).field == COMPLEX
+    assert np.array_equal((a @ dense).entries, x @ x)

@@ -47,6 +47,21 @@ GOLDEN = [
         "d466b31106113d8df0b3a074ba4c8fc5568deffa49a1e571114822f26021bbd5",
         id="verify-villain-1-json",
     ),
+    pytest.param(
+        ["sweep", "--kinds", "hp:1,hp:2,hp:3", "--dim", "128", "--format", "json"],
+        "b30337683727c08323b0362641048d3f3940b274c612ae9a72210e03e8a667e4",
+        id="sweep-hp-1-3-dim-128-json",
+    ),
+    pytest.param(
+        ["build", *_POINT, "--kind", "hp:3"],
+        "0333c84d0de89985b75481625a6b904ac6a30f42803a79332c1eb8bd1ab17e8e",
+        id="build-hp-3",
+    ),
+    pytest.param(
+        ["build", *_POINT, "--kind", "dyson:2", "--field", "complex"],
+        "30815d402b952ca5579a58baf8489d17c872b6d23a59b0ea3c981a12a6bd4304",
+        id="build-dyson-complex-2",
+    ),
 ]
 
 
@@ -55,3 +70,18 @@ def test_cli_output_digest(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_one_parser_serves_every_call(capsys):
+    """``main`` builds its parser once per process.  Each golden command,
+    run twice in alternating order with a usage error between runs, still
+    prints what a fresh process prints."""
+    runs = [p.values for p in GOLDEN]
+    for argv, digest in runs + runs[::-1]:
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--kinds", "hp:9,bogus"])
+        assert exc.value.code == 64
+        assert capsys.readouterr().out == ""

@@ -32,6 +32,8 @@ from higgsalg import (
     product_recurrence,
     villain_boson,
 )
+from higgsalg.realizations import _weight_values
+from higgsalg.verify import default_grid
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 spins = st.integers(min_value=1, max_value=10).map(lambda j2: Fraction(j2, 2))
@@ -278,3 +280,27 @@ def test_unitary_entries_are_masked_roots():
             assert abs(r.jm.entries[n + 1, n] - want) < 1e-14
         else:
             assert r.jm.entries[n + 1, n] == 0.0
+
+
+def _hp_from_all_weights(space, params, j2, k):
+    """hp:k with every weight F_k(0) .. F_k(dim - 1) computed, as the
+    constructor did before it stopped at the last bond inside [0, 2j]."""
+    jf = Fraction(j2, 2)
+    weights = _weight_values(params, jf, k, space.dim - 1, "derived")
+    mask = tuple(weights[n] >= 0 and n + k <= j2 for n in range(space.dim))
+    root = [math.sqrt(float(weights[n])) if mask[n] else 0.0 for n in range(space.dim)]
+    jm = creation(space, COMPLEX).power(k) @ diagonal_operator(space, root, COMPLEX)
+    j3 = diagonal_operator(space, [float(jf) - n for n in range(space.dim)], COMPLEX)
+    return jm.adjoint(), jm, j3, mask
+
+
+@pytest.mark.parametrize("dim", [8, 32, 128])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_hp_weights_past_the_last_bond_change_nothing(k, dim):
+    space = FockSpace(dim)
+    for params, j2 in default_grid():
+        r = build_realization(space, params, Fraction(j2, 2), "hp", k)
+        jp, jm, j3, mask = _hp_from_all_weights(space, params, j2, k)
+        assert r.admissible_mask == mask
+        for got, want in ((r.jp, jp), (r.jm, jm), (r.j3, j3)):
+            assert got.entries.tobytes() == want.entries.tobytes()

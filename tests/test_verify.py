@@ -206,16 +206,22 @@ def test_sweep_is_deterministic_across_thread_counts(monkeypatch):
     assert serial == threaded
 
 
-@pytest.mark.parametrize("k", [1, 2], ids=["dyson-1", "dyson-2"])
-def test_exact_verify_never_builds_the_dense_view(monkeypatch, k):
-    r = build_realization(FockSpace(12), AlgebraParams.of(1, 1), Fraction(5, 2), "dyson", k)
+@pytest.mark.parametrize("kind,k,field", [
+    ("dyson", 1, "rational"), ("dyson", 2, "rational"),
+    ("hp", 1, "complex"), ("hp", 2, "complex"), ("hp", 3, "complex"),
+    ("dyson", 1, "complex"), ("dyson", 2, "complex"), ("dyson", 3, "complex"),
+], ids=["dyson-1", "dyson-2", "hp-1", "hp-2", "hp-3",
+        "dyson-complex-1", "dyson-complex-2", "dyson-complex-3"])
+def test_exact_verify_never_builds_the_dense_view(monkeypatch, kind, k, field):
+    """The step-kind checks run on the bands alone, in both fields."""
+    r = build_realization(FockSpace(12), AlgebraParams.of(1, 1), Fraction(5, 2), kind, k, field)
 
     def dense_view(self):
-        raise AssertionError("the exact checks built a dense view")
+        raise AssertionError("the step-kind checks built a dense view")
 
     monkeypatch.setattr(Operator, "entries", property(dense_view))
     report = verify_realization(r)
-    assert report.passed and report.field_name == "rational"
+    assert report.passed and report.field_name == field
 
 
 def test_tolerance_scales_with_coefficient():
