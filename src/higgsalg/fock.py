@@ -61,6 +61,15 @@ def _freeze(entries: np.ndarray) -> np.ndarray:
     return entries
 
 
+def _to_float(x: Scalar, what: str) -> float:
+    """float(x); a value beyond the float range raises ValueError naming
+    ``what``, not OverflowError."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} is beyond the float range") from None
+
+
 def _as_fraction(x: Scalar) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -92,10 +101,11 @@ def _band(values, field: str) -> np.ndarray:
     return np.array(values, dtype=object if field == RATIONAL else complex)
 
 
-def _zero_band(size: int, field: str) -> np.ndarray:
+def _zero_array(shape, field: str) -> np.ndarray:
+    """Zeros of the field, as a band (an int shape) or a dense matrix."""
     if field == RATIONAL:
-        return np.full(size, _ZERO, dtype=object)
-    return np.zeros(size, dtype=complex)
+        return np.full(shape, _ZERO, dtype=object)
+    return np.zeros(shape, dtype=complex)
 
 
 def _nonzero(bands: _Bands) -> _Bands:
@@ -128,7 +138,7 @@ def _band_matmul(n: int, x: _Bands, y: _Bands, field: str) -> _Bands:
             elif cnt == n - abs(dz):
                 out[dz] = prods
             else:
-                acc = out[dz] = _zero_band(n - abs(dz), field)
+                acc = out[dz] = _zero_array(n - abs(dz), field)
                 acc[iz:iz + cnt] = prods
     return out
 
@@ -139,7 +149,7 @@ def _band_add(n: int, x: _Bands, y: _Bands, field: str, subtract: bool) -> _Band
     op = np.subtract if subtract else np.add
 
     def side(bands: _Bands, d: int) -> np.ndarray:
-        return bands[d] if d in bands else _zero_band(n - abs(d), field)
+        return bands[d] if d in bands else _zero_array(n - abs(d), field)
 
     return {d: op(side(x, d), side(y, d)) for d in {**x, **y}}
 
@@ -168,14 +178,13 @@ class Operator:
     banded operand first.
 
     ``entries`` is a read-only dense numpy array in either storage:
-    complex128, or object dtype of Fractions, built from the bands on
-    first use.  Off the bands a complex operator holds zeros whose signs
-    are those dense arithmetic leaves there (``_zeros``), so its dense
-    view, and the JSON written from it, is what dense arithmetic gives
-    bit for bit.
+    complex128, or object dtype of Fractions, built on first use as zeros
+    plus the bands.  JSON spells every zero part of a complex entry
+    ``0.0``, so an operator file depends only on the matrix, not on its
+    storage or on the arithmetic that produced it.
     """
 
-    __slots__ = ("space", "field", "_bands", "_dense", "_zeros")
+    __slots__ = ("space", "field", "_bands", "_dense")
 
     def __init__(self, space: FockSpace, entries: np.ndarray, field: str):
         if field not in (COMPLEX, RATIONAL):
@@ -184,7 +193,6 @@ class Operator:
             raise ValueError(f"entries shape {entries.shape} does not match dim {space.dim}")
         self.space = space
         self.field = field
-        self._zeros = None
         if field == RATIONAL:
             n = space.dim
             bands = {d: _band([_as_fraction(x) for x in entries.diagonal(d)], RATIONAL)
@@ -196,40 +204,28 @@ class Operator:
             self._dense = _freeze(entries)
 
     @staticmethod
-    def _banded(space: FockSpace, field: str, bands: _Bands, zeros=None) -> "Operator":
-        """Operator straight from its bands; all-zero bands are dropped.
-        ``zeros`` (complex field only) returns a dense array whose entries
-        off the kept bands are this operator's; None means +0.0 there."""
+    def _banded(space: FockSpace, field: str, bands: _Bands) -> "Operator":
+        """Operator straight from its bands; all-zero bands are dropped."""
         op = object.__new__(Operator)
         op.space = space
         op.field = field
         op._bands = _nonzero(bands)
         op._dense = None
-        op._zeros = zeros if field == COMPLEX else None
         return op
 
-    def _with(self, bands: _Bands, zeros=None) -> "Operator":
-        return Operator._banded(self.space, self.field, bands, zeros)
+    def _with(self, bands: _Bands) -> "Operator":
+        return Operator._banded(self.space, self.field, bands)
 
     @property
     def entries(self) -> np.ndarray:
         if self._dense is None:
-            n = self.space.dim
-            if self.field == RATIONAL:
-                base = np.full((n, n), _ZERO, dtype=object)
-            elif self._zeros is None:
-                base = np.zeros((n, n), dtype=complex)
-            else:
-                base = np.array(self._zeros(), dtype=complex, order="C")
+            base = _zero_array((self.space.dim, self.space.dim), self.field)
             for d, band in self._bands.items():
                 r, c = _band_start(d)
                 idx = np.arange(len(band))
                 base[idx + r, idx + c] = band
             self._dense = _freeze(base)
         return self._dense
-
-    def _is_diagonal(self) -> bool:
-        return self._bands.keys() <= {0}
 
     # -- construction helpers -------------------------------------------------
 
@@ -258,41 +254,29 @@ class Operator:
         return a, b
 
     # -- arithmetic -----------------------------------------------------------
-    #
-    # Each banded complex result carries ``zeros``: the dense formula of its
-    # operation, which places the signed zeros off the bands.  It runs only
-    # when the dense view is asked for.
 
     def __matmul__(self, other: "Operator") -> "Operator":
         a, b = Operator._align(self, other)
         if a._bands is None:
             return Operator(a.space, a._dense @ b._dense, COMPLEX)
-        bands = _band_matmul(a.space.dim, a._bands, b._bands, a.field)
-        # a diagonal factor scales the rows or the columns of the other one
-        if a._is_diagonal():
-            return a._with(bands, lambda: a.diagonal()[:, None] * b.entries)
-        if b._is_diagonal():
-            return a._with(bands, lambda: a.entries * b.diagonal()[None, :])
-        return a._with(bands)
+        return a._with(_band_matmul(a.space.dim, a._bands, b._bands, a.field))
 
     def __add__(self, other: "Operator") -> "Operator":
         a, b = Operator._align(self, other)
         if a._bands is None:
             return Operator(a.space, a._dense + b._dense, COMPLEX)
-        return a._with(_band_add(a.space.dim, a._bands, b._bands, a.field, subtract=False),
-                       lambda: a.entries + b.entries)
+        return a._with(_band_add(a.space.dim, a._bands, b._bands, a.field, subtract=False))
 
     def __sub__(self, other: "Operator") -> "Operator":
         a, b = Operator._align(self, other)
         if a._bands is None:
             return Operator(a.space, a._dense - b._dense, COMPLEX)
-        return a._with(_band_add(a.space.dim, a._bands, b._bands, a.field, subtract=True),
-                       lambda: a.entries - b.entries)
+        return a._with(_band_add(a.space.dim, a._bands, b._bands, a.field, subtract=True))
 
     def __neg__(self) -> "Operator":
         if self._bands is None:
             return Operator(self.space, -self._dense, COMPLEX)
-        return self._with({d: -band for d, band in self._bands.items()}, lambda: -self.entries)
+        return self._with({d: -band for d, band in self._bands.items()})
 
     def scale(self, c: Scalar) -> "Operator":
         if self.field == RATIONAL:
@@ -300,11 +284,10 @@ class Operator:
                 return self._promote().scale(c)
             c = _as_fraction(c)
         else:
-            c = complex(c)
+            c = complex(c) if isinstance(c, complex) else complex(_to_float(c, "a scale factor"))
         if self._bands is None:
             return Operator(self.space, c * self._dense, COMPLEX)
-        return self._with({d: c * band for d, band in self._bands.items()},
-                          lambda: c * self.entries)
+        return self._with({d: c * band for d, band in self._bands.items()})
 
     def __rmul__(self, c: Scalar) -> "Operator":
         return self.scale(c)
@@ -314,8 +297,7 @@ class Operator:
         entries are real rationals, so this is the plain transpose."""
         if self._bands is None:
             return Operator(self.space, self._dense.conj().T.copy(), COMPLEX)
-        return self._with({-d: band.conj() for d, band in self._bands.items()},
-                          lambda: self.entries.conj().T)
+        return self._with({-d: band.conj() for d, band in self._bands.items()})
 
     def power(self, k: int) -> "Operator":
         if k < 0:
@@ -346,7 +328,7 @@ class Operator:
         if self._bands is None:
             return self._dense.diagonal()
         band = self._bands.get(0)
-        return _zero_band(self.space.dim, self.field) if band is None else band
+        return _zero_array(self.space.dim, self.field) if band is None else band
 
     def block_max(self, states: Sequence[int]):
         """Entrywise max magnitude over the principal submatrix on
@@ -385,7 +367,9 @@ class Operator:
         if self.field == RATIONAL:
             entries = [str(x) for row in self.entries for x in row]
         else:
-            entries = [[float(x.real), float(x.imag)] for row in self.entries for x in row]
+            # adding 0.0 turns -0.0 into 0.0: a zero has one spelling
+            entries = [[float(x.real) + 0.0, float(x.imag) + 0.0]
+                       for row in self.entries for x in row]
         return {"dim": self.space.dim, "field": self.field, "entries": entries}
 
     @staticmethod
@@ -452,15 +436,11 @@ def creation(space: FockSpace, field: str = COMPLEX) -> Operator:
 
 def number_op(space: FockSpace, field: str = COMPLEX) -> Operator:
     """diag(0, 1, ..., N-1); identical in both bases."""
-    if field == RATIONAL:
-        return diagonal_operator(space, [Fraction(m) for m in space.occupations()], RATIONAL)
-    return diagonal_operator(space, [float(m) for m in space.occupations()], COMPLEX)
+    return diagonal_operator(space, space.occupations(), field)
 
 
 def identity_op(space: FockSpace, field: str = COMPLEX) -> Operator:
-    if field == RATIONAL:
-        return diagonal_operator(space, [Fraction(1)] * space.dim, RATIONAL)
-    return diagonal_operator(space, [1.0] * space.dim, COMPLEX)
+    return diagonal_operator(space, [1] * space.dim, field)
 
 
 def diagonal_operator(
@@ -472,6 +452,8 @@ def diagonal_operator(
 
     A value of None marks an entry with no defined matrix element; it is
     stored as 0.  Callers tracking admissibility keep the mask themselves.
+    Exact values pass to the complex field as ``complex(value)``; one
+    beyond the float range raises ValueError.
     """
     if callable(values):
         vals = [values(m) for m in space.occupations()]
@@ -483,7 +465,10 @@ def diagonal_operator(
         band = [_ZERO if v is None else _as_fraction(v) for v in vals]
     else:
         field = COMPLEX
-        band = [0j if v is None else complex(v) for v in vals]
+        try:
+            band = [0j if v is None else complex(v) for v in vals]
+        except OverflowError:
+            raise ValueError("a diagonal value is beyond the float range") from None
     return Operator._banded(space, field, {0: _band(band, field)})
 
 

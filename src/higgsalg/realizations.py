@@ -35,11 +35,14 @@ from .fock import (
     RATIONAL,
     FockSpace,
     Operator,
+    _to_float,
     annihilation,
     creation,
     diagonal_operator,
     hermitian_eig,
+    identity_op,
     momentum,
+    number_op,
     position,
     unitary_exp,
 )
@@ -269,10 +272,10 @@ def _unitary_step(
     top = min(space.dim - 1, j2 - k)
     weights = _weight_values(params, jf, k, top, coefficients)
     mask = tuple(n <= top and weights[n] >= 0 for n in range(space.dim))
-    root = [math.sqrt(float(weights[n])) if mask[n] else 0.0 for n in range(space.dim)]
+    root = [math.sqrt(_to_float(weights[n], "an hp weight")) if mask[n] else 0.0
+            for n in range(space.dim)]
     ap = creation(space, COMPLEX)
     jm = ap.power(k) @ diagonal_operator(space, root, COMPLEX)
-    j3 = diagonal_operator(space, [float(jf) - n for n in range(space.dim)], COMPLEX)
     return Realization(
         kind=KIND_HP,
         step_k=k,
@@ -280,7 +283,7 @@ def _unitary_step(
         params=params,
         jp=jm.adjoint(),
         jm=jm,
-        j3=j3,
+        j3=jf * identity_op(space, COMPLEX) - number_op(space, COMPLEX),
         admissible_mask=mask,
     )
 
@@ -297,12 +300,7 @@ def _dyson_step(
     weights = _weight_values(params, jf, k, space.dim - 1, coefficients)
     a = annihilation(space, field)
     ap = creation(space, field)
-    if field == RATIONAL:
-        diag = diagonal_operator(space, weights, RATIONAL)
-        j3 = diagonal_operator(space, [jf - n for n in range(space.dim)], RATIONAL)
-    else:
-        diag = diagonal_operator(space, [float(w) for w in weights], COMPLEX)
-        j3 = diagonal_operator(space, [float(jf) - n for n in range(space.dim)], COMPLEX)
+    diag = diagonal_operator(space, weights, field)
     # the weight multiplies after the k-fold lowering, so the raising
     # generator carries the full polynomial and J- is the bare creator
     return Realization(
@@ -312,7 +310,7 @@ def _dyson_step(
         params=params,
         jp=diag @ a.power(k),
         jm=ap.power(k),
-        j3=j3,
+        j3=jf * identity_op(space, field) - number_op(space, field),
         admissible_mask=tuple([True] * space.dim),
     )
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -55,6 +56,35 @@ class DiagonalTransform:
         )
 
 
+def _square_chains(
+    space: FockSpace, weight: Callable[[int], Fraction], seeds: tuple[float, ...]
+) -> tuple[tuple[float, ...], tuple[bool, ...]]:
+    """Entries and mask of the k = len(seeds) chains s(n+k)^2 = F_k(n) s(n)^2,
+    chain c seeded with s(c) = seeds[c], where ``weight(n)`` is F_k(n).  A
+    chain stops (mask False, entry 0.0) at its first nonpositive weight or
+    its first square that is not a finite float; its entries carry the sign
+    of its seed."""
+    k = len(seeds)
+    entries = [0.0] * space.dim
+    mask = [False] * space.dim
+    squares = [0.0] * space.dim
+    for n, seed in enumerate(seeds):
+        entries[n], squares[n], mask[n] = seed, seed * seed, True
+    for n in range(k, space.dim):
+        if not mask[n - k]:
+            continue
+        factor = weight(n - k)
+        if factor <= 0:
+            continue
+        squares[n] = squares[n - k] * float(factor)
+        if not math.isfinite(squares[n]):
+            continue
+        root = math.sqrt(squares[n])
+        entries[n] = root if seeds[n % k] >= 0 else -root
+        mask[n] = True
+    return tuple(entries), tuple(mask)
+
+
 def s1_recurrence(
     space: FockSpace, params: AlgebraParams, j: RationalLike, q0: float = 1.0
 ) -> DiagonalTransform:
@@ -68,23 +98,8 @@ def s1_recurrence(
     entry is finite.
     """
     jf = _frac(j)
-    entries = [0.0] * space.dim
-    mask = [False] * space.dim
-    entries[0] = q0
-    mask[0] = True
-    sq = q0 * q0
-    for n in range(1, space.dim):
-        if not mask[n - 1]:
-            break
-        factor = bond_product(params, jf, n - 1)
-        if factor <= 0:
-            break
-        sq *= float(factor)
-        if not math.isfinite(sq):
-            break
-        entries[n] = math.sqrt(sq) if q0 >= 0 else -math.sqrt(sq)
-        mask[n] = True
-    return DiagonalTransform(q0=q0, entries=tuple(entries), mask=tuple(mask))
+    entries, mask = _square_chains(space, lambda n: bond_product(params, jf, n), (q0,))
+    return DiagonalTransform(q0=q0, entries=entries, mask=mask)
 
 
 def s1_closed_form(
@@ -134,34 +149,14 @@ def s2_matching(
     q0_odd: float = 1.0,
 ) -> DiagonalTransform:
     """Step-2 scaling: two independent parity chains seeded at n = 0 and
-    n = 1, each obeying s(n+2)^2 = F_2(n) s(n)^2.  A chain stops at its
-    first nonpositive weight or at its first square that is not a finite
-    float."""
+    n = 1, each obeying s(n+2)^2 = F_2(n) s(n)^2 and carrying the sign of
+    its seed.  A chain stops at its first nonpositive weight or at its
+    first square that is not a finite float."""
     jf = _frac(j)
-    entries = [0.0] * space.dim
-    mask = [False] * space.dim
-    seeds = {0: q0_even}
-    if space.dim > 1:
-        seeds[1] = q0_odd
-    squares = [0.0] * space.dim
-    for start, seed in seeds.items():
-        entries[start] = seed
-        squares[start] = seed * seed
-        mask[start] = True
-    for n in range(2, space.dim):
-        if not mask[n - 2]:
-            continue
-        factor = closed_form_k2(params, jf, n - 2)
-        if factor <= 0:
-            continue
-        squares[n] = float(factor) * squares[n - 2]
-        if not math.isfinite(squares[n]):
-            continue
-        entries[n] = math.sqrt(squares[n]) if entries[n - 2] >= 0 else -math.sqrt(squares[n])
-        mask[n] = True
-    return DiagonalTransform(
-        q0=q0_even, entries=tuple(entries), mask=tuple(mask), q0_odd=q0_odd
+    entries, mask = _square_chains(
+        space, lambda n: closed_form_k2(params, jf, n), (q0_even, q0_odd)
     )
+    return DiagonalTransform(q0=q0_even, entries=entries, mask=mask, q0_odd=q0_odd)
 
 
 def conjugate(realization: Realization, transform: DiagonalTransform) -> Realization:

@@ -17,6 +17,7 @@ judged by convergence across dimensions, not by a fixed tolerance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -24,7 +25,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .algebra import AlgebraParams, casimir_eigenvalue, casimir_operator
-from .fock import RATIONAL, FockSpace, Operator, commutator, identity_op
+from .fock import RATIONAL, FockSpace, Operator, _to_float, commutator, identity_op
 from .realizations import (
     Realization,
     STEP_KINDS,
@@ -203,12 +204,18 @@ def _step_checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
 
     def judge(name, residual, block, substantive, scale) -> None:
         """Exact residuals must be zero; float ones are held to the
-        tolerance at ``scale()``, which only the float field evaluates."""
+        tolerance at ``scale()``, which only the float field evaluates.  A
+        float residual or scale that is not finite raises ValueError: the
+        entries left the float range, so no verdict can be reached."""
         if exact:
             checks.append(_passed_check(name, residual, Fraction(0), block, substantive, True))
-        else:
-            tol = _tol(cfg, dim, scale())
-            checks.append(_passed_check(name, float(residual), tol, block, substantive, False))
+            return
+        residual, size = float(residual), float(scale())
+        if not (math.isfinite(residual) and math.isfinite(size)):
+            raise ValueError(f"{name}: the float residual or its scale is not finite;"
+                             " the entries are beyond the float range")
+        checks.append(_passed_check(name, residual, _tol(cfg, dim, size), block,
+                                    substantive, False))
 
     jp, jm, j3 = r.jp, r.jm, r.j3
     j3cube = j3 @ j3 @ j3
@@ -262,10 +269,12 @@ def _step_checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
             worst = max(commutator(c_sym, op).block_max(states) for op in (jp, jm, j3))
             judge("casimir-commutes", worst, len(states), True,
                   lambda: cscale() * max(1.0, max(float(op.max_norm()) for op in (jp, jm, j3))))
+            if not exact:
+                lam = _to_float(lam, "casimir-scalar: the Casimir eigenvalue")
             c_diag = c_sym.diagonal()
             dev = max(abs(c_diag[n] - lam) for n in states)
             judge("casimir-scalar", dev, len(states), True,
-                  lambda: max(cscale(), abs(float(lam))))
+                  lambda: max(cscale(), abs(lam)))
 
     return checks
 
@@ -321,7 +330,10 @@ def verify_realization(r: Realization, cfg: Optional[VerifyConfig] = None) -> Ve
     if r.kind in VILLAIN_KINDS:
         checks = _villain_checks(r, cfg)
     elif r.kind in STEP_KINDS:
-        checks = _step_checks(r, cfg)
+        # overflow past the float range is caught by judge, so numpy need
+        # not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            checks = _step_checks(r, cfg)
     else:
         raise ValueError(f"unknown realization kind {r.kind!r}")
     return VerificationReport(

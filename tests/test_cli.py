@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from higgsalg import AlgebraParams, representation_table
+from higgsalg import AlgebraParams, FockSpace, build_realization, representation_table
 from higgsalg import cli
 from higgsalg.cli import main
 
@@ -357,3 +359,66 @@ def test_verify_input_matches_direct_verify(tmp_path, capsys, kind):
             loaded = main(["verify", "--input", str(path), "--format", fmt])
             loaded = loaded, capsys.readouterr().out
             assert loaded == direct
+
+
+_HUGE_SPIN = ["--c1", "1", "--c3", "1", "--dim", "4", "--kind", "hp:1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", *_HUGE_SPIN, "--j2", str(10 ** 60), "--format", "json"],
+    ["verify", *_HUGE_SPIN, "--j2", str(10 ** 90)],
+    ["build", *_HUGE_SPIN, "--j2", str(10 ** 200)],
+], ids=["verify-residual-overflows", "verify-casimir-overflows", "build-weight-overflows"])
+def test_spin_beyond_the_float_range_exits_65(capsys, argv):
+    """Float entries that leave the float range give one error line, not a
+    NaN residual, a numpy warning or an internal error."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_sweep_row_beyond_the_float_range_is_an_entry_error(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([{"c1": "1", "c3": "1", "j2": 10 ** 60},
+                                {"c1": "1", "c3": "1", "j2": 3}]))
+    code = main(["sweep", "--grid", str(path), "--dim", "4", "--kinds", "hp:1",
+                 "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
+    huge, small = json.loads(captured.out)["entries"]
+    assert "report" not in huge
+    assert huge["error"].startswith("casimir-commutes: ")
+    assert small["report"]["passed"] is True
+
+
+_GOLDEN_POINT = ["--c1", "1", "--c3", "1", "--j2", "5", "--dim", "12"]
+
+
+@pytest.mark.parametrize("argv,build", [
+    *[(["--kind", f"hp:{k}"], ("hp", k, "rational")) for k in (1, 2, 3)],
+    *[(["--kind", f"dyson:{k}", "--field", "complex"], ("dyson", k, "complex"))
+      for k in (1, 2, 3)],
+    *[(["--c1", "1", "--c3", "1", "--j2", "3", "--dim", "24", "--kind", f"villain:{k}"],
+       ("villain", k, "rational")) for k in (1, 2)],
+], ids=["hp-1", "hp-2", "hp-3", "dyson-complex-1", "dyson-complex-2", "dyson-complex-3",
+        "villain-1", "villain-2"])
+def test_build_writes_every_zero_as_0_0(capsys, argv, build):
+    """An operator file spells every zero 0.0 and holds the realization's
+    entries exactly."""
+    if argv[0] == "--kind":
+        argv = _GOLDEN_POINT + argv
+    assert main(["build", *argv]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"-0\.0(?=[,\s\]])", out) is None
+    doc = json.loads(out)
+    kind, k, field = build
+    r = build_realization(FockSpace(doc["dim"]), AlgebraParams.of(doc["c1"], doc["c3"]),
+                          Fraction(doc["j2"], 2), kind, k, field=field)
+    for name in ("jp", "jm", "j3"):
+        written = np.array([complex(re_, im) for re_, im in doc[name]["entries"]])
+        assert np.all(written == getattr(r, name).entries.ravel())

@@ -38,7 +38,7 @@ GOLDEN = [
     ),
     pytest.param(
         ["build", *_POINT, "--kind", "hp:2"],
-        "eb22e25e18deb0aa9b1aa0080e3b7b057bce983f82831e7bdd8fa533b11a1030",
+        "6c3f830128690c87e57863b9241f4302bfd38212bf159cad6b9faad3c4c105b0",
         id="build-hp-2",
     ),
     pytest.param(
@@ -54,12 +54,12 @@ GOLDEN = [
     ),
     pytest.param(
         ["build", *_POINT, "--kind", "hp:3"],
-        "0333c84d0de89985b75481625a6b904ac6a30f42803a79332c1eb8bd1ab17e8e",
+        "8eb4d28ce32dd19a45643603257d085600a26d900842acc31227664f71525d59",
         id="build-hp-3",
     ),
     pytest.param(
         ["build", *_POINT, "--kind", "dyson:2", "--field", "complex"],
-        "30815d402b952ca5579a58baf8489d17c872b6d23a59b0ea3c981a12a6bd4304",
+        "4aa872d27d42c93d7d2fda304c5225230a8431ddfdef88ffc578107ba2f9677a",
         id="build-dyson-complex-2",
     ),
 ]

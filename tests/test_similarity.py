@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from higgsalg import (
     AlgebraParams,
+    bond_product,
+    closed_form_k2,
     FockSpace,
     SU2_PARAMS,
     build_realization,
@@ -217,3 +219,88 @@ def test_masked_in_transform_entries_are_finite_at_large_spin(c1, c3, j2, q0):
         assert all(math.isfinite(x) for x, m in zip(t.entries, t.mask) if m)
         assert all(x == 0.0 for x, m in zip(t.entries, t.mask) if not m)
         assert _strict_json(t)["mask"] == [int(m) for m in t.mask]
+
+
+# -- the chain routine against the loops it replaced ---------------------------
+
+def _s1_loop(space, params, j, q0):
+    """The step-1 chain loop as written before the shared chain routine."""
+    jf = Fraction(j)
+    entries = [0.0] * space.dim
+    mask = [False] * space.dim
+    entries[0] = q0
+    mask[0] = True
+    sq = q0 * q0
+    for n in range(1, space.dim):
+        if not mask[n - 1]:
+            break
+        factor = bond_product(params, jf, n - 1)
+        if factor <= 0:
+            break
+        sq *= float(factor)
+        if not math.isfinite(sq):
+            break
+        entries[n] = math.sqrt(sq) if q0 >= 0 else -math.sqrt(sq)
+        mask[n] = True
+    return entries, mask
+
+
+def _s2_loop(space, params, j, q0_even, q0_odd):
+    """The step-2 chain loop as written before the shared chain routine."""
+    jf = Fraction(j)
+    entries = [0.0] * space.dim
+    mask = [False] * space.dim
+    squares = [0.0] * space.dim
+    for start, seed in {0: q0_even, 1: q0_odd}.items():
+        entries[start] = seed
+        squares[start] = seed * seed
+        mask[start] = True
+    for n in range(2, space.dim):
+        if not mask[n - 2]:
+            continue
+        factor = closed_form_k2(params, jf, n - 2)
+        if factor <= 0:
+            continue
+        squares[n] = float(factor) * squares[n - 2]
+        if not math.isfinite(squares[n]):
+            continue
+        entries[n] = math.sqrt(squares[n]) if entries[n - 2] >= 0 else -math.sqrt(squares[n])
+        mask[n] = True
+    return entries, mask
+
+
+def _bits(xs) -> bytes:
+    return np.array(xs, dtype=float).tobytes()
+
+
+_SEEDS = [1.0, -2.5, 0.0, 1e-200, -1e-200, 3e150]
+
+
+@pytest.mark.parametrize("q0", _SEEDS)
+@pytest.mark.parametrize("dim", [8, 24])
+def test_square_chains_match_the_loops_they_replaced(dim, q0):
+    sp = FockSpace(dim)
+    for params, j2 in default_grid():
+        j = Fraction(j2, 2)
+        t = s1_recurrence(sp, params, j, q0)
+        entries, mask = _s1_loop(sp, params, j, q0)
+        assert _bits(t.entries) == _bits(entries) and list(t.mask) == mask
+        t = s2_matching(sp, params, j, q0, -q0)
+        entries, mask = _s2_loop(sp, params, j, q0, -q0)
+        assert list(t.entries) == entries and list(t.mask) == mask
+        if q0 * q0 != 0 or q0 == 0:
+            # a seed whose square underflows is the one place the step-2
+            # loop differed: after one -0.0 it wrote 0.0, see below
+            assert _bits(t.entries) == _bits(entries)
+
+
+@pytest.mark.parametrize("build", [
+    lambda sp, j, q0: s1_recurrence(sp, SU2_PARAMS, j, q0),
+    lambda sp, j, q0: s2_matching(sp, SU2_PARAMS, j, q0, q0),
+], ids=["s1", "s2"])
+def test_chain_entries_keep_the_sign_of_their_seed(build):
+    # the squares of a -1e-200 seed underflow to zero, so every later
+    # entry is a zero that keeps the seed's sign
+    t = build(FockSpace(10), 3, -1e-200)
+    assert sum(t.mask) >= 6
+    assert all(math.copysign(1.0, x) == -1.0 for x, m in zip(t.entries, t.mask) if m)
