@@ -15,9 +15,9 @@ families below, all on a truncated Fock space:
   Identities hold only asymptotically, on the spectral window |p| <= j,
   with truncation error decaying as the dimension grows.
 
-The step-k weight sequence F_k comes from a three-term recurrence in n;
-for k = 1 and k = 2 closed forms are available and are checked against
-the recurrence in the test suite.
+The step-k weight sequence F_k comes from a three-term recurrence in n,
+for every k; for k = 1 and k = 2 closed forms are available and are
+checked against the recurrence in the test suite.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ class Realization:
         1 on a spectral kind), a j2 that is not an integer >= 0, operators
         of different dims or fields, a mask entry other than 0 or 1, a mask
         whose length is not dim, a window missing on a spectral kind or
-        present on any other, or an operator entry that is not finite."""
+        present on any other, a window other than [-j, j], or an operator entry
+        that is not finite."""
         kind, k, j2 = data["kind"], data["k"], data["j2"]
         if kind not in STEP_KINDS + VILLAIN_KINDS:
             raise ValueError(f"unknown realization kind {kind!r}")
@@ -142,6 +143,10 @@ class Realization:
         window = None
         if "window" in data:
             window = (Fraction(data["window"][0]), Fraction(data["window"][1]))
+            jf = Fraction(j2, 2)
+            if window != (-jf, jf):
+                raise ValueError(f"realization kind {kind!r} needs the momentum window"
+                                 f" [{-jf}, {jf}], got [{window[0]}, {window[1]}]")
         return Realization(
             kind=kind,
             step_k=k,
@@ -247,16 +252,6 @@ def closed_form_k2(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
     return (term1 + term3) / (16 * (n + 1) * (n + 2))
 
 
-def _weight_values(
-    params: AlgebraParams, j: Fraction, k: int, nmax: int, coefficients: str
-) -> list[Fraction]:
-    if k == 1:
-        return [closed_form_k1(params, j, n) for n in range(nmax + 1)]
-    if k == 2:
-        return [closed_form_k2(params, j, n) for n in range(nmax + 1)]
-    return list(product_recurrence(params, j, k, nmax, coefficients).values)
-
-
 # -- step-k constructors ------------------------------------------------------
 
 def _unitary_step(
@@ -270,7 +265,7 @@ def _unitary_step(
     # a bond n -> n + k exists only up to n = 2j - k, so later weights
     # would all be masked out; they are not computed
     top = min(space.dim - 1, j2 - k)
-    weights = _weight_values(params, jf, k, top, coefficients)
+    weights = product_recurrence(params, jf, k, top, coefficients).values
     mask = tuple(n <= top and weights[n] >= 0 for n in range(space.dim))
     root = [math.sqrt(_to_float(weights[n], "an hp weight")) if mask[n] else 0.0
             for n in range(space.dim)]
@@ -297,7 +292,7 @@ def _dyson_step(
     coefficients: str = "derived",
 ) -> Realization:
     jf, j2 = _require_j2(j)
-    weights = _weight_values(params, jf, k, space.dim - 1, coefficients)
+    weights = product_recurrence(params, jf, k, space.dim - 1, coefficients).values
     a = annihilation(space, field)
     ap = creation(space, field)
     diag = diagonal_operator(space, weights, field)
@@ -331,9 +326,9 @@ def g_constant(params: AlgebraParams, j: RationalLike, form: int = 1) -> float:
         ) * (jf * (jf + 1)) ** 2
         if rad < 0:
             raise ValueError(f"no real coupling constant at {params}, j = {jf}")
-        return math.sqrt(float(rad))
+        return math.sqrt(_to_float(rad, "the squared coupling constant"))
     if form == 2:
-        return float(abs(params.c1 + params.c3 * jf * (jf + 1)))
+        return _to_float(abs(params.c1 + params.c3 * jf * (jf + 1)), "the coupling constant")
     raise ValueError(f"form must be 1 or 2, got {form}")
 
 
@@ -420,10 +415,17 @@ def build_realization(
     on the raising side, in ``field``) with step k >= 1; kind 'villain'
     where k names the radicand form (1 or 2).
     """
-    if kind == KIND_HP:
-        return _unitary_step(space, params, j, k, coefficients)
-    if kind == KIND_DYSON:
-        return _dyson_step(space, params, j, k, field, coefficients)
-    if kind == "villain":
-        return villain_boson(space, params, j, form=k)
-    raise ValueError(f"unknown realization kind {kind!r}")
+    # a generator entry past the float range is caught below, so numpy
+    # need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == KIND_HP:
+            r = _unitary_step(space, params, j, k, coefficients)
+        elif kind == KIND_DYSON:
+            r = _dyson_step(space, params, j, k, field, coefficients)
+        elif kind == "villain":
+            r = villain_boson(space, params, j, form=k)
+        else:
+            raise ValueError(f"unknown realization kind {kind!r}")
+    if r.field == COMPLEX and not all(math.isfinite(op.max_norm()) for op in (r.jp, r.jm, r.j3)):
+        raise ValueError("a generator entry is beyond the float range")
+    return r

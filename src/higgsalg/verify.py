@@ -2,9 +2,11 @@
 
 Every identity a realization asserts is turned into a named check with a
 measured residual, a tolerance, and the number of states it was measured
-on.  A check measured on an empty admissible set is reported as vacuous,
-never as silently passing: a sweep whose only outcome is vacuous checks
-gets its own exit status.
+on.  Every kind goes through one pipeline and one judge.  A check
+measured on an empty block (an empty admissible set, or an empty momentum
+window for the spectral kinds) is reported as vacuous, never as silently
+passing: a sweep whose only outcome is vacuous checks gets its own exit
+status.
 
 Exact-field realizations are held to residual zero.  Float realizations
 get tolerance coefficient * dimension * scale, where scale is the size
@@ -77,28 +79,6 @@ class CheckResult:
             "exact": self.exact,
             "asymptotic": self.asymptotic,
         }
-
-
-def _passed_check(
-    name: str,
-    residual: Residual,
-    tolerance: Residual,
-    block: int,
-    substantive: bool,
-    exact: bool,
-) -> CheckResult:
-    ok = (residual == 0) if exact else (float(residual) <= float(tolerance))
-    return CheckResult(name, residual, tolerance, block, ok, False, substantive, exact)
-
-
-def _vacuous_check(name: str, substantive: bool, exact: bool) -> CheckResult:
-    return CheckResult(name, None, None, 0, True, True, substantive, exact)
-
-
-def _asymptotic_check(name: str, residual: float, block: int) -> CheckResult:
-    return CheckResult(
-        name, residual, None, block, True, False, True, False, asymptotic=True
-    )
 
 
 @dataclass(frozen=True)
@@ -192,150 +172,134 @@ def _tol(cfg: VerifyConfig, dim: int, scale: float) -> float:
     return cfg.tolerance_coefficient * dim * max(1.0, scale)
 
 
-# -- step-kind checks ---------------------------------------------------------
+def _finite(name: str, *values) -> list[float]:
+    """The values as floats.  One that is not finite raises ValueError:
+    the entries left the float range, so no verdict can be reached."""
+    out = [float(v) for v in values]
+    if not all(math.isfinite(v) for v in out):
+        raise ValueError(f"{name}: the float residual or its scale is not finite;"
+                         " the entries are beyond the float range")
+    return out
 
-def _step_checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
+
+# -- the checks ---------------------------------------------------------------
+
+def _checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
     exact = r.field == RATIONAL
     k = r.step_k
     dim = r.space.dim
     c1, c3 = r.params.c1, r.params.c3
-    states = interior_check_states(r)
     checks: list[CheckResult] = []
 
-    def judge(name, residual, block, substantive, scale) -> None:
-        """Exact residuals must be zero; float ones are held to the
-        tolerance at ``scale()``, which only the float field evaluates.  A
-        float residual or scale that is not finite raises ValueError: the
-        entries left the float range, so no verdict can be reached."""
-        if exact:
-            checks.append(_passed_check(name, residual, Fraction(0), block, substantive, True))
-            return
-        residual, size = float(residual), float(scale())
-        if not (math.isfinite(residual) and math.isfinite(size)):
-            raise ValueError(f"{name}: the float residual or its scale is not finite;"
-                             " the entries are beyond the float range")
-        checks.append(_passed_check(name, residual, _tol(cfg, dim, size), block,
-                                    substantive, False))
+    def judge(name, block, substantive, residual, scale) -> None:
+        """Record one check.  ``residual`` and ``scale`` are callables, so
+        nothing is measured on an empty block.  In order: an empty block is
+        vacuous; a check with no scale is a spectral asymptotic
+        measurement; an exact residual must be zero; a float residual is
+        held to the tolerance at ``scale()``."""
+        if block == 0:
+            result = CheckResult(name, None, None, 0, True, True, substantive, exact)
+        elif scale is None:
+            (value,) = _finite(name, residual())
+            result = CheckResult(name, value, None, block, True, False, substantive, False,
+                                 asymptotic=True)
+        elif exact:
+            value = residual()
+            result = CheckResult(name, value, Fraction(0), block, value == 0, False,
+                                 substantive, True)
+        else:
+            value, size = _finite(name, residual(), scale())
+            tol = _tol(cfg, dim, size)
+            result = CheckResult(name, value, tol, block, value <= tol, False,
+                                 substantive, False)
+        checks.append(result)
 
     jp, jm, j3 = r.jp, r.jm, r.j3
-    j3cube = j3 @ j3 @ j3
-    rhs = c1 * j3 + c3 * j3cube
-    up_down = jp @ jm
-    down_up = jm @ jp
-    closure = (up_down - down_up) - rhs
-
-    if not states:
-        checks.append(_vacuous_check("ladder-closure", substantive=True, exact=exact))
-    else:
-        closure_diag = closure.diagonal()
-
-        def closure_scale() -> float:
-            diags = (up_down.diagonal(), down_up.diagonal(), rhs.diagonal())
-            return max(float(max(abs(d[n]) for d in diags)) for n in states)
-
-        residual = max(abs(closure_diag[n]) for n in states)
-        judge("ladder-closure", residual, len(states), True, closure_scale)
-
-    for label, op, sign in ((f"grading-raise-k{k}", jp, 1), (f"grading-lower-k{k}", jm, -1)):
-        defect = commutator(j3, op) - (sign * k) * op
-        judge(label, defect.max_norm(), dim, False,
-              lambda op=op: float(j3.max_norm()) * float(op.max_norm()))
-
-    if r.kind == "hp":
-        judge("adjoint-pairing", (jm - jp.adjoint()).max_norm(), dim, False,
-              lambda: float(jp.max_norm()))
-
     c_sym = casimir_operator(jp, jm, j3, r.params, symmetric=True)
     c_prod = casimir_operator(jp, jm, j3, r.params, symmetric=False)
 
-    if not states:
-        checks.append(_vacuous_check("casimir-two-forms", substantive=False, exact=exact))
-    else:
-        judge("casimir-two-forms", (c_sym - c_prod).block_max(states), len(states), False,
-              lambda: float(c_sym.block_max(states)) + float(c_prod.block_max(states)))
+    # the check that measures a residual operator forms it, so a dense
+    # (spectral) realization never holds every residual at once
+    def closure():
+        """(J+J- - J-J+) - (c1 J3 + c3 J3^3), and the three terms it cancels."""
+        terms = (jp @ jm, jm @ jp, c1 * j3 + c3 * (j3 @ j3 @ j3))
+        return (terms[0] - terms[1]) - terms[2], terms
+
+    def grading(op: Operator, sign: int) -> Operator:
+        """[J3, op] - sign k op, zero when op shifts J3 by sign k."""
+        return commutator(j3, op) - (sign * k) * op
+
+    def pairing() -> None:
+        judge("adjoint-pairing", dim, False, lambda: (jm - jp.adjoint()).max_norm(),
+              lambda: float(jp.max_norm()))
+
+    def eigenvalue(name: str):
+        """The Casimir eigenvalue, as a float outside the exact field."""
+        lam = casimir_eigenvalue(r.params, r.j)
+        return lam if exact else _to_float(lam, f"{name}: the Casimir eigenvalue")
+
+    if r.kind in VILLAIN_KINDS:
+        lo, hi = r.window
+        q = momentum_window_projector(r.space, float(lo), float(hi))
+        rank = int(round(float(np.trace(q).real)))
+
+        def windowed(op: Operator) -> float:
+            return float(np.abs(q @ op.entries @ q).max())
+
+        def deviation() -> float:
+            lam = eigenvalue("casimir-deviation-window")
+            return windowed(c_sym - lam * identity_op(r.space, r.field))
+
+        judge("ladder-closure-window", rank, True, lambda: windowed(closure()[0]), None)
+        judge("grading-raise-window", rank, True, lambda: windowed(grading(jp, 1)), None)
+        judge("grading-lower-window", rank, True, lambda: windowed(grading(jm, -1)), None)
+        judge("casimir-deviation-window", rank, True, deviation, None)
+        judge("casimir-two-forms-window", rank, True, lambda: windowed(c_sym - c_prod), None)
+        pairing()
+        return checks
+
+    states = interior_check_states(r)
+    block = len(states)
+
+    residual, terms = closure()
+    closure_diag, diags = residual.diagonal(), [t.diagonal() for t in terms]
+    judge("ladder-closure", block, True, lambda: max(abs(closure_diag[n]) for n in states),
+          lambda: max(float(max(abs(d[n]) for d in diags)) for n in states))
+    for label, op, sign in ((f"grading-raise-k{k}", jp, 1), (f"grading-lower-k{k}", jm, -1)):
+        judge(label, dim, False, lambda op=op, sign=sign: grading(op, sign).max_norm(),
+              lambda op=op: float(j3.max_norm()) * float(op.max_norm()))
+    if r.kind == "hp":
+        pairing()
+    judge("casimir-two-forms", block, False, lambda: (c_sym - c_prod).block_max(states),
+          lambda: float(c_sym.block_max(states)) + float(c_prod.block_max(states)))
 
     # invariance of the quartic Casimir is a single-step statement; the
     # step-2 form built from these generators is provably not scalar, so
     # only step-1 realizations carry these two checks
     if k == 1:
-        lam = casimir_eigenvalue(r.params, r.j)
-        if not states:
-            checks.append(_vacuous_check("casimir-commutes", substantive=True, exact=exact))
-            checks.append(_vacuous_check("casimir-scalar", substantive=True, exact=exact))
-        else:
-            def cscale() -> float:
-                return float(c_sym.block_max(states))
+        def cscale() -> float:
+            return float(c_sym.block_max(states))
 
-            worst = max(commutator(c_sym, op).block_max(states) for op in (jp, jm, j3))
-            judge("casimir-commutes", worst, len(states), True,
-                  lambda: cscale() * max(1.0, max(float(op.max_norm()) for op in (jp, jm, j3))))
-            if not exact:
-                lam = _to_float(lam, "casimir-scalar: the Casimir eigenvalue")
-            c_diag = c_sym.diagonal()
-            dev = max(abs(c_diag[n] - lam) for n in states)
-            judge("casimir-scalar", dev, len(states), True,
-                  lambda: max(cscale(), abs(lam)))
+        def scalar_deviation():
+            c_diag, lam = c_sym.diagonal(), eigenvalue("casimir-scalar")
+            return max(abs(c_diag[n] - lam) for n in states)
 
-    return checks
-
-
-# -- spectral-kind checks -----------------------------------------------------
-
-def _villain_checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
-    dim = r.space.dim
-    c1, c3 = r.params.c1, r.params.c3
-    lo, hi = r.window
-    q = momentum_window_projector(r.space, float(lo), float(hi))
-    rank = int(round(float(np.trace(q).real)))
-
-    def windowed(op: Operator) -> float:
-        m = q @ op._promote().entries @ q
-        return float(np.abs(m).max()) if m.size else 0.0
-
-    jp, jm, j3 = r.jp, r.jm, r.j3
-    j3cube = j3 @ j3 @ j3
-    closure = commutator(jp, jm) - (c1 * j3 + c3 * j3cube)
-    c_sym = casimir_operator(jp, jm, j3, r.params, symmetric=True)
-    c_prod = casimir_operator(jp, jm, j3, r.params, symmetric=False)
-    lam = float(casimir_eigenvalue(r.params, r.j))
-    lam_dev = c_sym - lam * identity_op(c_sym.space, c_sym.field)
-
-    checks = [
-        _asymptotic_check("ladder-closure-window", windowed(closure), rank),
-        _asymptotic_check(
-            "grading-raise-window", windowed(commutator(j3, jp) - 1 * jp), rank
-        ),
-        _asymptotic_check(
-            "grading-lower-window", windowed(commutator(j3, jm) - (-1) * jm), rank
-        ),
-        _asymptotic_check("casimir-deviation-window", windowed(lam_dev), rank),
-        _asymptotic_check("casimir-two-forms-window", windowed(c_sym - c_prod), rank),
-    ]
-    pair = float((jm - jp.adjoint()).max_norm())
-    checks.append(
-        _passed_check(
-            "adjoint-pairing",
-            pair,
-            _tol(cfg, dim, float(jp.max_norm())),
-            dim,
-            substantive=False,
-            exact=False,
-        )
-    )
+        judge("casimir-commutes", block, True,
+              lambda: max(commutator(c_sym, op).block_max(states) for op in (jp, jm, j3)),
+              lambda: cscale() * max(1.0, max(float(op.max_norm()) for op in (jp, jm, j3))))
+        judge("casimir-scalar", block, True, scalar_deviation,
+              lambda: max(cscale(), abs(eigenvalue("casimir-scalar"))))
     return checks
 
 
 def verify_realization(r: Realization, cfg: Optional[VerifyConfig] = None) -> VerificationReport:
     cfg = cfg or VerifyConfig()
-    if r.kind in VILLAIN_KINDS:
-        checks = _villain_checks(r, cfg)
-    elif r.kind in STEP_KINDS:
-        # overflow past the float range is caught by judge, so numpy need
-        # not warn of it
-        with np.errstate(over="ignore", invalid="ignore"):
-            checks = _step_checks(r, cfg)
-    else:
+    if r.kind not in STEP_KINDS + VILLAIN_KINDS:
         raise ValueError(f"unknown realization kind {r.kind!r}")
+    # overflow past the float range is caught by judge, so numpy need not
+    # warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = _checks(r, cfg)
     return VerificationReport(
         kind=r.kind,
         step_k=r.step_k,

@@ -183,10 +183,12 @@ def test_export_operator(capsys):
 
 
 def _saved_realization(tmp_path, field="rational"):
+    """dyson:1 in ``field``, or villain:1 when ``field`` is "villain"."""
     path = tmp_path / "r.json"
+    kind = ["villain:1"] if field == "villain" else ["dyson:1", "--field", field]
     code = main([
-        "build", "--c1", "2", "--c3", "0", "--j2", "4",
-        "--kind", "dyson:1", "--dim", "4", "--field", field, "-o", str(path),
+        "build", "--c1", "2", "--c3", "0", "--j2", "4", "--dim", "4",
+        "--kind", *kind, "-o", str(path),
     ])
     assert code == 0
     return path, json.loads(path.read_text())
@@ -199,6 +201,7 @@ def _saved_realization(tmp_path, field="rational"):
     pytest.param("rational", ("mask",), [1, 1, 1], id="short-mask"),
     pytest.param("rational", ("kind",), "villain1", id="villain-without-window"),
     pytest.param("rational", ("window",), ["-2", "2"], id="window-on-step-kind"),
+    pytest.param("villain", ("window",), ["-1/8", "1/8"], id="moved-window"),
     pytest.param("complex", ("jp", "entries", 1, 0), float("inf"), id="infinite-entry"),
     pytest.param("complex", ("j3", "entries", 0, 1), float("nan"), id="nan-entry"),
     pytest.param("rational", ("mask",), 4, id="mask-not-a-list"),
@@ -344,14 +347,23 @@ _VERIFY_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("kind", [
-    ["--kind", "hp:1"], ["--kind", "hp:2"], ["--kind", "hp:3"],
-    ["--kind", "dyson:1", "--field", "complex"],
-], ids=["hp-1", "hp-2", "hp-3", "dyson-complex-1"])
-def test_verify_input_matches_direct_verify(tmp_path, capsys, kind):
+# the spectral kinds need a real coupling constant, and form 2 needs c3 > 0
+_SPECTRAL_POINTS = [
+    ["--c1", "1", "--c3", "1", "--j2", "5", "--dim", "12"],
+    ["--c1", "1", "--c3", "1", "--j2", "3", "--dim", "24"],
+]
+
+
+@pytest.mark.parametrize("kind,points", [
+    (["--kind", "hp:1"], _VERIFY_POINTS), (["--kind", "hp:2"], _VERIFY_POINTS),
+    (["--kind", "hp:3"], _VERIFY_POINTS),
+    (["--kind", "dyson:1", "--field", "complex"], _VERIFY_POINTS),
+    (["--kind", "villain:1"], _SPECTRAL_POINTS), (["--kind", "villain:2"], _SPECTRAL_POINTS),
+], ids=["hp-1", "hp-2", "hp-3", "dyson-complex-1", "villain-1", "villain-2"])
+def test_verify_input_matches_direct_verify(tmp_path, capsys, kind, points):
     """A saved realization loads as dense arrays; verifying it prints what
     verifying the banded original prints, byte for byte."""
-    for i, point in enumerate(_VERIFY_POINTS):
+    for i, point in enumerate(points):
         path = tmp_path / f"r{i}.json"
         assert main(["build", *point, *kind, "-o", str(path)]) == 0
         for fmt in ("text", "json"):
@@ -378,6 +390,56 @@ def test_spin_beyond_the_float_range_exits_65(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+_HUGE_POINT = ["--c1", "1", "--c3", "1", "--dim", "4", "--j2", str(10 ** 103)]
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("kind", [
+    *[["--kind", f"hp:{k}"] for k in (1, 2, 3)],
+    *[["--kind", f"dyson:{k}", "--field", field] for k in (1, 2, 3)
+      for field in ("rational", "complex")],
+    *[["--kind", f"villain:{k}"] for k in (1, 2)],
+], ids=lambda kind: "-".join(kind[1::2]).replace(":", ""))
+def test_huge_spin_survey_has_no_internal_error_or_non_finite_token(capsys, command, kind):
+    """At a spin whose weights reach the float range, every kind either
+    reports or exits 65 with one line: no exit 70, no NaN or Infinity in
+    the output, no numpy warning."""
+    code = main([command, *_HUGE_POINT, *kind])
+    captured = capsys.readouterr()
+    assert code != 70
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
+    assert captured.err.count("\n") <= 1
+    if code == 65:
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_empty_spectral_window_is_vacuous(tmp_path, capsys, fmt):
+    """At j = 0 the window is the point p = 0, and an even dimension has no
+    zero momentum eigenvalue: every windowed check is vacuous, not 0.0."""
+    path = tmp_path / "villain.json"
+    assert main(["build", "--c1", "1", "--c3", "1", "--j2", "2", "--dim", "24",
+                 "--kind", "villain:1", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc.update(j2=0, window=["0", "0"])
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--input", str(path), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    if fmt == "text":
+        rows = [line.split() for line in captured.out.splitlines() if "-window" in line]
+        assert len(rows) == 5
+        assert all(row[1:] == ["-", "-", "0", "vacuous"] for row in rows)
+        assert captured.out.endswith("overall: vacuous\n")
+        return
+    report = json.loads(captured.out)
+    windowed = [c for c in report["checks"] if c["name"].endswith("-window")]
+    assert len(windowed) == 5
+    assert all(c["vacuous"] and c["residual"] is None and c["block"] == 0 for c in windowed)
+    assert report["passed"] and report["vacuous_only"]
 
 
 def test_sweep_row_beyond_the_float_range_is_an_entry_error(tmp_path, capsys):

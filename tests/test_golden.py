@@ -1,4 +1,5 @@
-"""Byte-for-byte CLI output: sha256 digests of stdout for fixed commands.
+"""Byte-for-byte CLI output: sha256 digests of stdout, and the exit code,
+for fixed commands.
 
 A change that only simplifies code must leave every digest as it is.  A
 digest moves only when the output is meant to change, and then the new
@@ -19,55 +20,96 @@ GOLDEN = [
     pytest.param(
         ["sweep", "--format", "json"],
         "aba4f573f469b77b770cda1eb1908e87517a91bd6129c494e0258bc93f93b1e2",
+        0,
         id="sweep-default-json",
     ),
     pytest.param(
         ["build", *_POINT, "--kind", "dyson:1"],
         "60119ce024f124628e2acdfea40f80a301be2ef41decfb28c75704db1824782f",
+        0,
         id="build-dyson-1",
     ),
     pytest.param(
         ["build", *_POINT, "--kind", "dyson:2"],
         "0ba133d4c3c482f8460627f7ee23bfcbd6b4682e4ed013b5dd0fd10fb5c90e9e",
+        0,
         id="build-dyson-2",
     ),
     pytest.param(
         ["build", *_POINT, "--kind", "dyson:3"],
         "768eac273506bbd7c8a8b330c21c7b0f7f2ebc286729b1ab4a3bab5a8d4f4c91",
+        0,
         id="build-dyson-3",
     ),
     pytest.param(
         ["build", *_POINT, "--kind", "hp:2"],
         "6c3f830128690c87e57863b9241f4302bfd38212bf159cad6b9faad3c4c105b0",
+        0,
         id="build-hp-2",
     ),
     pytest.param(
         ["verify", "--c1", "1", "--c3", "1", "--j2", "3", "--dim", "24",
          "--kind", "villain:1", "--format", "json"],
         "d466b31106113d8df0b3a074ba4c8fc5568deffa49a1e571114822f26021bbd5",
+        0,
         id="verify-villain-1-json",
     ),
     pytest.param(
         ["sweep", "--kinds", "hp:1,hp:2,hp:3", "--dim", "128", "--format", "json"],
         "b30337683727c08323b0362641048d3f3940b274c612ae9a72210e03e8a667e4",
+        0,
         id="sweep-hp-1-3-dim-128-json",
     ),
     pytest.param(
         ["build", *_POINT, "--kind", "hp:3"],
         "8eb4d28ce32dd19a45643603257d085600a26d900842acc31227664f71525d59",
+        0,
         id="build-hp-3",
     ),
     pytest.param(
         ["build", *_POINT, "--kind", "dyson:2", "--field", "complex"],
         "4aa872d27d42c93d7d2fda304c5225230a8431ddfdef88ffc578107ba2f9677a",
+        0,
         id="build-dyson-complex-2",
+    ),
+    pytest.param(
+        ["verify", "--c1", "1", "--c3", "1", "--j2", "3", "--dim", "24",
+         "--kind", "villain:2", "--format", "json"],
+        "36946493e7ba62bc1f6eda7640453d8b11ece7b133c4fdaaa11d252f17e8f9a7",
+        0,
+        id="verify-villain-2-json",
+    ),
+    pytest.param(
+        ["verify", "--c1", "3", "--c3", "-1", "--j2", "6", "--dim", "128", "--kind", "hp:1"],
+        "afd060d515ff1546ddc1d6e78a5c8cf92251574be095e2f7a5a3323d0f7ad988",
+        2,
+        id="verify-hp-1-vacuous",
+    ),
+    pytest.param(
+        ["verify", "--c1", "3", "--c3", "-1", "--j2", "6", "--dim", "128",
+         "--kind", "dyson:1", "--field", "complex", "--format", "json"],
+        "b291d0aa9ebc5f8e6fc53a4a4637b02feb899aefa39d06fd2d53716c95ce1506",
+        1,
+        id="verify-dyson-complex-1-fails-json",
+    ),
+    pytest.param(
+        ["verify", *_POINT, "--kind", "hp:1", "--tolerance-coefficient", "0"],
+        "8fac8f2150d41c1a1f84e26b9f0dfabde2539e9eab19b07a64d46415c1ed34a6",
+        1,
+        id="verify-hp-1-zero-tolerance",
+    ),
+    pytest.param(
+        ["verify", *_POINT, "--kind", "dyson:2", "--format", "json"],
+        "1662c5a3eba6d90c81b2a5cce745cddb3bd88befc4c4953541be0dc7c5572eb0",
+        0,
+        id="verify-dyson-2-exact-json",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN)
-def test_cli_output_digest(capsys, argv, digest):
-    assert main(argv) == 0
+@pytest.mark.parametrize("argv,digest,code", GOLDEN)
+def test_cli_output_digest(capsys, argv, digest, code):
+    assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
@@ -77,8 +119,8 @@ def test_one_parser_serves_every_call(capsys):
     run twice in alternating order with a usage error between runs, still
     prints what a fresh process prints."""
     runs = [p.values for p in GOLDEN]
-    for argv, digest in runs + runs[::-1]:
-        assert main(argv) == 0
+    for argv, digest, code in runs + runs[::-1]:
+        assert main(argv) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
         with pytest.raises(SystemExit) as exc:

@@ -32,7 +32,6 @@ from higgsalg import (
     product_recurrence,
     villain_boson,
 )
-from higgsalg.realizations import _weight_values
 from higgsalg.verify import default_grid
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -282,11 +281,22 @@ def test_unitary_entries_are_masked_roots():
             assert r.jm.entries[n + 1, n] == 0.0
 
 
+def _closed_form_weights(params, jf, k, nmax):
+    """F_k(0) .. F_k(nmax) from the closed forms for k = 1 and 2, from the
+    recurrence beyond; the constructors take every k from the recurrence."""
+    if k == 1:
+        return [closed_form_k1(params, jf, n) for n in range(nmax + 1)]
+    if k == 2:
+        return [closed_form_k2(params, jf, n) for n in range(nmax + 1)]
+    return list(product_recurrence(params, jf, k, nmax, "derived").values)
+
+
 def _hp_from_all_weights(space, params, j2, k):
     """hp:k with every weight F_k(0) .. F_k(dim - 1) computed, as the
-    constructor did before it stopped at the last bond inside [0, 2j]."""
+    constructor did before it stopped at the last bond inside [0, 2j], and
+    taken from the closed forms where they exist."""
     jf = Fraction(j2, 2)
-    weights = _weight_values(params, jf, k, space.dim - 1, "derived")
+    weights = _closed_form_weights(params, jf, k, space.dim - 1)
     mask = tuple(weights[n] >= 0 and n + k <= j2 for n in range(space.dim))
     root = [math.sqrt(float(weights[n])) if mask[n] else 0.0 for n in range(space.dim)]
     jm = creation(space, COMPLEX).power(k) @ diagonal_operator(space, root, COMPLEX)
