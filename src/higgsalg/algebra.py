@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .fock import Operator
 
@@ -268,6 +268,37 @@ def representation_table(params: AlgebraParams, j: RationalLike) -> Representati
 
 # -- Casimir operators --------------------------------------------------------
 
+def _products() -> Callable[..., Operator]:
+    """A memoized product of generators: ``prod(F1, ..., Fm)`` is
+    (F1 ... Fh)(Fh+1 ... Fm) with h = ceil(m / 2), so J3^3 is (J3 J3) J3
+    and J3^4 is (J3 J3)(J3 J3), and each distinct product is formed once."""
+    memo: dict = {}
+
+    def prod(*factors: Operator) -> Operator:
+        if len(factors) == 1:
+            return factors[0]
+        if factors not in memo:
+            h = (len(factors) + 1) // 2
+            memo[factors] = prod(*factors[:h]) @ prod(*factors[h:])
+        return memo[factors]
+
+    return prod
+
+
+def _casimir(prod: Callable, num: Callable, jp, jm, j3, params: AlgebraParams,
+             symmetric: bool):
+    """The Casimir form of ``casimir_operator`` as a sum of generator
+    products ``prod(*factors)``, each with its coefficient passed through
+    ``num``.  The verifier evaluates the same sum on compressed blocks."""
+    c1, c3 = params.c1, params.c3
+    a2 = num(c1 + Fraction(c3, 2))
+    a4 = num(Fraction(c3, 2))
+    if symmetric:
+        return prod(jp, jm) + prod(jm, jp) + a2 * prod(j3, j3) + a4 * prod(j3, j3, j3, j3)
+    return (num(2) * prod(jm, jp) + num(c1) * prod(j3) + a2 * prod(j3, j3)
+            + num(c3) * prod(j3, j3, j3) + a4 * prod(j3, j3, j3, j3))
+
+
 def casimir_operator(
     jp: Operator, jm: Operator, j3: Operator, params: AlgebraParams, symmetric: bool = True
 ) -> Operator:
@@ -279,12 +310,4 @@ def casimir_operator(
         2 J- J+ + c1 J3 + (c1 + c3/2) J3^2 + c3 J3^3 + (c3/2) J3^4.
     The two agree exactly wherever the defining commutator holds.
     """
-    c1, c3 = params.c1, params.c3
-    a2 = c1 + Fraction(c3, 2)
-    a4 = Fraction(c3, 2)
-    j3sq = j3 @ j3
-    if symmetric:
-        out = jp @ jm + jm @ jp + a2 * j3sq + a4 * (j3sq @ j3sq)
-    else:
-        out = 2 * (jm @ jp) + c1 * j3 + a2 * j3sq + c3 * (j3sq @ j3) + a4 * (j3sq @ j3sq)
-    return out
+    return _casimir(_products(), lambda c: c, jp, jm, j3, params, symmetric)

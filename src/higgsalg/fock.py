@@ -20,6 +20,7 @@ stays dense (see ``Operator``).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,9 +174,9 @@ class Operator:
     of the O(N^3) of a dense one.  Rational operators are always banded;
     built from a dense array they keep its nonzero diagonals.  A complex
     operator built from a dense array stays a dense complex128 array, as
-    do ``position``, ``momentum`` and everything the spectral kinds build
-    from them; an operation that mixes the two storages densifies the
-    banded operand first.
+    do ``position``, ``momentum`` and the spectral generators; an
+    operation that mixes the two storages densifies the banded operand
+    first.
 
     ``entries`` is a read-only dense numpy array in either storage:
     complex128, or object dtype of Fractions, built on first use as zeros
@@ -528,12 +529,25 @@ def unitary_exp(h: Operator, theta: float) -> Operator:
     return Operator(op.space, u, COMPLEX)
 
 
-def hermitian_eig(h: Operator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian operator."""
-    op = h._promote()
-    if not op.is_hermitian():
-        raise ValueError("hermitian_eig requires a Hermitian operator")
-    return np.linalg.eigh(op.entries)
+@functools.lru_cache(maxsize=8)
+def _quadrature_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``lam`` (ascending) and real orthonormal eigenvectors
+    ``u`` of the position quadrature X on ``dim`` states, read-only.
+
+    X is the real symmetric tridiagonal Jacobi matrix of the Hermite
+    polynomials, so one real eigendecomposition serves both quadratures:
+    with R = diag(i^n) (``_quarter_turns``), P = R X R-dagger holds
+    exactly, and the momentum eigenvectors are R u with the same ``lam``.
+    """
+    off = (1.0 / _SQRT2) * np.sqrt(np.arange(1, dim))
+    lam, u = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return _freeze(lam), _freeze(u)
+
+
+def _quarter_turns(dim: int) -> np.ndarray:
+    """diag(R) = (i^n) for n = 0 .. dim-1, spelled as the exact phases
+    1, i, -1, -i; a computed power i**n drifts off them."""
+    return np.array([1, 1j, -1, -1j])[np.arange(dim) % 4]
 
 
 def commutator(a: Operator, b: Operator) -> Operator:

@@ -35,16 +35,15 @@ from .fock import (
     RATIONAL,
     FockSpace,
     Operator,
+    _quadrature_basis,
+    _quarter_turns,
     _to_float,
     annihilation,
     creation,
     diagonal_operator,
-    hermitian_eig,
     identity_op,
     momentum,
     number_op,
-    position,
-    unitary_exp,
 )
 
 KIND_HP = "hp"
@@ -364,17 +363,17 @@ def villain_boson(
     if form == 2 and params.c3 <= 0:
         raise ValueError("the second radicand form needs c3 > 0")
     g = g_constant(params, jf, form) if g_override is None else float(g_override)
-    x = position(space)
-    p = momentum(space)
-    evals, evecs = hermitian_eig(p)
-    rad = _villain_radicand(params, form, g, evals)
-    in_window = (evals >= -float(jf) - _WINDOW_EPS) & (evals <= float(jf) + _WINDOW_EPS)
-    if not bool(in_window.any()):
+    lam, u = _quadrature_basis(space.dim)
+    rad = _villain_radicand(params, form, g, lam)
+    if not _in_window(lam, -float(jf), float(jf)).any():
         raise ValueError("no momentum eigenvalue falls in the window [-j, j]")
-    s_ent = (evecs * np.sqrt(np.maximum(rad, 0.0))) @ evecs.conj().T
-    s_ent = 0.5 * (s_ent + s_ent.conj().T)
-    weight = Operator(space, s_ent, COMPLEX)
-    jp = unitary_exp(x, 1.0) @ weight
+    # e^{iX} = u e^{i lam} u^T, and w(P) = R (u s u^T) R-dagger with the
+    # real product symmetrized
+    turns = _quarter_turns(space.dim)
+    s_ent = (u * np.sqrt(np.maximum(rad, 0.0))) @ u.T
+    s_ent = 0.5 * (s_ent + s_ent.T)
+    weight = turns[:, None] * s_ent * turns.conj()
+    jp = Operator(space, ((u * np.exp(1j * lam)) @ u.T) @ weight, COMPLEX)
     kind = KIND_VILLAIN1 if form == 1 else KIND_VILLAIN2
     return Realization(
         kind=kind,
@@ -383,18 +382,28 @@ def villain_boson(
         params=params,
         jp=jp,
         jm=jp.adjoint(),
-        j3=p,
+        j3=momentum(space),
         admissible_mask=tuple([True] * space.dim),
         window=(-jf, jf),
     )
 
 
+def _in_window(lam: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Which eigenvalues lie in [lo, hi], with a small slack for floats."""
+    return (lam >= lo - _WINDOW_EPS) & (lam <= hi + _WINDOW_EPS)
+
+
+def _window_columns(space: FockSpace, lo: float, hi: float) -> np.ndarray:
+    """The N x r columns V_w: orthonormal momentum eigenvectors R u whose
+    eigenvalue lies in [lo, hi], from the shared quadrature basis."""
+    lam, u = _quadrature_basis(space.dim)
+    return _quarter_turns(space.dim)[:, None] * u[:, _in_window(lam, lo, hi)]
+
+
 def momentum_window_projector(space: FockSpace, lo: float, hi: float) -> np.ndarray:
-    """Orthogonal projector onto momentum eigenvectors with eigenvalue in
-    [lo, hi] (with a small slack for float eigenvalues)."""
-    evals, evecs = hermitian_eig(momentum(space))
-    keep = (evals >= lo - _WINDOW_EPS) & (evals <= hi + _WINDOW_EPS)
-    cols = evecs[:, keep]
+    """Orthogonal projector V_w V_w-dagger onto momentum eigenvectors with
+    eigenvalue in [lo, hi] (with a small slack for float eigenvalues)."""
+    cols = _window_columns(space, lo, hi)
     return cols @ cols.conj().T
 
 

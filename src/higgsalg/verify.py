@@ -13,7 +13,9 @@ get tolerance coefficient * dimension * scale, where scale is the size
 of the terms being cancelled.  Spectral (villain) realizations are
 different: their identities hold only in the infinite-dimensional limit,
 so their windowed residuals are reported as asymptotic measurements and
-judged by convergence across dimensions, not by a fixed tolerance.
+judged by convergence across dimensions, not by a fixed tolerance.  They
+are measured on r x r compressions onto the momentum window (``_Window``),
+from the same formulas the step kinds evaluate on banded operators.
 """
 
 from __future__ import annotations
@@ -26,15 +28,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import AlgebraParams, casimir_eigenvalue, casimir_operator
-from .fock import RATIONAL, FockSpace, Operator, _to_float, commutator, identity_op
+from .algebra import AlgebraParams, _casimir, _products, casimir_eigenvalue
+from .fock import RATIONAL, FockSpace, Operator, _to_float, commutator
 from .realizations import (
     Realization,
     STEP_KINDS,
     VILLAIN_KINDS,
     _is_int,
+    _window_columns,
     build_realization,
-    momentum_window_projector,
 )
 
 Residual = Union[float, Fraction, None]
@@ -182,6 +184,49 @@ def _finite(name: str, *values) -> list[float]:
     return out
 
 
+# -- the momentum window ------------------------------------------------------
+
+class _Window:
+    """Compressions V-dagger M V onto the momentum window, with V the N x r
+    window columns, of products M of generators.
+
+    A product F1 ... Fm compresses as (V-dagger F1 ... Fh)(Fh+1 ... Fm V)
+    with h = ceil(m / 2), so it costs thin N x N by N x r products only,
+    and no N x N residual is ever formed.  Every thin factor and every
+    r x r block is formed once.
+    """
+
+    def __init__(self, cols: np.ndarray):
+        self.cols = cols
+        self.rank = cols.shape[1]
+        self._memo = {("left", ()): cols.conj().T, ("right", ()): cols}
+
+    def _get(self, side: str, factors: tuple) -> np.ndarray:
+        key = (side, factors)
+        if key not in self._memo:
+            self._memo[key] = self._form(side, factors)
+        return self._memo[key]
+
+    def _form(self, side: str, factors: tuple) -> np.ndarray:
+        """One new array: V-dagger F1 ... Fm ("left", r x N), F1 ... Fm V
+        ("right", N x r), or the compressed product ("block", r x r)."""
+        if side == "left":
+            return self._get("left", factors[:-1]) @ factors[-1].entries
+        if side == "right":
+            return factors[0].entries @ self._get("right", factors[1:])
+        h = (len(factors) + 1) // 2
+        return self._get("left", factors[:h]) @ self._get("right", factors[h:])
+
+    def product(self, *factors: Operator) -> np.ndarray:
+        """V-dagger F1 ... Fm V; with no factors, V-dagger V."""
+        return self._get("block", factors)
+
+    def max_entry(self, block: np.ndarray) -> float:
+        """max |V B V-dagger|: the largest entry of a compressed residual B
+        back on the whole space, equal to max |q M q| with q = V V-dagger."""
+        return float(np.abs(self.cols @ block @ self.cols.conj().T).max())
+
+
 # -- the checks ---------------------------------------------------------------
 
 def _checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
@@ -214,20 +259,30 @@ def _checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
                                  substantive, False)
         checks.append(result)
 
-    jp, jm, j3 = r.jp, r.jm, r.j3
-    c_sym = casimir_operator(jp, jm, j3, r.params, symmetric=True)
-    c_prod = casimir_operator(jp, jm, j3, r.params, symmetric=False)
+    # Every formula below is a sum of generator products prod(*factors).
+    # The step kinds multiply the banded operators; the spectral kinds
+    # take the r x r compressions onto the momentum window, with float
+    # coefficients.
+    window = None
+    if r.kind in VILLAIN_KINDS:
+        lo, hi = (_to_float(x, "the momentum window") for x in r.window)
+        window = _Window(_window_columns(r.space, lo, hi))
+        prod, num = window.product, lambda c: _to_float(c, "a scale factor")
+    else:
+        prod, num = _products(), lambda c: c
 
-    # the check that measures a residual operator forms it, so a dense
-    # (spectral) realization never holds every residual at once
+    jp, jm, j3 = r.jp, r.jm, r.j3
+    c_sym = _casimir(prod, num, jp, jm, j3, r.params, symmetric=True)
+    c_prod = _casimir(prod, num, jp, jm, j3, r.params, symmetric=False)
+
     def closure():
         """(J+J- - J-J+) - (c1 J3 + c3 J3^3), and the three terms it cancels."""
-        terms = (jp @ jm, jm @ jp, c1 * j3 + c3 * (j3 @ j3 @ j3))
+        terms = (prod(jp, jm), prod(jm, jp), num(c1) * prod(j3) + num(c3) * prod(j3, j3, j3))
         return (terms[0] - terms[1]) - terms[2], terms
 
-    def grading(op: Operator, sign: int) -> Operator:
+    def grading(op: Operator, sign: int):
         """[J3, op] - sign k op, zero when op shifts J3 by sign k."""
-        return commutator(j3, op) - (sign * k) * op
+        return (prod(j3, op) - prod(op, j3)) - num(sign * k) * prod(op)
 
     def pairing() -> None:
         judge("adjoint-pairing", dim, False, lambda: (jm - jp.adjoint()).max_norm(),
@@ -238,17 +293,11 @@ def _checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
         lam = casimir_eigenvalue(r.params, r.j)
         return lam if exact else _to_float(lam, f"{name}: the Casimir eigenvalue")
 
-    if r.kind in VILLAIN_KINDS:
-        lo, hi = r.window
-        q = momentum_window_projector(r.space, float(lo), float(hi))
-        rank = int(round(float(np.trace(q).real)))
-
-        def windowed(op: Operator) -> float:
-            return float(np.abs(q @ op.entries @ q).max())
+    if window is not None:
+        rank, windowed = window.rank, window.max_entry
 
         def deviation() -> float:
-            lam = eigenvalue("casimir-deviation-window")
-            return windowed(c_sym - lam * identity_op(r.space, r.field))
+            return windowed(c_sym - eigenvalue("casimir-deviation-window") * prod())
 
         judge("ladder-closure-window", rank, True, lambda: windowed(closure()[0]), None)
         judge("grading-raise-window", rank, True, lambda: windowed(grading(jp, 1)), None)

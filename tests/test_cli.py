@@ -442,6 +442,22 @@ def test_empty_spectral_window_is_vacuous(tmp_path, capsys, fmt):
     assert report["passed"] and report["vacuous_only"]
 
 
+def test_spectral_window_beyond_the_float_range_is_a_domain_error(tmp_path, capsys):
+    """A villain file whose spin, and so its window (-j, j), is past the
+    float range exits 65 with one line, not 70."""
+    path = tmp_path / "villain.json"
+    assert main(["build", "--c1", "1", "--c3", "1", "--j2", "3", "--dim", "6",
+                 "--kind", "villain:1", "-o", str(path)]) == 0
+    j2 = 10 ** 400 + 1
+    doc = json.loads(path.read_text())
+    doc.update(j2=j2, window=[f"-{j2}/2", f"{j2}/2"])
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(path)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the momentum window is beyond the float range\n"
+
+
 def test_sweep_row_beyond_the_float_range_is_an_entry_error(tmp_path, capsys):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps([{"c1": "1", "c3": "1", "j2": 10 ** 60},

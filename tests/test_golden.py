@@ -50,7 +50,7 @@ GOLDEN = [
     pytest.param(
         ["verify", "--c1", "1", "--c3", "1", "--j2", "3", "--dim", "24",
          "--kind", "villain:1", "--format", "json"],
-        "d466b31106113d8df0b3a074ba4c8fc5568deffa49a1e571114822f26021bbd5",
+        "46ab93bd057cfa965e4c9f2285a16c0b5dc0ddf17946ec36289ffa14f8654f26",
         0,
         id="verify-villain-1-json",
     ),
@@ -75,7 +75,7 @@ GOLDEN = [
     pytest.param(
         ["verify", "--c1", "1", "--c3", "1", "--j2", "3", "--dim", "24",
          "--kind", "villain:2", "--format", "json"],
-        "36946493e7ba62bc1f6eda7640453d8b11ece7b133c4fdaaa11d252f17e8f9a7",
+        "c47a6985f8273890d71186526f960318ef0e10817376202ea9c4f0f779f002c9",
         0,
         id="verify-villain-2-json",
     ),

@@ -1,0 +1,185 @@
+"""The spectral (villain) kinds on one real eigendecomposition.
+
+The build and the windowed checks work from ``eigh`` of the real
+tridiagonal position quadrature X, with P = R X R-dagger, R = diag(i^n).
+Here they are held against a dense reference made the direct way: a
+complex ``eigh`` of ``momentum(space)``, the dense window projector q, and
+``q M q`` of every residual operator M formed in full.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from higgsalg import (
+    AlgebraParams,
+    FockSpace,
+    Operator,
+    Realization,
+    build_realization,
+    casimir_eigenvalue,
+    casimir_operator,
+    commutator,
+    g_constant,
+    identity_op,
+    momentum,
+    momentum_window_projector,
+    position,
+    unitary_exp,
+    verify_realization,
+)
+from higgsalg.fock import COMPLEX, _quadrature_basis, _quarter_turns
+from higgsalg.realizations import _villain_radicand
+from higgsalg.verify import _Window
+
+# |windowed residual - reference| <= _RESIDUAL_RTOL * max(1, |reference|)
+_RESIDUAL_RTOL = 1e-10
+# max |J+ - reference J+|
+_BUILD_ATOL = 1e-13
+
+POINTS = ((1, 1, 3), (-2, 1, 4), (0, 2, 5))
+DIMS = (24, 96, 256)
+WINDOW_CHECKS = (
+    "ladder-closure-window",
+    "grading-raise-window",
+    "grading-lower-window",
+    "casimir-deviation-window",
+    "casimir-two-forms-window",
+)
+
+
+def _dense_window(space: FockSpace, lo: float, hi: float) -> np.ndarray:
+    """The projector q from a complex eigh of P."""
+    evals, evecs = np.linalg.eigh(momentum(space).entries)
+    cols = evecs[:, (evals >= lo - 1e-9) & (evals <= hi + 1e-9)]
+    return cols @ cols.conj().T
+
+
+def _reference_build(space: FockSpace, params: AlgebraParams, j: Fraction, form: int) -> Realization:
+    """J+ = e^{iX} w(P) from complex eigendecompositions of X and P."""
+    p = momentum(space)
+    evals, evecs = np.linalg.eigh(p.entries)
+    rad = _villain_radicand(params, form, g_constant(params, j, form), evals)
+    s = (evecs * np.sqrt(np.maximum(rad, 0.0))) @ evecs.conj().T
+    jp = unitary_exp(position(space), 1.0) @ Operator(space, 0.5 * (s + s.conj().T), COMPLEX)
+    return Realization(f"villain{form}", 1, int(2 * j), params, jp, jp.adjoint(), p,
+                       tuple([True] * space.dim), (-j, j))
+
+
+def _reference_residuals(r: Realization) -> dict[str, float]:
+    """max |q M q| of every windowed residual M, formed in full."""
+    q = _dense_window(r.space, float(r.window[0]), float(r.window[1]))
+    jp, jm, j3 = r.jp, r.jm, r.j3
+    c1, c3 = r.params.c1, r.params.c3
+    c_sym = casimir_operator(jp, jm, j3, r.params, symmetric=True)
+    c_prod = casimir_operator(jp, jm, j3, r.params, symmetric=False)
+    lam = float(casimir_eigenvalue(r.params, r.j))
+    residuals = {
+        "ladder-closure-window": (jp @ jm - jm @ jp) - (c1 * j3 + c3 * (j3 @ j3 @ j3)),
+        "grading-raise-window": commutator(j3, jp) - jp,
+        "grading-lower-window": commutator(j3, jm) + jm,
+        "casimir-deviation-window": c_sym - lam * identity_op(r.space),
+        "casimir-two-forms-window": c_sym - c_prod,
+    }
+    return {name: float(np.abs(q @ m.entries @ q).max()) for name, m in residuals.items()}
+
+
+def _windowed(report) -> dict[str, float]:
+    return {c.name: c.residual for c in report.checks if c.name in WINDOW_CHECKS}
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("form", (1, 2))
+def test_windowed_checks_agree_with_dense_reference(form, dim):
+    for c1, c3, j2 in POINTS:
+        params, j = AlgebraParams.of(c1, c3), Fraction(j2, 2)
+        r = build_realization(FockSpace(dim), params, j, "villain", form)
+        ref = _reference_build(r.space, params, j, form)
+        assert np.abs(r.jp.entries - ref.jp.entries).max() <= _BUILD_ATOL
+        want = _reference_residuals(ref)
+        rank = round(float(np.trace(_dense_window(r.space, -float(j), float(j))).real))
+        # the new build and checks, and the new checks on the reference build
+        for report in (verify_realization(r), verify_realization(ref)):
+            got = _windowed(report)
+            assert got.keys() == want.keys()
+            for name, value in want.items():
+                assert abs(got[name] - value) <= _RESIDUAL_RTOL * max(1.0, abs(value)), name
+            assert {c.block_size for c in report.checks if c.name in WINDOW_CHECKS} == {rank}
+
+
+@pytest.mark.parametrize("dim", (2, 3, 24, 96, 128, 256))
+def test_one_real_basis_serves_both_quadratures(dim):
+    space = FockSpace(dim)
+    lam, u = _quadrature_basis(dim)
+    turns = _quarter_turns(dim)
+    # P = R X R-dagger, bit for bit
+    rxr = turns[:, None] * position(space).entries * turns.conj()
+    assert np.array_equal(rxr, momentum(space).entries)
+    # v = R u diagonalizes P, with the eigenvalues of a complex eigh
+    v = turns[:, None] * u
+    p = momentum(space).entries
+    assert np.abs(p @ v - v * lam).max() <= 1e-12 * dim
+    assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-12 * dim
+    assert np.abs(np.linalg.eigh(p)[0] - lam).max() <= 1e-12
+    # cached per dim, read-only
+    assert _quadrature_basis(dim)[1] is u
+    assert not lam.flags.writeable and not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("dim", (24, 96, 256))
+def test_window_projector_from_the_shared_basis(dim):
+    space = FockSpace(dim)
+    for half in (0.5, 2.0, 3.5):
+        q = momentum_window_projector(space, -half, half)
+        assert np.abs(q @ q - q).max() <= 1e-12
+        assert np.abs(q - _dense_window(space, -half, half)).max() <= 1e-13
+
+
+def test_villain_verify_forms_no_operator_product(monkeypatch):
+    """The windowed checks compress first: no N x N operator product, and
+    each thin product and each compressed block formed once."""
+    r = build_realization(FockSpace(128), AlgebraParams.of(1, 1), Fraction(3, 2), "villain", 1)
+    names = {id(r.jp): "+", id(r.jm): "-", id(r.j3): "3"}
+    products = []
+    formed = []
+    matmul, form = Operator.__matmul__, _Window._form
+
+    def counted_matmul(a, b):
+        products.append((a, b))
+        return matmul(a, b)
+
+    def counted_form(self, side, factors):
+        formed.append((side, "".join(names[id(f)] for f in factors)))
+        return form(self, side, factors)
+
+    monkeypatch.setattr(Operator, "__matmul__", counted_matmul)
+    monkeypatch.setattr(_Window, "_form", counted_form)
+    report = verify_realization(r)
+    assert report.passed and products == []
+    assert len(formed) == len(set(formed))
+    thin = sorted(key for key in formed if key[0] != "block")
+    assert thin == [("left", "+"), ("left", "-"), ("left", "3"), ("left", "33"),
+                    ("right", "+"), ("right", "-"), ("right", "3"), ("right", "33")]
+    blocks = {factors for side, factors in formed if side == "block"}
+    assert blocks == {"", "+-", "-+", "3", "333", "3333", "33",
+                      "3+", "+3", "+", "3-", "-3", "-"}
+
+
+def test_window_comes_from_the_truncation_not_the_file():
+    """A loaded file whose J3 is not P is still measured on the window of
+    momentum(dim)."""
+    r = build_realization(FockSpace(24), AlgebraParams.of(1, 1), Fraction(3, 2), "villain", 1)
+    shifted = Realization(r.kind, 1, r.j2, r.params, r.jp, r.jm,
+                          r.j3 + identity_op(r.space), r.admissible_mask, r.window)
+    ranks = {c.block_size for c in verify_realization(shifted).checks
+             if c.name in WINDOW_CHECKS}
+    assert ranks == {round(float(np.trace(_dense_window(r.space, -1.5, 1.5)).real))}
+    want = _reference_residuals(shifted)
+    got = _windowed(verify_realization(shifted))
+    for name, value in want.items():
+        assert abs(got[name] - value) <= _RESIDUAL_RTOL * max(1.0, abs(value)), name
