@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import AlgebraParams, representation_table
-from .fock import FockSpace, RATIONAL
-from .realizations import Realization, build_realization
+from .fock import FockSpace, RATIONAL, _operator_text
+from .realizations import Realization, _realization_text, build_realization
 from .similarity import s1_closed_form, s1_recurrence, s2_matching
 from .verify import (
     VerifyConfig,
@@ -157,7 +157,7 @@ def _construct(args) -> Realization:
 
 def _cmd_build(args) -> int:
     r = _construct(args)
-    _emit(json.dumps(r.to_json_dict(), indent=2) + "\n", args.output)
+    _emit(_realization_text(r) + "\n", args.output)
     return 0
 
 
@@ -218,7 +218,7 @@ def _cmd_export_transform(args) -> int:
 def _cmd_export_operator(args) -> int:
     r = _construct(args)
     op = {"jp": r.jp, "jm": r.jm, "j3": r.j3}[args.which]
-    _emit(json.dumps(op.to_json_dict(), indent=2) + "\n", args.output)
+    _emit(_operator_text(op) + "\n", args.output)
     return 0
 
 

@@ -15,12 +15,14 @@ states |0> .. |N-1>.  Two scalar fields are supported:
 Operators are immutable; mixed-field arithmetic promotes rational to
 complex.  The ladder and diagonal constructors keep only an operator's
 diagonals, in either field; a complex operator built from a dense array
-stays dense (see ``Operator``).
+stays dense, and one read from a file is banded only when its nonzero
+entries lie on one diagonal (see ``Operator``).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,9 +176,10 @@ class Operator:
     of the O(N^3) of a dense one.  Rational operators are always banded;
     built from a dense array they keep its nonzero diagonals.  A complex
     operator built from a dense array stays a dense complex128 array, as
-    do ``position``, ``momentum`` and the spectral generators; an
-    operation that mixes the two storages densifies the banded operand
-    first.
+    do ``position``, ``momentum`` and the spectral generators; one read
+    by ``from_json_dict`` is a single band when its nonzero entries lie on
+    one diagonal, and dense otherwise.  An operation that mixes the two
+    storages densifies the banded operand first.
 
     ``entries`` is a read-only dense numpy array in either storage:
     complex128, or object dtype of Fractions, built on first use as zeros
@@ -377,29 +380,45 @@ class Operator:
     def from_json_dict(data: dict) -> "Operator":
         """Inverse of ``to_json_dict``.  Raises ValueError on a malformed
         payload: a bad dim, entry count or field, or an entry that is not
-        a finite number of the field."""
+        a finite number of the field, spelled as the field's JSON type
+        (``p/q`` strings or integers; ``[re, im]`` pairs of numbers).
+
+        A complex operator whose nonzero entries all lie on one diagonal
+        (every hp and complex dyson generator) loads as that one band;
+        any other complex operator loads dense."""
         dim = data["dim"]
         field = data["field"]
         space = FockSpace(dim)
         flat = data["entries"]
+        if type(flat) is not list:
+            raise ValueError("entries must be a list")
         if len(flat) != dim * dim:
             raise ValueError("entry count does not match dim*dim")
+        # the JSON types are checked once over the set of types present;
+        # bool is a type of its own here, so true and false are caught
         if field == RATIONAL:
+            if not set(map(type, flat)) <= {str, int}:
+                raise ValueError("rational entries must be p/q strings or integers")
             ent = _band([_parse_rational(x) for x in flat], RATIONAL)
             return Operator(space, ent.reshape(dim, dim), RATIONAL)
         if field == COMPLEX:
-            try:
-                pairs = np.array(flat, dtype=float)
-            except (TypeError, ValueError):
-                raise ValueError("complex entries must be [re, im] number pairs") from None
-            if pairs.shape != (dim * dim, 2):
+            pairs = set(map(type, flat)) <= {list} and set(map(len, flat)) <= {2}
+            parts = list(itertools.chain.from_iterable(flat)) if pairs else []
+            if not pairs or not set(map(type, parts)) <= {float, int}:
                 raise ValueError("complex entries must be [re, im] number pairs")
-            if not np.isfinite(pairs).all():
+            try:
+                values = np.array(parts, dtype=float)
+            except OverflowError:
+                raise ValueError("operator entries must be finite") from None
+            if not np.isfinite(values).all():
                 raise ValueError("operator entries must be finite")
-            ent = np.empty(dim * dim, dtype=complex)
-            ent.real = pairs[:, 0]
-            ent.imag = pairs[:, 1]
-            return Operator(space, ent.reshape(dim, dim), COMPLEX)
+            ent = values.view(complex).reshape(dim, dim)
+            nz = np.flatnonzero(ent)
+            offsets = nz % dim - nz // dim
+            if (offsets != offsets[:1]).any():
+                return Operator(space, ent, COMPLEX)
+            return Operator._banded(space, COMPLEX,
+                                    {int(d): ent.diagonal(d).copy() for d in offsets[:1]})
         raise ValueError(f"unknown field {field!r}")
 
     def to_json(self) -> str:
@@ -408,6 +427,61 @@ class Operator:
     @staticmethod
     def from_json(text: str) -> "Operator":
         return Operator.from_json_dict(json.loads(text))
+
+
+# -- the file writer ----------------------------------------------------------
+#
+# json.dumps(..., indent=2) runs CPython's pure-Python encoder, since the C
+# encoder serves only indent=None.  ``_operator_text`` spells out the same
+# layout directly.  An entry item is the text json.dumps gives it: repr of
+# each float part (plus 0.0, as in ``to_json_dict``) or the quoted ``p/q``.
+# Every zero entry is the same text, so the list of N*N items starts as
+# that text and only the nonzero entries are formatted.
+
+
+def _nonzero_runs(op: Operator):
+    """(flat row-major indices, values) of the nonzero entries, one pair
+    per band, or one pair for a dense operator."""
+    n = op.space.dim
+    if op._bands is None:
+        flat = op._dense.ravel()
+        idx = np.flatnonzero(flat)
+        yield idx, flat[idx]
+        return
+    for d, band in op._bands.items():
+        r, c = _band_start(d)
+        pos = np.flatnonzero(band)
+        yield (pos + r) * n + pos + c, band[pos]
+
+
+def _entry_items(op: Operator, pad: str) -> list[str]:
+    """The N*N items of the ``entries`` list, each indented by ``pad``.
+    A non-finite complex entry raises ValueError; nothing writes NaN."""
+    n2 = op.space.dim ** 2
+    if op.field == RATIONAL:
+        items = [f'{pad}"0"'] * n2
+        for idx, vals in _nonzero_runs(op):
+            for i, x in zip(idx.tolist(), vals.tolist()):
+                items[i] = f'{pad}"{x}"'
+        return items
+    inner = pad + "  "
+    items = [f"{pad}[\n{inner}0.0,\n{inner}0.0\n{pad}]"] * n2
+    for idx, vals in _nonzero_runs(op):
+        if not np.isfinite(vals).all():
+            raise ValueError("an operator entry is not finite")
+        for i, re, im in zip(idx.tolist(), vals.real.tolist(), vals.imag.tolist()):
+            items[i] = f"{pad}[\n{inner}{re + 0.0!r},\n{inner}{im + 0.0!r}\n{pad}]"
+    return items
+
+
+def _operator_text(op: Operator, level: int = 0) -> str:
+    """``json.dumps(op.to_json_dict(), indent=2)``, as the value of a key at
+    nesting ``level`` (0 for a file of its own), byte for byte."""
+    pad = "  " * level
+    key = pad + "  "
+    items = ",\n".join(_entry_items(op, key + "  "))
+    return (f'{{\n{key}"dim": {op.space.dim},\n{key}"field": {json.dumps(op.field)},\n'
+            f'{key}"entries": [\n{items}\n{key}]\n{pad}}}')
 
 
 # -- ladder operators ---------------------------------------------------------
@@ -509,8 +583,15 @@ def position(space: FockSpace) -> Operator:
 
 def momentum(space: FockSpace) -> Operator:
     """P = -i (a - a+)/sqrt(2); Hermitian, complex field only, stored dense."""
-    a = annihilation(space).entries
-    return Operator(space, complex(-1j / _SQRT2) * (a - a.conj().T), COMPLEX)
+    return Operator(space, _momentum_entries(space.dim), COMPLEX)
+
+
+@functools.lru_cache(maxsize=8)
+def _momentum_entries(dim: int) -> np.ndarray:
+    """The dense matrix of ``momentum`` on ``dim`` states, read-only and
+    formed once per dim."""
+    a = annihilation(FockSpace(dim)).entries
+    return _freeze(complex(-1j / _SQRT2) * (a - a.conj().T))
 
 
 def unitary_exp(h: Operator, theta: float) -> Operator:

@@ -22,6 +22,7 @@ checked against the recurrence in the test suite.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .fock import (
     RATIONAL,
     FockSpace,
     Operator,
+    _operator_text,
     _quadrature_basis,
     _quarter_turns,
     _to_float,
@@ -91,14 +93,20 @@ class Realization:
     def j(self) -> Fraction:
         return Fraction(self.j2, 2)
 
-    def to_json_dict(self) -> dict:
-        out = {
+    def _head(self) -> dict:
+        """The scalar keys that open a realization file, in file order."""
+        return {
             "kind": self.kind,
             "k": self.step_k,
             "j2": self.j2,
             "c1": str(self.params.c1),
             "c3": str(self.params.c3),
             "dim": self.space.dim,
+        }
+
+    def to_json_dict(self) -> dict:
+        out = {
+            **self._head(),
             "jp": self.jp.to_json_dict(),
             "jm": self.jm.to_json_dict(),
             "j3": self.j3.to_json_dict(),
@@ -113,10 +121,10 @@ class Realization:
         """Inverse of ``to_json_dict``.  Raises ValueError on a malformed
         file: an unknown kind, a step k that is not an integer >= 1 (or not
         1 on a spectral kind), a j2 that is not an integer >= 0, operators
-        of different dims or fields, a mask entry other than 0 or 1, a mask
-        whose length is not dim, a window missing on a spectral kind or
-        present on any other, a window other than [-j, j], or an operator entry
-        that is not finite."""
+        of different dims or fields, a mask entry other than the integers 0
+        or 1, a mask whose length is not dim, a window missing on a spectral
+        kind or present on any other, a window other than [-j, j], or an
+        operator entry that is not a finite number of its field."""
         kind, k, j2 = data["kind"], data["k"], data["j2"]
         if kind not in STEP_KINDS + VILLAIN_KINDS:
             raise ValueError(f"unknown realization kind {kind!r}")
@@ -131,8 +139,8 @@ class Realization:
         op_fields = [op.field for op in ops.values()]
         if len(set(op_fields)) != 1:
             raise ValueError(f"operator fields {op_fields} differ")
-        if any(b not in (0, 1) for b in data["mask"]):
-            raise ValueError("mask entries must be 0 or 1")
+        if not set(map(type, data["mask"])) <= {int} or not set(data["mask"]) <= {0, 1}:
+            raise ValueError("mask entries must be the integers 0 or 1")
         mask = tuple(bool(b) for b in data["mask"])
         if len(mask) != data["dim"]:
             raise ValueError(f"mask has {len(mask)} entries, dim is {data['dim']}")
@@ -155,6 +163,20 @@ class Realization:
             window=window,
             **ops,
         )
+
+
+def _realization_text(r: Realization) -> str:
+    """``json.dumps(r.to_json_dict(), indent=2)``, byte for byte, with the
+    operators spelled by ``_operator_text``."""
+    parts = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in r._head().items()]
+    parts += [f'  "{name}": {_operator_text(op, 1)}'
+              for name, op in (("jp", r.jp), ("jm", r.jm), ("j3", r.j3))]
+    parts.append('  "mask": [\n' + ",\n".join("    1" if b else "    0" for b in r.admissible_mask)
+                 + "\n  ]")
+    if r.window is not None:
+        ends = ",\n".join(f"    {json.dumps(str(x))}" for x in r.window)
+        parts.append(f'  "window": [\n{ends}\n  ]')
+    return "{\n" + ",\n".join(parts) + "\n}"
 
 
 def _is_int(x) -> bool:

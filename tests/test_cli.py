@@ -216,6 +216,15 @@ def _saved_realization(tmp_path, field="rational"):
     pytest.param("rational", ("jm",), {"dim": 4, "field": "complex", "entries": [[0.0, 0.0]] * 16},
                  id="mixed-fields"),
     pytest.param("rational", ("mask",), [1, 1, 1, 2], id="mask-entry-not-0-or-1"),
+    pytest.param("rational", ("mask", 0), True, id="boolean-mask-entry"),
+    pytest.param("rational", ("mask", 0), 1.0, id="float-mask-entry"),
+    pytest.param("complex", ("jp", "entries", 1, 0), True, id="boolean-complex-part"),
+    pytest.param("complex", ("jp", "entries", 0, 1), False, id="boolean-zero-complex-part"),
+    pytest.param("complex", ("jp", "entries", 1, 0), "1.5", id="string-complex-part"),
+    pytest.param("complex", ("jp", "entries", 1, 0), 10 ** 400, id="complex-part-beyond-floats"),
+    pytest.param("rational", ("jp", "entries", 1), True, id="boolean-rational-entry"),
+    pytest.param("rational", ("jp", "entries", 1), 0.1, id="float-rational-entry"),
+    pytest.param("rational", ("jp", "entries"), "0" * 16, id="entries-not-a-list"),
 ])
 def test_malformed_realization_file_exits_65(tmp_path, capsys, field, path, value):
     saved, doc = _saved_realization(tmp_path, field)
@@ -358,11 +367,15 @@ _SPECTRAL_POINTS = [
     (["--kind", "hp:1"], _VERIFY_POINTS), (["--kind", "hp:2"], _VERIFY_POINTS),
     (["--kind", "hp:3"], _VERIFY_POINTS),
     (["--kind", "dyson:1", "--field", "complex"], _VERIFY_POINTS),
+    (["--kind", "dyson:2", "--field", "complex"], _VERIFY_POINTS),
+    (["--kind", "dyson:3", "--field", "complex"], _VERIFY_POINTS),
     (["--kind", "villain:1"], _SPECTRAL_POINTS), (["--kind", "villain:2"], _SPECTRAL_POINTS),
-], ids=["hp-1", "hp-2", "hp-3", "dyson-complex-1", "villain-1", "villain-2"])
+], ids=["hp-1", "hp-2", "hp-3", "dyson-complex-1", "dyson-complex-2", "dyson-complex-3",
+        "villain-1", "villain-2"])
 def test_verify_input_matches_direct_verify(tmp_path, capsys, kind, points):
-    """A saved realization loads as dense arrays; verifying it prints what
-    verifying the banded original prints, byte for byte."""
+    """A saved realization loads banded when each operator is one diagonal
+    (hp and complex dyson) and dense otherwise (villain); verifying it
+    prints what verifying the in-memory original prints, byte for byte."""
     for i, point in enumerate(points):
         path = tmp_path / f"r{i}.json"
         assert main(["build", *point, *kind, "-o", str(path)]) == 0

@@ -1,0 +1,158 @@
+"""Operator and realization files: the direct indent-2 writer against
+``json.dumps(..., indent=2)``, and the storage an operator gets when it is
+read back."""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from higgsalg import COMPLEX, RATIONAL, AlgebraParams, FockSpace, Operator, build_realization
+from higgsalg.cli import main
+from higgsalg.fock import _band, _operator_text
+from higgsalg.realizations import Realization, _realization_text
+
+
+def _reference(x) -> str:
+    """A file as ``json.dumps`` spells it: the layout the writer must match."""
+    return json.dumps(x.to_json_dict(), indent=2) + "\n"
+
+
+# -- the writer, differentially ------------------------------------------------
+
+# edge floats of the file format: signed zeros, the smallest subnormal and
+# the ends of the float range, beside ordinary finite values
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308])
+_FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+_COMPLEX = st.builds(complex, _FLOATS, _FLOATS)
+# large and negative p/q, and zero
+_FRACTIONS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 25)),
+)
+
+
+@st.composite
+def _operators(draw):
+    """A banded or dense operator of either field, with edge entries."""
+    dim = draw(st.integers(min_value=2, max_value=7))
+    field = draw(st.sampled_from([COMPLEX, RATIONAL]))
+    values = _COMPLEX if field == COMPLEX else _FRACTIONS
+    space = FockSpace(dim)
+    if draw(st.booleans()):
+        offsets = draw(st.sets(st.integers(1 - dim, dim - 1), max_size=3))
+        sizes = {d: dim - abs(d) for d in offsets}
+        bands = {d: _band(draw(st.lists(values, min_size=size, max_size=size)), field)
+                 for d, size in sizes.items()}
+        return Operator._banded(space, field, bands)
+    flat = draw(st.lists(values, min_size=dim * dim, max_size=dim * dim))
+    return Operator(space, _band(flat, field).reshape(dim, dim), field)
+
+
+@given(_operators())
+@settings(max_examples=200, deadline=None)
+def test_operator_writer_matches_json_dumps(op):
+    assert _operator_text(op) + "\n" == _reference(op)
+
+
+_KINDS = [("hp", k, COMPLEX) for k in (1, 2, 3)]
+_KINDS += [("dyson", k, field) for k in (1, 2, 3) for field in (RATIONAL, COMPLEX)]
+_KINDS += [("villain", 1, COMPLEX), ("villain", 2, COMPLEX)]
+_SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@given(
+    st.sampled_from(_KINDS),
+    _SMALL,
+    _SMALL,
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=2, max_value=20),
+)
+@settings(max_examples=120, deadline=None)
+def test_realization_writer_matches_json_dumps(kind, c1, c3, j2, dim):
+    name, k, field = kind
+    try:
+        r = build_realization(FockSpace(dim), AlgebraParams(c1, c3), Fraction(j2, 2),
+                              name, k, field)
+    except ValueError:
+        assume(False)  # no spectral coupling or no state in the window
+    assert _realization_text(r) + "\n" == _reference(r)
+
+
+def test_villain_files_carry_the_window():
+    r = build_realization(FockSpace(12), AlgebraParams.of(1, 1), Fraction(5, 2), "villain", 2)
+    text = _realization_text(r)
+    assert text + "\n" == _reference(r)
+    assert json.loads(text)["window"] == ["-5/2", "5/2"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("storage", ["banded", "dense"])
+def test_writer_refuses_a_non_finite_entry(bad, storage):
+    """json.dumps would write NaN or Infinity; the writer raises instead."""
+    space = FockSpace(3)
+    band = np.array([1.0, bad, 2.0], dtype=complex)
+    op = Operator._banded(space, COMPLEX, {0: band})
+    if storage == "dense":
+        op = Operator(space, np.diag(band), COMPLEX)
+    with pytest.raises(ValueError, match="not finite"):
+        _operator_text(op)
+
+
+# -- storage of loaded operators -----------------------------------------------
+
+_POINT = ["--c1", "1", "--c3", "1", "--j2", "5"]
+_SINGLE_BAND = [("hp", k) for k in (1, 2, 3)] + [("dyson", k) for k in (1, 2, 3)]
+
+
+def _loaded(tmp_path, argv) -> Realization:
+    path = tmp_path / "r.json"
+    assert main(["build", *argv, "-o", str(path)]) == 0
+    return Realization.from_json_dict(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("kind,k", _SINGLE_BAND)
+def test_single_band_files_load_banded(tmp_path, kind, k):
+    """hp and complex dyson files load as one band per operator, the band
+    the in-memory build holds."""
+    r = _loaded(tmp_path, [*_POINT, "--dim", "12", "--kind", f"{kind}:{k}", "--field", "complex"])
+    built = build_realization(FockSpace(12), r.params, r.j, kind, k, COMPLEX)
+    for got, want in ((r.jp, built.jp), (r.jm, built.jm), (r.j3, built.j3)):
+        assert got._bands is not None and len(got._bands) == 1
+        assert got._bands.keys() == want._bands.keys()
+        (d,) = got._bands
+        assert np.array_equal(got._bands[d], want._bands[d])
+
+
+@pytest.mark.parametrize("form", ["villain:1", "villain:2"])
+def test_villain_files_load_dense(tmp_path, form):
+    r = _loaded(tmp_path, [*_POINT, "--dim", "12", "--kind", form])
+    assert all(op._bands is None for op in (r.jp, r.jm, r.j3))
+
+
+def test_zero_operator_loads_banded_without_bands():
+    op = Operator.from_json_dict({"dim": 3, "field": "complex", "entries": [[0.0, 0.0]] * 9})
+    assert op._bands == {}
+    assert op.max_norm() == 0.0
+
+
+def test_large_loaded_hp_file_verifies_on_its_band(tmp_path, capsys, monkeypatch):
+    """A dim-400 hp:1 file verifies without ever forming an N x N array, and
+    prints what verifying the in-memory build prints."""
+    point = [*_POINT, "--dim", "400", "--kind", "hp:1"]
+    path = tmp_path / "r.json"
+    assert main(["build", *point, "-o", str(path)]) == 0
+    direct = main(["verify", *point]), capsys.readouterr().out
+
+    def dense_view(self):
+        raise AssertionError("verifying a loaded single-band file built a dense view")
+
+    monkeypatch.setattr(Operator, "entries", property(dense_view))
+    loaded = main(["verify", "--input", str(path)]), capsys.readouterr().out
+    assert loaded == direct
+    assert direct[0] == 0

@@ -174,11 +174,14 @@ def test_serialization_rejects_bad_payload():
         Operator.from_json_dict({"dim": 2, "field": "rational", "entries": ["1"]})
     with pytest.raises(ValueError):
         Operator.from_json_dict({"dim": 2, "field": "octonion", "entries": ["1"] * 4})
-    # entries that are not finite numbers of the field
-    for bad in ("1/0", "inf", "nan", float("inf"), [1, 2]):
+    # entries that are not finite numbers of the field, or that are spelled
+    # as another JSON type: a boolean, a float for a rational, a string for
+    # a float
+    for bad in ("1/0", "inf", "nan", float("inf"), [1, 2], True, 0.1, None):
         with pytest.raises(ValueError):
             Operator.from_json_dict({"dim": 2, "field": "rational", "entries": ["1", bad, "0", "0"]})
-    for bad in ([float("nan"), 0.0], [0.0, float("-inf")], ["x", 0.0], [1.0]):
+    for bad in ([float("nan"), 0.0], [0.0, float("-inf")], ["x", 0.0], [1.0], [True, 0.0],
+                [0.0, False], ["1.5", 0.0], [10 ** 400, 0.0], [1.0, 0.0, 0.0], (1.0, 0.0), 1.0):
         with pytest.raises(ValueError):
             Operator.from_json_dict(
                 {"dim": 2, "field": "complex", "entries": [[1.0, 0.0], bad, [0.0, 0.0], [0.0, 0.0]]}

@@ -104,6 +104,25 @@ GOLDEN = [
         0,
         id="verify-dyson-2-exact-json",
     ),
+    pytest.param(
+        ["build", "--c1", "1", "--c3", "1", "--j2", "5", "--dim", "40",
+         "--kind", "dyson:1", "--field", "complex"],
+        "efc689aa62e25e8e2b646766acd1ec47d3e39455ee9ff9f7a0d726eb22261549",
+        0,
+        id="build-dyson-complex-1-dim-40",
+    ),
+    pytest.param(
+        ["build", "--c1", "1", "--c3", "1", "--j2", "5", "--dim", "24", "--kind", "villain:1"],
+        "87055f32b121563ba58478a28c033847ad5d6ffff43c890ce3b9f76d329a077f",
+        0,
+        id="build-villain-1-dense",
+    ),
+    pytest.param(
+        ["export", "operator", *_POINT, "--which", "jp", "--kind", "hp:1"],
+        "4179d4e4217eb0a1c5094ba6e7060c76ca2f010e9b1a2c8f1994a2dc05601808",
+        0,
+        id="export-operator-jp-hp-1",
+    ),
 ]
 
 

@@ -19,6 +19,7 @@ from higgsalg import (
     FockSpace,
     Operator,
     Realization,
+    annihilation,
     build_realization,
     casimir_eigenvalue,
     casimir_operator,
@@ -129,6 +130,19 @@ def test_one_real_basis_serves_both_quadratures(dim):
     assert not lam.flags.writeable and not u.flags.writeable
     with pytest.raises(ValueError):
         u[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("dim", (2, 24, 256))
+def test_momentum_is_formed_once_per_dim(dim):
+    """P is -i (a - a-dagger)/sqrt(2) bit for bit, one read-only array per dim."""
+    space = FockSpace(dim)
+    a = annihilation(space).entries
+    want = complex(-1j / np.sqrt(2.0)) * (a - a.conj().T)
+    p = momentum(space).entries
+    assert p.tobytes() == want.tobytes()
+    assert momentum(FockSpace(dim)).entries is p
+    with pytest.raises(ValueError):
+        p[0, 1] = 0.0
 
 
 @pytest.mark.parametrize("dim", (24, 96, 256))
