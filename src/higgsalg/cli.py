@@ -164,21 +164,19 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     if args.input is not None:
         r = _load(args.input, Realization.from_json_dict, "realization")
+    elif args.c1 is None or args.c3 is None or args.j2 is None:
+        sys.stderr.write("verify: need either --input FILE or all of --c1 --c3 --j2\n")
+        return USAGE_ERROR
     else:
-        if args.c1 is None or args.c3 is None or args.j2 is None:
-            return _verify_usage_error()
         r = _construct(args)
     report = verify_realization(r, VerifyConfig(args.tolerance_coefficient))
-    if args.format == "json":
-        _emit(report_to_json(report), args.output)
-    else:
-        _emit(report.to_text(), args.output)
-    return exit_code(report)
+    return _report(report, args, exit_code(report))
 
 
-def _verify_usage_error() -> int:
-    sys.stderr.write("verify: need either --input FILE or all of --c1 --c3 --j2\n")
-    return USAGE_ERROR
+def _report(report, args, code: int) -> int:
+    """Write a verify or sweep report in the requested format; return ``code``."""
+    _emit(report_to_json(report) if args.format == "json" else report.to_text(), args.output)
+    return code
 
 
 def _cmd_sweep(args) -> int:
@@ -188,11 +186,7 @@ def _cmd_sweep(args) -> int:
         grid = _load(args.grid, grid_from_json, "grid")
     report = sweep(args.kinds, grid, dim=args.dim,
                    cfg=VerifyConfig(args.tolerance_coefficient))
-    if args.format == "json":
-        _emit(report_to_json(report), args.output)
-    else:
-        _emit(report.to_text(), args.output)
-    return sweep_exit_code(report)
+    return _report(report, args, sweep_exit_code(report))
 
 
 def _cmd_table(args) -> int:

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -198,9 +198,14 @@ class Operator:
         self.space = space
         self.field = field
         if field == RATIONAL:
+            # every entry must be rational, zeros included: one of each type
+            # goes through _as_fraction
+            for x in {type(x): x for x in entries.flat}.values():
+                _as_fraction(x)
             n = space.dim
+            nz = np.flatnonzero(entries)
             bands = {d: _band([_as_fraction(x) for x in entries.diagonal(d)], RATIONAL)
-                     for d in range(1 - n, n)}
+                     for d in np.unique(nz % n - nz // n).tolist()}
             self._bands = _nonzero(bands)
             self._dense = None
         else:
@@ -399,7 +404,10 @@ class Operator:
         if field == RATIONAL:
             if not set(map(type, flat)) <= {str, int}:
                 raise ValueError("rational entries must be p/q strings or integers")
-            ent = _band([_parse_rational(x) for x in flat], RATIONAL)
+            # a file spells almost every entry "0": each distinct spelling is
+            # parsed once, in order of first appearance
+            parsed = {x: _parse_rational(x) for x in dict.fromkeys(flat)}
+            ent = _band([parsed[x] for x in flat], RATIONAL)
             return Operator(space, ent.reshape(dim, dim), RATIONAL)
         if field == COMPLEX:
             pairs = set(map(type, flat)) <= {list} and set(map(len, flat)) <= {2}
@@ -518,24 +526,18 @@ def identity_op(space: FockSpace, field: str = COMPLEX) -> Operator:
     return diagonal_operator(space, [1] * space.dim, field)
 
 
-def diagonal_operator(
-    space: FockSpace,
-    values: Union[Sequence[Scalar], Callable[[int], Scalar]],
-    field: str = COMPLEX,
-) -> Operator:
-    """diag(f(0), ..., f(N-1)) from a sequence or a callable of n.
+def diagonal_operator(space: FockSpace, values: Sequence[Scalar],
+                      field: str = COMPLEX) -> Operator:
+    """diag(v_0, ..., v_{N-1}) from a sequence of the N values.
 
     A value of None marks an entry with no defined matrix element; it is
     stored as 0.  Callers tracking admissibility keep the mask themselves.
     Exact values pass to the complex field as ``complex(value)``; one
     beyond the float range raises ValueError.
     """
-    if callable(values):
-        vals = [values(m) for m in space.occupations()]
-    else:
-        vals = list(values)
-        if len(vals) != space.dim:
-            raise ValueError(f"need {space.dim} diagonal values, got {len(vals)}")
+    vals = list(values)
+    if len(vals) != space.dim:
+        raise ValueError(f"need {space.dim} diagonal values, got {len(vals)}")
     if field == RATIONAL:
         band = [_ZERO if v is None else _as_fraction(v) for v in vals]
     else:

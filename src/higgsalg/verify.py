@@ -42,6 +42,16 @@ from .realizations import (
 Residual = Union[float, Fraction, None]
 
 
+def _residual_text(x: Residual) -> str:
+    """A residual or tolerance in the text report: "-" when there is none."""
+    return "-" if x is None else str(x) if isinstance(x, Fraction) else repr(float(x))
+
+
+def _residual_json(x: Residual):
+    """A residual or tolerance as a JSON value: null when there is none."""
+    return None if x is None else str(x) if isinstance(x, Fraction) else float(x)
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     """Tolerance policy: float checks pass when the residual does not
@@ -62,18 +72,17 @@ class CheckResult:
     exact: bool
     asymptotic: bool = False
 
-    def to_json_dict(self) -> dict:
-        def enc(x: Residual):
-            if x is None:
-                return None
-            if isinstance(x, Fraction):
-                return str(x)
-            return float(x)
+    @property
+    def _status(self) -> str:
+        """The status column of the text report."""
+        return ("vacuous" if self.vacuous else "measured" if self.asymptotic
+                else "ok" if self.passed else "FAIL")
 
+    def to_json_dict(self) -> dict:
         return {
             "name": self.name,
-            "residual": enc(self.residual),
-            "tolerance": enc(self.tolerance),
+            "residual": _residual_json(self.residual),
+            "tolerance": _residual_json(self.tolerance),
             "block": self.block_size,
             "passed": self.passed,
             "vacuous": self.vacuous,
@@ -99,11 +108,17 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     @property
+    def outcome(self) -> str:
+        """"FAIL" when a check fails, else "vacuous" when every substantive
+        check (and there is one) is vacuous, else "pass"."""
+        if not self.passed:
+            return "FAIL"
+        substantive = [c.vacuous for c in self.checks if c.substantive]
+        return "vacuous" if substantive and all(substantive) else "pass"
+
+    @property
     def vacuous_only(self) -> bool:
-        substantive = [c for c in self.checks if c.substantive]
-        if not self.passed or not substantive:
-            return False
-        return all(c.vacuous for c in substantive)
+        return self.outcome == "vacuous"
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,32 +141,17 @@ class VerificationReport:
         )
         lines = [head, f"{'check':<30} {'residual':<24} {'tolerance':<24} {'block':<6} status"]
         for c in self.checks:
-            if c.vacuous:
-                res, tol, status = "-", "-", "vacuous"
-            elif c.asymptotic:
-                res = str(c.residual) if isinstance(c.residual, Fraction) else repr(float(c.residual))
-                tol, status = "-", "measured"
-            else:
-                res = str(c.residual) if isinstance(c.residual, Fraction) else repr(float(c.residual))
-                tol = str(c.tolerance) if isinstance(c.tolerance, Fraction) else repr(float(c.tolerance))
-                status = "ok" if c.passed else "FAIL"
-            lines.append(f"{c.name:<30} {res:<24} {tol:<24} {c.block_size:<6} {status}")
-        if not self.passed:
-            tail = "overall: FAIL"
-        elif self.vacuous_only:
-            tail = "overall: vacuous"
-        else:
-            tail = "overall: pass"
-        lines.append(tail)
+            res, tol = _residual_text(c.residual), _residual_text(c.tolerance)
+            lines.append(f"{c.name:<30} {res:<24} {tol:<24} {c.block_size:<6} {c._status}")
+        lines.append(f"overall: {self.outcome}")
         return "\n".join(lines) + "\n"
 
 
+_EXIT_CODES = {"pass": 0, "FAIL": 1, "vacuous": 2}
+
+
 def exit_code(report: VerificationReport) -> int:
-    if not report.passed:
-        return 1
-    if report.vacuous_only:
-        return 2
-    return 0
+    return _EXIT_CODES[report.outcome]
 
 
 # -- the admissible interior --------------------------------------------------
@@ -168,10 +168,6 @@ def interior_check_states(realization: Realization) -> list[int]:
         if mask[s] and (s < k or mask[s - k]):
             out.append(s)
     return out
-
-
-def _tol(cfg: VerifyConfig, dim: int, scale: float) -> float:
-    return cfg.tolerance_coefficient * dim * max(1.0, scale)
 
 
 def _finite(name: str, *values) -> list[float]:
@@ -239,25 +235,22 @@ def _checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
     def judge(name, block, substantive, residual, scale) -> None:
         """Record one check.  ``residual`` and ``scale`` are callables, so
         nothing is measured on an empty block.  In order: an empty block is
-        vacuous; a check with no scale is a spectral asymptotic
-        measurement; an exact residual must be zero; a float residual is
-        held to the tolerance at ``scale()``."""
-        if block == 0:
-            result = CheckResult(name, None, None, 0, True, True, substantive, exact)
-        elif scale is None:
+        vacuous, with no residual; a check with no scale is a spectral
+        asymptotic measurement, with no tolerance; an exact residual is
+        held to zero; a float residual is held to the tolerance at
+        ``scale()``.  A check passes unless its residual exceeds its
+        tolerance."""
+        value = tol = None
+        asymptotic = block > 0 and scale is None
+        if asymptotic:
             (value,) = _finite(name, residual())
-            result = CheckResult(name, value, None, block, True, False, substantive, False,
-                                 asymptotic=True)
-        elif exact:
-            value = residual()
-            result = CheckResult(name, value, Fraction(0), block, value == 0, False,
-                                 substantive, True)
-        else:
+        elif block > 0 and exact:
+            value, tol = residual(), Fraction(0)
+        elif block > 0:
             value, size = _finite(name, residual(), scale())
-            tol = _tol(cfg, dim, size)
-            result = CheckResult(name, value, tol, block, value <= tol, False,
-                                 substantive, False)
-        checks.append(result)
+            tol = cfg.tolerance_coefficient * dim * max(1.0, size)
+        checks.append(CheckResult(name, value, tol, block, tol is None or value <= tol,
+                                  block == 0, substantive, exact and not asymptotic, asymptotic))
 
     # Every formula below is a sum of generator products prod(*factors).
     # The step kinds multiply the banded operators; the spectral kinds
@@ -406,6 +399,16 @@ class SweepEntry:
     report: Optional[VerificationReport]
     error: Optional[str] = None
 
+    @property
+    def outcome(self) -> str:
+        """The report's outcome; "FAIL" when building or verifying raised."""
+        return "FAIL" if self.error is not None else self.report.outcome
+
+    def _text(self) -> str:
+        """The entry's line in the text report."""
+        tag = f"c1={self.c1} c3={self.c3} j2={self.j2} {self.token}"
+        return f"{tag:<40} {self.outcome if self.error is None else 'error: ' + self.error}"
+
     def to_json_dict(self) -> dict:
         out = {"c1": self.c1, "c3": self.c3, "j2": self.j2, "realization": self.token}
         if self.error is not None:
@@ -421,19 +424,15 @@ class SweepReport:
 
     @property
     def n_failed(self) -> int:
-        return sum(
-            1
-            for e in self.entries
-            if e.error is not None or (e.report is not None and not e.report.passed)
-        )
+        return sum(e.outcome == "FAIL" for e in self.entries)
 
     @property
     def n_vacuous(self) -> int:
-        return sum(1 for e in self.entries if e.report is not None and e.report.vacuous_only)
+        return sum(e.outcome == "vacuous" for e in self.entries)
 
     @property
     def all_vacuous(self) -> bool:
-        return self.n_failed == 0 and self.n_vacuous == len(self.entries)
+        return self.n_vacuous == len(self.entries)
 
     def to_json_dict(self) -> dict:
         return {
@@ -444,29 +443,13 @@ class SweepReport:
         }
 
     def to_text(self) -> str:
-        lines = []
-        for e in self.entries:
-            tag = f"c1={e.c1} c3={e.c3} j2={e.j2} {e.token}"
-            if e.error is not None:
-                lines.append(f"{tag:<40} error: {e.error}")
-            elif not e.report.passed:
-                lines.append(f"{tag:<40} FAIL")
-            elif e.report.vacuous_only:
-                lines.append(f"{tag:<40} vacuous")
-            else:
-                lines.append(f"{tag:<40} pass")
-        lines.append(
-            f"total={len(self.entries)} failed={self.n_failed} vacuous={self.n_vacuous}"
-        )
+        lines = [e._text() for e in self.entries]
+        lines.append(f"total={len(self.entries)} failed={self.n_failed} vacuous={self.n_vacuous}")
         return "\n".join(lines) + "\n"
 
 
 def sweep_exit_code(report: SweepReport) -> int:
-    if report.n_failed:
-        return 1
-    if report.all_vacuous and report.entries:
-        return 2
-    return 0
+    return 1 if report.n_failed else 2 if report.entries and report.all_vacuous else 0
 
 
 def parse_kind_token(token: str) -> tuple[str, int]:
@@ -489,18 +472,6 @@ def parse_kind_token(token: str) -> tuple[str, int]:
     return kind, val
 
 
-def _sweep_one(
-    params: AlgebraParams, j2: int, token: str, space: FockSpace, cfg: VerifyConfig
-) -> SweepEntry:
-    kind, num = parse_kind_token(token)
-    try:
-        r = build_realization(space, params, Fraction(j2, 2), kind, num)
-        report = verify_realization(r, cfg)
-        return SweepEntry(str(params.c1), str(params.c3), j2, token, report)
-    except ValueError as err:
-        return SweepEntry(str(params.c1), str(params.c3), j2, token, None, error=str(err))
-
-
 def sweep(
     tokens: Sequence[str],
     grid: Sequence[tuple[AlgebraParams, int]],
@@ -513,15 +484,22 @@ def sweep(
     Entries run one after another in this thread; the work is pure Python
     and holds the interpreter lock, so worker threads measured no gain.
     A truncation dimension below 2 raises ValueError once, before any
-    entry is built.
+    entry is built; a ValueError from building or verifying one entry is
+    that entry's error.
     """
     cfg = cfg or VerifyConfig()
     space = FockSpace(dim)
-    entries = [
-        _sweep_one(params, j2, token, space, cfg)
-        for params, j2 in grid
-        for token in tokens
-    ]
+    entries = []
+    for params, j2 in grid:
+        for token in tokens:
+            kind, num = parse_kind_token(token)
+            report = error = None
+            try:
+                r = build_realization(space, params, Fraction(j2, 2), kind, num)
+                report = verify_realization(r, cfg)
+            except ValueError as err:
+                error = str(err)
+            entries.append(SweepEntry(str(params.c1), str(params.c3), j2, token, report, error))
     return SweepReport(tuple(entries))
 
 

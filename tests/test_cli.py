@@ -369,13 +369,15 @@ _SPECTRAL_POINTS = [
     (["--kind", "dyson:1", "--field", "complex"], _VERIFY_POINTS),
     (["--kind", "dyson:2", "--field", "complex"], _VERIFY_POINTS),
     (["--kind", "dyson:3", "--field", "complex"], _VERIFY_POINTS),
+    (["--kind", "dyson:1"], _VERIFY_POINTS), (["--kind", "dyson:2"], _VERIFY_POINTS),
+    (["--kind", "dyson:3"], _VERIFY_POINTS),
     (["--kind", "villain:1"], _SPECTRAL_POINTS), (["--kind", "villain:2"], _SPECTRAL_POINTS),
 ], ids=["hp-1", "hp-2", "hp-3", "dyson-complex-1", "dyson-complex-2", "dyson-complex-3",
-        "villain-1", "villain-2"])
+        "dyson-rational-1", "dyson-rational-2", "dyson-rational-3", "villain-1", "villain-2"])
 def test_verify_input_matches_direct_verify(tmp_path, capsys, kind, points):
     """A saved realization loads banded when each operator is one diagonal
-    (hp and complex dyson) and dense otherwise (villain); verifying it
-    prints what verifying the in-memory original prints, byte for byte."""
+    (hp and dyson in either field) and dense otherwise (villain); verifying
+    it prints what verifying the in-memory original prints, byte for byte."""
     for i, point in enumerate(points):
         path = tmp_path / f"r{i}.json"
         assert main(["build", *point, *kind, "-o", str(path)]) == 0
@@ -513,3 +515,59 @@ def test_build_writes_every_zero_as_0_0(capsys, argv, build):
     for name in ("jp", "jm", "j3"):
         written = np.array([complex(re_, im) for re_, im in doc[name]["entries"]])
         assert np.all(written == getattr(r, name).entries.ravel())
+
+
+_PASS_ROW = {"c1": "1", "c3": "1", "j2": 3}
+_VACUOUS_ROW = {"c1": "-2", "c3": "0", "j2": 4}
+_ERROR_ROW = {"c1": "1", "c3": "1", "j2": 10 ** 60}
+_VERIFY_AT = ["verify", "--c1", "1", "--c3", "1", "--j2", "5", "--dim", "12", "--kind", "hp:1"]
+
+
+def _sweep_tag(row):
+    return f"c1={row['c1']} c3={row['c3']} j2={row['j2']} hp:1".ljust(40)
+
+
+@pytest.mark.parametrize("argv,lines,flags,code", [
+    pytest.param(_VERIFY_AT, ["overall: pass"],
+                 {"passed": True, "vacuous_only": False}, 0, id="verify-pass"),
+    pytest.param([*_VERIFY_AT, "--tolerance-coefficient", "0"], ["overall: FAIL"],
+                 {"passed": False, "vacuous_only": False}, 1, id="verify-fail"),
+    pytest.param(["verify", "--c1", "-2", "--c3", "0", "--j2", "4", "--kind", "hp:1",
+                  "--dim", "10"], ["overall: vacuous"],
+                 {"passed": True, "vacuous_only": True}, 2, id="verify-vacuous"),
+    pytest.param(["sweep", [_PASS_ROW], "--tolerance-coefficient", "0"],
+                 [f"{_sweep_tag(_PASS_ROW)} FAIL", "total=1 failed=1 vacuous=0"],
+                 {"total": 1, "failed": 1, "vacuous": 0}, 1, id="sweep-fail"),
+    pytest.param(["sweep", [_ERROR_ROW, _PASS_ROW]],
+                 [f"{_sweep_tag(_ERROR_ROW)} error: casimir-commutes: the float residual or"
+                  " its scale is not finite; the entries are beyond the float range",
+                  f"{_sweep_tag(_PASS_ROW)} pass", "total=2 failed=1 vacuous=0"],
+                 {"total": 2, "failed": 1, "vacuous": 0}, 1, id="sweep-error"),
+    pytest.param(["sweep", [_VACUOUS_ROW, _VACUOUS_ROW]],
+                 [f"{_sweep_tag(_VACUOUS_ROW)} vacuous"] * 2 + ["total=2 failed=0 vacuous=2"],
+                 {"total": 2, "failed": 0, "vacuous": 2}, 2, id="sweep-all-vacuous"),
+    pytest.param(["sweep", [_VACUOUS_ROW, _PASS_ROW]],
+                 [f"{_sweep_tag(_VACUOUS_ROW)} vacuous", f"{_sweep_tag(_PASS_ROW)} pass",
+                  "total=2 failed=0 vacuous=1"],
+                 {"total": 2, "failed": 0, "vacuous": 1}, 0, id="sweep-mixed"),
+    pytest.param(["sweep", []], ["total=0 failed=0 vacuous=0"],
+                 {"total": 0, "failed": 0, "vacuous": 0}, 0, id="sweep-empty"),
+])
+def test_verdict_table(tmp_path, capsys, argv, lines, flags, code):
+    """Each outcome, pass, FAIL or vacuous, as the text lines, the JSON
+    flags and the exit code of verify and of sweep give it.  A sweep case
+    lists its grid rows where the grid file goes."""
+    if argv[0] == "sweep":
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(argv[1]))
+        argv = ["sweep", "--grid", str(grid), "--kinds", "hp:1", "--dim", "8", *argv[2:]]
+    assert main(argv) == code
+    text = capsys.readouterr()
+    assert text.err == ""
+    tail = text.out.splitlines()[-len(lines):]
+    assert tail == lines
+    if argv[0] == "sweep":
+        assert len(text.out.splitlines()) == len(lines)
+    assert main([*argv, "--format", "json"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert {key: doc[key] for key in flags} == flags

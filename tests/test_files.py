@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from higgsalg import COMPLEX, RATIONAL, AlgebraParams, FockSpace, Operator, build_realization
+from higgsalg import fock
 from higgsalg.cli import main
 from higgsalg.fock import _band, _operator_text
 from higgsalg.realizations import Realization, _realization_text
@@ -133,6 +134,29 @@ def test_single_band_files_load_banded(tmp_path, kind, k):
 def test_villain_files_load_dense(tmp_path, form):
     r = _loaded(tmp_path, [*_POINT, "--dim", "12", "--kind", form])
     assert all(op._bands is None for op in (r.jp, r.jm, r.j3))
+
+
+def test_rational_file_parses_each_distinct_entry_once(tmp_path, monkeypatch):
+    """A rational file spells almost every entry "0": loading one parses
+    each distinct entry string of an operator once, and keeps the bands the
+    in-memory build holds."""
+    path = tmp_path / "r.json"
+    assert main(["build", *_POINT, "--dim", "40", "--kind", "dyson:1", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    parse, calls = fock._parse_rational, []
+
+    def counted(x):
+        calls.append(x)
+        return parse(x)
+
+    monkeypatch.setattr(fock, "_parse_rational", counted)
+    r = Realization.from_json_dict(doc)
+    distinct = [x for name in ("jp", "jm", "j3") for x in set(doc[name]["entries"])]
+    assert sorted(calls) == sorted(distinct)
+    built = build_realization(FockSpace(40), r.params, r.j, "dyson", 1)
+    for got, want in ((r.jp, built.jp), (r.jm, built.jm), (r.j3, built.j3)):
+        assert got._bands.keys() == want._bands.keys()
+        assert (got - want).max_norm() == 0
 
 
 def test_zero_operator_loads_banded_without_bands():

@@ -29,6 +29,7 @@ from higgsalg import (
     position,
     unitary_exp,
 )
+from higgsalg.fock import FieldError
 
 
 def test_truncation_guard():
@@ -167,6 +168,18 @@ def test_complex_serialization_round_trip():
     op = unitary_exp(position(sp), 0.3)
     back = Operator.from_json(op.to_json())
     assert (back - op).max_norm() == 0.0
+
+
+@pytest.mark.parametrize("bad", [0.0, 0j, np.float64(0.0), 0.5, None, "1"])
+def test_rational_operator_rejects_a_non_rational_entry(bad):
+    """Every entry of a dense array given to the rational field must be
+    rational, zeros included; the rational ones keep their nonzero bands."""
+    entries = np.array([[Fraction(0), 1], [Fraction(2, 3), 0]], dtype=object)
+    op = Operator(FockSpace(2), entries, RATIONAL)
+    assert sorted(op._bands) == [-1, 1] and op.entries.tolist() == entries.tolist()
+    entries[1, 1] = bad
+    with pytest.raises(FieldError):
+        Operator(FockSpace(2), entries, RATIONAL)
 
 
 def test_serialization_rejects_bad_payload():
