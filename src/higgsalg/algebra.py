@@ -173,12 +173,6 @@ class ChainStructure:
     main: tuple[int, ...]
     segments: tuple[tuple[int, ...], ...]
 
-    def all_states(self) -> list[int]:
-        out = list(self.main)
-        for seg in self.segments:
-            out.extend(seg)
-        return sorted(set(out))
-
 
 def admissible_chain(params: AlgebraParams, j: RationalLike) -> ChainStructure:
     jf = _frac(j)

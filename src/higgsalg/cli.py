@@ -30,7 +30,6 @@ from .fock import FockSpace, RATIONAL, _operator_text
 from .realizations import Realization, _realization_text, build_realization
 from .similarity import s1_closed_form, s1_recurrence, s2_matching
 from .verify import (
-    VerifyConfig,
     default_grid,
     exit_code,
     grid_from_json,
@@ -125,6 +124,8 @@ def _load(path: str, parse, what: str):
         data = json.load(fh)
     try:
         return parse(data)
+    except KeyError as err:
+        raise ValueError(f"malformed {what} file: missing key {err.args[0]!r}") from None
     except (TypeError, ZeroDivisionError) as err:
         # a value of the wrong JSON type, or a zero denominator
         raise ValueError(f"malformed {what} file: {err}") from None
@@ -169,7 +170,7 @@ def _cmd_verify(args) -> int:
         return USAGE_ERROR
     else:
         r = _construct(args)
-    report = verify_realization(r, VerifyConfig(args.tolerance_coefficient))
+    report = verify_realization(r, args.tolerance_coefficient)
     return _report(report, args, exit_code(report))
 
 
@@ -185,7 +186,7 @@ def _cmd_sweep(args) -> int:
     else:
         grid = _load(args.grid, grid_from_json, "grid")
     report = sweep(args.kinds, grid, dim=args.dim,
-                   cfg=VerifyConfig(args.tolerance_coefficient))
+                   tolerance_coefficient=args.tolerance_coefficient)
     return _report(report, args, sweep_exit_code(report))
 
 
@@ -295,7 +296,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as err:
+    except (ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return DOMAIN_ERROR
     except Exception as err:  # the CLI boundary: exit 1 stays "a check failed"

@@ -55,9 +55,6 @@ class FockSpace:
         if not isinstance(self.dim, int) or self.dim < 2:
             raise ValueError(f"truncation dimension must be an integer >= 2, got {self.dim!r}")
 
-    def occupations(self) -> range:
-        return range(self.dim)
-
 
 def _freeze(entries: np.ndarray) -> np.ndarray:
     entries.setflags(write=False)
@@ -238,10 +235,6 @@ class Operator:
 
     # -- construction helpers -------------------------------------------------
 
-    @staticmethod
-    def zeros(space: FockSpace, field: str = COMPLEX) -> "Operator":
-        return Operator._banded(space, field, {})
-
     def _promote(self) -> "Operator":
         """Return the complex-field version of an exact operator."""
         if self.field == COMPLEX:
@@ -332,12 +325,13 @@ class Operator:
             return float(np.abs(self._dense).max())
         return self._largest([np.abs(band).max() for band in self._bands.values()])
 
-    def diagonal(self) -> Sequence:
-        """The main-diagonal entries (n, n) for n = 0 .. N-1."""
+    def diagonal(self, d: int = 0) -> Sequence:
+        """The N - |d| entries (i, i + d) of diagonal offset d, in order of
+        increasing row; d = 0 is the main diagonal."""
         if self._bands is None:
-            return self._dense.diagonal()
-        band = self._bands.get(0)
-        return _zero_array(self.space.dim, self.field) if band is None else band
+            return self._dense.diagonal(d)
+        band = self._bands.get(d)
+        return _zero_array(max(self.space.dim - abs(d), 0), self.field) if band is None else band
 
     def block_max(self, states: Sequence[int]):
         """Entrywise max magnitude over the principal submatrix on
@@ -356,16 +350,10 @@ class Operator:
                 worst.append(np.abs(picked).max())
         return self._largest(worst)
 
-    def interior(self, size: int) -> np.ndarray:
-        """Leading principal block, where truncation artifacts cannot reach."""
-        if not 0 <= size <= self.space.dim:
-            raise ValueError(f"interior size {size} outside [0, {self.space.dim}]")
-        return self.entries[:size, :size]
-
-    def is_hermitian(self, rtol: float = _HERMITIAN_RTOL) -> bool:
+    def is_hermitian(self) -> bool:
         d = (self - self.adjoint()).max_norm()
         scale = self.max_norm()
-        return float(d) <= rtol * max(1.0, float(scale))
+        return float(d) <= _HERMITIAN_RTOL * max(1.0, float(scale))
 
     def __repr__(self) -> str:
         return f"Operator(dim={self.space.dim}, field={self.field})"
@@ -388,9 +376,10 @@ class Operator:
         a finite number of the field, spelled as the field's JSON type
         (``p/q`` strings or integers; ``[re, im]`` pairs of numbers).
 
-        A complex operator whose nonzero entries all lie on one diagonal
-        (every hp and complex dyson generator) loads as that one band;
-        any other complex operator loads dense."""
+        A rational operator loads as its nonzero diagonals.  A complex
+        operator whose nonzero entries all lie on one diagonal (every hp
+        and complex dyson generator) loads as that one band; any other
+        complex operator loads dense."""
         dim = data["dim"]
         field = data["field"]
         space = FockSpace(dim)
@@ -405,10 +394,18 @@ class Operator:
             if not set(map(type, flat)) <= {str, int}:
                 raise ValueError("rational entries must be p/q strings or integers")
             # a file spells almost every entry "0": each distinct spelling is
-            # parsed once, in order of first appearance
+            # parsed once, in order of first appearance, and judged zero or
+            # not once; only the diagonals holding a nonzero entry are built
             parsed = {x: _parse_rational(x) for x in dict.fromkeys(flat)}
-            ent = _band([parsed[x] for x in flat], RATIONAL)
-            return Operator(space, ent.reshape(dim, dim), RATIONAL)
+            live = {x for x, value in parsed.items() if value}
+            nz = np.array([i for i, x in enumerate(flat) if x in live], dtype=int)
+            bands = {}
+            for d in np.unique(nz % dim - nz // dim).tolist():
+                r, c = _band_start(d)
+                start = r * dim + c
+                cells = flat[start:start + (dim - abs(d)) * (dim + 1):dim + 1]
+                bands[d] = _band([parsed[x] for x in cells], RATIONAL)
+            return Operator._banded(space, RATIONAL, bands)
         if field == COMPLEX:
             pairs = set(map(type, flat)) <= {list} and set(map(len, flat)) <= {2}
             parts = list(itertools.chain.from_iterable(flat)) if pairs else []
@@ -428,13 +425,6 @@ class Operator:
             return Operator._banded(space, COMPLEX,
                                     {int(d): ent.diagonal(d).copy() for d in offsets[:1]})
         raise ValueError(f"unknown field {field!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def from_json(text: str) -> "Operator":
-        return Operator.from_json_dict(json.loads(text))
 
 
 # -- the file writer ----------------------------------------------------------
@@ -519,7 +509,7 @@ def creation(space: FockSpace, field: str = COMPLEX) -> Operator:
 
 def number_op(space: FockSpace, field: str = COMPLEX) -> Operator:
     """diag(0, 1, ..., N-1); identical in both bases."""
-    return diagonal_operator(space, space.occupations(), field)
+    return diagonal_operator(space, range(space.dim), field)
 
 
 def identity_op(space: FockSpace, field: str = COMPLEX) -> Operator:
@@ -568,7 +558,7 @@ def pochhammer(q: Scalar, n: int):
 
 def pochhammer_operator(space: FockSpace, q: Scalar, field: str = RATIONAL) -> Operator:
     """diag((q)_0, (q)_1, ..., (q)_{N-1})."""
-    vals = [pochhammer(q, m) for m in space.occupations()]
+    vals = [pochhammer(q, m) for m in range(space.dim)]
     return diagonal_operator(space, vals, field)
 
 

@@ -120,11 +120,12 @@ class Realization:
     def from_json_dict(data: dict) -> "Realization":
         """Inverse of ``to_json_dict``.  Raises ValueError on a malformed
         file: an unknown kind, a step k that is not an integer >= 1 (or not
-        1 on a spectral kind), a j2 that is not an integer >= 0, operators
-        of different dims or fields, a mask entry other than the integers 0
-        or 1, a mask whose length is not dim, a window missing on a spectral
-        kind or present on any other, a window other than [-j, j], or an
-        operator entry that is not a finite number of its field."""
+        1 on a spectral kind), a j2 that is not an integer >= 0, a c1 or c3
+        that is not a p/q string or an integer, operators of different dims
+        or fields, a mask entry other than the integers 0 or 1, a mask whose
+        length is not dim, a window missing on a spectral kind or present on
+        any other, a window other than [-j, j], or an operator entry that is
+        not a finite number of its field."""
         kind, k, j2 = data["kind"], data["k"], data["j2"]
         if kind not in STEP_KINDS + VILLAIN_KINDS:
             raise ValueError(f"unknown realization kind {kind!r}")
@@ -132,6 +133,7 @@ class Realization:
             raise ValueError(f"kind {kind!r} needs a step k >= 1 (1 if spectral), got {k!r}")
         if not _is_int(j2) or j2 < 0:
             raise ValueError(f"j2 must be an integer >= 0, got {j2!r}")
+        params = _couplings(data)
         ops = {name: Operator.from_json_dict(data[name]) for name in ("jp", "jm", "j3")}
         op_dims = [op.space.dim for op in ops.values()]
         if any(d != data["dim"] for d in op_dims):
@@ -158,7 +160,7 @@ class Realization:
             kind=kind,
             step_k=k,
             j2=j2,
-            params=AlgebraParams.of(data["c1"], data["c3"]),
+            params=params,
             admissible_mask=mask,
             window=window,
             **ops,
@@ -183,6 +185,15 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _couplings(data: dict, prefix: str = "") -> AlgebraParams:
+    """The ``c1`` and ``c3`` of a file, each a ``p/q`` string or an integer;
+    a float or a bool raises ValueError naming the key after ``prefix``."""
+    for key in ("c1", "c3"):
+        if not (isinstance(data[key], str) or _is_int(data[key])):
+            raise ValueError(f"{prefix}{key} must be a p/q string or an integer, got {data[key]!r}")
+    return AlgebraParams.of(data["c1"], data["c3"])
+
+
 def _require_j2(j: RationalLike) -> tuple[Fraction, int]:
     jf = _frac(j)
     j2 = int(2 * jf)
@@ -192,20 +203,6 @@ def _require_j2(j: RationalLike) -> tuple[Fraction, int]:
 
 
 # -- weight sequences ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProductSequence:
-    """Values F_k(0) .. F_k(nmax) of the step-k weight sequence."""
-
-    k: int
-    params: AlgebraParams
-    j: Fraction
-    coefficients: str
-    values: tuple[Fraction, ...]
-
-    def value(self, n: int) -> Fraction:
-        return self.values[n]
-
 
 def _recurrence_denominator(k: int, n: int, coefficients: str) -> Fraction:
     if coefficients == "derived":
@@ -227,8 +224,9 @@ def product_recurrence(
     k: int,
     nmax: int,
     coefficients: str = "printed",
-) -> ProductSequence:
-    """Solve the order-k difference equation for the weight sequence.
+) -> tuple[Fraction, ...]:
+    """Solve the order-k difference equation for the weight sequence; the
+    values F_k(0) .. F_k(nmax), indexed by n.
 
     The homogeneous term enters through a falling factorial that vanishes
     for n < k, so the first k values are fixed by the inhomogeneity alone;
@@ -249,7 +247,7 @@ def product_recurrence(
         if n >= k and fall != 0:
             rhs += fall * vals[n - k]
         vals.append(rhs / _recurrence_denominator(k, n, coefficients))
-    return ProductSequence(k, params, jf, coefficients, tuple(vals))
+    return tuple(vals)
 
 
 def closed_form_k1(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
@@ -286,7 +284,7 @@ def _unitary_step(
     # a bond n -> n + k exists only up to n = 2j - k, so later weights
     # would all be masked out; they are not computed
     top = min(space.dim - 1, j2 - k)
-    weights = product_recurrence(params, jf, k, top, coefficients).values
+    weights = product_recurrence(params, jf, k, top, coefficients)
     mask = tuple(n <= top and weights[n] >= 0 for n in range(space.dim))
     root = [math.sqrt(_to_float(weights[n], "an hp weight")) if mask[n] else 0.0
             for n in range(space.dim)]
@@ -313,7 +311,7 @@ def _dyson_step(
     coefficients: str = "derived",
 ) -> Realization:
     jf, j2 = _require_j2(j)
-    weights = product_recurrence(params, jf, k, space.dim - 1, coefficients).values
+    weights = product_recurrence(params, jf, k, space.dim - 1, coefficients)
     a = annihilation(space, field)
     ap = creation(space, field)
     diag = diagonal_operator(space, weights, field)
@@ -420,13 +418,6 @@ def _window_columns(space: FockSpace, lo: float, hi: float) -> np.ndarray:
     eigenvalue lies in [lo, hi], from the shared quadrature basis."""
     lam, u = _quadrature_basis(space.dim)
     return _quarter_turns(space.dim)[:, None] * u[:, _in_window(lam, lo, hi)]
-
-
-def momentum_window_projector(space: FockSpace, lo: float, hi: float) -> np.ndarray:
-    """Orthogonal projector V_w V_w-dagger onto momentum eigenvectors with
-    eigenvalue in [lo, hi] (with a small slack for float eigenvalues)."""
-    cols = _window_columns(space, lo, hi)
-    return cols @ cols.conj().T
 
 
 # -- dispatch -----------------------------------------------------------------

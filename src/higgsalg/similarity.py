@@ -11,7 +11,7 @@ U = diag(s^2) that intertwines the one-sided pair with its adjoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -172,8 +172,7 @@ def conjugate(realization: Realization, transform: DiagonalTransform) -> Realiza
         raise ValueError("transform length does not match the truncation")
     k = realization.step_k
     n = realization.space.dim
-    tmask = transform.mask
-    keep = np.array(tmask, dtype=bool)
+    keep = np.array(transform.mask, dtype=bool)
     # 1.0 off the domain keeps the division finite on entries dropped anyway
     s = np.where(keep, np.array(transform.entries, dtype=float), 1.0)
 
@@ -183,22 +182,15 @@ def conjugate(realization: Realization, transform: DiagonalTransform) -> Realiza
         out = np.where(live, s[:, None] * src / s[None, :], 0)
         return Operator(realization.space, out, COMPLEX)
 
-    new_mask = []
-    for b in range(n):
-        ok = realization.admissible_mask[b] and tmask[b]
-        if b + k < n:
-            ok = ok and tmask[b + k]
-        new_mask.append(ok)
-    return Realization(
-        kind=realization.kind,
-        step_k=k,
-        j2=realization.j2,
-        params=realization.params,
+    # bond b keeps both ends in the domain; a bond past the edge has one end
+    far_end = np.concatenate((keep[k:], np.ones(min(k, n), dtype=bool)))
+    new_mask = np.array(realization.admissible_mask, dtype=bool) & keep & far_end
+    return replace(
+        realization,
         jp=carry(realization.jp),
         jm=carry(realization.jm),
         j3=carry(realization.j3),
-        admissible_mask=tuple(new_mask),
-        window=realization.window,
+        admissible_mask=tuple(new_mask.tolist()),
     )
 
 
@@ -210,16 +202,13 @@ def unitarization_residual(
     in the transform's domain.  Returns (residual, bonds_measured).
     """
     k = realization.step_k
-    n = realization.space.dim
-    u = [e * e for e in transform.entries]
-    jm = realization.jm._promote().entries
-    jp = realization.jp._promote().entries
-    worst = 0.0
-    measured = 0
-    for b in range(n - k):
-        if not (transform.mask[b] and transform.mask[b + k]):
-            continue
-        lhs = (u[b + k] / u[b]) * np.conj(jm[b + k, b])
-        worst = max(worst, abs(lhs - jp[b, b + k]))
-        measured += 1
-    return worst, measured
+    u = np.square(transform.entries)
+    live = np.logical_and(transform.mask[:-k], transform.mask[k:])
+    # bond b joins (b + k, b) on offset -k of J- and (b, b + k) on offset k of J+
+    lower = realization.jm._promote().diagonal(-k)[live]
+    upper = realization.jp._promote().diagonal(k)[live]
+    near = u[:-k][live]
+    if not near.all():
+        raise ZeroDivisionError("U = diag(s^2) is singular on a measured bond")
+    gap = np.abs((u[k:][live] / near) * np.conj(lower) - upper)
+    return float(gap.max(initial=0.0)), int(live.sum())

@@ -34,6 +34,7 @@ from .realizations import (
     Realization,
     STEP_KINDS,
     VILLAIN_KINDS,
+    _couplings,
     _is_int,
     _window_columns,
     build_realization,
@@ -50,14 +51,6 @@ def _residual_text(x: Residual) -> str:
 def _residual_json(x: Residual):
     """A residual or tolerance as a JSON value: null when there is none."""
     return None if x is None else str(x) if isinstance(x, Fraction) else float(x)
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Tolerance policy: float checks pass when the residual does not
-    exceed tolerance_coefficient * dim * scale."""
-
-    tolerance_coefficient: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -225,7 +218,7 @@ class _Window:
 
 # -- the checks ---------------------------------------------------------------
 
-def _checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
+def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
     exact = r.field == RATIONAL
     k = r.step_k
     dim = r.space.dim
@@ -248,7 +241,7 @@ def _checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
             value, tol = residual(), Fraction(0)
         elif block > 0:
             value, size = _finite(name, residual(), scale())
-            tol = cfg.tolerance_coefficient * dim * max(1.0, size)
+            tol = tolerance_coefficient * dim * max(1.0, size)
         checks.append(CheckResult(name, value, tol, block, tol is None or value <= tol,
                                   block == 0, substantive, exact and not asymptotic, asymptotic))
 
@@ -334,14 +327,15 @@ def _checks(r: Realization, cfg: VerifyConfig) -> list[CheckResult]:
     return checks
 
 
-def verify_realization(r: Realization, cfg: Optional[VerifyConfig] = None) -> VerificationReport:
-    cfg = cfg or VerifyConfig()
+def verify_realization(r: Realization, tolerance_coefficient: float = 1e-12) -> VerificationReport:
+    """Measure every identity ``r`` asserts.  A float check passes when its
+    residual does not exceed tolerance_coefficient * dim * scale."""
     if r.kind not in STEP_KINDS + VILLAIN_KINDS:
         raise ValueError(f"unknown realization kind {r.kind!r}")
     # overflow past the float range is caught by judge, so numpy need not
     # warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        checks = _checks(r, cfg)
+        checks = _checks(r, tolerance_coefficient)
     return VerificationReport(
         kind=r.kind,
         step_k=r.step_k,
@@ -380,13 +374,13 @@ def default_grid() -> list[tuple[AlgebraParams, int]]:
 def grid_from_json(data) -> list[tuple[AlgebraParams, int]]:
     """Grid points as [{"c1": "p/q", "c3": "p/q", "j2": int}, ...].  Raises
     ValueError on a j2 that is not an integer >= 0 (a float, a bool or a
-    string included)."""
+    string included), or a c1 or c3 that is not a p/q string or an integer."""
     out = []
     for row in data:
         j2 = row["j2"]
         if not _is_int(j2) or j2 < 0:
             raise ValueError(f"grid j2 must be an integer >= 0, got {j2!r}")
-        out.append((AlgebraParams.of(row["c1"], row["c3"]), j2))
+        out.append((_couplings(row, "grid "), j2))
     return out
 
 
@@ -476,7 +470,7 @@ def sweep(
     tokens: Sequence[str],
     grid: Sequence[tuple[AlgebraParams, int]],
     dim: int = 32,
-    cfg: Optional[VerifyConfig] = None,
+    tolerance_coefficient: float = 1e-12,
 ) -> SweepReport:
     """Verify every requested realization at every grid point, in order:
     the report is the cross product grid x tokens.
@@ -487,7 +481,6 @@ def sweep(
     entry is built; a ValueError from building or verifying one entry is
     that entry's error.
     """
-    cfg = cfg or VerifyConfig()
     space = FockSpace(dim)
     entries = []
     for params, j2 in grid:
@@ -496,7 +489,7 @@ def sweep(
             report = error = None
             try:
                 r = build_realization(space, params, Fraction(j2, 2), kind, num)
-                report = verify_realization(r, cfg)
+                report = verify_realization(r, tolerance_coefficient)
             except ValueError as err:
                 error = str(err)
             entries.append(SweepEntry(str(params.c1), str(params.c3), j2, token, report, error))

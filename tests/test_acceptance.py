@@ -105,9 +105,9 @@ def test_criterion_3_recurrence_matches_closed_forms(capsys):
         seq1 = product_recurrence(params, j, 1, 40)
         seq2 = product_recurrence(params, j, 2, 40)
         for n in range(41):
-            if seq1.value(n) != closed_form_k1(params, j, n):
+            if seq1[n] != closed_form_k1(params, j, n):
                 ok = False
-            if seq2.value(n) != closed_form_k2(params, j, n):
+            if seq2[n] != closed_form_k2(params, j, n):
                 ok = False
     _verdict(capsys, 3, "weight recurrence reproduces the closed forms", ok)
 

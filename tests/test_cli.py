@@ -206,6 +206,10 @@ def _saved_realization(tmp_path, field="rational"):
     pytest.param("complex", ("j3", "entries", 0, 1), float("nan"), id="nan-entry"),
     pytest.param("rational", ("mask",), 4, id="mask-not-a-list"),
     pytest.param("rational", ("c1",), "1/0", id="zero-denominator"),
+    pytest.param("rational", ("c1",), 0.1, id="float-c1"),
+    pytest.param("rational", ("c1",), True, id="boolean-c1"),
+    pytest.param("rational", ("c1",), float("inf"), id="infinite-c1"),
+    pytest.param("rational", ("c3",), 0.1, id="float-c3"),
     pytest.param("rational", ("k",), -1, id="negative-step"),
     pytest.param("rational", ("k",), 0, id="zero-step"),
     pytest.param("rational", ("k",), "1", id="string-step"),
@@ -245,6 +249,10 @@ def test_malformed_realization_file_exits_65(tmp_path, capsys, field, path, valu
     [{"c1": "1/0", "c3": "1", "j2": 2}],
     {"c1": "1", "c3": "1", "j2": 2},
     [{"c1": "1", "c3": "1", "j2": "two"}],
+    [{"c1": 0.1, "c3": "1", "j2": 2}],
+    [{"c1": True, "c3": "1", "j2": 2}],
+    [{"c1": float("inf"), "c3": "1", "j2": 2}],
+    [{"c1": "1", "c3": "1"}],
 ])
 def test_malformed_grid_file_exits_65(tmp_path, capsys, grid):
     path = tmp_path / "grid.json"
@@ -254,6 +262,19 @@ def test_malformed_grid_file_exits_65(tmp_path, capsys, grid):
     assert code == 65
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_missing_key_is_named(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"c1": "1", "c3": "1"}]))
+    assert main(["sweep", "--grid", str(grid), "--dim", "8"]) == 65
+    assert capsys.readouterr().err == "error: malformed grid file: missing key 'j2'\n"
+    saved, doc = _saved_realization(tmp_path)
+    del doc["c3"]
+    saved.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(saved)]) == 65
+    assert capsys.readouterr().err == "error: malformed realization file: missing key 'c3'\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])

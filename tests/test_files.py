@@ -138,21 +138,30 @@ def test_villain_files_load_dense(tmp_path, form):
 
 def test_rational_file_parses_each_distinct_entry_once(tmp_path, monkeypatch):
     """A rational file spells almost every entry "0": loading one parses
-    each distinct entry string of an operator once, and keeps the bands the
-    in-memory build holds."""
+    each distinct entry string of an operator once, decides zero or nonzero
+    once per spelling (fewer than dim^2 truth tests of a Fraction for the
+    whole file), and keeps the bands the in-memory build holds."""
     path = tmp_path / "r.json"
     assert main(["build", *_POINT, "--dim", "40", "--kind", "dyson:1", "-o", str(path)]) == 0
     doc = json.loads(path.read_text())
     parse, calls = fock._parse_rational, []
+    truth, tests = Fraction.__bool__, []
 
     def counted(x):
         calls.append(x)
         return parse(x)
 
+    def counted_truth(self):
+        tests.append(self)
+        return truth(self)
+
     monkeypatch.setattr(fock, "_parse_rational", counted)
+    monkeypatch.setattr(Fraction, "__bool__", counted_truth)
     r = Realization.from_json_dict(doc)
+    monkeypatch.undo()
     distinct = [x for name in ("jp", "jm", "j3") for x in set(doc[name]["entries"])]
     assert sorted(calls) == sorted(distinct)
+    assert len(tests) < 40 * 40
     built = build_realization(FockSpace(40), r.params, r.j, "dyson", 1)
     for got, want in ((r.jp, built.jp), (r.jm, built.jm), (r.j3, built.j3)):
         assert got._bands.keys() == want._bands.keys()

@@ -70,7 +70,7 @@ def test_number_operator_from_ladders():
 def test_quadrature_commutator_interior():
     sp = FockSpace(24)
     defect = commutator(position(sp), momentum(sp))
-    block = defect.interior(23)
+    block = defect.entries[:23, :23]
     target = 1j * np.eye(23)
     assert np.abs(block - target).max() < 1e-13
 
@@ -153,10 +153,15 @@ def _rational_matrices(draw):
     return Operator(FockSpace(dim), ent, RATIONAL)
 
 
+def _through_json(op: Operator) -> Operator:
+    """``op`` written as JSON text and read back."""
+    return Operator.from_json_dict(json.loads(json.dumps(op.to_json_dict())))
+
+
 @given(_rational_matrices())
 @settings(max_examples=60, deadline=None)
 def test_rational_serialization_bit_exact(op):
-    back = Operator.from_json(op.to_json())
+    back = _through_json(op)
     assert back.field == RATIONAL
     for i in range(op.space.dim):
         for l in range(op.space.dim):
@@ -166,7 +171,7 @@ def test_rational_serialization_bit_exact(op):
 def test_complex_serialization_round_trip():
     sp = FockSpace(6)
     op = unitary_exp(position(sp), 0.3)
-    back = Operator.from_json(op.to_json())
+    back = _through_json(op)
     assert (back - op).max_norm() == 0.0
 
 
@@ -262,12 +267,14 @@ def test_banded_arithmetic_matches_dense_reference(pair, c, k, states):
     norm = a.max_norm()
     assert isinstance(norm, Fraction) and norm == max(abs(v) for v in x.flat)
     assert list(a.diagonal()) == list(x.diagonal())
+    for d in range(1 - dim, dim):
+        assert list(a.diagonal(d)) == list(x.diagonal(d))
     block = sorted(s for s in states if s < dim)
     want = max((abs(x[i, l]) for i in block for l in block), default=Fraction(0))
     assert a.block_max(block) == want
-    promoted = a + Operator.zeros(a.space, COMPLEX)
+    promoted = a + diagonal_operator(a.space, [0] * dim, COMPLEX)
     assert np.array_equal(promoted.entries, x.astype(float).astype(complex))
-    _assert_exact(Operator.from_json(a.to_json()), x)
+    _assert_exact(_through_json(a), x)
 
 
 def test_zero_has_one_spelling_whatever_the_storage():
@@ -279,13 +286,13 @@ def test_zero_has_one_spelling_whatever_the_storage():
     banded = creation(sp)
     dense = Operator(sp, annihilation(sp).entries.T.copy(), COMPLEX)
     assert np.array_equal(banded.entries, dense.entries)
-    assert banded.to_json() == dense.to_json()
-    assert "-0.0" not in banded.to_json()
+    assert json.dumps(banded.to_json_dict()) == json.dumps(dense.to_json_dict())
+    assert "-0.0" not in json.dumps(banded.to_json_dict())
     # the arithmetic that left signed zeros in the bands or the dense view
     # does not reach the file either
     d = diagonal_operator(sp, [1.0, -2.0, -0.5])
     for op in (-banded, d @ banded, banded.scale(-1.5), banded - banded, d @ dense):
-        payload = json.loads(op.to_json())
+        payload = json.loads(json.dumps(op.to_json_dict()))
         assert all(math.copysign(1.0, x) == 1.0
                    for pair in payload["entries"] for x in pair if x == 0)
 

@@ -27,11 +27,11 @@ from higgsalg import (
     creation,
     diagonal_operator,
     g_constant,
-    momentum_window_projector,
     parse_kind_token,
     product_recurrence,
     villain_boson,
 )
+from higgsalg.realizations import _window_columns
 from higgsalg.verify import default_grid
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -48,7 +48,7 @@ def test_recurrence_matches_step1_closed_form(c1, c3, j):
     params = AlgebraParams(c1, c3)
     seq = product_recurrence(params, j, 1, 25)
     for n in range(26):
-        assert seq.value(n) == closed_form_k1(params, j, n)
+        assert seq[n] == closed_form_k1(params, j, n)
 
 
 @given(c1=rationals, c3=rationals, j=spins)
@@ -57,7 +57,7 @@ def test_recurrence_matches_step2_closed_form(c1, c3, j):
     params = AlgebraParams(c1, c3)
     seq = product_recurrence(params, j, 2, 25)
     for n in range(26):
-        assert seq.value(n) == closed_form_k2(params, j, n)
+        assert seq[n] == closed_form_k2(params, j, n)
 
 
 @given(c1=rationals, c3=rationals, j=spins, n=st.integers(0, 30))
@@ -75,27 +75,27 @@ def test_denominator_variants_agree_through_step3(k):
     params = AlgebraParams.of(2, 1)
     a = product_recurrence(params, Fraction(5, 2), k, 20, "printed")
     b = product_recurrence(params, Fraction(5, 2), k, 20, "derived")
-    assert a.values == b.values
+    assert a == b
 
 
 def test_denominator_variants_split_at_step4():
     params = AlgebraParams.of(2, 1)
     a = product_recurrence(params, Fraction(5, 2), 4, 20, "printed")
     b = product_recurrence(params, Fraction(5, 2), 4, 20, "derived")
-    assert a.values != b.values
+    assert a != b
     # only the derived denominators keep the order-4 closure identity:
     # prod_{i=1..4}(n+i) F(n) - prod_{i=0..3}(n-i) F(n-4) = R(n)
     def closure_defects(seq):
         bad = []
         for n in range(4, 21):
-            lhs = seq.value(n)
+            lhs = seq[n]
             for i in range(1, 5):
                 lhs *= n + i
             fall = Fraction(1)
             for i in range(4):
                 fall *= n - i
-            lhs -= fall * seq.value(n - 4)
-            if lhs != _inhomogeneity(seq.params, seq.j, n):
+            lhs -= fall * seq[n - 4]
+            if lhs != _inhomogeneity(params, Fraction(5, 2), n):
                 bad.append(n)
         return bad
 
@@ -213,7 +213,8 @@ def test_villain_adjoint_exact_and_window():
     r = villain_boson(FockSpace(24), AlgebraParams.of(1, 1), 2, form=1)
     assert (r.jm - r.jp.adjoint()).max_norm() == 0.0
     assert r.window == (Fraction(-2), Fraction(2))
-    q = momentum_window_projector(r.space, -2.0, 2.0)
+    cols = _window_columns(r.space, -2.0, 2.0)
+    q = cols @ cols.conj().T
     rank = round(float(np.trace(q).real))
     assert 1 <= rank < 24
     # projector property
@@ -288,7 +289,7 @@ def _closed_form_weights(params, jf, k, nmax):
         return [closed_form_k1(params, jf, n) for n in range(nmax + 1)]
     if k == 2:
         return [closed_form_k2(params, jf, n) for n in range(nmax + 1)]
-    return list(product_recurrence(params, jf, k, nmax, "derived").values)
+    return list(product_recurrence(params, jf, k, nmax, "derived"))
 
 
 def _hp_from_all_weights(space, params, j2, k):

@@ -152,6 +152,16 @@ def test_unitarization_metric(coup, j2):
     assert residual < 1e-10
 
 
+def test_unitarization_needs_an_invertible_metric():
+    """A zero seed makes U = diag(s^2) singular on its chain: no residual
+    is reported, not even NaN."""
+    sp = FockSpace(8)
+    params = AlgebraParams.of(1, 1)
+    r = build_realization(sp, params, Fraction(5, 2), "dyson", 1, field="complex")
+    with pytest.raises(ZeroDivisionError):
+        unitarization_residual(r, s1_recurrence(sp, params, Fraction(5, 2), q0=0.0))
+
+
 def test_s2_parity_chains():
     sp = FockSpace(10)
     t = s2_matching(sp, SU2_PARAMS, 3)

@@ -14,7 +14,6 @@ from higgsalg import (
     Realization,
     SU2_PARAMS,
     SU11_PARAMS,
-    VerifyConfig,
     build_realization,
     default_grid,
     exit_code,
@@ -225,7 +224,6 @@ def test_exact_verify_never_builds_the_dense_view(monkeypatch, kind, k, field):
 
 
 def test_tolerance_scales_with_coefficient():
-    cfg = VerifyConfig(tolerance_coefficient=1e-6)
-    report = verify_realization(build_realization(FockSpace(8), SU2_PARAMS, 2, "hp", 1), cfg)
+    report = verify_realization(build_realization(FockSpace(8), SU2_PARAMS, 2, "hp", 1), 1e-6)
     closure = report.checks[0]
     assert closure.tolerance >= 1e-6 * 8
