@@ -617,6 +617,23 @@ def _quadrature_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return _freeze(lam), _freeze(u)
 
 
+@functools.lru_cache(maxsize=8)
+def _phase_kernel(dim: int) -> np.ndarray:
+    """[Re K; Im K], the 2N x N real stack of K = e^{iX} R u on ``dim``
+    states, read-only.
+
+    K maps the momentum eigenbasis through the phase e^{iX} = u e^{i lam} u^T,
+    so J+ = e^{iX} w(P) = K diag(s) u^T R-dagger for the spectral weights s.
+    It is formed as u (e^{i lam} (u^T R u)) with real products on the
+    interleaved re/im view of each complex factor.
+    """
+    lam, u = _quadrature_basis(dim)
+    ru = _quarter_turns(dim)[:, None] * u
+    inner = np.exp(1j * lam)[:, None] * (u.T @ ru.view(float)).view(complex)
+    k = (u @ inner.view(float)).view(complex)
+    return _freeze(np.concatenate((k.real, k.imag)))
+
+
 def _quarter_turns(dim: int) -> np.ndarray:
     """diag(R) = (i^n) for n = 0 .. dim-1, spelled as the exact phases
     1, i, -1, -i; a computed power i**n drifts off them."""

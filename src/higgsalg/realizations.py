@@ -37,6 +37,7 @@ from .fock import (
     FockSpace,
     Operator,
     _operator_text,
+    _phase_kernel,
     _quadrature_basis,
     _quarter_turns,
     _to_float,
@@ -128,11 +129,12 @@ class Realization:
         not a finite number of its field."""
         kind, k, j2 = data["kind"], data["k"], data["j2"]
         if kind not in STEP_KINDS + VILLAIN_KINDS:
-            raise ValueError(f"unknown realization kind {kind!r}")
+            raise ValueError(f"unknown realization kind {json.dumps(kind)}")
         if not _is_int(k) or k < 1 or (kind in VILLAIN_KINDS and k != 1):
-            raise ValueError(f"kind {kind!r} needs a step k >= 1 (1 if spectral), got {k!r}")
+            raise ValueError(f"kind {json.dumps(kind)} needs a step k >= 1 (1 if spectral),"
+                             f" got {json.dumps(k)}")
         if not _is_int(j2) or j2 < 0:
-            raise ValueError(f"j2 must be an integer >= 0, got {j2!r}")
+            raise ValueError(f"j2 must be an integer >= 0, got {json.dumps(j2)}")
         params = _couplings(data)
         ops = {name: Operator.from_json_dict(data[name]) for name in ("jp", "jm", "j3")}
         op_dims = [op.space.dim for op in ops.values()]
@@ -148,13 +150,13 @@ class Realization:
             raise ValueError(f"mask has {len(mask)} entries, dim is {data['dim']}")
         if (kind in VILLAIN_KINDS) != ("window" in data):
             need = "needs" if kind in VILLAIN_KINDS else "must not have"
-            raise ValueError(f"realization kind {kind!r} {need} a momentum window")
+            raise ValueError(f"realization kind {json.dumps(kind)} {need} a momentum window")
         window = None
         if "window" in data:
             window = (Fraction(data["window"][0]), Fraction(data["window"][1]))
             jf = Fraction(j2, 2)
             if window != (-jf, jf):
-                raise ValueError(f"realization kind {kind!r} needs the momentum window"
+                raise ValueError(f"realization kind {json.dumps(kind)} needs the momentum window"
                                  f" [{-jf}, {jf}], got [{window[0]}, {window[1]}]")
         return Realization(
             kind=kind,
@@ -190,7 +192,8 @@ def _couplings(data: dict, prefix: str = "") -> AlgebraParams:
     a float or a bool raises ValueError naming the key after ``prefix``."""
     for key in ("c1", "c3"):
         if not (isinstance(data[key], str) or _is_int(data[key])):
-            raise ValueError(f"{prefix}{key} must be a p/q string or an integer, got {data[key]!r}")
+            raise ValueError(f"{prefix}{key} must be a p/q string or an integer,"
+                             f" got {json.dumps(data[key])}")
     return AlgebraParams.of(data["c1"], data["c3"])
 
 
@@ -371,11 +374,17 @@ def villain_boson(
 ) -> Realization:
     """Phase-operator realization J+ = e^{iX} w(P), J3 = P.
 
-    Built spectrally: w(P) takes the square root of the weight on each
-    momentum eigenvector, clamping negative weights to zero.  J- is the
-    exact adjoint of J+ by construction.  Defining identities are only
-    expected on the spectral window |p| <= j, and only up to truncation
-    error; the verifier measures residuals there.
+    Built spectrally on the real eigenbasis u of X (momentum eigenvectors
+    R u, R = diag(i^n)): w(P) is R u diag(s) u^T R-dagger with s the square
+    root of the radicand, so J+ = K diag(s) u^T R-dagger with the per-dim
+    phase kernel K = e^{iX} R u (``fock._phase_kernel``).  s vanishes
+    wherever the radicand is nonpositive, so only the support S of the
+    positive radicand enters: J+ is one real (2N x |S|)(|S| x N) product,
+    N^2 |S| work.  A NaN radicand counts as support and yields a
+    non-finite J+, which ``build_realization`` refuses.  J- is the exact
+    adjoint of J+ by construction.  Defining identities are only expected
+    on the spectral window |p| <= j, and only up to truncation error; the
+    verifier measures residuals there.
     """
     if form not in (1, 2):
         raise ValueError(f"form must be 1 or 2, got {form}")
@@ -383,17 +392,17 @@ def villain_boson(
     if form == 2 and params.c3 <= 0:
         raise ValueError("the second radicand form needs c3 > 0")
     g = g_constant(params, jf, form) if g_override is None else float(g_override)
-    lam, u = _quadrature_basis(space.dim)
+    dim = space.dim
+    lam, u = _quadrature_basis(dim)
     rad = _villain_radicand(params, form, g, lam)
     if not _in_window(lam, -float(jf), float(jf)).any():
         raise ValueError("no momentum eigenvalue falls in the window [-j, j]")
-    # e^{iX} = u e^{i lam} u^T, and w(P) = R (u s u^T) R-dagger with the
-    # real product symmetrized
-    turns = _quarter_turns(space.dim)
-    s_ent = (u * np.sqrt(np.maximum(rad, 0.0))) @ u.T
-    s_ent = 0.5 * (s_ent + s_ent.T)
-    weight = turns[:, None] * s_ent * turns.conj()
-    jp = Operator(space, ((u * np.exp(1j * lam)) @ u.T) @ weight, COMPLEX)
+    live = ~(rad <= 0)  # not rad > 0, which would drop a NaN radicand
+    stack = (_phase_kernel(dim)[:, live] * np.sqrt(rad[live])) @ u[:, live].T
+    entries = np.empty((dim, dim), dtype=complex)
+    entries.real, entries.imag = stack[:dim], stack[dim:]
+    entries *= _quarter_turns(dim).conj()
+    jp = Operator(space, entries, COMPLEX)
     kind = KIND_VILLAIN1 if form == 1 else KIND_VILLAIN2
     return Realization(
         kind=kind,

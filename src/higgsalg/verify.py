@@ -379,7 +379,7 @@ def grid_from_json(data) -> list[tuple[AlgebraParams, int]]:
     for row in data:
         j2 = row["j2"]
         if not _is_int(j2) or j2 < 0:
-            raise ValueError(f"grid j2 must be an integer >= 0, got {j2!r}")
+            raise ValueError(f"grid j2 must be an integer >= 0, got {json.dumps(j2)}")
         out.append((_couplings(row, "grid "), j2))
     return out
 

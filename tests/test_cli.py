@@ -277,6 +277,33 @@ def test_missing_key_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == "error: malformed realization file: missing key 'c3'\n"
 
 
+@pytest.mark.parametrize("value,spelled", [(True, "true"), (None, "null"), (2.5, "2.5"),
+                                           ("3", '"3"')], ids=["true", "null", "float", "string"])
+def test_bad_value_is_quoted_as_in_the_file(tmp_path, capsys, value, spelled):
+    """A refused value is spelled as JSON, as the file holds it, not as
+    Python's repr (True, None, '3')."""
+    want = {
+        "k": f'kind "dyson" needs a step k >= 1 (1 if spectral), got {spelled}',
+        "j2": f"j2 must be an integer >= 0, got {spelled}",
+        "c1": f"c1 must be a p/q string or an integer, got {spelled}",
+    }
+    if isinstance(value, str):
+        del want["c1"]  # a string c1 is a p/q
+    for key, message in want.items():
+        saved, doc = _saved_realization(tmp_path)
+        doc[key] = value
+        saved.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--input", str(saved)]) == 65
+        assert capsys.readouterr().err == f"error: {message}\n"
+    grid = tmp_path / "grid.json"
+    for key in want.keys() - {"k"}:
+        row = {"c1": "1", "c3": "1", "j2": 2, key: value}
+        grid.write_text(json.dumps([row]))
+        assert main(["sweep", "--grid", str(grid), "--dim", "8", "--kinds", "hp:1"]) == 65
+        assert capsys.readouterr().err == f"error: grid {want[key]}\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])
 @pytest.mark.parametrize("command", [
     ["verify", "--c1", "2", "--c3", "0", "--j2", "4", "--kind", "hp:1", "--dim", "8"],
@@ -382,6 +409,8 @@ _SPECTRAL_POINTS = [
     ["--c1", "1", "--c3", "1", "--j2", "5", "--dim", "12"],
     ["--c1", "1", "--c3", "1", "--j2", "3", "--dim", "24"],
 ]
+# the radicand is positive on most states here (the second form refuses c3 <= 0)
+_FULL_SUPPORT_POINT = ["--c1", "3", "--c3", "-1", "--j2", "4", "--dim", "40"]
 
 
 @pytest.mark.parametrize("kind,points", [
@@ -392,7 +421,8 @@ _SPECTRAL_POINTS = [
     (["--kind", "dyson:3", "--field", "complex"], _VERIFY_POINTS),
     (["--kind", "dyson:1"], _VERIFY_POINTS), (["--kind", "dyson:2"], _VERIFY_POINTS),
     (["--kind", "dyson:3"], _VERIFY_POINTS),
-    (["--kind", "villain:1"], _SPECTRAL_POINTS), (["--kind", "villain:2"], _SPECTRAL_POINTS),
+    (["--kind", "villain:1"], [*_SPECTRAL_POINTS, _FULL_SUPPORT_POINT]),
+    (["--kind", "villain:2"], _SPECTRAL_POINTS),
 ], ids=["hp-1", "hp-2", "hp-3", "dyson-complex-1", "dyson-complex-2", "dyson-complex-3",
         "dyson-rational-1", "dyson-rational-2", "dyson-rational-3", "villain-1", "villain-2"])
 def test_verify_input_matches_direct_verify(tmp_path, capsys, kind, points):

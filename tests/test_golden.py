@@ -50,7 +50,7 @@ GOLDEN = [
     pytest.param(
         ["verify", "--c1", "1", "--c3", "1", "--j2", "3", "--dim", "24",
          "--kind", "villain:1", "--format", "json"],
-        "46ab93bd057cfa965e4c9f2285a16c0b5dc0ddf17946ec36289ffa14f8654f26",
+        "45c77b4bd0fd290d628b5c228a35478ab8cbec1b90907d34f7679a7f40906aba",
         0,
         id="verify-villain-1-json",
     ),
@@ -75,7 +75,7 @@ GOLDEN = [
     pytest.param(
         ["verify", "--c1", "1", "--c3", "1", "--j2", "3", "--dim", "24",
          "--kind", "villain:2", "--format", "json"],
-        "c47a6985f8273890d71186526f960318ef0e10817376202ea9c4f0f779f002c9",
+        "980c39307cee2380c4735467c8bee293d45769b8f3a549ba6a7462dbfc9d59b4",
         0,
         id="verify-villain-2-json",
     ),
@@ -113,7 +113,7 @@ GOLDEN = [
     ),
     pytest.param(
         ["build", "--c1", "1", "--c3", "1", "--j2", "5", "--dim", "24", "--kind", "villain:1"],
-        "87055f32b121563ba58478a28c033847ad5d6ffff43c890ce3b9f76d329a077f",
+        "c42740560f3c71edd7d2d5286b9ee25b12a70afea9d85f41138439ead6bd75d3",
         0,
         id="build-villain-1-dense",
     ),

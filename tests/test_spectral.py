@@ -31,8 +31,8 @@ from higgsalg import (
     unitary_exp,
     verify_realization,
 )
-from higgsalg.fock import COMPLEX, _quadrature_basis, _quarter_turns
-from higgsalg.realizations import _villain_radicand, _window_columns
+from higgsalg.fock import COMPLEX, _phase_kernel, _quadrature_basis, _quarter_turns
+from higgsalg.realizations import _villain_radicand, _window_columns, villain_boson
 from higgsalg.verify import _Window
 
 # |windowed residual - reference| <= _RESIDUAL_RTOL * max(1, |reference|)
@@ -108,6 +108,44 @@ def test_windowed_checks_agree_with_dense_reference(form, dim):
             for name, value in want.items():
                 assert abs(got[name] - value) <= _RESIDUAL_RTOL * max(1.0, abs(value)), name
             assert {c.block_size for c in report.checks if c.name in WINDOW_CHECKS} == {rank}
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_build_on_a_nearly_full_support_agrees_with_dense_reference(dim):
+    """J+ from the phase kernel on the radicand's support equals the full
+    dense product also where the support is nearly every state."""
+    params, j = AlgebraParams.of(3, -1), Fraction(2)
+    lam, _ = _quadrature_basis(dim)
+    support = ~(_villain_radicand(params, 1, g_constant(params, j, 1), lam) <= 0)
+    assert support.sum() == {24: 16, 96: 78, 256: 227}[dim]
+    jp = build_realization(FockSpace(dim), params, j, "villain", 1).jp.entries
+    ref = _reference_build(FockSpace(dim), params, j, 1).jp.entries
+    assert np.abs(jp - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+def test_empty_support_gives_zero_and_nan_stays_nonfinite():
+    """With g = 0 the radicand is negative at every eigenvalue and J+ is
+    exactly zero; a NaN radicand is kept in the support, so J+ is not
+    finite and ``build_realization`` would refuse it."""
+    space, params, j = FockSpace(96), AlgebraParams.of(1, 1), Fraction(3, 2)
+    lam, _ = _quadrature_basis(space.dim)
+    assert (_villain_radicand(params, 1, 0.0, lam) < 0).all()
+    assert not villain_boson(space, params, j, 1, g_override=0.0).jp.entries.any()
+    jp = villain_boson(space, params, j, 1, g_override=float("nan")).jp.entries
+    assert not np.isfinite(jp).all()
+
+
+@pytest.mark.parametrize("dim", (2, 24, 256))
+def test_phase_kernel_is_e_ix_r_u_once_per_dim(dim):
+    space = FockSpace(dim)
+    _, u = _quadrature_basis(dim)
+    kernel = _phase_kernel(dim)
+    want = unitary_exp(position(space), 1.0).entries @ (_quarter_turns(dim)[:, None] * u)
+    assert kernel.shape == (2 * dim, dim)
+    assert np.abs(kernel[:dim] + 1j * kernel[dim:] - want).max() <= 1e-12
+    assert _phase_kernel(dim) is kernel
+    with pytest.raises(ValueError):
+        kernel[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("dim", (2, 3, 24, 96, 128, 256))
