@@ -149,13 +149,18 @@ def root_side_admissible(params: AlgebraParams, j: RationalLike, n: int) -> Opti
 
 # -- per-state scan and chain decomposition -----------------------------------
 
-def admissible_states(params: AlgebraParams, j: RationalLike) -> list[int]:
-    """All n in [0, 2j] whose lowering radicand is nonnegative,
-    by direct sign scan."""
+def _doubled_spin(j: RationalLike) -> tuple[Fraction, int]:
     jf = _frac(j)
     top = int(2 * jf)
     if 2 * jf != top:
         raise ValueError(f"2j must be an integer, got j = {jf}")
+    return jf, top
+
+
+def admissible_states(params: AlgebraParams, j: RationalLike) -> list[int]:
+    """All n in [0, 2j] whose lowering radicand is nonnegative,
+    by direct sign scan."""
+    jf, top = _doubled_spin(j)
     return [n for n in range(top + 1) if minus_square(params, jf, n) >= 0]
 
 
@@ -175,10 +180,7 @@ class ChainStructure:
 
 
 def admissible_chain(params: AlgebraParams, j: RationalLike) -> ChainStructure:
-    jf = _frac(j)
-    top = int(2 * jf)
-    if 2 * jf != top:
-        raise ValueError(f"2j must be an integer, got j = {jf}")
+    jf, top = _doubled_spin(j)
     main = [0]
     while main[-1] < top and bond_product(params, jf, main[-1]) > 0:
         main.append(main[-1] + 1)
@@ -242,10 +244,7 @@ def representation_table(params: AlgebraParams, j: RationalLike) -> Representati
     radicand is negative is reported as missing.  The admissible flag is
     the per-state sign scan (nonnegative lowering radicand).
     """
-    jf = _frac(j)
-    top = int(2 * jf)
-    if 2 * jf != top:
-        raise ValueError(f"2j must be an integer, got j = {jf}")
+    jf, top = _doubled_spin(j)
     rows = []
     for n in range(top + 1):
         rows.append(

@@ -53,7 +53,8 @@ class FockSpace:
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim, int) or self.dim < 2:
-            raise ValueError(f"truncation dimension must be an integer >= 2, got {self.dim!r}")
+            raise ValueError(f"truncation dimension must be an integer >= 2,"
+                             f" got {json.dumps(self.dim, default=repr)}")
 
 
 def _freeze(entries: np.ndarray) -> np.ndarray:
@@ -158,7 +159,7 @@ def _parse_rational(x) -> Fraction:
     try:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"not a finite rational entry: {x!r}") from None
+        raise ValueError(f"not a finite rational entry: {json.dumps(x)}") from None
 
 
 class Operator:
@@ -298,7 +299,7 @@ class Operator:
         """Conjugate transpose: offset d becomes -d.  In the exact field
         entries are real rationals, so this is the plain transpose."""
         if self._bands is None:
-            return Operator(self.space, self._dense.conj().T.copy(), COMPLEX)
+            return Operator(self.space, self._dense.conj().T, COMPLEX)
         return self._with({-d: band.conj() for d, band in self._bands.items()})
 
     def power(self, k: int) -> "Operator":
@@ -424,7 +425,7 @@ class Operator:
                 return Operator(space, ent, COMPLEX)
             return Operator._banded(space, COMPLEX,
                                     {int(d): ent.diagonal(d).copy() for d in offsets[:1]})
-        raise ValueError(f"unknown field {field!r}")
+        raise ValueError(f"unknown field {json.dumps(field)}")
 
 
 # -- the file writer ----------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import AlgebraParams, RationalLike, bond_product, _frac
+from .algebra import AlgebraParams, RationalLike, bond_product, _doubled_spin, _frac
 from .fock import (
     COMPLEX,
     RATIONAL,
@@ -51,11 +51,9 @@ from .fock import (
 
 KIND_HP = "hp"
 KIND_DYSON = "dyson"
-KIND_VILLAIN1 = "villain1"
-KIND_VILLAIN2 = "villain2"
 
 STEP_KINDS = (KIND_HP, KIND_DYSON)
-VILLAIN_KINDS = (KIND_VILLAIN1, KIND_VILLAIN2)
+VILLAIN_KINDS = ("villain1", "villain2")
 
 # slack when binning float momentum eigenvalues into the window [-j, j]
 _WINDOW_EPS = 1e-9
@@ -139,7 +137,8 @@ class Realization:
         ops = {name: Operator.from_json_dict(data[name]) for name in ("jp", "jm", "j3")}
         op_dims = [op.space.dim for op in ops.values()]
         if any(d != data["dim"] for d in op_dims):
-            raise ValueError(f"operator dims {op_dims} do not all equal dim {data['dim']!r}")
+            raise ValueError(f"operator dims {op_dims} do not all equal"
+                             f" dim {json.dumps(data['dim'])}")
         op_fields = [op.field for op in ops.values()]
         if len(set(op_fields)) != 1:
             raise ValueError(f"operator fields {op_fields} differ")
@@ -198,9 +197,8 @@ def _couplings(data: dict, prefix: str = "") -> AlgebraParams:
 
 
 def _require_j2(j: RationalLike) -> tuple[Fraction, int]:
-    jf = _frac(j)
-    j2 = int(2 * jf)
-    if 2 * jf != j2 or j2 < 0:
+    jf, j2 = _doubled_spin(j)
+    if j2 < 0:
         raise ValueError(f"j must be a nonnegative half-integer, got {jf}")
     return jf, j2
 
@@ -354,15 +352,14 @@ def g_constant(params: AlgebraParams, j: RationalLike, form: int = 1) -> float:
     raise ValueError(f"form must be 1 or 2, got {form}")
 
 
-def _villain_radicand(
-    params: AlgebraParams, form: int, g: float, p: np.ndarray
-) -> np.ndarray:
-    c1 = float(params.c1)
-    c3 = float(params.c3)
-    if form == 1:
-        return g * g - 0.25 * c3 * (p * (p + 1.0)) ** 2 - 0.5 * c1 * (p + 0.5) ** 2
-    poly = c3 * p * p + c3 * p + c1
-    return (g * g - poly * poly) / (4.0 * c3)
+def _villain_radicand(params: AlgebraParams, jf: Fraction, p: np.ndarray) -> np.ndarray:
+    """Both forms' w(p)^2, (j - p)(j + 1 + p)(c3/4 (J + Q) + c1/2) with J = j(j + 1),
+    Q = p(p + 1): factored, it is exactly 0.0 at the edges p = j and p = -j - 1."""
+    half_c1 = _to_float(Fraction(params.c1, 2), "c1 / 2")
+    quarter_c3 = _to_float(Fraction(params.c3, 4), "c3 / 4")
+    big_j = _to_float(jf * (jf + 1), "j(j + 1)")
+    top = _to_float(jf, "j")
+    return (top - p) * (top + 1.0 + p) * (quarter_c3 * (big_j + p * (p + 1.0)) + half_c1)
 
 
 def villain_boson(
@@ -381,20 +378,24 @@ def villain_boson(
     wherever the radicand is nonpositive, so only the support S of the
     positive radicand enters: J+ is one real (2N x |S|)(|S| x N) product,
     N^2 |S| work.  A NaN radicand counts as support and yields a
-    non-finite J+, which ``build_realization`` refuses.  J- is the exact
-    adjoint of J+ by construction.  Defining identities are only expected
-    on the spectral window |p| <= j, and only up to truncation error; the
-    verifier measures residuals there.
+    non-finite J+, which ``build_realization`` refuses.  The form picks the
+    kind label and the refusal (form 1: no real g_constant; form 2: c3 <= 0);
+    ``g_override`` adds g^2 - g_constant(form=1)^2 to the radicand.  J- is
+    exactly J+-dagger.  Identities hold only on the window |p| <= j, up to
+    truncation error; the verifier measures residuals there.
     """
     if form not in (1, 2):
         raise ValueError(f"form must be 1 or 2, got {form}")
     jf, j2 = _require_j2(j)
     if form == 2 and params.c3 <= 0:
         raise ValueError("the second radicand form needs c3 > 0")
-    g = g_constant(params, jf, form) if g_override is None else float(g_override)
+    if form == 1 and g_override is None:
+        g_constant(params, jf, 1)  # refuses a point with no real g
     dim = space.dim
     lam, u = _quadrature_basis(dim)
-    rad = _villain_radicand(params, form, g, lam)
+    rad = _villain_radicand(params, jf, lam)
+    if g_override is not None:
+        rad += g_override ** 2 - g_constant(params, jf, 1) ** 2
     if not _in_window(lam, -float(jf), float(jf)).any():
         raise ValueError("no momentum eigenvalue falls in the window [-j, j]")
     live = ~(rad <= 0)  # not rad > 0, which would drop a NaN radicand
@@ -403,9 +404,8 @@ def villain_boson(
     entries.real, entries.imag = stack[:dim], stack[dim:]
     entries *= _quarter_turns(dim).conj()
     jp = Operator(space, entries, COMPLEX)
-    kind = KIND_VILLAIN1 if form == 1 else KIND_VILLAIN2
     return Realization(
-        kind=kind,
+        kind=VILLAIN_KINDS[form - 1],
         step_k=1,
         j2=j2,
         params=params,
@@ -457,6 +457,8 @@ def build_realization(
             r = villain_boson(space, params, j, form=k)
         else:
             raise ValueError(f"unknown realization kind {kind!r}")
-    if r.field == COMPLEX and not all(math.isfinite(op.max_norm()) for op in (r.jp, r.jm, r.j3)):
+    # only J+ can leave the float range: J- is its adjoint or (a+)^k, J3 is
+    # P or j - nhat, whose scale already refuses a j beyond the float range
+    if r.field == COMPLEX and not math.isfinite(r.jp.max_norm()):
         raise ValueError("a generator entry is beyond the float range")
     return r

@@ -189,3 +189,38 @@ def test_large_loaded_hp_file_verifies_on_its_band(tmp_path, capsys, monkeypatch
     loaded = main(["verify", "--input", str(path)]), capsys.readouterr().out
     assert loaded == direct
     assert direct[0] == 0
+
+
+# -- malformed values, spelled as the file holds them --------------------------
+
+_DIM = "truncation dimension must be an integer >= 2, got"
+
+
+@pytest.mark.parametrize("path,key,value,message", [
+    ((), "dim", True, "operator dims [4, 4, 4] do not all equal dim true"),
+    ((), "dim", None, "operator dims [4, 4, 4] do not all equal dim null"),
+    ((), "dim", "3", 'operator dims [4, 4, 4] do not all equal dim "3"'),
+    (("jp",), "dim", True, f"{_DIM} true"),
+    (("jp",), "dim", None, f"{_DIM} null"),
+    (("jp",), "dim", "3", f'{_DIM} "3"'),
+    (("jp", "entries"), 1, "1/0", 'not a finite rational entry: "1/0"'),
+    (("jp",), "field", "octonion", 'unknown field "octonion"'),
+], ids=["dim-true", "dim-null", "dim-string", "op-dim-true", "op-dim-null", "op-dim-string",
+        "rational-entry", "field"])
+def test_bad_dim_field_or_entry_is_quoted_as_in_the_file(tmp_path, capsys, path, key, value,
+                                                       message):
+    """A dyson:1 file with one value replaced exits 65 with one line that
+    spells the value as JSON, not as Python's repr (True, None, '3')."""
+    saved = tmp_path / "r.json"
+    assert main(["build", *_POINT, "--dim", "4", "--kind", "dyson:1", "-o", str(saved)]) == 0
+    doc = json.loads(saved.read_text())
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    parent[key] = value
+    saved.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(saved)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

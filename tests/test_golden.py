@@ -50,7 +50,7 @@ GOLDEN = [
     pytest.param(
         ["verify", "--c1", "1", "--c3", "1", "--j2", "3", "--dim", "24",
          "--kind", "villain:1", "--format", "json"],
-        "45c77b4bd0fd290d628b5c228a35478ab8cbec1b90907d34f7679a7f40906aba",
+        "b841476282bd76c19fd2341aecee86052d7e31d5dbe597577dc14940ca57447d",
         0,
         id="verify-villain-1-json",
     ),
@@ -75,7 +75,7 @@ GOLDEN = [
     pytest.param(
         ["verify", "--c1", "1", "--c3", "1", "--j2", "3", "--dim", "24",
          "--kind", "villain:2", "--format", "json"],
-        "980c39307cee2380c4735467c8bee293d45769b8f3a549ba6a7462dbfc9d59b4",
+        "2c561fb5cfcba565615f69f771891ee4d2ed90fb8f1411a2a2c349c1ebbed3cf",
         0,
         id="verify-villain-2-json",
     ),
@@ -113,7 +113,7 @@ GOLDEN = [
     ),
     pytest.param(
         ["build", "--c1", "1", "--c3", "1", "--j2", "5", "--dim", "24", "--kind", "villain:1"],
-        "c42740560f3c71edd7d2d5286b9ee25b12a70afea9d85f41138439ead6bd75d3",
+        "e55acab5a46e9c7680ef189d609ff2d465020d5ef9ff8b1e4636ebefc551beb2",
         0,
         id="build-villain-1-dense",
     ),

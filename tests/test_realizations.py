@@ -31,7 +31,7 @@ from higgsalg import (
     product_recurrence,
     villain_boson,
 )
-from higgsalg.realizations import _window_columns
+from higgsalg.realizations import _villain_radicand, _window_columns
 from higgsalg.verify import default_grid
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -183,30 +183,27 @@ def test_g_constant_no_real_value():
         g_constant(SU11_PARAMS, 2, 1)
 
 
-def test_villain_radicand_forms_agree():
-    # with the matched coupling constants both radicand forms are the
-    # same polynomial in p wherever c3 > 0
-    from higgsalg.realizations import _villain_radicand
+@given(c1=rationals, c3=rationals, j=spins, p=st.fractions(min_value=-12, max_value=12,
+                                                            max_denominator=8))
+@settings(max_examples=150, deadline=None)
+def test_villain_radicand_forms_are_one_polynomial(c1, c3, j, p):
+    # form 1 with g1^2, form 2 with g2 (where c3 > 0) and the factored form
+    # of the one radicand are the same polynomial in p
+    big_j, q = j * (j + 1), p * (p + 1)
+    g1_squared = c1 / 2 * (j + Fraction(1, 2)) ** 2 + c3 / 4 * big_j ** 2
+    form1 = g1_squared - c3 / 4 * q ** 2 - c1 / 2 * (p + Fraction(1, 2)) ** 2
+    factored = (j - p) * (j + 1 + p) * (c3 / 4 * (big_j + q) + c1 / 2)
+    assert form1 == factored == c3 / 4 * (big_j ** 2 - q ** 2) + c1 / 2 * (big_j - q)
+    if c3 > 0:
+        g2 = abs(c1 + c3 * big_j)
+        assert (g2 ** 2 - (c3 * q + c1) ** 2) / (4 * c3) == factored
 
-    p = np.linspace(-6.0, 6.0, 41)
-    for c1, c3, j2 in [(1, 1, 4), (0, 2, 3), (2, 1, 5)]:
-        params = AlgebraParams.of(c1, c3)
-        j = Fraction(j2, 2)
-        r1 = _villain_radicand(params, 1, g_constant(params, j, 1), p)
-        r2 = _villain_radicand(params, 2, g_constant(params, j, 2), p)
-        assert np.abs(r1 - r2).max() < 1e-10
 
-
-def test_villain_weight_vanishes_at_window_edges():
-    for form in (1, 2):
-        params = AlgebraParams.of(1, 1)
-        j = Fraction(2)
-        from higgsalg.realizations import _villain_radicand
-
-        g = g_constant(params, j, form)
-        edges = np.array([float(j), -float(j) - 1.0])
-        vals = _villain_radicand(params, form, g, edges)
-        assert np.abs(vals).max() < 1e-12
+@given(c1=rationals, c3=rationals, j=spins)
+@settings(max_examples=80, deadline=None)
+def test_villain_radicand_is_zero_at_window_edges(c1, c3, j):
+    edges = np.array([float(j), -float(j) - 1.0])
+    assert _villain_radicand(AlgebraParams.of(c1, c3), j, edges).tolist() == [0.0, 0.0]
 
 
 def test_villain_adjoint_exact_and_window():

@@ -32,7 +32,7 @@ from higgsalg import (
     verify_realization,
 )
 from higgsalg.fock import COMPLEX, _phase_kernel, _quadrature_basis, _quarter_turns
-from higgsalg.realizations import _villain_radicand, _window_columns, villain_boson
+from higgsalg.realizations import _window_columns, villain_boson
 from higgsalg.verify import _Window
 
 # |windowed residual - reference| <= _RESIDUAL_RTOL * max(1, |reference|)
@@ -58,11 +58,21 @@ def _dense_window(space: FockSpace, lo: float, hi: float) -> np.ndarray:
     return cols @ cols.conj().T
 
 
+def _reference_radicand(params: AlgebraParams, form: int, g: float,
+                        p: np.ndarray) -> np.ndarray:
+    """w(p)^2 in each form's own expression with coupling scale g."""
+    c1, c3 = float(params.c1), float(params.c3)
+    if form == 1:
+        return g * g - 0.25 * c3 * (p * (p + 1.0)) ** 2 - 0.5 * c1 * (p + 0.5) ** 2
+    poly = c3 * p * p + c3 * p + c1
+    return (g * g - poly * poly) / (4.0 * c3)
+
+
 def _reference_build(space: FockSpace, params: AlgebraParams, j: Fraction, form: int) -> Realization:
     """J+ = e^{iX} w(P) from complex eigendecompositions of X and P."""
     p = momentum(space)
     evals, evecs = np.linalg.eigh(p.entries)
-    rad = _villain_radicand(params, form, g_constant(params, j, form), evals)
+    rad = _reference_radicand(params, form, g_constant(params, j, form), evals)
     s = (evecs * np.sqrt(np.maximum(rad, 0.0))) @ evecs.conj().T
     jp = unitary_exp(position(space), 1.0) @ Operator(space, 0.5 * (s + s.conj().T), COMPLEX)
     return Realization(f"villain{form}", 1, int(2 * j), params, jp, jp.adjoint(), p,
@@ -116,7 +126,7 @@ def test_build_on_a_nearly_full_support_agrees_with_dense_reference(dim):
     dense product also where the support is nearly every state."""
     params, j = AlgebraParams.of(3, -1), Fraction(2)
     lam, _ = _quadrature_basis(dim)
-    support = ~(_villain_radicand(params, 1, g_constant(params, j, 1), lam) <= 0)
+    support = ~(_reference_radicand(params, 1, g_constant(params, j, 1), lam) <= 0)
     assert support.sum() == {24: 16, 96: 78, 256: 227}[dim]
     jp = build_realization(FockSpace(dim), params, j, "villain", 1).jp.entries
     ref = _reference_build(FockSpace(dim), params, j, 1).jp.entries
@@ -129,7 +139,7 @@ def test_empty_support_gives_zero_and_nan_stays_nonfinite():
     finite and ``build_realization`` would refuse it."""
     space, params, j = FockSpace(96), AlgebraParams.of(1, 1), Fraction(3, 2)
     lam, _ = _quadrature_basis(space.dim)
-    assert (_villain_radicand(params, 1, 0.0, lam) < 0).all()
+    assert (_reference_radicand(params, 1, 0.0, lam) < 0).all()
     assert not villain_boson(space, params, j, 1, g_override=0.0).jp.entries.any()
     jp = villain_boson(space, params, j, 1, g_override=float("nan")).jp.entries
     assert not np.isfinite(jp).all()
