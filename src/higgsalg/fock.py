@@ -5,12 +5,16 @@ states |0> .. |N-1>.  Two scalar fields are supported:
 
 * ``"complex"``: complex floats in the conventional normalized basis,
   where the annihilation matrix carries sqrt(n) entries.
-* ``"rational"``: exact ``fractions.Fraction`` entries in the monomial
-  basis (the creation matrix has unit entries, annihilation has integer
-  entries n).  The commutator [a, a+] = 1 and every closure identity
-  built from it are invariant under the diagonal change of basis between
-  the two conventions, so exact checks done in this field transfer to
-  the normalized basis unchanged.
+* ``"rational"``: exact rational entries in the monomial basis (the
+  creation matrix has unit entries, annihilation has integer entries n).
+  The commutator [a, a+] = 1 and every closure identity built from it are
+  invariant under the diagonal change of basis between the two
+  conventions, so exact checks done in this field transfer to the
+  normalized basis unchanged.  The bands hold Python int numerators over
+  one positive int denominator per operator, so exact arithmetic is
+  integer arithmetic; ``fractions.Fraction`` values are built only where
+  entries leave the operator (``entries``, ``diagonal``, the norms and
+  the file formats).
 
 Operators are immutable; mixed-field arithmetic promotes rational to
 complex.  The ladder and diagonal constructors keep only an operator's
@@ -24,10 +28,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -84,9 +89,13 @@ def _as_fraction(x: Scalar) -> Fraction:
 # A banded operator is a dict {offset: 1-D numpy array}.  Offset d holds the
 # entries (i, i + d) in order of increasing row, so it has N - |d| entries and
 # starts at (row, column) = _band_start(d).  Only diagonals with a nonzero
-# entry are kept.  The arrays hold Fractions (object dtype) in the rational
-# field and complex128 in the complex field; numpy applies + - * elementwise
-# to either dtype, so the band routines below serve both fields.
+# entry are kept.  The arrays hold complex128 in the complex field and
+# Python ints (object dtype) in the rational field: the numerators of the
+# entries over the operator's one positive int denominator ``_den`` (1 in
+# the complex field).  numpy applies + - * elementwise to either dtype, so
+# the band routines below serve both fields; a product's denominator is the
+# product of its factors', and a sum first brings both terms to the lcm of
+# theirs.
 
 _ZERO = Fraction(0)
 
@@ -103,10 +112,19 @@ def _band(values, field: str) -> np.ndarray:
 
 
 def _zero_array(shape, field: str) -> np.ndarray:
-    """Zeros of the field, as a band (an int shape) or a dense matrix."""
-    if field == RATIONAL:
-        return np.full(shape, _ZERO, dtype=object)
-    return np.zeros(shape, dtype=complex)
+    """Zeros of the band storage, as a band (an int shape) or a dense
+    matrix: int 0 numerators in the rational field."""
+    return np.zeros(shape, dtype=object if field == RATIONAL else complex)
+
+
+def _over_lcm(bands: dict) -> tuple[_Bands, int]:
+    """Bands of rational values as int numerators over the lcm of their
+    denominators, and that lcm; an int is its own numerator over 1."""
+    bands = {d: [x if type(x) is int else _as_fraction(x) for x in band]
+             for d, band in bands.items()}
+    den = math.lcm(*{x.denominator for band in bands.values() for x in band})
+    return {d: _band([x.numerator * (den // x.denominator) for x in band], RATIONAL)
+            for d, band in bands.items()}, den
 
 
 def _nonzero(bands: _Bands) -> _Bands:
@@ -172,7 +190,10 @@ class Operator:
     diagonal) and every product the checks form stays within a few
     offsets, so a product costs O(N * bands^2) scalar operations instead
     of the O(N^3) of a dense one.  Rational operators are always banded;
-    built from a dense array they keep its nonzero diagonals.  A complex
+    built from a dense array they keep its nonzero diagonals.  Their bands
+    hold int numerators over one positive int denominator for the whole
+    operator, the lcm of the entries' denominators when it is built, so
+    their arithmetic makes no ``Fraction``.  A complex
     operator built from a dense array stays a dense complex128 array, as
     do ``position``, ``momentum`` and the spectral generators; one read
     by ``from_json_dict`` is a single band when its nonzero entries lie on
@@ -181,12 +202,13 @@ class Operator:
 
     ``entries`` is a read-only dense numpy array in either storage:
     complex128, or object dtype of Fractions, built on first use as zeros
-    plus the bands.  JSON spells every zero part of a complex entry
-    ``0.0``, so an operator file depends only on the matrix, not on its
-    storage or on the arithmetic that produced it.
+    plus the bands; ``diagonal`` of a rational operator holds Fractions
+    too.  JSON spells every zero part of a complex entry ``0.0``, so an
+    operator file depends only on the matrix, not on its storage or on the
+    arithmetic that produced it.
     """
 
-    __slots__ = ("space", "field", "_bands", "_dense")
+    __slots__ = ("space", "field", "_bands", "_den", "_dense")
 
     def __init__(self, space: FockSpace, entries: np.ndarray, field: str):
         if field not in (COMPLEX, RATIONAL):
@@ -195,6 +217,7 @@ class Operator:
             raise ValueError(f"entries shape {entries.shape} does not match dim {space.dim}")
         self.space = space
         self.field = field
+        self._den = 1
         if field == RATIONAL:
             # every entry must be rational, zeros included: one of each type
             # goes through _as_fraction
@@ -202,8 +225,8 @@ class Operator:
                 _as_fraction(x)
             n = space.dim
             nz = np.flatnonzero(entries)
-            bands = {d: _band([_as_fraction(x) for x in entries.diagonal(d)], RATIONAL)
-                     for d in np.unique(nz % n - nz // n).tolist()}
+            bands, self._den = _over_lcm({d: entries.diagonal(d)
+                                          for d in np.unique(nz % n - nz // n).tolist()})
             self._bands = _nonzero(bands)
             self._dense = None
         else:
@@ -211,37 +234,64 @@ class Operator:
             self._dense = _freeze(entries)
 
     @staticmethod
-    def _banded(space: FockSpace, field: str, bands: _Bands) -> "Operator":
-        """Operator straight from its bands; all-zero bands are dropped."""
+    def _banded(space: FockSpace, field: str, bands: _Bands, den: int = 1) -> "Operator":
+        """Operator straight from its bands, rational ones as int numerators
+        over ``den``; all-zero bands are dropped."""
         op = object.__new__(Operator)
         op.space = space
         op.field = field
         op._bands = _nonzero(bands)
+        op._den = den
         op._dense = None
         return op
 
-    def _with(self, bands: _Bands) -> "Operator":
-        return Operator._banded(self.space, self.field, bands)
+    @staticmethod
+    def _exact(space: FockSpace, bands: dict) -> "Operator":
+        """Rational operator from bands of rational values."""
+        return Operator._banded(space, RATIONAL, *_over_lcm(bands))
+
+    def _with(self, bands: _Bands, den: Optional[int] = None) -> "Operator":
+        return Operator._banded(self.space, self.field, bands, self._den if den is None else den)
+
+    def _over(self, den: int) -> _Bands:
+        """The bands as numerators over ``den``, a multiple of ``_den``."""
+        if den == self._den:
+            return self._bands
+        factor = den // self._den
+        return {d: factor * band for d, band in self._bands.items()}
+
+    def _values(self, band: np.ndarray) -> np.ndarray:
+        """A band's entries as values of the field: Fractions in the
+        rational field, where the band holds numerators."""
+        if self.field == COMPLEX:
+            return band
+        return _band([Fraction(x, self._den) for x in band.tolist()], RATIONAL)
 
     @property
     def entries(self) -> np.ndarray:
         if self._dense is None:
-            base = _zero_array((self.space.dim, self.space.dim), self.field)
+            n = self.space.dim
+            base = (np.full((n, n), _ZERO, dtype=object) if self.field == RATIONAL
+                    else np.zeros((n, n), dtype=complex))
             for d, band in self._bands.items():
                 r, c = _band_start(d)
                 idx = np.arange(len(band))
-                base[idx + r, idx + c] = band
+                base[idx + r, idx + c] = self._values(band)
             self._dense = _freeze(base)
         return self._dense
 
     # -- construction helpers -------------------------------------------------
 
     def _promote(self) -> "Operator":
-        """Return the complex-field version of an exact operator."""
+        """Return the complex-field version of an exact operator.  Each
+        entry is the int quotient numerator / denominator, correctly
+        rounded, as ``complex(Fraction)`` is; a numerator past 2**53 is
+        never rounded to a float on its own."""
         if self.field == COMPLEX:
             return self
         return Operator._banded(
-            self.space, COMPLEX, {d: band.astype(complex) for d, band in self._bands.items()}
+            self.space, COMPLEX,
+            {d: (band / self._den).astype(complex) for d, band in self._bands.items()}
         )
 
     @staticmethod
@@ -262,19 +312,21 @@ class Operator:
         a, b = Operator._align(self, other)
         if a._bands is None:
             return Operator(a.space, a._dense @ b._dense, COMPLEX)
-        return a._with(_band_matmul(a.space.dim, a._bands, b._bands, a.field))
+        return a._with(_band_matmul(a.space.dim, a._bands, b._bands, a.field), a._den * b._den)
+
+    def _sum(self, other: "Operator", subtract: bool) -> "Operator":
+        a, b = Operator._align(self, other)
+        if a._bands is None:
+            return Operator(a.space, a._dense - b._dense if subtract else a._dense + b._dense,
+                            COMPLEX)
+        den = math.lcm(a._den, b._den)
+        return a._with(_band_add(a.space.dim, a._over(den), b._over(den), a.field, subtract), den)
 
     def __add__(self, other: "Operator") -> "Operator":
-        a, b = Operator._align(self, other)
-        if a._bands is None:
-            return Operator(a.space, a._dense + b._dense, COMPLEX)
-        return a._with(_band_add(a.space.dim, a._bands, b._bands, a.field, subtract=False))
+        return self._sum(other, subtract=False)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        a, b = Operator._align(self, other)
-        if a._bands is None:
-            return Operator(a.space, a._dense - b._dense, COMPLEX)
-        return a._with(_band_add(a.space.dim, a._bands, b._bands, a.field, subtract=True))
+        return self._sum(other, subtract=True)
 
     def __neg__(self) -> "Operator":
         if self._bands is None:
@@ -286,8 +338,9 @@ class Operator:
             if not isinstance(c, Rational):
                 return self._promote().scale(c)
             c = _as_fraction(c)
-        else:
-            c = complex(c) if isinstance(c, complex) else complex(_to_float(c, "a scale factor"))
+            return self._with({d: c.numerator * band for d, band in self._bands.items()},
+                              self._den * c.denominator)
+        c = complex(c) if isinstance(c, complex) else complex(_to_float(c, "a scale factor"))
         if self._bands is None:
             return Operator(self.space, c * self._dense, COMPLEX)
         return self._with({d: c * band for d, band in self._bands.items()})
@@ -300,6 +353,8 @@ class Operator:
         entries are real rationals, so this is the plain transpose."""
         if self._bands is None:
             return Operator(self.space, self._dense.conj().T, COMPLEX)
+        if self.field == RATIONAL:
+            return self._with({-d: band for d, band in self._bands.items()})
         return self._with({-d: band.conj() for d, band in self._bands.items()})
 
     def power(self, k: int) -> "Operator":
@@ -313,10 +368,11 @@ class Operator:
     # -- inspection -----------------------------------------------------------
 
     def _largest(self, worst: list):
-        """Largest of the magnitudes ``worst``, or zero: a Fraction for the
-        rational field, a float otherwise (NaN when one is NaN)."""
+        """Largest of the band magnitudes ``worst``, or zero: a Fraction for
+        the rational field, whose magnitudes are numerators, a float
+        otherwise (NaN when one is NaN)."""
         if self.field == RATIONAL:
-            return max(worst, default=_ZERO)
+            return Fraction(max(worst, default=0), self._den)
         return float(np.max(worst, initial=0.0))
 
     def max_norm(self):
@@ -332,7 +388,8 @@ class Operator:
         if self._bands is None:
             return self._dense.diagonal(d)
         band = self._bands.get(d)
-        return _zero_array(max(self.space.dim - abs(d), 0), self.field) if band is None else band
+        return self._values(_zero_array(max(self.space.dim - abs(d), 0), self.field)
+                            if band is None else band)
 
     def block_max(self, states: Sequence[int]):
         """Entrywise max magnitude over the principal submatrix on
@@ -405,8 +462,8 @@ class Operator:
                 r, c = _band_start(d)
                 start = r * dim + c
                 cells = flat[start:start + (dim - abs(d)) * (dim + 1):dim + 1]
-                bands[d] = _band([parsed[x] for x in cells], RATIONAL)
-            return Operator._banded(space, RATIONAL, bands)
+                bands[d] = [parsed[x] for x in cells]
+            return Operator._exact(space, bands)
         if field == COMPLEX:
             pairs = set(map(type, flat)) <= {list} and set(map(len, flat)) <= {2}
             parts = list(itertools.chain.from_iterable(flat)) if pairs else []
@@ -461,7 +518,7 @@ def _entry_items(op: Operator, pad: str) -> list[str]:
         items = [f'{pad}"0"'] * n2
         for idx, vals in _nonzero_runs(op):
             for i, x in zip(idx.tolist(), vals.tolist()):
-                items[i] = f'{pad}"{x}"'
+                items[i] = f'{pad}"{Fraction(x, op._den)}"'
         return items
     inner = pad + "  "
     items = [f"{pad}[\n{inner}0.0,\n{inner}0.0\n{pad}]"] * n2
@@ -493,7 +550,7 @@ def annihilation(space: FockSpace, field: str = COMPLEX) -> Operator:
     """
     n = space.dim
     if field == RATIONAL:
-        band = _band([Fraction(m) for m in range(1, n)], RATIONAL)
+        band = _band(list(range(1, n)), RATIONAL)
     else:
         band = np.sqrt(np.arange(1, n)).astype(complex)
     return Operator._banded(space, field, {1: band})
@@ -503,7 +560,7 @@ def creation(space: FockSpace, field: str = COMPLEX) -> Operator:
     """Raising matrix a+; adjoint of ``annihilation`` in the complex field,
     the unit-entry shift in the exact monomial basis."""
     if field == RATIONAL:
-        ones = _band([Fraction(1)] * (space.dim - 1), RATIONAL)
+        ones = _band([1] * (space.dim - 1), RATIONAL)
         return Operator._banded(space, RATIONAL, {-1: ones})
     return annihilation(space, COMPLEX).adjoint()
 
@@ -530,14 +587,12 @@ def diagonal_operator(space: FockSpace, values: Sequence[Scalar],
     if len(vals) != space.dim:
         raise ValueError(f"need {space.dim} diagonal values, got {len(vals)}")
     if field == RATIONAL:
-        band = [_ZERO if v is None else _as_fraction(v) for v in vals]
-    else:
-        field = COMPLEX
-        try:
-            band = [0j if v is None else complex(v) for v in vals]
-        except OverflowError:
-            raise ValueError("a diagonal value is beyond the float range") from None
-    return Operator._banded(space, field, {0: _band(band, field)})
+        return Operator._exact(space, {0: [0 if v is None else v for v in vals]})
+    try:
+        band = [0j if v is None else complex(v) for v in vals]
+    except OverflowError:
+        raise ValueError("a diagonal value is beyond the float range") from None
+    return Operator._banded(space, COMPLEX, {0: _band(band, COMPLEX)})
 
 
 def pochhammer(q: Scalar, n: int):

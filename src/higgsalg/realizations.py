@@ -123,7 +123,8 @@ class Realization:
         that is not a p/q string or an integer, operators of different dims
         or fields, a mask entry other than the integers 0 or 1, a mask whose
         length is not dim, a window missing on a spectral kind or present on
-        any other, a window other than [-j, j], or an operator entry that is
+        any other, a window that is not a list of two p/q strings or
+        integers, a window other than [-j, j], or an operator entry that is
         not a finite number of its field."""
         kind, k, j2 = data["kind"], data["k"], data["j2"]
         if kind not in STEP_KINDS + VILLAIN_KINDS:
@@ -152,7 +153,11 @@ class Realization:
             raise ValueError(f"realization kind {json.dumps(kind)} {need} a momentum window")
         window = None
         if "window" in data:
-            window = (Fraction(data["window"][0]), Fraction(data["window"][1]))
+            ends = data["window"]
+            window = tuple(map(_file_rational, ends)) if type(ends) is list else ()
+            if len(window) != 2 or None in window:
+                raise ValueError("window must be a list of two p/q strings or integers,"
+                                 f" got {json.dumps(ends)}")
             jf = Fraction(j2, 2)
             if window != (-jf, jf):
                 raise ValueError(f"realization kind {json.dumps(kind)} needs the momentum window"
@@ -186,14 +191,28 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _file_rational(value) -> Optional[Fraction]:
+    """A file's ``p/q`` string or integer as a Fraction; None for any other
+    value: a float, a bool, null, a list, or a string that is not a
+    rational or has a zero denominator."""
+    if isinstance(value, str) or _is_int(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    return None
+
+
 def _couplings(data: dict, prefix: str = "") -> AlgebraParams:
     """The ``c1`` and ``c3`` of a file, each a ``p/q`` string or an integer;
-    a float or a bool raises ValueError naming the key after ``prefix``."""
-    for key in ("c1", "c3"):
-        if not (isinstance(data[key], str) or _is_int(data[key])):
+    any other value raises ValueError naming the key after ``prefix`` and
+    spelling the value as JSON."""
+    values = {key: _file_rational(data[key]) for key in ("c1", "c3")}
+    for key, value in values.items():
+        if value is None:
             raise ValueError(f"{prefix}{key} must be a p/q string or an integer,"
                              f" got {json.dumps(data[key])}")
-    return AlgebraParams.of(data["c1"], data["c3"])
+    return AlgebraParams(values["c1"], values["c3"])
 
 
 def _require_j2(j: RationalLike) -> tuple[Fraction, int]:
@@ -205,17 +224,11 @@ def _require_j2(j: RationalLike) -> tuple[Fraction, int]:
 
 # -- weight sequences ---------------------------------------------------------
 
-def _recurrence_denominator(k: int, n: int, coefficients: str) -> Fraction:
+def _recurrence_denominator(k: int, n: int, coefficients: str) -> int:
     if coefficients == "derived":
-        den = Fraction(1)
-        for i in range(1, k + 1):
-            den *= n + i
-        return den
+        return math.prod(range(n + 1, n + k + 1))
     if coefficients == "printed":
-        den = Fraction(n + 1)
-        for i in range(2, k + 1):
-            den *= n + 2 ** (i - 2) + 1
-        return den
+        return (n + 1) * math.prod(n + 2 ** (i - 2) + 1 for i in range(2, k + 1))
     raise ValueError(f"coefficients must be 'printed' or 'derived', got {coefficients!r}")
 
 
@@ -229,26 +242,46 @@ def product_recurrence(
     """Solve the order-k difference equation for the weight sequence; the
     values F_k(0) .. F_k(nmax), indexed by n.
 
-    The homogeneous term enters through a falling factorial that vanishes
-    for n < k, so the first k values are fixed by the inhomogeneity alone;
-    no seed values are taken from outside.  The two coefficient variants
-    agree for k <= 3 and part ways at k = 4, where only 'derived' keeps
-    the commutator closure exact.
+    The equation is den(n) F(n) = rhs(n) + fall(n) F(n - k), with
+    rhs(n) = c1 (j - n) + c3 (j - n)^3, the falling factorial
+    fall(n) = n (n - 1) ... (n - k + 1) and the coefficients' denominator
+    den(n).  fall vanishes for n < k, so the first k values are fixed by
+    the inhomogeneity alone; no seed values are taken from outside.  The
+    two coefficient variants agree for k <= 3 and part ways at k = 4,
+    where only 'derived' keeps the commutator closure exact.
+
+    For 'derived', den(n) = (n + 1) ... (n + k), so fall(n) = den(n - k)
+    and H(n) = den(n) F(n) telescopes:
+
+        H(n) = rhs(n) + H(n - k),
+
+    a prefix sum of rhs over each residue class of n mod k.  It is summed
+    in integers, with rhs over the fixed denominator q1 q3 b^3 for
+    c1 = p1/q1, c3 = p3/q3 and j = a/b, and one Fraction is made per
+    value.  For 'printed' at k >= 4 the term on H(n - k) keeps the factor
+    fall(n) / den(n - k), which is 1 everywhere else.
     """
     if k < 1:
         raise ValueError("step k must be >= 1")
     jf = _frac(j)
     c1, c3 = params.c1, params.c3
-    vals: list[Fraction] = []
+    a, b = jf.numerator, jf.denominator
+    # rhs(n) = (lin t + cub t^3) / q with t = a - n b
+    q = c1.denominator * c3.denominator * b ** 3
+    lin = c1.numerator * c3.denominator * b * b
+    cub = c3.numerator * c1.denominator
+    telescopes = coefficients == "derived" or k <= 3
+    h: list = []
     for n in range(nmax + 1):
-        rhs = c1 * (jf - n) + c3 * (jf - n) ** 3
-        fall = Fraction(1)
-        for i in range(1, k + 1):
-            fall *= n - i + 1
-        if n >= k and fall != 0:
-            rhs += fall * vals[n - k]
-        vals.append(rhs / _recurrence_denominator(k, n, coefficients))
-    return tuple(vals)
+        t = a - n * b
+        rhs = lin * t + cub * t ** 3
+        if n >= k:
+            carry = 1 if telescopes else Fraction(
+                math.prod(range(n - k + 1, n + 1)), _recurrence_denominator(k, n - k, coefficients))
+            rhs += carry * h[n - k]
+        h.append(rhs)
+    return tuple(Fraction(x, q * _recurrence_denominator(k, n, coefficients))
+                 for n, x in enumerate(h))
 
 
 def closed_form_k1(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:

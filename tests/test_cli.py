@@ -245,6 +245,30 @@ def test_malformed_realization_file_exits_65(tmp_path, capsys, field, path, valu
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("window,spelled", [
+    pytest.param([True, "1"], '[true, "1"]', id="boolean-end"),
+    pytest.param(["-1", "1", "2"], '["-1", "1", "2"]', id="three-ends"),
+    pytest.param(["x", "1"], '["x", "1"]', id="not-a-rational"),
+    pytest.param("-1", '"-1"', id="string-window"),
+    pytest.param([None, "1"], '[null, "1"]', id="null-end"),
+])
+def test_malformed_window_exits_65_spelled_as_json(tmp_path, capsys, window, spelled):
+    """A villain window must be a list of exactly two p/q strings or
+    integers; anything else is refused with the value as the file spells it."""
+    path = tmp_path / "v.json"
+    assert main(["build", "--c1", "1", "--c3", "1", "--j2", "2", "--dim", "6",
+                 "--kind", "villain:1", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["window"] = window
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: window must be a list of two p/q strings or integers,"
+                            f" got {spelled}\n")
+
+
 @pytest.mark.parametrize("grid", [
     [{"c1": "1/0", "c3": "1", "j2": 2}],
     {"c1": "1", "c3": "1", "j2": 2},

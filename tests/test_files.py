@@ -48,9 +48,11 @@ def _operators(draw):
     if draw(st.booleans()):
         offsets = draw(st.sets(st.integers(1 - dim, dim - 1), max_size=3))
         sizes = {d: dim - abs(d) for d in offsets}
-        bands = {d: _band(draw(st.lists(values, min_size=size, max_size=size)), field)
+        bands = {d: draw(st.lists(values, min_size=size, max_size=size))
                  for d, size in sizes.items()}
-        return Operator._banded(space, field, bands)
+        if field == RATIONAL:
+            return Operator._exact(space, bands)
+        return Operator._banded(space, field, {d: _band(b, field) for d, b in bands.items()})
     flat = draw(st.lists(values, min_size=dim * dim, max_size=dim * dim))
     return Operator(space, _band(flat, field).reshape(dim, dim), field)
 

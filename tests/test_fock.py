@@ -29,6 +29,7 @@ from higgsalg import (
     position,
     unitary_exp,
 )
+from higgsalg import fock
 from higgsalg.fock import FieldError
 
 
@@ -275,6 +276,71 @@ def test_banded_arithmetic_matches_dense_reference(pair, c, k, states):
     promoted = a + diagonal_operator(a.space, [0] * dim, COMPLEX)
     assert np.array_equal(promoted.entries, x.astype(float).astype(complex))
     _assert_exact(_through_json(a), x)
+
+
+# -- integer bands over one denominator ----------------------------------------
+
+# numerators far past 2**53, where a float numerator would already be rounded
+_NUMERATORS = st.one_of(st.integers(-60, 60), st.integers(-2 ** 80, 2 ** 80))
+_DENOMINATORS = st.sampled_from([1, 2, 3, 24, 48, 7 * 9, 2 ** 61 - 1])
+
+
+@st.composite
+def _over_denominators(draw, dim):
+    """A rational operator whose entries are numerators over one drawn
+    denominator, on a random set of offsets, and its dense Fraction matrix."""
+    den = draw(_DENOMINATORS)
+    ref = np.full((dim, dim), Fraction(0), dtype=object)
+    for d in draw(st.sets(st.integers(1 - dim, dim - 1), max_size=4)):
+        for t in range(dim - abs(d)):
+            ref[(t - d, t) if d < 0 else (t, t + d)] = Fraction(draw(_NUMERATORS), den)
+    return Operator(FockSpace(dim), ref, RATIONAL), ref
+
+
+def _assert_integer_bands(op):
+    """Rational storage: int numerators over one positive int denominator."""
+    assert type(op._den) is int and op._den > 0
+    assert all(type(x) is int for band in op._bands.values() for x in band)
+
+
+@given(st.data(), st.integers(min_value=2, max_value=7), _NUMERATORS,
+       st.integers(min_value=1, max_value=10 ** 6), st.sets(st.integers(0, 6)))
+@settings(max_examples=150, deadline=None)
+def test_integer_bands_match_dense_fractions(data, dim, p, q, states):
+    """Every rational band routine, and every view that leaves the operator,
+    against the same arithmetic on dense Fraction matrices, with operands
+    over different denominators and numerators past 2**53."""
+    (a, x), (b, y) = (data.draw(_over_denominators(dim)) for _ in range(2))
+    c = Fraction(p, q)
+    cases = [(a, x), (b, y), (a @ b, x @ y), (a + b, x + y), (a - b, x - y),
+             (a.scale(c), c * x), (a.adjoint(), x.T), (-b, -y)]
+    for op, ref in cases:
+        _assert_integer_bands(op)
+        _assert_exact(op, ref)
+        assert op.max_norm() == max(abs(v) for v in ref.flat)
+        assert isinstance(op.max_norm(), Fraction)
+        block = sorted(s for s in states if s < dim)
+        assert op.block_max(block) == max((abs(ref[i, l]) for i in block for l in block),
+                                          default=0)
+        for d in range(1 - dim, dim):
+            got = op.diagonal(d)
+            assert all(isinstance(v, Fraction) for v in got)
+            assert list(got) == list(ref.diagonal(d))
+        spelled = {"dim": dim, "field": RATIONAL, "entries": [str(v) for v in ref.flat]}
+        assert op.to_json_dict() == spelled
+        assert fock._operator_text(op) == json.dumps(spelled, indent=2)
+        # each entry promotes as complex(Fraction) does, bit for bit
+        want = np.array([complex(v) for v in ref.flat]).reshape(dim, dim)
+        assert op._promote().entries.tobytes() == want.tobytes()
+
+
+def test_promotion_divides_the_numerator_exactly():
+    """2**53 + 1 has no float; rounding it before the division by 3 would
+    give a different quotient than the correctly rounded one."""
+    value = Fraction(2 ** 53 + 1, 3)
+    assert float(2 ** 53 + 1) / 3 != float(value)
+    op = diagonal_operator(FockSpace(2), [value, 0], RATIONAL)
+    assert op._promote().diagonal()[0] == complex(value)
 
 
 def test_zero_has_one_spelling_whatever_the_storage():

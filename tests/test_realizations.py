@@ -103,6 +103,47 @@ def test_denominator_variants_split_at_step4():
     assert closure_defects(a) != []
 
 
+def _order_k_reference(params, j, k, nmax, coefficients):
+    """The order-k recurrence solved step by step in Fractions, as written:
+    den(n) F(n) = rhs(n) + fall(n) F(n - k)."""
+    vals = []
+    for n in range(nmax + 1):
+        rhs = params.c1 * (j - n) + params.c3 * (j - n) ** 3
+        fall = Fraction(1)
+        for i in range(1, k + 1):
+            fall *= n - i + 1
+        if n >= k and fall != 0:
+            rhs += fall * vals[n - k]
+        if coefficients == "derived":
+            den = Fraction(1)
+            for i in range(1, k + 1):
+                den *= n + i
+        else:
+            den = Fraction(n + 1)
+            for i in range(2, k + 1):
+                den *= n + 2 ** (i - 2) + 1
+        vals.append(rhs / den)
+    return tuple(vals)
+
+
+@given(
+    c1=st.fractions(max_denominator=40).filter(lambda x: abs(x) < 10 ** 4),
+    c3=st.fractions(max_denominator=40).filter(lambda x: abs(x) < 10 ** 4),
+    j=st.one_of(spins, st.just(Fraction(7, 3))),
+    k=st.integers(min_value=1, max_value=4),
+    coefficients=st.sampled_from(["derived", "printed"]),
+    nmax=st.integers(min_value=-1, max_value=30),
+)
+@settings(max_examples=200, deadline=None)
+def test_recurrence_matches_order_k_fraction_loop(c1, c3, j, k, coefficients, nmax):
+    """The integer prefix sum gives exactly the values of the order-k loop,
+    for both coefficient variants and for a j that is not a half-integer."""
+    params = AlgebraParams(c1, c3)
+    got = product_recurrence(params, j, k, nmax, coefficients)
+    assert got == _order_k_reference(params, j, k, nmax, coefficients)
+    assert all(type(x) is Fraction for x in got)
+
+
 def test_recurrence_guards():
     with pytest.raises(ValueError):
         product_recurrence(SU2_PARAMS, 2, 0, 5)
