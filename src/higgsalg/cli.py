@@ -36,7 +36,6 @@ from .verify import (
     parse_kind_token,
     report_to_json,
     sweep,
-    sweep_exit_code,
     verify_realization,
 )
 
@@ -170,14 +169,14 @@ def _cmd_verify(args) -> int:
         return USAGE_ERROR
     else:
         r = _construct(args)
-    report = verify_realization(r, args.tolerance_coefficient)
-    return _report(report, args, exit_code(report))
+    return _report(verify_realization(r, args.tolerance_coefficient), args)
 
 
-def _report(report, args, code: int) -> int:
-    """Write a verify or sweep report in the requested format; return ``code``."""
+def _report(report, args) -> int:
+    """Write a verify or sweep report in the requested format; return its
+    exit code."""
     _emit(report_to_json(report) if args.format == "json" else report.to_text(), args.output)
-    return code
+    return exit_code(report)
 
 
 def _cmd_sweep(args) -> int:
@@ -187,7 +186,7 @@ def _cmd_sweep(args) -> int:
         grid = _load(args.grid, grid_from_json, "grid")
     report = sweep(args.kinds, grid, dim=args.dim,
                    tolerance_coefficient=args.tolerance_coefficient)
-    return _report(report, args, sweep_exit_code(report))
+    return _report(report, args)
 
 
 def _cmd_table(args) -> int:

@@ -173,11 +173,20 @@ def _band_add(n: int, x: _Bands, y: _Bands, field: str, subtract: bool) -> _Band
     return {d: op(side(x, d), side(y, d)) for d in {**x, **y}}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_rational(x) -> Fraction:
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"not a finite rational entry: {json.dumps(x)}") from None
+    """A file's ``p/q`` string or integer as a Fraction.  Any other value
+    raises ValueError: a float, a bool, null, a list, or a string that is
+    not a rational or has a zero denominator."""
+    if isinstance(x, str) or _is_int(x):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not a finite rational entry: {json.dumps(x)}")
 
 
 class Operator:
@@ -578,8 +587,6 @@ def diagonal_operator(space: FockSpace, values: Sequence[Scalar],
                       field: str = COMPLEX) -> Operator:
     """diag(v_0, ..., v_{N-1}) from a sequence of the N values.
 
-    A value of None marks an entry with no defined matrix element; it is
-    stored as 0.  Callers tracking admissibility keep the mask themselves.
     Exact values pass to the complex field as ``complex(value)``; one
     beyond the float range raises ValueError.
     """
@@ -587,9 +594,9 @@ def diagonal_operator(space: FockSpace, values: Sequence[Scalar],
     if len(vals) != space.dim:
         raise ValueError(f"need {space.dim} diagonal values, got {len(vals)}")
     if field == RATIONAL:
-        return Operator._exact(space, {0: [0 if v is None else v for v in vals]})
+        return Operator._exact(space, {0: vals})
     try:
-        band = [0j if v is None else complex(v) for v in vals]
+        band = [complex(v) for v in vals]
     except OverflowError:
         raise ValueError("a diagonal value is beyond the float range") from None
     return Operator._banded(space, COMPLEX, {0: _band(band, COMPLEX)})

@@ -36,7 +36,9 @@ from .fock import (
     RATIONAL,
     FockSpace,
     Operator,
+    _is_int,
     _operator_text,
+    _parse_rational,
     _phase_kernel,
     _quadrature_basis,
     _quarter_turns,
@@ -66,8 +68,8 @@ class Realization:
     ``admissible_mask[n]`` gates the bond taking state n to state n + k:
     True means the matrix element is present and the pairing is Hermitian
     there.  Dyson realizations have an all-true mask.  For the spectral
-    (villain) kinds the Fock mask is uninformative and ``window`` carries
-    the momentum interval on which identities are checked.
+    (villain) kinds the Fock mask is uninformative and ``window`` is the
+    momentum interval on which identities are checked.
     """
 
     kind: str
@@ -78,7 +80,6 @@ class Realization:
     jm: Operator
     j3: Operator
     admissible_mask: tuple[bool, ...]
-    window: Optional[tuple[Fraction, Fraction]] = None
 
     @property
     def space(self) -> FockSpace:
@@ -91,6 +92,11 @@ class Realization:
     @property
     def j(self) -> Fraction:
         return Fraction(self.j2, 2)
+
+    @property
+    def window(self) -> Optional[tuple[Fraction, Fraction]]:
+        """[-j, j] for the spectral kinds, None for the step kinds."""
+        return (-self.j, self.j) if self.kind in VILLAIN_KINDS else None
 
     def _head(self) -> dict:
         """The scalar keys that open a realization file, in file order."""
@@ -126,15 +132,14 @@ class Realization:
         any other, a window that is not a list of two p/q strings or
         integers, a window other than [-j, j], or an operator entry that is
         not a finite number of its field."""
-        kind, k, j2 = data["kind"], data["k"], data["j2"]
+        # a missing j2 is reported before the kind and step are judged
+        kind, k, _ = data["kind"], data["k"], data["j2"]
         if kind not in STEP_KINDS + VILLAIN_KINDS:
             raise ValueError(f"unknown realization kind {json.dumps(kind)}")
         if not _is_int(k) or k < 1 or (kind in VILLAIN_KINDS and k != 1):
             raise ValueError(f"kind {json.dumps(kind)} needs a step k >= 1 (1 if spectral),"
                              f" got {json.dumps(k)}")
-        if not _is_int(j2) or j2 < 0:
-            raise ValueError(f"j2 must be an integer >= 0, got {json.dumps(j2)}")
-        params = _couplings(data)
+        params, j2 = _point(data)
         ops = {name: Operator.from_json_dict(data[name]) for name in ("jp", "jm", "j3")}
         op_dims = [op.space.dim for op in ops.values()]
         if any(d != data["dim"] for d in op_dims):
@@ -151,26 +156,20 @@ class Realization:
         if (kind in VILLAIN_KINDS) != ("window" in data):
             need = "needs" if kind in VILLAIN_KINDS else "must not have"
             raise ValueError(f"realization kind {json.dumps(kind)} {need} a momentum window")
-        window = None
+        r = Realization(kind=kind, step_k=k, j2=j2, params=params, admissible_mask=mask, **ops)
         if "window" in data:
             ends = data["window"]
-            window = tuple(map(_file_rational, ends)) if type(ends) is list else ()
-            if len(window) != 2 or None in window:
+            try:
+                window = tuple(map(_parse_rational, ends)) if type(ends) is list else ()
+            except ValueError:
+                window = ()
+            if len(window) != 2:
                 raise ValueError("window must be a list of two p/q strings or integers,"
                                  f" got {json.dumps(ends)}")
-            jf = Fraction(j2, 2)
-            if window != (-jf, jf):
+            if window != r.window:
                 raise ValueError(f"realization kind {json.dumps(kind)} needs the momentum window"
-                                 f" [{-jf}, {jf}], got [{window[0]}, {window[1]}]")
-        return Realization(
-            kind=kind,
-            step_k=k,
-            j2=j2,
-            params=params,
-            admissible_mask=mask,
-            window=window,
-            **ops,
-        )
+                                 f" [{r.window[0]}, {r.window[1]}], got [{window[0]}, {window[1]}]")
+        return r
 
 
 def _realization_text(r: Realization) -> str:
@@ -187,32 +186,22 @@ def _realization_text(r: Realization) -> str:
     return "{\n" + ",\n".join(parts) + "\n}"
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _file_rational(value) -> Optional[Fraction]:
-    """A file's ``p/q`` string or integer as a Fraction; None for any other
-    value: a float, a bool, null, a list, or a string that is not a
-    rational or has a zero denominator."""
-    if isinstance(value, str) or _is_int(value):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    return None
-
-
-def _couplings(data: dict, prefix: str = "") -> AlgebraParams:
-    """The ``c1`` and ``c3`` of a file, each a ``p/q`` string or an integer;
-    any other value raises ValueError naming the key after ``prefix`` and
+def _point(data: dict, prefix: str = "") -> tuple[AlgebraParams, int]:
+    """The couplings and 2j of a realization file or a grid row: ``c1`` and
+    ``c3`` each a ``p/q`` string or an integer, ``j2`` an integer >= 0.
+    Any other value raises ValueError naming the key after ``prefix`` and
     spelling the value as JSON."""
-    values = {key: _file_rational(data[key]) for key in ("c1", "c3")}
-    for key, value in values.items():
-        if value is None:
+    j2 = data["j2"]
+    if not _is_int(j2) or j2 < 0:
+        raise ValueError(f"{prefix}j2 must be an integer >= 0, got {json.dumps(j2)}")
+    couplings = []
+    for key, value in {key: data[key] for key in ("c1", "c3")}.items():
+        try:
+            couplings.append(_parse_rational(value))
+        except ValueError:
             raise ValueError(f"{prefix}{key} must be a p/q string or an integer,"
-                             f" got {json.dumps(data[key])}")
-    return AlgebraParams(values["c1"], values["c3"])
+                             f" got {json.dumps(value)}") from None
+    return AlgebraParams(*couplings), j2
 
 
 def _require_j2(j: RationalLike) -> tuple[Fraction, int]:
@@ -446,7 +435,6 @@ def villain_boson(
         jm=jp.adjoint(),
         j3=momentum(space),
         admissible_mask=tuple([True] * space.dim),
-        window=(-jf, jf),
     )
 
 

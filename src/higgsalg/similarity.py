@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .algebra import AlgebraParams, RationalLike, bond_product, _frac, z_boundaries
+from .algebra import AlgebraParams, RationalLike, _frac, z_boundaries
 from .fock import COMPLEX, FockSpace, Operator, pochhammer
-from .realizations import Realization, closed_form_k2
+from .realizations import Realization, product_recurrence
 
 
 @dataclass(frozen=True)
@@ -57,14 +56,16 @@ class DiagonalTransform:
 
 
 def _square_chains(
-    space: FockSpace, weight: Callable[[int], Fraction], seeds: tuple[float, ...]
+    space: FockSpace, params: AlgebraParams, j: RationalLike, seeds: tuple[float, ...]
 ) -> tuple[tuple[float, ...], tuple[bool, ...]]:
     """Entries and mask of the k = len(seeds) chains s(n+k)^2 = F_k(n) s(n)^2,
-    chain c seeded with s(c) = seeds[c], where ``weight(n)`` is F_k(n).  A
+    chain c seeded with s(c) = seeds[c], with F_k the weights of
+    ``product_recurrence``, as every step-k realization takes them.  A
     chain stops (mask False, entry 0.0) at its first nonpositive weight or
     its first square that is not a finite float; its entries carry the sign
     of its seed."""
     k = len(seeds)
+    weight = product_recurrence(params, j, k, space.dim - 1 - k)
     entries = [0.0] * space.dim
     mask = [False] * space.dim
     squares = [0.0] * space.dim
@@ -73,7 +74,7 @@ def _square_chains(
     for n in range(k, space.dim):
         if not mask[n - k]:
             continue
-        factor = weight(n - k)
+        factor = weight[n - k]
         if factor <= 0:
             continue
         squares[n] = squares[n - k] * float(factor)
@@ -97,8 +98,7 @@ def s1_recurrence(
     float, where the squares overflow at large j, so every masked-in
     entry is finite.
     """
-    jf = _frac(j)
-    entries, mask = _square_chains(space, lambda n: bond_product(params, jf, n), (q0,))
+    entries, mask = _square_chains(space, params, j, (q0,))
     return DiagonalTransform(q0=q0, entries=entries, mask=mask)
 
 
@@ -152,10 +152,7 @@ def s2_matching(
     n = 1, each obeying s(n+2)^2 = F_2(n) s(n)^2 and carrying the sign of
     its seed.  A chain stops at its first nonpositive weight or at its
     first square that is not a finite float."""
-    jf = _frac(j)
-    entries, mask = _square_chains(
-        space, lambda n: closed_form_k2(params, jf, n), (q0_even, q0_odd)
-    )
+    entries, mask = _square_chains(space, params, j, (q0_even, q0_odd))
     return DiagonalTransform(q0=q0_even, entries=entries, mask=mask, q0_odd=q0_odd)
 
 

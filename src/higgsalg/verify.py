@@ -34,8 +34,7 @@ from .realizations import (
     Realization,
     STEP_KINDS,
     VILLAIN_KINDS,
-    _couplings,
-    _is_int,
+    _point,
     _window_columns,
     build_realization,
 )
@@ -143,7 +142,7 @@ class VerificationReport:
 _EXIT_CODES = {"pass": 0, "FAIL": 1, "vacuous": 2}
 
 
-def exit_code(report: VerificationReport) -> int:
+def exit_code(report: Union[VerificationReport, SweepReport]) -> int:
     return _EXIT_CODES[report.outcome]
 
 
@@ -375,13 +374,7 @@ def grid_from_json(data) -> list[tuple[AlgebraParams, int]]:
     """Grid points as [{"c1": "p/q", "c3": "p/q", "j2": int}, ...].  Raises
     ValueError on a j2 that is not an integer >= 0 (a float, a bool or a
     string included), or a c1 or c3 that is not a p/q string or an integer."""
-    out = []
-    for row in data:
-        j2 = row["j2"]
-        if not _is_int(j2) or j2 < 0:
-            raise ValueError(f"grid j2 must be an integer >= 0, got {json.dumps(j2)}")
-        out.append((_couplings(row, "grid "), j2))
-    return out
+    return [_point(row, "grid ") for row in data]
 
 
 @dataclass(frozen=True)
@@ -425,8 +418,12 @@ class SweepReport:
         return sum(e.outcome == "vacuous" for e in self.entries)
 
     @property
-    def all_vacuous(self) -> bool:
-        return self.n_vacuous == len(self.entries)
+    def outcome(self) -> str:
+        """"FAIL" when an entry fails, else "vacuous" when every entry (and
+        there is one) is vacuous, else "pass"."""
+        if self.n_failed:
+            return "FAIL"
+        return "vacuous" if self.entries and self.n_vacuous == len(self.entries) else "pass"
 
     def to_json_dict(self) -> dict:
         return {
@@ -440,10 +437,6 @@ class SweepReport:
         lines = [e._text() for e in self.entries]
         lines.append(f"total={len(self.entries)} failed={self.n_failed} vacuous={self.n_vacuous}")
         return "\n".join(lines) + "\n"
-
-
-def sweep_exit_code(report: SweepReport) -> int:
-    return 1 if report.n_failed else 2 if report.entries and report.all_vacuous else 0
 
 
 def parse_kind_token(token: str) -> tuple[str, int]:

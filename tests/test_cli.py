@@ -400,6 +400,7 @@ def test_export_transform_is_strict_json_at_large_spin(capsys):
 
 @pytest.mark.parametrize("j2", [2.5, -1, True, "3"], ids=["float", "negative", "bool", "string"])
 def test_bad_grid_j2_exits_65(tmp_path, capsys, j2):
+    """Grid rows and realization files read their j2 the same way."""
     path = tmp_path / "grid.json"
     path.write_text(json.dumps([{"c1": "1", "c3": "1", "j2": j2}]))
     code = main(["sweep", "--grid", str(path), "--dim", "8", "--kinds", "hp:1"])
@@ -408,6 +409,17 @@ def test_bad_grid_j2_exits_65(tmp_path, capsys, j2):
     assert captured.out == ""
     assert captured.err.startswith("error: grid j2 must be an integer >= 0")
     assert captured.err.count("\n") == 1
+
+    path = tmp_path / "r.json"
+    assert main(["build", "--c1", "1", "--c3", "1", "--j2", "4", "--dim", "8", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["j2"] = j2
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err == f"error: j2 must be an integer >= 0, got {json.dumps(j2)}\n"
 
 
 def test_unexpected_exception_exits_70(monkeypatch, capsys):

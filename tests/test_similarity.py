@@ -284,13 +284,17 @@ def _bits(xs) -> bytes:
 
 
 _SEEDS = [1.0, -2.5, 0.0, 1e-200, -1e-200, 3e150]
+# couplings whose weights have denominators, which the integer grid lacks
+_OFF_GRID = [(AlgebraParams.of(Fraction(*c1), Fraction(*c3)), j2)
+             for c1, c3 in (((2, 3), (-3, 2)), ((1, 7), (5, 3)), ((-5, 2), (1, 3)))
+             for j2 in range(9)]
 
 
 @pytest.mark.parametrize("q0", _SEEDS)
 @pytest.mark.parametrize("dim", [8, 24])
 def test_square_chains_match_the_loops_they_replaced(dim, q0):
     sp = FockSpace(dim)
-    for params, j2 in default_grid():
+    for params, j2 in default_grid() + _OFF_GRID:
         j = Fraction(j2, 2)
         t = s1_recurrence(sp, params, j, q0)
         entries, mask = _s1_loop(sp, params, j, q0)

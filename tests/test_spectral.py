@@ -76,7 +76,7 @@ def _reference_build(space: FockSpace, params: AlgebraParams, j: Fraction, form:
     s = (evecs * np.sqrt(np.maximum(rad, 0.0))) @ evecs.conj().T
     jp = unitary_exp(position(space), 1.0) @ Operator(space, 0.5 * (s + s.conj().T), COMPLEX)
     return Realization(f"villain{form}", 1, int(2 * j), params, jp, jp.adjoint(), p,
-                       tuple([True] * space.dim), (-j, j))
+                       tuple([True] * space.dim))
 
 
 def _reference_residuals(r: Realization) -> dict[str, float]:
@@ -237,7 +237,7 @@ def test_window_comes_from_the_truncation_not_the_file():
     momentum(dim)."""
     r = build_realization(FockSpace(24), AlgebraParams.of(1, 1), Fraction(3, 2), "villain", 1)
     shifted = Realization(r.kind, 1, r.j2, r.params, r.jp, r.jm,
-                          r.j3 + identity_op(r.space), r.admissible_mask, r.window)
+                          r.j3 + identity_op(r.space), r.admissible_mask)
     ranks = {c.block_size for c in verify_realization(shifted).checks
              if c.name in WINDOW_CHECKS}
     assert ranks == {round(float(np.trace(_dense_window(r.space, -1.5, 1.5)).real))}

@@ -21,7 +21,6 @@ from higgsalg import (
     interior_check_states,
     report_to_json,
     sweep,
-    sweep_exit_code,
     verify_realization,
 )
 
@@ -169,7 +168,7 @@ def test_sweep_counts_over_default_grid():
     expected |= {("-2", "1", 1, "hp:1"), ("-2", "1", 2, "hp:1")}
     expected |= {("3", "-1", 5, "hp:1"), ("3", "-1", 6, "hp:1")}
     assert vacuous == expected
-    assert sweep_exit_code(report) == 0
+    assert exit_code(report) == 0
 
 
 def test_sweep_rejects_small_dim_once():
@@ -182,14 +181,14 @@ def test_sweep_records_build_failures_as_errors():
     report = sweep(["villain:2"], grid, dim=16)
     assert report.entries[0].error is not None
     assert report.n_failed == 1
-    assert sweep_exit_code(report) == 1
+    assert exit_code(report) == 1
 
 
 def test_all_vacuous_sweep_exit():
     grid = [(SU11_PARAMS, j2) for j2 in (1, 2, 3)]
     report = sweep(["hp:1"], grid, dim=12)
-    assert report.all_vacuous
-    assert sweep_exit_code(report) == 2
+    assert report.outcome == "vacuous"
+    assert exit_code(report) == 2
 
 
 def test_sweep_is_deterministic_across_thread_counts(monkeypatch):
