@@ -439,14 +439,17 @@ class Operator:
     @staticmethod
     def from_json_dict(data: dict) -> "Operator":
         """Inverse of ``to_json_dict``.  Raises ValueError on a malformed
-        payload: a bad dim, entry count or field, or an entry that is not
-        a finite number of the field, spelled as the field's JSON type
-        (``p/q`` strings or integers; ``[re, im]`` pairs of numbers).
+        payload: one that is not an object, a bad dim, entry count or field,
+        or an entry that is not a finite number of the field, spelled as the
+        field's JSON type (``p/q`` strings or integers; ``[re, im]`` pairs
+        of numbers).
 
         A rational operator loads as its nonzero diagonals.  A complex
         operator whose nonzero entries all lie on one diagonal (every hp
         and complex dyson generator) loads as that one band; any other
         complex operator loads dense."""
+        if type(data) is not dict:
+            raise ValueError(f"operator must be an object, got {json.dumps(data)}")
         dim = data["dim"]
         field = data["field"]
         space = FockSpace(dim)

@@ -124,14 +124,17 @@ class Realization:
     @staticmethod
     def from_json_dict(data: dict) -> "Realization":
         """Inverse of ``to_json_dict``.  Raises ValueError on a malformed
-        file: an unknown kind, a step k that is not an integer >= 1 (or not
-        1 on a spectral kind), a j2 that is not an integer >= 0, a c1 or c3
-        that is not a p/q string or an integer, operators of different dims
-        or fields, a mask entry other than the integers 0 or 1, a mask whose
-        length is not dim, a window missing on a spectral kind or present on
-        any other, a window that is not a list of two p/q strings or
-        integers, a window other than [-j, j], or an operator entry that is
-        not a finite number of its field."""
+        file: a file or operator that is not an object, an unknown kind, a
+        step k that is not an integer >= 1 (or not 1 on a spectral kind), a
+        j2 that is not an integer >= 0, a c1 or c3 that is not a p/q string
+        or an integer, operators of different dims or fields, a mask that is
+        not a list, a mask entry other than the integers 0 or 1, a mask
+        whose length is not dim, a window missing on a spectral kind or
+        present on any other, a window that is not a list of two p/q strings
+        or integers, a window other than [-j, j], or an operator entry that
+        is not a finite number of its field."""
+        if type(data) is not dict:
+            raise ValueError(f"realization file must be an object, got {json.dumps(data)}")
         # a missing j2 is reported before the kind and step are judged
         kind, k, _ = data["kind"], data["k"], data["j2"]
         if kind not in STEP_KINDS + VILLAIN_KINDS:
@@ -148,6 +151,8 @@ class Realization:
         op_fields = [op.field for op in ops.values()]
         if len(set(op_fields)) != 1:
             raise ValueError(f"operator fields {op_fields} differ")
+        if type(data["mask"]) is not list:
+            raise ValueError(f"mask must be a list, got {json.dumps(data['mask'])}")
         if not set(map(type, data["mask"])) <= {int} or not set(data["mask"]) <= {0, 1}:
             raise ValueError("mask entries must be the integers 0 or 1")
         mask = tuple(bool(b) for b in data["mask"])

@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string_json
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -47,9 +48,42 @@ def _residual_text(x: Residual) -> str:
     return "-" if x is None else str(x) if isinstance(x, Fraction) else repr(float(x))
 
 
-def _residual_json(x: Residual):
-    """A residual or tolerance as a JSON value: null when there is none."""
-    return None if x is None else str(x) if isinstance(x, Fraction) else float(x)
+# -- the report writer --------------------------------------------------------
+#
+# json.dumps(..., indent=2) runs CPython's pure-Python encoder, since the C
+# encoder serves only indent=None.  Each report class spells its fixed
+# schema in that layout directly, in ``_json(pad)`` beside ``to_text``, as
+# ``fock._operator_text`` does for operator files: a string is spelled by
+# ``encode_basestring_ascii``, the function json.dumps applies to a str,
+# an int is its repr, a bool true or false, and a residual as
+# ``_residual_json`` spells it.  ``pad`` is the indent of the line that
+# closes the object; the object opens where it is placed.
+
+_BOOL = ("false", "true")
+
+
+def _residual_json(x: Residual) -> str:
+    """A residual or tolerance as JSON text: null when there is none, a
+    Fraction its quoted p/q, a float its repr.  A non-finite float raises
+    ValueError: no report carries NaN or Infinity."""
+    if x is None:
+        return "null"
+    # a float is tested first: Fraction's isinstance check is the slow ABC one
+    if not isinstance(x, float) and isinstance(x, Fraction):
+        return f'"{x}"'
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("a report value is not finite")
+    return repr(x)
+
+
+def _list_json(items, pad: str) -> str:
+    """A JSON list of report objects, closed at indent ``pad``; ``[]`` when
+    empty."""
+    if not items:
+        return "[]"
+    item = pad + "  "
+    return "[\n" + ",\n".join([item + x._json(item) for x in items]) + f"\n{pad}]"
 
 
 @dataclass(frozen=True)
@@ -70,18 +104,17 @@ class CheckResult:
         return ("vacuous" if self.vacuous else "measured" if self.asymptotic
                 else "ok" if self.passed else "FAIL")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": _residual_json(self.residual),
-            "tolerance": _residual_json(self.tolerance),
-            "block": self.block_size,
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-            "substantive": self.substantive,
-            "exact": self.exact,
-            "asymptotic": self.asymptotic,
-        }
+    def _json(self, pad: str) -> str:
+        k = pad + "  "
+        return (f'{{\n{k}"name": {_string_json(self.name)},\n'
+                f'{k}"residual": {_residual_json(self.residual)},\n'
+                f'{k}"tolerance": {_residual_json(self.tolerance)},\n'
+                f'{k}"block": {self.block_size:d},\n'
+                f'{k}"passed": {_BOOL[self.passed]},\n'
+                f'{k}"vacuous": {_BOOL[self.vacuous]},\n'
+                f'{k}"substantive": {_BOOL[self.substantive]},\n'
+                f'{k}"exact": {_BOOL[self.exact]},\n'
+                f'{k}"asymptotic": {_BOOL[self.asymptotic]}\n{pad}}}')
 
 
 @dataclass(frozen=True)
@@ -112,19 +145,18 @@ class VerificationReport:
     def vacuous_only(self) -> bool:
         return self.outcome == "vacuous"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "k": self.step_k,
-            "j2": self.j2,
-            "c1": self.c1,
-            "c3": self.c3,
-            "dim": self.dim,
-            "field": self.field_name,
-            "checks": [c.to_json_dict() for c in self.checks],
-            "passed": self.passed,
-            "vacuous_only": self.vacuous_only,
-        }
+    def _json(self, pad: str) -> str:
+        k = pad + "  "
+        return (f'{{\n{k}"kind": {_string_json(self.kind)},\n'
+                f'{k}"k": {self.step_k:d},\n'
+                f'{k}"j2": {self.j2:d},\n'
+                f'{k}"c1": {_string_json(self.c1)},\n'
+                f'{k}"c3": {_string_json(self.c3)},\n'
+                f'{k}"dim": {self.dim:d},\n'
+                f'{k}"field": {_string_json(self.field_name)},\n'
+                f'{k}"checks": {_list_json(self.checks, k)},\n'
+                f'{k}"passed": {_BOOL[self.passed]},\n'
+                f'{k}"vacuous_only": {_BOOL[self.vacuous_only]}\n{pad}}}')
 
     def to_text(self) -> str:
         head = (
@@ -162,13 +194,14 @@ def interior_check_states(realization: Realization) -> list[int]:
     return out
 
 
-def _finite(name: str, *values) -> list[float]:
-    """The values as floats.  One that is not finite raises ValueError:
-    the entries left the float range, so no verdict can be reached."""
+def _finite(name: str, *values, what: str = "the float residual or its scale",
+            why: str = "the entries are") -> list[float]:
+    """The values as floats.  One that is not finite raises ValueError
+    saying ``what`` is not finite because ``why`` beyond the float range:
+    no verdict can be reached, and no report may carry inf."""
     out = [float(v) for v in values]
     if not all(math.isfinite(v) for v in out):
-        raise ValueError(f"{name}: the float residual or its scale is not finite;"
-                         " the entries are beyond the float range")
+        raise ValueError(f"{name}: {what} is not finite; {why} beyond the float range")
     return out
 
 
@@ -240,7 +273,9 @@ def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
             value, tol = residual(), Fraction(0)
         elif block > 0:
             value, size = _finite(name, residual(), scale())
-            tol = tolerance_coefficient * dim * max(1.0, size)
+            (tol,) = _finite(name, tolerance_coefficient * dim * max(1.0, size),
+                             what="the float tolerance",
+                             why="coefficient x dim x scale is")
         checks.append(CheckResult(name, value, tol, block, tol is None or value <= tol,
                                   block == 0, substantive, exact and not asymptotic, asymptotic))
 
@@ -372,9 +407,18 @@ def default_grid() -> list[tuple[AlgebraParams, int]]:
 
 def grid_from_json(data) -> list[tuple[AlgebraParams, int]]:
     """Grid points as [{"c1": "p/q", "c3": "p/q", "j2": int}, ...].  Raises
-    ValueError on a j2 that is not an integer >= 0 (a float, a bool or a
-    string included), or a c1 or c3 that is not a p/q string or an integer."""
-    return [_point(row, "grid ") for row in data]
+    ValueError on a grid that is not a list or a row that is not an
+    object, a j2 that is not an integer >= 0 (a float, a bool or a string
+    included), or a c1 or c3 that is not a p/q string or an integer; the
+    refused value is spelled as JSON."""
+    if type(data) is not list:
+        raise ValueError(f"grid must be a list of objects, got {json.dumps(data)}")
+    points = []
+    for row in data:
+        if type(row) is not dict:
+            raise ValueError(f"grid row must be an object, got {json.dumps(row)}")
+        points.append(_point(row, "grid "))
+    return points
 
 
 @dataclass(frozen=True)
@@ -396,13 +440,15 @@ class SweepEntry:
         tag = f"c1={self.c1} c3={self.c3} j2={self.j2} {self.token}"
         return f"{tag:<40} {self.outcome if self.error is None else 'error: ' + self.error}"
 
-    def to_json_dict(self) -> dict:
-        out = {"c1": self.c1, "c3": self.c3, "j2": self.j2, "realization": self.token}
-        if self.error is not None:
-            out["error"] = self.error
-        else:
-            out["report"] = self.report.to_json_dict()
-        return out
+    def _json(self, pad: str) -> str:
+        k = pad + "  "
+        last = (f'"error": {_string_json(self.error)}' if self.error is not None
+                else f'"report": {self.report._json(k)}')
+        return (f'{{\n{k}"c1": {_string_json(self.c1)},\n'
+                f'{k}"c3": {_string_json(self.c3)},\n'
+                f'{k}"j2": {self.j2:d},\n'
+                f'{k}"realization": {_string_json(self.token)},\n'
+                f'{k}{last}\n{pad}}}')
 
 
 @dataclass(frozen=True)
@@ -425,13 +471,12 @@ class SweepReport:
             return "FAIL"
         return "vacuous" if self.entries and self.n_vacuous == len(self.entries) else "pass"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "entries": [e.to_json_dict() for e in self.entries],
-            "total": len(self.entries),
-            "failed": self.n_failed,
-            "vacuous": self.n_vacuous,
-        }
+    def _json(self, pad: str) -> str:
+        k = pad + "  "
+        return (f'{{\n{k}"entries": {_list_json(self.entries, k)},\n'
+                f'{k}"total": {len(self.entries):d},\n'
+                f'{k}"failed": {self.n_failed:d},\n'
+                f'{k}"vacuous": {self.n_vacuous:d}\n{pad}}}')
 
     def to_text(self) -> str:
         lines = [e._text() for e in self.entries]
@@ -490,4 +535,8 @@ def sweep(
 
 
 def report_to_json(report: Union[VerificationReport, SweepReport]) -> str:
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=False) + "\n"
+    """The report as a JSON document: the bytes of
+    ``json.dumps(..., indent=2)`` plus a newline, written directly by the
+    report classes.  A non-finite residual or tolerance raises ValueError
+    and is never written."""
+    return report._json("") + "\n"

@@ -229,13 +229,21 @@ def _saved_realization(tmp_path, field="rational"):
     pytest.param("rational", ("jp", "entries", 1), True, id="boolean-rational-entry"),
     pytest.param("rational", ("jp", "entries", 1), 0.1, id="float-rational-entry"),
     pytest.param("rational", ("jp", "entries"), "0" * 16, id="entries-not-a-list"),
+    pytest.param("rational", ("mask",), None, id="null-mask"),
+    pytest.param("rational", ("jp",), None, id="null-operator"),
+    pytest.param("rational", ("jm",), [1], id="operator-not-an-object"),
+    pytest.param("rational", (), [1], id="file-not-an-object"),
 ])
 def test_malformed_realization_file_exits_65(tmp_path, capsys, field, path, value):
+    """An empty ``path`` puts ``value`` in place of the whole file."""
     saved, doc = _saved_realization(tmp_path, field)
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    if path:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    else:
+        doc = value
     saved.write_text(json.dumps(doc))
     capsys.readouterr()
     code = main(["verify", "--input", str(saved)])
@@ -277,6 +285,9 @@ def test_malformed_window_exits_65_spelled_as_json(tmp_path, capsys, window, spe
     [{"c1": True, "c3": "1", "j2": 2}],
     [{"c1": float("inf"), "c3": "1", "j2": 2}],
     [{"c1": "1", "c3": "1"}],
+    None,
+    [5],
+    [{"c1": "1", "c3": "1", "j2": 2}, "x"],
 ])
 def test_malformed_grid_file_exits_65(tmp_path, capsys, grid):
     path = tmp_path / "grid.json"
@@ -310,6 +321,8 @@ def test_bad_value_is_quoted_as_in_the_file(tmp_path, capsys, value, spelled):
         "k": f'kind "dyson" needs a step k >= 1 (1 if spectral), got {spelled}',
         "j2": f"j2 must be an integer >= 0, got {spelled}",
         "c1": f"c1 must be a p/q string or an integer, got {spelled}",
+        "mask": f"mask must be a list, got {spelled}",
+        "jp": f"operator must be an object, got {spelled}",
     }
     if isinstance(value, str):
         del want["c1"]  # a string c1 is a p/q
@@ -321,11 +334,19 @@ def test_bad_value_is_quoted_as_in_the_file(tmp_path, capsys, value, spelled):
         assert main(["verify", "--input", str(saved)]) == 65
         assert capsys.readouterr().err == f"error: {message}\n"
     grid = tmp_path / "grid.json"
-    for key in want.keys() - {"k"}:
+    for key in want.keys() & {"j2", "c1"}:
         row = {"c1": "1", "c3": "1", "j2": 2, key: value}
         grid.write_text(json.dumps([row]))
         assert main(["sweep", "--grid", str(grid), "--dim", "8", "--kinds", "hp:1"]) == 65
         assert capsys.readouterr().err == f"error: grid {want[key]}\n"
+    saved.write_text(json.dumps(value))
+    assert main(["verify", "--input", str(saved)]) == 65
+    assert capsys.readouterr().err == f"error: realization file must be an object, got {spelled}\n"
+    for doc, message in ((value, "grid must be a list of objects"),
+                         ([value], "grid row must be an object")):
+        grid.write_text(json.dumps(doc))
+        assert main(["sweep", "--grid", str(grid), "--dim", "8", "--kinds", "hp:1"]) == 65
+        assert capsys.readouterr().err == f"error: {message}, got {spelled}\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])
@@ -608,6 +629,8 @@ _PASS_ROW = {"c1": "1", "c3": "1", "j2": 3}
 _VACUOUS_ROW = {"c1": "-2", "c3": "0", "j2": 4}
 _ERROR_ROW = {"c1": "1", "c3": "1", "j2": 10 ** 60}
 _VERIFY_AT = ["verify", "--c1", "1", "--c3", "1", "--j2", "5", "--dim", "12", "--kind", "hp:1"]
+_INFINITE_TOLERANCE = ("ladder-closure: the float tolerance is not finite;"
+                       " coefficient x dim x scale is beyond the float range")
 
 
 def _sweep_tag(row):
@@ -639,6 +662,10 @@ def _sweep_tag(row):
                  {"total": 2, "failed": 0, "vacuous": 1}, 0, id="sweep-mixed"),
     pytest.param(["sweep", []], ["total=0 failed=0 vacuous=0"],
                  {"total": 0, "failed": 0, "vacuous": 0}, 0, id="sweep-empty"),
+    pytest.param(["sweep", [_PASS_ROW], "--tolerance-coefficient", "1e308"],
+                 [f"{_sweep_tag(_PASS_ROW)} error: {_INFINITE_TOLERANCE}",
+                  "total=1 failed=1 vacuous=0"],
+                 {"total": 1, "failed": 1, "vacuous": 0}, 1, id="sweep-infinite-tolerance"),
 ])
 def test_verdict_table(tmp_path, capsys, argv, lines, flags, code):
     """Each outcome, pass, FAIL or vacuous, as the text lines, the JSON
@@ -658,3 +685,13 @@ def test_verdict_table(tmp_path, capsys, argv, lines, flags, code):
     assert main([*argv, "--format", "json"]) == code
     doc = json.loads(capsys.readouterr().out)
     assert {key: doc[key] for key in flags} == flags
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_infinite_tolerance_is_a_domain_error(capsys, fmt):
+    """A tolerance (coefficient x dim x scale) past the float range is
+    refused as a non-finite residual is, never printed as inf or Infinity."""
+    assert main([*_VERIFY_AT, "--tolerance-coefficient", "1e308", "--format", fmt]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {_INFINITE_TOLERANCE}\n"

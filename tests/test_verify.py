@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from higgsalg import (
     exit_code,
     grid_from_json,
     interior_check_states,
+    parse_kind_token,
     report_to_json,
     sweep,
     verify_realization,
@@ -126,6 +128,51 @@ def test_report_json_shape():
             "name", "residual", "tolerance", "block",
             "passed", "vacuous", "substantive", "exact", "asymptotic",
         }
+
+
+def _assert_indent_2_layout(report) -> None:
+    """The written report is byte for byte what json.dumps(..., indent=2)
+    gives its parsed value, and holds no NaN or Infinity."""
+    text = report_to_json(report)
+
+    def refuse(constant):
+        raise AssertionError(f"a report holds {constant}")
+
+    assert json.dumps(json.loads(text, parse_constant=refuse), indent=2) + "\n" == text
+
+
+@pytest.mark.parametrize("field", ["rational", "complex"])
+@pytest.mark.parametrize("token", ["hp:1", "hp:2", "hp:3", "dyson:1", "dyson:2", "dyson:3",
+                                   "villain:1", "villain:2"])
+def test_verify_report_json_is_the_indent_2_layout(token, field):
+    """Every kind in both fields: exact Fraction residuals, float ones,
+    and the asymptotic rows' null tolerances."""
+    kind, num = parse_kind_token(token)
+    dim, j = (24, Fraction(3, 2)) if kind == "villain" else (12, Fraction(5, 2))
+    report = verify_realization(build_realization(FockSpace(dim), AlgebraParams.of(1, 1), j,
+                                                  kind, num, field))
+    checks = report.checks
+    assert any(isinstance(c.residual, Fraction) for c in checks) == (report.field_name == "rational")
+    assert any(c.asymptotic and c.tolerance is None for c in checks) == (kind == "villain")
+    _assert_indent_2_layout(report)
+
+
+def test_sweep_report_json_is_the_indent_2_layout():
+    """Error entries, an all-vacuous report, and an empty grid."""
+    errors = sweep(["villain:1", "hp:1"], default_grid(), dim=8)
+    assert sum(e.error is not None for e in errors.entries) == 11
+    vacuous = sweep(["hp:1"], [(SU11_PARAMS, j2) for j2 in (1, 2, 3)], dim=12)
+    assert vacuous.outcome == "vacuous"
+    empty = sweep(["hp:1"], grid_from_json([]))
+    for report in (errors, vacuous, vacuous.entries[0].report, empty):
+        _assert_indent_2_layout(report)
+
+
+def test_report_json_refuses_a_non_finite_value():
+    report = verify_realization(build_realization(FockSpace(8), SU2_PARAMS, 2, "hp", 1))
+    bad = dataclasses.replace(report.checks[0], residual=float("inf"))
+    with pytest.raises(ValueError, match="not finite"):
+        report_to_json(dataclasses.replace(report, checks=(bad,)))
 
 
 def test_report_text_has_verdict_line():
