@@ -59,6 +59,9 @@ VILLAIN_KINDS = ("villain1", "villain2")
 
 # slack when binning float momentum eigenvalues into the window [-j, j]
 _WINDOW_EPS = 1e-9
+# a villain file's J+ may differ from the one built at its point by this
+# times max(1, max |built J+|), so a file written under another BLAS loads
+_VILLAIN_JP_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +134,9 @@ class Realization:
         not a list, a mask entry other than the integers 0 or 1, a mask
         whose length is not dim, a window missing on a spectral kind or
         present on any other, a window that is not a list of two p/q strings
-        or integers, a window other than [-j, j], or an operator entry that
+        or integers, a window other than [-j, j], a spectral point that
+        does not build, a spectral J+ that is not the one built at the
+        file's point (up to ``_VILLAIN_JP_RTOL``), or an operator entry that
         is not a finite number of its field."""
         if type(data) is not dict:
             raise ValueError(f"realization file must be an object, got {json.dumps(data)}")
@@ -174,6 +179,13 @@ class Realization:
             if window != r.window:
                 raise ValueError(f"realization kind {json.dumps(kind)} needs the momentum window"
                                  f" [{r.window[0]}, {r.window[1]}], got [{window[0]}, {window[1]}]")
+            # a window past the float range is refused as the verifier words it
+            _to_float(r.j, "the momentum window")
+            built = build_realization(r.space, params, r.j, "villain", VILLAIN_KINDS.index(kind) + 1)
+            gap = (r.jp - built.jp).max_norm()
+            if not gap <= _VILLAIN_JP_RTOL * max(1.0, built.jp.max_norm()):
+                raise ValueError(f"realization kind {json.dumps(kind)} needs the J+ it builds at"
+                                 f" its point; the file's J+ differs from it by {gap!r}")
         return r
 
 

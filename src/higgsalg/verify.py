@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string_json
 from typing import Optional, Sequence, Union
@@ -30,11 +30,20 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .algebra import AlgebraParams, _casimir, _products, casimir_eigenvalue
-from .fock import RATIONAL, FockSpace, Operator, _to_float, commutator
+from .fock import (
+    RATIONAL,
+    FockSpace,
+    Operator,
+    _momentum_entries,
+    _quadrature_basis,
+    _to_float,
+    commutator,
+)
 from .realizations import (
     Realization,
     STEP_KINDS,
     VILLAIN_KINDS,
+    _in_window,
     _point,
     _window_columns,
     build_realization,
@@ -127,23 +136,21 @@ class VerificationReport:
     dim: int
     field_name: str
     checks: tuple[CheckResult, ...]
+    passed: bool = field(init=False)
+    outcome: str = field(init=False)
+    vacuous_only: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def outcome(self) -> str:
-        """"FAIL" when a check fails, else "vacuous" when every substantive
-        check (and there is one) is vacuous, else "pass"."""
-        if not self.passed:
-            return "FAIL"
+    def __post_init__(self) -> None:
+        """The verdict, reached once: ``outcome`` is "FAIL" when a check
+        fails, else "vacuous" when every substantive check (and there is
+        one) is vacuous, else "pass"."""
+        passed = all(c.passed for c in self.checks)
         substantive = [c.vacuous for c in self.checks if c.substantive]
-        return "vacuous" if substantive and all(substantive) else "pass"
-
-    @property
-    def vacuous_only(self) -> bool:
-        return self.outcome == "vacuous"
+        outcome = ("FAIL" if not passed
+                   else "vacuous" if substantive and all(substantive) else "pass")
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "vacuous_only", outcome == "vacuous")
 
     def _json(self, pad: str) -> str:
         k = pad + "  "
@@ -208,44 +215,67 @@ def _finite(name: str, *values, what: str = "the float residual or its scale",
 # -- the momentum window ------------------------------------------------------
 
 class _Window:
-    """Compressions V-dagger M V onto the momentum window, with V the N x r
-    window columns, of products M of generators.
+    """Compressions V-dagger M V onto the momentum window of a spectral
+    realization, for the products M of its generators that the checks
+    form.
 
-    A product F1 ... Fm compresses as (V-dagger F1 ... Fh)(Fh+1 ... Fm V)
-    with h = ceil(m / 2), so it costs thin N x N by N x r products only,
-    and no N x N residual is ever formed.  Every thin factor and every
-    r x r block is formed once.
+    V = R u_w are the momentum eigenvectors in the window: the columns u_w
+    of the real quadrature basis whose eigenvalues Lambda lie in it,
+    turned by R = diag(i^n) (``fock._quadrature_basis``).  J3 is P, which
+    ``_checks`` enforces, so every J3 next to V is a diagonal scaling:
+    V-dagger J3^a F J3^b V = Lambda^a (V-dagger F V) Lambda^b, and a pure
+    power J3^m compresses to diag(Lambda^m).  What is left, F = J+, J-,
+    J+J- or J-J+, comes from the two thin N x N by N x r products
+    A = V-dagger J+ and B = J+ V: V-dagger J+ V = A V, V-dagger J+J- V =
+    A A-dagger and V-dagger J-J+ V = B-dagger B.  The J- blocks may come
+    from J+ because J- = J+-dagger is judged in its own row,
+    ``adjoint-pairing``; the windowed rows measure J+, J+-dagger and P.
+    No N x N residual is ever formed.
     """
 
-    def __init__(self, cols: np.ndarray):
-        self.cols = cols
-        self.rank = cols.shape[1]
-        self._memo = {("left", ()): cols.conj().T, ("right", ()): cols}
-
-    def _get(self, side: str, factors: tuple) -> np.ndarray:
-        key = (side, factors)
-        if key not in self._memo:
-            self._memo[key] = self._form(side, factors)
-        return self._memo[key]
-
-    def _form(self, side: str, factors: tuple) -> np.ndarray:
-        """One new array: V-dagger F1 ... Fm ("left", r x N), F1 ... Fm V
-        ("right", N x r), or the compressed product ("block", r x r)."""
-        if side == "left":
-            return self._get("left", factors[:-1]) @ factors[-1].entries
-        if side == "right":
-            return factors[0].entries @ self._get("right", factors[1:])
-        h = (len(factors) + 1) // 2
-        return self._get("left", factors[:h]) @ self._get("right", factors[h:])
+    def __init__(self, r: Realization, lo: float, hi: float):
+        lam, u = _quadrature_basis(r.space.dim)
+        inside = _in_window(lam, lo, hi)
+        self._lam, self._u = lam[inside], u[:, inside]
+        self.rank = len(self._lam)
+        cols = _window_columns(r.space, lo, hi)
+        jp = r.jp.entries
+        a, b = cols.conj().T @ jp, jp @ cols
+        plus = a @ cols
+        self._cores = {"+": plus, "-": plus.conj().T, "+-": a @ a.conj().T, "-+": b.conj().T @ b}
+        self._symbols = {id(r.jp): "+", id(r.jm): "-", id(r.j3): "3"}
 
     def product(self, *factors: Operator) -> np.ndarray:
-        """V-dagger F1 ... Fm V; with no factors, V-dagger V."""
-        return self._get("block", factors)
+        """V-dagger F1 ... Fm V; with no factors, V-dagger V, the identity."""
+        word = "".join([self._symbols[id(f)] for f in factors])
+        core = word.strip("3")
+        if not core:
+            return np.diag(self._lam ** len(word))
+        left = len(word) - len(word.lstrip("3"))
+        right = len(word) - len(word.rstrip("3"))
+        return (self._lam ** left)[:, None] * self._cores[core] * self._lam ** right
 
     def max_entry(self, block: np.ndarray) -> float:
         """max |V B V-dagger|: the largest entry of a compressed residual B
-        back on the whole space, equal to max |q M q| with q = V V-dagger."""
-        return float(np.abs(self.cols @ block @ self.cols.conj().T).max())
+        back on the whole space, equal to max |q M q| with q = V V-dagger.
+
+        R is a diagonal of exact unit phases, so this is max |u_w B u_w^T|
+        entry by entry: the stacked real and imaginary parts of u_w B are
+        expanded by one real product and squared in place.  B is first
+        scaled by a power of two near its largest entry, which is exact
+        and keeps the squares inside the float range; a non-finite B
+        gives its own non-finite largest entry."""
+        top = float(np.abs(block).max())
+        if not math.isfinite(top):
+            return top
+        shift = math.frexp(top)[1]
+        block = block * math.ldexp(1.0, -shift)
+        u = self._u
+        n = len(u)
+        parts = np.concatenate((u @ block.real, u @ block.imag)) @ u.T
+        np.square(parts, out=parts)
+        squares = np.add(parts[:n], parts[n:], out=parts[:n])
+        return math.ldexp(math.sqrt(float(squares.max())), shift)
 
 
 # -- the checks ---------------------------------------------------------------
@@ -285,8 +315,13 @@ def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
     # coefficients.
     window = None
     if r.kind in VILLAIN_KINDS:
+        # a built J3 is the cached array itself; a loaded one round-trips exactly
+        p = _momentum_entries(r.space.dim)
+        if r.j3.entries is not p and not np.array_equal(r.j3.entries, p):
+            raise ValueError(f"a {r.kind} realization needs J3 = P, the momentum quadrature;"
+                             " this J3 differs")
         lo, hi = (_to_float(x, "the momentum window") for x in r.window)
-        window = _Window(_window_columns(r.space, lo, hi))
+        window = _Window(r, lo, hi)
         prod, num = window.product, lambda c: _to_float(c, "a scale factor")
     else:
         prod, num = _products(), lambda c: c
@@ -454,22 +489,21 @@ class SweepEntry:
 @dataclass(frozen=True)
 class SweepReport:
     entries: tuple[SweepEntry, ...]
+    n_failed: int = field(init=False)
+    n_vacuous: int = field(init=False)
+    outcome: str = field(init=False)
 
-    @property
-    def n_failed(self) -> int:
-        return sum(e.outcome == "FAIL" for e in self.entries)
-
-    @property
-    def n_vacuous(self) -> int:
-        return sum(e.outcome == "vacuous" for e in self.entries)
-
-    @property
-    def outcome(self) -> str:
-        """"FAIL" when an entry fails, else "vacuous" when every entry (and
-        there is one) is vacuous, else "pass"."""
-        if self.n_failed:
-            return "FAIL"
-        return "vacuous" if self.entries and self.n_vacuous == len(self.entries) else "pass"
+    def __post_init__(self) -> None:
+        """The verdict, reached once: ``outcome`` is "FAIL" when an entry
+        fails, else "vacuous" when every entry (and there is one) is
+        vacuous, else "pass"."""
+        outcomes = [e.outcome for e in self.entries]
+        failed, vacuous = outcomes.count("FAIL"), outcomes.count("vacuous")
+        outcome = ("FAIL" if failed
+                   else "vacuous" if outcomes and vacuous == len(outcomes) else "pass")
+        object.__setattr__(self, "n_failed", failed)
+        object.__setattr__(self, "n_vacuous", vacuous)
+        object.__setattr__(self, "outcome", outcome)
 
     def _json(self, pad: str) -> str:
         k = pad + "  "

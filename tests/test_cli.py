@@ -9,9 +9,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from higgsalg import AlgebraParams, FockSpace, build_realization, representation_table
+from higgsalg import (
+    AlgebraParams,
+    FockSpace,
+    Realization,
+    build_realization,
+    representation_table,
+    verify_realization,
+)
 from higgsalg import cli
 from higgsalg.cli import main
+from higgsalg.verify import exit_code, report_to_json
 
 
 def test_table_output_matches_library(capsys):
@@ -541,28 +549,58 @@ def test_huge_spin_survey_has_no_internal_error_or_non_finite_token(capsys, comm
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_empty_spectral_window_is_vacuous(tmp_path, capsys, fmt):
     """At j = 0 the window is the point p = 0, and an even dimension has no
-    zero momentum eigenvalue: every windowed check is vacuous, not 0.0."""
+    zero momentum eigenvalue: every windowed check is vacuous, not 0.0.
+    No villain build has an empty window, so such a realization is made in
+    the library; a file moved to j = 0 keeps a J+ that is not built there
+    and is refused."""
     path = tmp_path / "villain.json"
     assert main(["build", "--c1", "1", "--c3", "1", "--j2", "2", "--dim", "24",
                  "--kind", "villain:1", "-o", str(path)]) == 0
     doc = json.loads(path.read_text())
     doc.update(j2=0, window=["0", "0"])
     path.write_text(json.dumps(doc))
-    code = main(["verify", "--input", str(path), "--format", fmt])
+    assert main(["verify", "--input", str(path), "--format", fmt]) == 65
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == ""
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    r = build_realization(FockSpace(24), AlgebraParams.of(1, 1), Fraction(1), "villain", 1)
+    report = verify_realization(Realization(r.kind, 1, 0, r.params, r.jp, r.jm, r.j3,
+                                            r.admissible_mask))
+    assert exit_code(report) == 2
     if fmt == "text":
-        rows = [line.split() for line in captured.out.splitlines() if "-window" in line]
+        out = report.to_text()
+        rows = [line.split() for line in out.splitlines() if "-window" in line]
         assert len(rows) == 5
         assert all(row[1:] == ["-", "-", "0", "vacuous"] for row in rows)
-        assert captured.out.endswith("overall: vacuous\n")
+        assert out.endswith("overall: vacuous\n")
         return
-    report = json.loads(captured.out)
+    report = json.loads(report_to_json(report))
     windowed = [c for c in report["checks"] if c["name"].endswith("-window")]
     assert len(windowed) == 5
     assert all(c["vacuous"] and c["residual"] is None and c["block"] == 0 for c in windowed)
     assert report["passed"] and report["vacuous_only"]
+
+
+@pytest.mark.parametrize("kind", ["villain:1", "villain:2"])
+def test_villain_file_needs_the_j_plus_built_at_its_point(tmp_path, capsys, kind):
+    """A villain file's J+ is compared with the one built at its point: the
+    identity in place of J+ and J- is refused with exit 65 and one line,
+    and a J+ off by less than the stated bound still loads."""
+    path = tmp_path / "villain.json"
+    assert main(["build", "--c1", "1", "--c3", "1", "--j2", "4", "--dim", "24",
+                 "--kind", kind, "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    one = {"dim": 24, "field": "complex",
+           "entries": [[1.0 if i % 25 == 0 else 0.0, 0.0] for i in range(24 * 24)]}
+    path.write_text(json.dumps(dict(doc, jp=one, jm=one)))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    doc["jp"]["entries"][1][0] += 1e-13
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(path)]) == 0
 
 
 def test_spectral_window_beyond_the_float_range_is_a_domain_error(tmp_path, capsys):

@@ -50,7 +50,7 @@ GOLDEN = [
     pytest.param(
         ["verify", "--c1", "1", "--c3", "1", "--j2", "3", "--dim", "24",
          "--kind", "villain:1", "--format", "json"],
-        "b841476282bd76c19fd2341aecee86052d7e31d5dbe597577dc14940ca57447d",
+        "9e04ea4fda47b332db446a0426fc8fc7e1d9c42e379652bde97f44e25766acd2",
         0,
         id="verify-villain-1-json",
     ),
@@ -75,7 +75,7 @@ GOLDEN = [
     pytest.param(
         ["verify", "--c1", "1", "--c3", "1", "--j2", "3", "--dim", "24",
          "--kind", "villain:2", "--format", "json"],
-        "2c561fb5cfcba565615f69f771891ee4d2ed90fb8f1411a2a2c349c1ebbed3cf",
+        "96b82324dee0388736de4b2a5b3bbefde1bdfbd066e4141a7b80c10080c1c3c6",
         0,
         id="verify-villain-2-json",
     ),

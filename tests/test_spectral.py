@@ -9,6 +9,7 @@ complex ``eigh`` of ``momentum(space)``, the dense window projector q, and
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,7 @@ from higgsalg import (
     unitary_exp,
     verify_realization,
 )
+from higgsalg.cli import main
 from higgsalg.fock import COMPLEX, _phase_kernel, _quadrature_basis, _quarter_turns
 from higgsalg.realizations import _window_columns, villain_boson
 from higgsalg.verify import _Window
@@ -202,46 +204,114 @@ def test_window_projector_from_the_shared_basis(dim):
         assert np.abs(q - _dense_window(space, -half, half)).max() <= 1e-13
 
 
+class _ReferenceWindow:
+    """The eight-product window the checks used before the eigenbasis one:
+    a product F1 ... Fm compresses as (V-dagger F1 ... Fh)(Fh+1 ... Fm V)
+    with h = ceil(m / 2), from thin N x N by N x r products of the
+    operators themselves, J3 and J- included."""
+
+    def __init__(self, cols: np.ndarray):
+        self.cols = cols
+        self._memo = {("left", ()): cols.conj().T, ("right", ()): cols}
+
+    def _get(self, side: str, factors: tuple) -> np.ndarray:
+        key = (side, factors)
+        if key not in self._memo:
+            if side == "left":
+                self._memo[key] = self._get("left", factors[:-1]) @ factors[-1].entries
+            elif side == "right":
+                self._memo[key] = factors[0].entries @ self._get("right", factors[1:])
+            else:
+                h = (len(factors) + 1) // 2
+                self._memo[key] = self._get("left", factors[:h]) @ self._get("right", factors[h:])
+        return self._memo[key]
+
+    def product(self, *factors: Operator) -> np.ndarray:
+        return self._get("block", factors)
+
+    def max_entry(self, block: np.ndarray) -> float:
+        return float(np.abs(self.cols @ block @ self.cols.conj().T).max())
+
+
+# the blocks the windowed checks form, as words in + (J+), - (J-) and 3 (J3)
+WINDOW_BLOCKS = ("", "+-", "-+", "3", "333", "3333", "33", "3+", "+3", "+", "3-", "-3", "-")
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("form", (1, 2))
+def test_window_blocks_agree_with_the_eight_product_reference(form, dim):
+    """Every block from Lambda and the two thin products of J+ equals the
+    block the reference forms from the operators, and ``max_entry`` of a
+    residual equals max |V B V-dagger| formed in complex arithmetic, also
+    where its squares would leave the float range."""
+    for c1, c3, j2 in POINTS:
+        j = Fraction(j2, 2)
+        r = build_realization(FockSpace(dim), AlgebraParams.of(c1, c3), j, "villain", form)
+        window = _Window(r, -float(j), float(j))
+        ref = _ReferenceWindow(_window_columns(r.space, -float(j), float(j)))
+        ops = {"+": r.jp, "-": r.jm, "3": r.j3}
+        for word in WINDOW_BLOCKS:
+            factors = [ops[x] for x in word]
+            want = ref.product(*factors)
+            bound = 1e-12 * max(1.0, float(np.abs(want).max()))
+            assert np.abs(window.product(*factors) - want).max() <= bound, word
+        closure = ref.product(r.jp, r.jm) - ref.product(r.jm, r.jp) - ref.product(r.j3)
+        for scale in (1.0, 1e-200, 1e200):
+            want = ref.max_entry(scale * closure)
+            assert abs(window.max_entry(scale * closure) - want) <= 1e-13 * want
+        assert window.max_entry(0.0 * closure) == 0.0
+
+
+class _Counted(np.ndarray):
+    """An operator's entries that record the shapes of every matmul they
+    take part in."""
+
+    shapes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _Counted) else x for x in inputs]
+        if ufunc is np.matmul:
+            _Counted.shapes.append(tuple(x.shape for x in plain))
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
 def test_villain_verify_forms_no_operator_product(monkeypatch):
     """The windowed checks compress first: no N x N operator product, and
-    each thin product and each compressed block formed once."""
-    r = build_realization(FockSpace(128), AlgebraParams.of(1, 1), Fraction(3, 2), "villain", 1)
-    names = {id(r.jp): "+", id(r.jm): "-", id(r.j3): "3"}
+    only two thin products of an operator, V-dagger J+ and J+ V."""
+    n = 128
+    r = build_realization(FockSpace(n), AlgebraParams.of(1, 1), Fraction(3, 2), "villain", 1)
     products = []
-    formed = []
-    matmul, form = Operator.__matmul__, _Window._form
+    matmul, entries = Operator.__matmul__, Operator.entries
 
     def counted_matmul(a, b):
         products.append((a, b))
         return matmul(a, b)
 
-    def counted_form(self, side, factors):
-        formed.append((side, "".join(names[id(f)] for f in factors)))
-        return form(self, side, factors)
-
     monkeypatch.setattr(Operator, "__matmul__", counted_matmul)
-    monkeypatch.setattr(_Window, "_form", counted_form)
+    monkeypatch.setattr(Operator, "entries", property(lambda op: entries.fget(op).view(_Counted)))
+    monkeypatch.setattr(_Counted, "shapes", [])
     report = verify_realization(r)
+    rank = {c.block_size for c in report.checks if c.name in WINDOW_CHECKS}.pop()
     assert report.passed and products == []
-    assert len(formed) == len(set(formed))
-    thin = sorted(key for key in formed if key[0] != "block")
-    assert thin == [("left", "+"), ("left", "-"), ("left", "3"), ("left", "33"),
-                    ("right", "+"), ("right", "-"), ("right", "3"), ("right", "33")]
-    blocks = {factors for side, factors in formed if side == "block"}
-    assert blocks == {"", "+-", "-+", "3", "333", "3333", "33",
-                      "3+", "+3", "+", "3-", "-3", "-"}
+    assert _Counted.shapes == [((rank, n), (n, n)), ((n, n), (n, rank))]
 
 
-def test_window_comes_from_the_truncation_not_the_file():
-    """A loaded file whose J3 is not P is still measured on the window of
-    momentum(dim)."""
+def test_villain_j3_other_than_p_is_refused(tmp_path, capsys):
+    """The window blocks take J3 as Lambda, so a J3 other than P is refused:
+    in the library with ValueError, from a file with exit 65 and one line."""
     r = build_realization(FockSpace(24), AlgebraParams.of(1, 1), Fraction(3, 2), "villain", 1)
     shifted = Realization(r.kind, 1, r.j2, r.params, r.jp, r.jm,
                           r.j3 + identity_op(r.space), r.admissible_mask)
-    ranks = {c.block_size for c in verify_realization(shifted).checks
-             if c.name in WINDOW_CHECKS}
-    assert ranks == {round(float(np.trace(_dense_window(r.space, -1.5, 1.5)).real))}
-    want = _reference_residuals(shifted)
-    got = _windowed(verify_realization(shifted))
-    for name, value in want.items():
-        assert abs(got[name] - value) <= _RESIDUAL_RTOL * max(1.0, abs(value)), name
+    with pytest.raises(ValueError, match="J3"):
+        verify_realization(shifted)
+    path = tmp_path / "villain.json"
+    assert main(["build", "--c1", "1", "--c3", "1", "--j2", "3", "--dim", "24",
+                 "--kind", "villain:1", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["j3"]["entries"][0] = [1.0, 0.0]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
