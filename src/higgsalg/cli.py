@@ -119,14 +119,13 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 def _load(path: str, parse, what: str):
     """Read a JSON file and parse it; a malformed file raises ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
     try:
-        return parse(data)
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
     except KeyError as err:
         raise ValueError(f"malformed {what} file: missing key {err.args[0]!r}") from None
-    except (TypeError, ZeroDivisionError) as err:
-        # a value of the wrong JSON type, or a zero denominator
+    except RecursionError as err:
+        # nesting deeper than the decoder or a parser can recurse
         raise ValueError(f"malformed {what} file: {err}") from None
 
 
@@ -142,17 +141,13 @@ def _build_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dim", type=_dimension, default=32, help="truncation dimension")
     sub.add_argument("--field", choices=["rational", "complex"], default=RATIONAL,
                      help="scalar field for one-sided realizations")
-    sub.add_argument("--coefficients", choices=["printed", "derived"], default="derived",
-                     help="recurrence denominators for steps beyond 2")
 
 
 def _construct(args) -> Realization:
     kind, num = parse_kind_token(args.kind)
     params = AlgebraParams(args.c1, args.c3)
-    return build_realization(
-        FockSpace(args.dim), params, Fraction(args.j2, 2), kind, num,
-        field=args.field, coefficients=args.coefficients,
-    )
+    return build_realization(FockSpace(args.dim), params, Fraction(args.j2, 2), kind, num,
+                             field=args.field)
 
 
 def _cmd_build(args) -> int:

@@ -41,11 +41,6 @@ Scalar = Union[int, float, complex, Fraction]
 COMPLEX = "complex"
 RATIONAL = "rational"
 
-# Hermiticity / unitarity slack for float constructions, relative to the
-# largest entry magnitude.
-_HERMITIAN_RTOL = 1e-10
-
-
 class FieldError(TypeError):
     """Raised when an operation is asked of the wrong scalar field."""
 
@@ -204,7 +199,7 @@ class Operator:
     operator, the lcm of the entries' denominators when it is built, so
     their arithmetic makes no ``Fraction``.  A complex
     operator built from a dense array stays a dense complex128 array, as
-    do ``position``, ``momentum`` and the spectral generators; one read
+    do ``momentum`` and the spectral generators; one read
     by ``from_json_dict`` is a single band when its nonzero entries lie on
     one diagonal, and dense otherwise.  An operation that mixes the two
     storages densifies the banded operand first.
@@ -417,32 +412,18 @@ class Operator:
                 worst.append(np.abs(picked).max())
         return self._largest(worst)
 
-    def is_hermitian(self) -> bool:
-        d = (self - self.adjoint()).max_norm()
-        scale = self.max_norm()
-        return float(d) <= _HERMITIAN_RTOL * max(1.0, float(scale))
-
     def __repr__(self) -> str:
         return f"Operator(dim={self.space.dim}, field={self.field})"
 
     # -- serialization --------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        if self.field == RATIONAL:
-            entries = [str(x) for row in self.entries for x in row]
-        else:
-            # adding 0.0 turns -0.0 into 0.0: a zero has one spelling
-            entries = [[float(x.real) + 0.0, float(x.imag) + 0.0]
-                       for row in self.entries for x in row]
-        return {"dim": self.space.dim, "field": self.field, "entries": entries}
-
     @staticmethod
     def from_json_dict(data: dict) -> "Operator":
-        """Inverse of ``to_json_dict``.  Raises ValueError on a malformed
-        payload: one that is not an object, a bad dim, entry count or field,
-        or an entry that is not a finite number of the field, spelled as the
-        field's JSON type (``p/q`` strings or integers; ``[re, im]`` pairs
-        of numbers).
+        """An operator read back from the object ``_operator_text`` writes.
+        Raises ValueError on a malformed payload: one that is not an
+        object, a bad dim, entry count or field, or an entry that is not a
+        finite number of the field, spelled as the field's JSON type
+        (``p/q`` strings or integers; ``[re, im]`` pairs of numbers).
 
         A rational operator loads as its nonzero diagonals.  A complex
         operator whose nonzero entries all lie on one diagonal (every hp
@@ -501,8 +482,10 @@ class Operator:
 #
 # json.dumps(..., indent=2) runs CPython's pure-Python encoder, since the C
 # encoder serves only indent=None.  ``_operator_text`` spells out the same
-# layout directly.  An entry item is the text json.dumps gives it: repr of
-# each float part (plus 0.0, as in ``to_json_dict``) or the quoted ``p/q``.
+# layout directly, for the object {"dim", "field", "entries"} with the N*N
+# entries in row-major order.  An entry item is the text json.dumps gives
+# it: repr of each float part plus 0.0, so that a zero has the one spelling
+# 0.0 and never -0.0, or the quoted ``p/q``.
 # Every zero entry is the same text, so the list of N*N items starts as
 # that text and only the nonzero entries are formatted.
 
@@ -543,8 +526,9 @@ def _entry_items(op: Operator, pad: str) -> list[str]:
 
 
 def _operator_text(op: Operator, level: int = 0) -> str:
-    """``json.dumps(op.to_json_dict(), indent=2)``, as the value of a key at
-    nesting ``level`` (0 for a file of its own), byte for byte."""
+    """The operator file, byte for byte as ``json.dumps(..., indent=2)``
+    spells it, as the value of a key at nesting ``level`` (0 for a file of
+    its own)."""
     pad = "  " * level
     key = pad + "  "
     items = ",\n".join(_entry_items(op, key + "  "))
@@ -605,38 +589,20 @@ def diagonal_operator(space: FockSpace, values: Sequence[Scalar],
     return Operator._banded(space, COMPLEX, {0: _band(band, COMPLEX)})
 
 
-def pochhammer(q: Scalar, n: int):
-    """Rising factorial (q)_n = q (q+1) ... (q+n-1), with (q)_0 = 1.
-    Exact when q is rational."""
+def pochhammer(q: float, n: int) -> float:
+    """Rising factorial (q)_n = q (q+1) ... (q+n-1), with (q)_0 = 1, in
+    floats."""
     if n < 0:
         raise ValueError("rising factorial needs n >= 0")
-    if isinstance(q, (int, Fraction)) or isinstance(q, Rational):
-        out = Fraction(1)
-        qf = _as_fraction(q)
-        for i in range(n):
-            out *= qf + i
-        return out
-    out = 1.0 + 0j if isinstance(q, complex) else 1.0
+    out = 1.0
     for i in range(n):
         out *= q + i
     return out
 
 
-def pochhammer_operator(space: FockSpace, q: Scalar, field: str = RATIONAL) -> Operator:
-    """diag((q)_0, (q)_1, ..., (q)_{N-1})."""
-    vals = [pochhammer(q, m) for m in range(space.dim)]
-    return diagonal_operator(space, vals, field)
-
-
 # -- quadratures and spectral constructions -----------------------------------
 
 _SQRT2 = np.sqrt(2.0)
-
-
-def position(space: FockSpace) -> Operator:
-    """X = (a + a+)/sqrt(2); Hermitian, complex field only, stored dense."""
-    a = annihilation(space).entries
-    return Operator(space, complex(1.0 / _SQRT2) * (a + a.conj().T), COMPLEX)
 
 
 def momentum(space: FockSpace) -> Operator:
@@ -650,22 +616,6 @@ def _momentum_entries(dim: int) -> np.ndarray:
     formed once per dim."""
     a = annihilation(FockSpace(dim)).entries
     return _freeze(complex(-1j / _SQRT2) * (a - a.conj().T))
-
-
-def unitary_exp(h: Operator, theta: float) -> Operator:
-    """exp(i * theta * H) for Hermitian H, via eigendecomposition.
-
-    A truncated power series would lose unitarity at the truncation edge;
-    the spectral form is exactly unitary up to roundoff.
-    """
-    if isinstance(theta, complex):
-        raise ValueError("theta must be real")
-    op = h._promote()
-    if not op.is_hermitian():
-        raise ValueError("unitary_exp requires a Hermitian operator")
-    w, v = np.linalg.eigh(op.entries)
-    u = (v * np.exp(1j * float(theta) * w)) @ v.conj().T
-    return Operator(op.space, u, COMPLEX)
 
 
 @functools.lru_cache(maxsize=8)

@@ -101,43 +101,21 @@ class Realization:
         """[-j, j] for the spectral kinds, None for the step kinds."""
         return (-self.j, self.j) if self.kind in VILLAIN_KINDS else None
 
-    def _head(self) -> dict:
-        """The scalar keys that open a realization file, in file order."""
-        return {
-            "kind": self.kind,
-            "k": self.step_k,
-            "j2": self.j2,
-            "c1": str(self.params.c1),
-            "c3": str(self.params.c3),
-            "dim": self.space.dim,
-        }
-
-    def to_json_dict(self) -> dict:
-        out = {
-            **self._head(),
-            "jp": self.jp.to_json_dict(),
-            "jm": self.jm.to_json_dict(),
-            "j3": self.j3.to_json_dict(),
-            "mask": [1 if b else 0 for b in self.admissible_mask],
-        }
-        if self.window is not None:
-            out["window"] = [str(self.window[0]), str(self.window[1])]
-        return out
-
     @staticmethod
     def from_json_dict(data: dict) -> "Realization":
-        """Inverse of ``to_json_dict``.  Raises ValueError on a malformed
-        file: a file or operator that is not an object, an unknown kind, a
-        step k that is not an integer >= 1 (or not 1 on a spectral kind), a
-        j2 that is not an integer >= 0, a c1 or c3 that is not a p/q string
-        or an integer, operators of different dims or fields, a mask that is
-        not a list, a mask entry other than the integers 0 or 1, a mask
-        whose length is not dim, a window missing on a spectral kind or
-        present on any other, a window that is not a list of two p/q strings
-        or integers, a window other than [-j, j], a spectral point that
-        does not build, a spectral J+ that is not the one built at the
-        file's point (up to ``_VILLAIN_JP_RTOL``), or an operator entry that
-        is not a finite number of its field."""
+        """A realization read back from the file ``_realization_text``
+        writes.  Raises ValueError on a malformed file: a file or operator
+        that is not an object, an unknown kind, a step k that is not an
+        integer >= 1 (or not 1 on a spectral kind), a j2 that is not an
+        integer >= 0, a c1 or c3 that is not a p/q string or an integer,
+        operators of different dims or fields, a mask that is not a list, a
+        mask entry other than the integers 0 or 1, a mask whose length is
+        not dim, a window missing on a spectral kind or present on any
+        other, a window that is not a list of two p/q strings or integers, a
+        window other than [-j, j], a spectral point that does not build, a
+        spectral J+ that is not the one built at the file's point (up to
+        ``_VILLAIN_JP_RTOL``), or an operator entry that is not a finite
+        number of its field."""
         if type(data) is not dict:
             raise ValueError(f"realization file must be an object, got {json.dumps(data)}")
         # a missing j2 is reported before the kind and step are judged
@@ -190,9 +168,13 @@ class Realization:
 
 
 def _realization_text(r: Realization) -> str:
-    """``json.dumps(r.to_json_dict(), indent=2)``, byte for byte, with the
-    operators spelled by ``_operator_text``."""
-    parts = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in r._head().items()]
+    """A realization file: the indent-2 layout of ``json.dumps``, byte for
+    byte, with the operators spelled by ``_operator_text``.  The scalar
+    keys open it, then the three operators, the mask and, for the spectral
+    kinds, the window."""
+    head = {"kind": r.kind, "k": r.step_k, "j2": r.j2, "c1": str(r.params.c1),
+            "c3": str(r.params.c3), "dim": r.space.dim}
+    parts = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in head.items()]
     parts += [f'  "{name}": {_operator_text(op, 1)}'
               for name, op in (("jp", r.jp), ("jm", r.jm), ("j3", r.j3))]
     parts.append('  "mask": [\n' + ",\n".join("    1" if b else "    0" for b in r.admissible_mask)
@@ -230,42 +212,28 @@ def _require_j2(j: RationalLike) -> tuple[Fraction, int]:
 
 # -- weight sequences ---------------------------------------------------------
 
-def _recurrence_denominator(k: int, n: int, coefficients: str) -> int:
-    if coefficients == "derived":
-        return math.prod(range(n + 1, n + k + 1))
-    if coefficients == "printed":
-        return (n + 1) * math.prod(n + 2 ** (i - 2) + 1 for i in range(2, k + 1))
-    raise ValueError(f"coefficients must be 'printed' or 'derived', got {coefficients!r}")
-
-
 def product_recurrence(
     params: AlgebraParams,
     j: RationalLike,
     k: int,
     nmax: int,
-    coefficients: str = "printed",
 ) -> tuple[Fraction, ...]:
     """Solve the order-k difference equation for the weight sequence; the
     values F_k(0) .. F_k(nmax), indexed by n.
 
     The equation is den(n) F(n) = rhs(n) + fall(n) F(n - k), with
     rhs(n) = c1 (j - n) + c3 (j - n)^3, the falling factorial
-    fall(n) = n (n - 1) ... (n - k + 1) and the coefficients' denominator
-    den(n).  fall vanishes for n < k, so the first k values are fixed by
-    the inhomogeneity alone; no seed values are taken from outside.  The
-    two coefficient variants agree for k <= 3 and part ways at k = 4,
-    where only 'derived' keeps the commutator closure exact.
-
-    For 'derived', den(n) = (n + 1) ... (n + k), so fall(n) = den(n - k)
-    and H(n) = den(n) F(n) telescopes:
+    fall(n) = n (n - 1) ... (n - k + 1) and den(n) = (n + 1) ... (n + k).
+    fall vanishes for n < k, so the first k values are fixed by the
+    inhomogeneity alone; no seed values are taken from outside.  Since
+    fall(n) = den(n - k), H(n) = den(n) F(n) telescopes:
 
         H(n) = rhs(n) + H(n - k),
 
     a prefix sum of rhs over each residue class of n mod k.  It is summed
     in integers, with rhs over the fixed denominator q1 q3 b^3 for
     c1 = p1/q1, c3 = p3/q3 and j = a/b, and one Fraction is made per
-    value.  For 'printed' at k >= 4 the term on H(n - k) keeps the factor
-    fall(n) / den(n - k), which is 1 everywhere else.
+    value.
     """
     if k < 1:
         raise ValueError("step k must be >= 1")
@@ -276,18 +244,11 @@ def product_recurrence(
     q = c1.denominator * c3.denominator * b ** 3
     lin = c1.numerator * c3.denominator * b * b
     cub = c3.numerator * c1.denominator
-    telescopes = coefficients == "derived" or k <= 3
     h: list = []
     for n in range(nmax + 1):
         t = a - n * b
-        rhs = lin * t + cub * t ** 3
-        if n >= k:
-            carry = 1 if telescopes else Fraction(
-                math.prod(range(n - k + 1, n + 1)), _recurrence_denominator(k, n - k, coefficients))
-            rhs += carry * h[n - k]
-        h.append(rhs)
-    return tuple(Fraction(x, q * _recurrence_denominator(k, n, coefficients))
-                 for n, x in enumerate(h))
+        h.append(lin * t + cub * t ** 3 + (h[n - k] if n >= k else 0))
+    return tuple(Fraction(x, q * math.prod(range(n + 1, n + k + 1))) for n, x in enumerate(h))
 
 
 def closed_form_k1(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
@@ -318,13 +279,12 @@ def _unitary_step(
     params: AlgebraParams,
     j: RationalLike,
     k: int,
-    coefficients: str = "derived",
 ) -> Realization:
     jf, j2 = _require_j2(j)
     # a bond n -> n + k exists only up to n = 2j - k, so later weights
     # would all be masked out; they are not computed
     top = min(space.dim - 1, j2 - k)
-    weights = product_recurrence(params, jf, k, top, coefficients)
+    weights = product_recurrence(params, jf, k, top)
     mask = tuple(n <= top and weights[n] >= 0 for n in range(space.dim))
     root = [math.sqrt(_to_float(weights[n], "an hp weight")) if mask[n] else 0.0
             for n in range(space.dim)]
@@ -348,10 +308,9 @@ def _dyson_step(
     j: RationalLike,
     k: int,
     field: str = RATIONAL,
-    coefficients: str = "derived",
 ) -> Realization:
     jf, j2 = _require_j2(j)
-    weights = product_recurrence(params, jf, k, space.dim - 1, coefficients)
+    weights = product_recurrence(params, jf, k, space.dim - 1)
     a = annihilation(space, field)
     ap = creation(space, field)
     diag = diagonal_operator(space, weights, field)
@@ -476,7 +435,6 @@ def build_realization(
     kind: str,
     k: int = 1,
     field: str = RATIONAL,
-    coefficients: str = "derived",
 ) -> Realization:
     """The one constructor for every family.
 
@@ -488,9 +446,9 @@ def build_realization(
     # need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == KIND_HP:
-            r = _unitary_step(space, params, j, k, coefficients)
+            r = _unitary_step(space, params, j, k)
         elif kind == KIND_DYSON:
-            r = _dyson_step(space, params, j, k, field, coefficients)
+            r = _dyson_step(space, params, j, k, field)
         elif kind == "villain":
             r = villain_boson(space, params, j, form=k)
         else:

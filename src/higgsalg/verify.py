@@ -312,7 +312,7 @@ def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
     # Every formula below is a sum of generator products prod(*factors).
     # The step kinds multiply the banded operators; the spectral kinds
     # take the r x r compressions onto the momentum window, with float
-    # coefficients.
+    # scale factors.
     window = None
     if r.kind in VILLAIN_KINDS:
         # a built J3 is the cached array itself; a loaded one round-trips exactly

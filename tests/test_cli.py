@@ -104,6 +104,16 @@ def test_usage_errors_exit_64(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["build"], ["verify"], ["export", "operator", "--which", "jp"]])
+def test_no_flag_picks_a_weight_convention(capsys, command):
+    """The step-k weights have one convention, so no flag picks another."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--c1", "1", "--c3", "1", "--j2", "12", "--kind", "hp:4",
+              "--coefficients", "derived"])
+    assert exc.value.code == 64
+    assert "unrecognized arguments: --coefficients" in capsys.readouterr().err
+
+
 def test_verify_needs_point_or_file(capsys):
     code = main(["verify"])
     assert code == 64
@@ -318,6 +328,21 @@ def test_missing_key_is_named(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--input", str(saved)]) == 65
     assert capsys.readouterr().err == "error: malformed realization file: missing key 'c3'\n"
+
+
+@pytest.mark.parametrize("command,what", [(["verify", "--input"], "realization"),
+                                          (["sweep", "--grid"], "grid")])
+def test_deeply_nested_file_exits_65(tmp_path, capsys, command, what):
+    """JSON nested deeper than the decoder can recurse is a malformed file:
+    exit 65 with one line, not an internal error."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = main([*command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed {what} file: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value,spelled", [(True, "true"), (None, "null"), (2.5, "2.5"),

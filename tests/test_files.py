@@ -17,11 +17,12 @@ from higgsalg import fock
 from higgsalg.cli import main
 from higgsalg.fock import _band, _operator_text
 from higgsalg.realizations import Realization, _realization_text
+from reference import operator_json_dict, realization_json_dict
 
 
-def _reference(x) -> str:
+def _reference(doc: dict) -> str:
     """A file as ``json.dumps`` spells it: the layout the writer must match."""
-    return json.dumps(x.to_json_dict(), indent=2) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # -- the writer, differentially ------------------------------------------------
@@ -60,7 +61,7 @@ def _operators(draw):
 @given(_operators())
 @settings(max_examples=200, deadline=None)
 def test_operator_writer_matches_json_dumps(op):
-    assert _operator_text(op) + "\n" == _reference(op)
+    assert _operator_text(op) + "\n" == _reference(operator_json_dict(op))
 
 
 _KINDS = [("hp", k, COMPLEX) for k in (1, 2, 3)]
@@ -84,13 +85,13 @@ def test_realization_writer_matches_json_dumps(kind, c1, c3, j2, dim):
                               name, k, field)
     except ValueError:
         assume(False)  # no spectral coupling or no state in the window
-    assert _realization_text(r) + "\n" == _reference(r)
+    assert _realization_text(r) + "\n" == _reference(realization_json_dict(r))
 
 
 def test_villain_files_carry_the_window():
     r = build_realization(FockSpace(12), AlgebraParams.of(1, 1), Fraction(5, 2), "villain", 2)
     text = _realization_text(r)
-    assert text + "\n" == _reference(r)
+    assert text + "\n" == _reference(realization_json_dict(r))
     assert json.loads(text)["window"] == ["-5/2", "5/2"]
 
 

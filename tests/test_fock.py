@@ -25,12 +25,10 @@ from higgsalg import (
     momentum,
     number_op,
     pochhammer,
-    pochhammer_operator,
-    position,
-    unitary_exp,
 )
 from higgsalg import fock
-from higgsalg.fock import FieldError
+from higgsalg.fock import FieldError, _operator_text
+from reference import operator_json_dict, position, unitary_exp
 
 
 def test_truncation_guard():
@@ -130,14 +128,10 @@ def test_entries_are_frozen():
 
 
 def test_pochhammer_values():
-    assert pochhammer(Fraction(3), 4) == 360
-    assert pochhammer(Fraction(1, 2), 0) == 1
-    assert pochhammer(Fraction(-2), 3) == 0
+    assert pochhammer(3.0, 4) == 360.0
+    assert pochhammer(0.5, 0) == 1.0
+    assert pochhammer(-2.0, 3) == 0.0
     assert abs(pochhammer(0.5, 2) - 0.75) < 1e-15
-    sp = FockSpace(5)
-    op = pochhammer_operator(sp, Fraction(1, 2), RATIONAL)
-    assert op.entries[2, 2] == Fraction(3, 4)
-    assert op.entries[4, 4] == Fraction(105, 16)
 
 
 @st.composite
@@ -155,8 +149,8 @@ def _rational_matrices(draw):
 
 
 def _through_json(op: Operator) -> Operator:
-    """``op`` written as JSON text and read back."""
-    return Operator.from_json_dict(json.loads(json.dumps(op.to_json_dict())))
+    """``op`` written as an operator file and read back."""
+    return Operator.from_json_dict(json.loads(_operator_text(op)))
 
 
 @given(_rational_matrices())
@@ -327,7 +321,7 @@ def test_integer_bands_match_dense_fractions(data, dim, p, q, states):
             assert all(isinstance(v, Fraction) for v in got)
             assert list(got) == list(ref.diagonal(d))
         spelled = {"dim": dim, "field": RATIONAL, "entries": [str(v) for v in ref.flat]}
-        assert op.to_json_dict() == spelled
+        assert operator_json_dict(op) == spelled
         assert fock._operator_text(op) == json.dumps(spelled, indent=2)
         # each entry promotes as complex(Fraction) does, bit for bit
         want = np.array([complex(v) for v in ref.flat]).reshape(dim, dim)
@@ -352,13 +346,13 @@ def test_zero_has_one_spelling_whatever_the_storage():
     banded = creation(sp)
     dense = Operator(sp, annihilation(sp).entries.T.copy(), COMPLEX)
     assert np.array_equal(banded.entries, dense.entries)
-    assert json.dumps(banded.to_json_dict()) == json.dumps(dense.to_json_dict())
-    assert "-0.0" not in json.dumps(banded.to_json_dict())
+    assert _operator_text(banded) == _operator_text(dense)
+    assert "-0.0" not in _operator_text(banded)
     # the arithmetic that left signed zeros in the bands or the dense view
     # does not reach the file either
     d = diagonal_operator(sp, [1.0, -2.0, -0.5])
     for op in (-banded, d @ banded, banded.scale(-1.5), banded - banded, d @ dense):
-        payload = json.loads(json.dumps(op.to_json_dict()))
+        payload = json.loads(_operator_text(op))
         assert all(math.copysign(1.0, x) == 1.0
                    for pair in payload["entries"] for x in pair if x == 0)
 

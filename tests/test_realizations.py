@@ -3,6 +3,7 @@ and serialization."""
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -29,9 +30,10 @@ from higgsalg import (
     g_constant,
     parse_kind_token,
     product_recurrence,
+    verify_realization,
     villain_boson,
 )
-from higgsalg.realizations import _villain_radicand, _window_columns
+from higgsalg.realizations import _realization_text, _villain_radicand, _window_columns
 from higgsalg.verify import default_grid
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -70,18 +72,44 @@ def test_step2_closed_form_solves_difference_equation(c1, c3, j, n):
     assert lhs == _inhomogeneity(params, j, n)
 
 
+def _order_k_reference(params, j, k, nmax, coefficients):
+    """The order-k recurrence solved step by step in Fractions, as written:
+    den(n) F(n) = rhs(n) + fall(n) F(n - k).  ``coefficients`` picks den(n):
+    "derived" is (n + 1) ... (n + k), the one ``product_recurrence`` uses;
+    "printed" is (n + 1) (n + 2) (n + 3) (n + 5) ... (n + 2^(k - 2) + 1),
+    the denominators as the paper prints them.  The two agree for k <= 3
+    and part ways at k = 4."""
+    vals = []
+    for n in range(nmax + 1):
+        rhs = params.c1 * (j - n) + params.c3 * (j - n) ** 3
+        fall = Fraction(1)
+        for i in range(1, k + 1):
+            fall *= n - i + 1
+        if n >= k and fall != 0:
+            rhs += fall * vals[n - k]
+        if coefficients == "derived":
+            den = Fraction(1)
+            for i in range(1, k + 1):
+                den *= n + i
+        else:
+            den = Fraction(n + 1)
+            for i in range(2, k + 1):
+                den *= n + 2 ** (i - 2) + 1
+        vals.append(rhs / den)
+    return tuple(vals)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_denominator_variants_agree_through_step3(k):
     params = AlgebraParams.of(2, 1)
-    a = product_recurrence(params, Fraction(5, 2), k, 20, "printed")
-    b = product_recurrence(params, Fraction(5, 2), k, 20, "derived")
-    assert a == b
+    printed = _order_k_reference(params, Fraction(5, 2), k, 20, "printed")
+    assert product_recurrence(params, Fraction(5, 2), k, 20) == printed
 
 
 def test_denominator_variants_split_at_step4():
     params = AlgebraParams.of(2, 1)
-    a = product_recurrence(params, Fraction(5, 2), 4, 20, "printed")
-    b = product_recurrence(params, Fraction(5, 2), 4, 20, "derived")
+    a = _order_k_reference(params, Fraction(5, 2), 4, 20, "printed")
+    b = product_recurrence(params, Fraction(5, 2), 4, 20)
     assert a != b
     # only the derived denominators keep the order-4 closure identity:
     # prod_{i=1..4}(n+i) F(n) - prod_{i=0..3}(n-i) F(n-4) = R(n)
@@ -103,52 +131,62 @@ def test_denominator_variants_split_at_step4():
     assert closure_defects(a) != []
 
 
-def _order_k_reference(params, j, k, nmax, coefficients):
-    """The order-k recurrence solved step by step in Fractions, as written:
-    den(n) F(n) = rhs(n) + fall(n) F(n - k)."""
-    vals = []
-    for n in range(nmax + 1):
-        rhs = params.c1 * (j - n) + params.c3 * (j - n) ** 3
-        fall = Fraction(1)
-        for i in range(1, k + 1):
-            fall *= n - i + 1
-        if n >= k and fall != 0:
-            rhs += fall * vals[n - k]
-        if coefficients == "derived":
-            den = Fraction(1)
-            for i in range(1, k + 1):
-                den *= n + i
-        else:
-            den = Fraction(n + 1)
-            for i in range(2, k + 1):
-                den *= n + 2 ** (i - 2) + 1
-        vals.append(rhs / den)
-    return tuple(vals)
+def _printed_step4(space, params, j2, kind):
+    """hp:4 or dyson:4 assembled from public pieces as the constructors
+    assemble them, but on the printed denominators' weights."""
+    k, jf = 4, Fraction(j2, 2)
+    if kind == "hp":
+        top = min(space.dim - 1, j2 - k)
+        weights = _order_k_reference(params, jf, k, top, "printed")
+        mask = tuple(n <= top and weights[n] >= 0 for n in range(space.dim))
+        root = [math.sqrt(weights[n]) if mask[n] else 0.0 for n in range(space.dim)]
+        jm = creation(space, COMPLEX).power(k) @ diagonal_operator(space, root, COMPLEX)
+        j3 = diagonal_operator(space, [jf - n for n in range(space.dim)], COMPLEX)
+        return Realization("hp", k, j2, params, jm.adjoint(), jm, j3, mask)
+    weights = _order_k_reference(params, jf, k, space.dim - 1, "printed")
+    jp = diagonal_operator(space, weights, RATIONAL) @ annihilation(space, RATIONAL).power(k)
+    j3 = diagonal_operator(space, [jf - n for n in range(space.dim)], RATIONAL)
+    return Realization("dyson", k, j2, params, jp, creation(space, RATIONAL).power(k), j3,
+                       tuple([True] * space.dim))
+
+
+@pytest.mark.parametrize("kind", ["hp", "dyson"])
+def test_printed_denominators_break_the_step4_closure(kind):
+    """The erratum at k = 4: on the printed denominators the ladder closure
+    fails at (c1, c3, 2j) = (1, 1, 12), dim 32, where the constructor's
+    weights pass."""
+    space, params = FockSpace(32), AlgebraParams.of(1, 1)
+    printed = verify_realization(_printed_step4(space, params, 12, kind))
+    derived = verify_realization(build_realization(space, params, Fraction(6), kind, 4))
+    closure = {c.name: c for c in printed.checks}["ladder-closure"]
+    assert closure.block_size > 0 and not closure.passed
+    assert printed.outcome == "FAIL"
+    assert derived.outcome == "pass"
 
 
 @given(
     c1=st.fractions(max_denominator=40).filter(lambda x: abs(x) < 10 ** 4),
     c3=st.fractions(max_denominator=40).filter(lambda x: abs(x) < 10 ** 4),
     j=st.one_of(spins, st.just(Fraction(7, 3))),
-    k=st.integers(min_value=1, max_value=4),
-    coefficients=st.sampled_from(["derived", "printed"]),
+    k=st.integers(min_value=1, max_value=5),
     nmax=st.integers(min_value=-1, max_value=30),
 )
 @settings(max_examples=200, deadline=None)
-def test_recurrence_matches_order_k_fraction_loop(c1, c3, j, k, coefficients, nmax):
-    """The integer prefix sum gives exactly the values of the order-k loop,
-    for both coefficient variants and for a j that is not a half-integer."""
+def test_recurrence_matches_order_k_fraction_loop(c1, c3, j, k, nmax):
+    """The integer prefix sum gives exactly the values of the order-k loop
+    on the derived denominators, also for a j that is not a half-integer."""
     params = AlgebraParams(c1, c3)
-    got = product_recurrence(params, j, k, nmax, coefficients)
-    assert got == _order_k_reference(params, j, k, nmax, coefficients)
+    got = product_recurrence(params, j, k, nmax)
+    assert got == _order_k_reference(params, j, k, nmax, "derived")
     assert all(type(x) is Fraction for x in got)
 
 
 def test_recurrence_guards():
     with pytest.raises(ValueError):
         product_recurrence(SU2_PARAMS, 2, 0, 5)
-    with pytest.raises(ValueError):
-        product_recurrence(SU2_PARAMS, 2, 1, 5, coefficients="guessed")
+    # one weight convention: there is no keyword to pick another
+    with pytest.raises(TypeError):
+        product_recurrence(SU2_PARAMS, 2, 1, 5, coefficients="derived")
     with pytest.raises(ValueError):
         build_realization(FockSpace(8), SU2_PARAMS, Fraction(1, 3), "hp", 1)
 
@@ -291,7 +329,7 @@ def test_dispatch_matches_named_constructors():
 
 def test_realization_json_round_trip_exact():
     r = build_realization(FockSpace(8), AlgebraParams.of(-2, 1), Fraction(5, 2), "dyson", 1)
-    back = Realization.from_json_dict(r.to_json_dict())
+    back = Realization.from_json_dict(json.loads(_realization_text(r)))
     assert back.kind == r.kind and back.step_k == r.step_k and back.j2 == r.j2
     assert back.params == r.params
     assert back.admissible_mask == r.admissible_mask
@@ -301,7 +339,7 @@ def test_realization_json_round_trip_exact():
 
 def test_realization_json_round_trip_float_and_window():
     r = villain_boson(FockSpace(12), AlgebraParams.of(1, 1), 2, form=1)
-    back = Realization.from_json_dict(r.to_json_dict())
+    back = Realization.from_json_dict(json.loads(_realization_text(r)))
     assert back.window == r.window
     assert (back.jp - r.jp).max_norm() == 0.0
     assert back.field == COMPLEX
@@ -327,7 +365,7 @@ def _closed_form_weights(params, jf, k, nmax):
         return [closed_form_k1(params, jf, n) for n in range(nmax + 1)]
     if k == 2:
         return [closed_form_k2(params, jf, n) for n in range(nmax + 1)]
-    return list(product_recurrence(params, jf, k, nmax, "derived"))
+    return list(product_recurrence(params, jf, k, nmax))
 
 
 def _hp_from_all_weights(space, params, j2, k):

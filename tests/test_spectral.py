@@ -28,14 +28,13 @@ from higgsalg import (
     g_constant,
     identity_op,
     momentum,
-    position,
-    unitary_exp,
     verify_realization,
 )
 from higgsalg.cli import main
 from higgsalg.fock import COMPLEX, _phase_kernel, _quadrature_basis, _quarter_turns
 from higgsalg.realizations import _window_columns, villain_boson
 from higgsalg.verify import _Window
+from reference import position, unitary_exp
 
 # |windowed residual - reference| <= _RESIDUAL_RTOL * max(1, |reference|)
 _RESIDUAL_RTOL = 1e-10
