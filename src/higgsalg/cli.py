@@ -28,7 +28,7 @@ from typing import Optional
 from .algebra import AlgebraParams, representation_table
 from .fock import FockSpace, RATIONAL, _operator_text
 from .realizations import Realization, _realization_text, build_realization
-from .similarity import s1_closed_form, s1_recurrence, s2_matching
+from .similarity import _transform_text, s1_closed_form, s1_recurrence, s2_matching
 from .verify import (
     default_grid,
     exit_code,
@@ -200,7 +200,7 @@ def _cmd_export_transform(args) -> int:
         t = s1_closed_form(space, params, j, q0=args.q0)
     else:
         t = s2_matching(space, params, j, q0_even=args.q0, q0_odd=args.q0_odd)
-    _emit(json.dumps(t.to_json_dict(), indent=2, allow_nan=False) + "\n", args.output)
+    _emit(_transform_text(t) + "\n", args.output)
     return 0
 
 

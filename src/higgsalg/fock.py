@@ -29,6 +29,7 @@ import functools
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -204,6 +205,11 @@ class Operator:
     one diagonal, and dense otherwise.  An operation that mixes the two
     storages densifies the banded operand first.
 
+    Operators are immutable, so ``max_norm`` is computed once, and
+    ``adjoint`` remembers its result, which remembers its source in turn,
+    for as long as both live: the adjoint of an adjoint is the operator
+    itself, not an equal copy.
+
     ``entries`` is a read-only dense numpy array in either storage:
     complex128, or object dtype of Fractions, built on first use as zeros
     plus the bands; ``diagonal`` of a rational operator holds Fractions
@@ -212,7 +218,8 @@ class Operator:
     arithmetic that produced it.
     """
 
-    __slots__ = ("space", "field", "_bands", "_den", "_dense")
+    __slots__ = ("space", "field", "_bands", "_den", "_dense", "_norm", "_adjoint",
+                 "__weakref__")
 
     def __init__(self, space: FockSpace, entries: np.ndarray, field: str):
         if field not in (COMPLEX, RATIONAL):
@@ -222,6 +229,7 @@ class Operator:
         self.space = space
         self.field = field
         self._den = 1
+        self._norm = self._adjoint = None
         if field == RATIONAL:
             # every entry must be rational, zeros included: one of each type
             # goes through _as_fraction
@@ -241,12 +249,18 @@ class Operator:
     def _banded(space: FockSpace, field: str, bands: _Bands, den: int = 1) -> "Operator":
         """Operator straight from its bands, rational ones as int numerators
         over ``den``; all-zero bands are dropped."""
+        return Operator._holding(space, field, _nonzero(bands), den)
+
+    @staticmethod
+    def _holding(space: FockSpace, field: str, bands: _Bands, den: int) -> "Operator":
+        """Operator holding ``bands`` as given: read-only, each with a
+        nonzero entry, as ``_nonzero`` leaves them."""
         op = object.__new__(Operator)
         op.space = space
         op.field = field
-        op._bands = _nonzero(bands)
+        op._bands = bands
         op._den = den
-        op._dense = None
+        op._dense = op._norm = op._adjoint = None
         return op
 
     @staticmethod
@@ -301,6 +315,8 @@ class Operator:
     @staticmethod
     def _align(a: "Operator", b: "Operator") -> tuple["Operator", "Operator"]:
         """Both operands in one field and one storage."""
+        if a.space is b.space and a.field == b.field and (a._bands is None) == (b._bands is None):
+            return a, b
         if a.space != b.space:
             raise ValueError("operators live on different truncations")
         if a.field != b.field:
@@ -354,12 +370,19 @@ class Operator:
 
     def adjoint(self) -> "Operator":
         """Conjugate transpose: offset d becomes -d.  In the exact field
-        entries are real rationals, so this is the plain transpose."""
-        if self._bands is None:
-            return Operator(self.space, self._dense.conj().T, COMPLEX)
-        if self.field == RATIONAL:
-            return self._with({-d: band for d, band in self._bands.items()})
-        return self._with({-d: band.conj() for d, band in self._bands.items()})
+        entries are real rationals, so this is the plain transpose.  The
+        result is remembered, and remembers this operator as its own
+        adjoint, through weak references: neither keeps the other alive."""
+        out = None if self._adjoint is None else self._adjoint()
+        if out is None:
+            if self._bands is None:
+                out = Operator(self.space, self._dense.conj().T, COMPLEX)
+            elif self.field == RATIONAL:
+                out = self._with({-d: band for d, band in self._bands.items()})
+            else:
+                out = self._with({-d: band.conj() for d, band in self._bands.items()})
+            self._adjoint, out._adjoint = weakref.ref(out), weakref.ref(self)
+        return out
 
     def power(self, k: int) -> "Operator":
         if k < 0:
@@ -381,10 +404,14 @@ class Operator:
 
     def max_norm(self):
         """Entrywise max-magnitude norm.  Exact (a Fraction) for the
-        rational field, a float otherwise."""
-        if self._bands is None:
-            return float(np.abs(self._dense).max())
-        return self._largest([np.abs(band).max() for band in self._bands.values()])
+        rational field, a float otherwise (NaN when an entry is NaN);
+        computed on the first call."""
+        if self._norm is None:
+            if self._bands is None:
+                self._norm = float(np.abs(self._dense).max())
+            else:
+                self._norm = self._largest([np.abs(band).max() for band in self._bands.values()])
+        return self._norm
 
     def diagonal(self, d: int = 0) -> Sequence:
         """The N - |d| entries (i, i + d) of diagonal offset d, in order of

@@ -22,6 +22,7 @@ checked against the recurrence in the test suite.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -114,8 +115,9 @@ class Realization:
         other, a window that is not a list of two p/q strings or integers, a
         window other than [-j, j], a spectral point that does not build, a
         spectral J+ that is not the one built at the file's point (up to
-        ``_VILLAIN_JP_RTOL``), or an operator entry that is not a finite
-        number of its field."""
+        ``_VILLAIN_JP_RTOL``), a mask other than the one a build derives at
+        the file's point (``_admissible_mask``), or an operator entry that
+        is not a finite number of its field."""
         if type(data) is not dict:
             raise ValueError(f"realization file must be an object, got {json.dumps(data)}")
         # a missing j2 is reported before the kind and step are judged
@@ -141,6 +143,12 @@ class Realization:
         mask = tuple(bool(b) for b in data["mask"])
         if len(mask) != data["dim"]:
             raise ValueError(f"mask has {len(mask)} entries, dim is {data['dim']}")
+        # the mask is a function of the point, derived as a build derives it
+        derived = _admissible_mask(kind, k, params, Fraction(j2, 2), len(mask))
+        if mask != derived:
+            n = next(n for n, (got, want) in enumerate(zip(mask, derived)) if got != want)
+            raise ValueError(f"realization kind {json.dumps(kind)} needs the admissibility mask of"
+                             f" its point; mask[{n}] is {int(mask[n])}, not {int(derived[n])}")
         if (kind in VILLAIN_KINDS) != ("window" in data):
             need = "needs" if kind in VILLAIN_KINDS else "must not have"
             raise ValueError(f"realization kind {json.dumps(kind)} {need} a momentum window")
@@ -273,6 +281,58 @@ def closed_form_k2(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
 
 
 # -- step-k constructors ------------------------------------------------------
+#
+# a^k, (a+)^k and J3 = j - nhat depend only on the truncation, the field and
+# k or 2j, so each is formed once per key.  The caches hold operators whose
+# read-only bands every realization shares; each realization gets an
+# operator of its own around them (``_on``), so nothing computed from it
+# later, such as a dense view, a norm or an adjoint, is kept by a cache.
+
+@functools.lru_cache(maxsize=64)
+def _lowering_power(dim: int, field: str, k: int) -> Operator:
+    """a^k on ``dim`` states."""
+    return annihilation(FockSpace(dim), field).power(k)
+
+
+@functools.lru_cache(maxsize=64)
+def _raising_power(dim: int, field: str, k: int) -> Operator:
+    """(a+)^k on ``dim`` states."""
+    return creation(FockSpace(dim), field).power(k)
+
+
+@functools.lru_cache(maxsize=64)
+def _spin_offset(dim: int, field: str, j2: int) -> Operator:
+    """J3 = j - nhat on ``dim`` states, with 2j = ``j2``."""
+    space = FockSpace(dim)
+    return Fraction(j2, 2) * identity_op(space, field) - number_op(space, field)
+
+
+def _on(space: FockSpace, constant: Operator) -> Operator:
+    """A cached constant as an operator of its own on ``space``."""
+    return Operator._holding(space, constant.field, constant._bands, constant._den)
+
+
+def _hp_bonds(params: AlgebraParams, jf: Fraction, j2: int, k: int,
+              dim: int) -> tuple[tuple[Fraction, ...], tuple[bool, ...]]:
+    """The hp weights F_k(0 .. top) and the admissibility mask: bond
+    n -> n + k exists only up to n = top = 2j - k and needs F_k(n) >= 0.
+    Later weights would all be masked out, so they are not computed."""
+    top = min(dim - 1, j2 - k)
+    weights = product_recurrence(params, jf, k, top)
+    return weights, tuple(n <= top and weights[n] >= 0 for n in range(dim))
+
+
+def _admissible_mask(kind: str, k: int, params: AlgebraParams, j: RationalLike,
+                     dim: int) -> tuple[bool, ...]:
+    """The admissibility mask a realization of ``kind`` has at its point:
+    the hp rule of ``_hp_bonds``, and every bond for ``dyson``, which
+    closes at every state, and for the spectral kinds, whose Fock mask is
+    uninformative."""
+    if kind != KIND_HP:
+        return (True,) * dim
+    jf, j2 = _require_j2(j)
+    return _hp_bonds(params, jf, j2, k, dim)[1]
+
 
 def _unitary_step(
     space: FockSpace,
@@ -281,15 +341,10 @@ def _unitary_step(
     k: int,
 ) -> Realization:
     jf, j2 = _require_j2(j)
-    # a bond n -> n + k exists only up to n = 2j - k, so later weights
-    # would all be masked out; they are not computed
-    top = min(space.dim - 1, j2 - k)
-    weights = product_recurrence(params, jf, k, top)
-    mask = tuple(n <= top and weights[n] >= 0 for n in range(space.dim))
+    weights, mask = _hp_bonds(params, jf, j2, k, space.dim)
     root = [math.sqrt(_to_float(weights[n], "an hp weight")) if mask[n] else 0.0
             for n in range(space.dim)]
-    ap = creation(space, COMPLEX)
-    jm = ap.power(k) @ diagonal_operator(space, root, COMPLEX)
+    jm = _on(space, _raising_power(space.dim, COMPLEX, k)) @ diagonal_operator(space, root, COMPLEX)
     return Realization(
         kind=KIND_HP,
         step_k=k,
@@ -297,7 +352,7 @@ def _unitary_step(
         params=params,
         jp=jm.adjoint(),
         jm=jm,
-        j3=jf * identity_op(space, COMPLEX) - number_op(space, COMPLEX),
+        j3=_on(space, _spin_offset(space.dim, COMPLEX, j2)),
         admissible_mask=mask,
     )
 
@@ -311,8 +366,6 @@ def _dyson_step(
 ) -> Realization:
     jf, j2 = _require_j2(j)
     weights = product_recurrence(params, jf, k, space.dim - 1)
-    a = annihilation(space, field)
-    ap = creation(space, field)
     diag = diagonal_operator(space, weights, field)
     # the weight multiplies after the k-fold lowering, so the raising
     # generator carries the full polynomial and J- is the bare creator
@@ -321,10 +374,10 @@ def _dyson_step(
         step_k=k,
         j2=j2,
         params=params,
-        jp=diag @ a.power(k),
-        jm=ap.power(k),
-        j3=jf * identity_op(space, field) - number_op(space, field),
-        admissible_mask=tuple([True] * space.dim),
+        jp=diag @ _on(space, _lowering_power(space.dim, field, k)),
+        jm=_on(space, _raising_power(space.dim, field, k)),
+        j3=_on(space, _spin_offset(space.dim, field, j2)),
+        admissible_mask=_admissible_mask(KIND_DYSON, k, params, jf, space.dim),
     )
 
 
@@ -410,7 +463,7 @@ def villain_boson(
         jp=jp,
         jm=jp.adjoint(),
         j3=momentum(space),
-        admissible_mask=tuple([True] * space.dim),
+        admissible_mask=_admissible_mask(VILLAIN_KINDS[form - 1], 1, params, jf, dim),
     )
 
 

@@ -10,6 +10,7 @@ U = diag(s^2) that intertwines the one-sided pair with its adjoint.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -35,16 +36,6 @@ class DiagonalTransform:
     def dim(self) -> int:
         return len(self.entries)
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "q0": self.q0,
-            "entries": [float(x) for x in self.entries],
-            "mask": [1 if b else 0 for b in self.mask],
-        }
-        if self.q0_odd is not None:
-            out["q0_odd"] = self.q0_odd
-        return out
-
     @staticmethod
     def from_json_dict(data: dict) -> "DiagonalTransform":
         return DiagonalTransform(
@@ -53,6 +44,24 @@ class DiagonalTransform:
             mask=tuple(bool(b) for b in data["mask"]),
             q0_odd=float(data["q0_odd"]) if "q0_odd" in data else None,
         )
+
+
+def _transform_text(t: DiagonalTransform) -> str:
+    """The map file ``{"q0", "entries", "mask"}``, with ``q0_odd`` last
+    for the two-chain map, byte for byte as ``json.dumps(..., indent=2)``
+    spells it, written directly as ``fock._operator_text`` writes an
+    operator: an entry is the repr of its float, a mask bit 1 or 0, and
+    the seeds are spelled by ``json.dumps``.  A value that is not finite
+    raises ValueError; nothing writes NaN."""
+    if not all(map(math.isfinite, t.entries)):
+        raise ValueError("a transform entry is not finite")
+    entries = ",\n".join([f"    {float(x)!r}" for x in t.entries])
+    mask = ",\n".join(["    1" if b else "    0" for b in t.mask])
+    parts = [f'  "q0": {json.dumps(t.q0, allow_nan=False)}', f'  "entries": [\n{entries}\n  ]',
+             f'  "mask": [\n{mask}\n  ]']
+    if t.q0_odd is not None:
+        parts.append(f'  "q0_odd": {json.dumps(t.q0_odd, allow_nan=False)}')
+    return "{\n" + ",\n".join(parts) + "\n}"
 
 
 def _square_chains(

@@ -74,3 +74,15 @@ def realization_json_dict(r) -> dict:
     if r.window is not None:
         out["window"] = [str(r.window[0]), str(r.window[1])]
     return out
+
+
+def transform_json_dict(t) -> dict:
+    """The object an ``export transform`` file holds, keys in file order."""
+    out = {
+        "q0": t.q0,
+        "entries": [float(x) for x in t.entries],
+        "mask": [1 if b else 0 for b in t.mask],
+    }
+    if t.q0_odd is not None:
+        out["q0_odd"] = t.q0_odd
+    return out

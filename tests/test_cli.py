@@ -628,6 +628,68 @@ def test_villain_file_needs_the_j_plus_built_at_its_point(tmp_path, capsys, kind
     assert main(["verify", "--input", str(path)]) == 0
 
 
+@pytest.mark.parametrize("kind,point,cell", [
+    pytest.param("villain:1", ["--j2", "4", "--dim", "24"], 0, id="villain"),
+    pytest.param("hp:1", ["--j2", "5", "--dim", "12"], 3 * 12 + 2, id="hp"),
+])
+def test_loaded_j_minus_is_compared_with_j_plus(tmp_path, capsys, kind, point, cell):
+    """A built J- is J+'s own adjoint, so its pairing residual is the exact
+    0.0 without forming the difference; a file's J- is a separate matrix,
+    and one changed entry of it fails ``adjoint-pairing`` with exit 1."""
+    path = tmp_path / "r.json"
+    argv = ["--c1", "1", "--c3", "1", *point, "--kind", kind]
+    assert main(["build", *argv, "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["jm"]["entries"][cell][0] += 0.5
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path), "--format", "json"]) == 1
+    pairing = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}["adjoint-pairing"]
+    assert not pairing["passed"] and pairing["residual"] == 0.5
+    assert main(["verify", *argv, "--format", "json"]) == 0
+    pairing = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}["adjoint-pairing"]
+    assert pairing["passed"] and pairing["residual"] == 0.0
+
+
+def _set_dyson_j_plus_5_6(doc):
+    doc["jp"]["entries"][5 * 12 + 6] = "1000"
+
+
+def _scale_hp_bond_2(doc):
+    """Bond 2 -> 3 of J+ and J- times 1.5."""
+    for name, cell in (("jp", 2 * 12 + 3), ("jm", 3 * 12 + 2)):
+        doc[name]["entries"][cell][0] *= 1.5
+
+
+@pytest.mark.parametrize("kind,edit,state", [
+    pytest.param("dyson:1", _set_dyson_j_plus_5_6, 5, id="dyson-j-plus-5-6-set"),
+    pytest.param("hp:1", _scale_hp_bond_2, 2, id="hp-bond-2-scaled"),
+    pytest.param("dyson:1", None, 7, id="dyson-mask-alone"),
+])
+def test_mask_is_derived_from_the_point(tmp_path, capsys, kind, edit, state):
+    """The admissibility mask is a function of the point.  A tampered
+    operator fails its checks, and masking out the tampered state as well
+    would hide it from every row, so such a file is refused with exit 65,
+    naming the first state whose mask differs."""
+    path = tmp_path / "r.json"
+    assert main(["build", "--c1", "1", "--c3", "1", "--j2", "5", "--dim", "12",
+                 "--kind", kind, "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    if edit is not None:
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(path)]) == 1
+    doc["mask"][state] = 0
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = kind.split(":")[0]
+    assert captured.err == (f'error: realization kind "{name}" needs the admissibility mask of'
+                            f" its point; mask[{state}] is 0, not 1\n")
+
+
 def test_spectral_window_beyond_the_float_range_is_a_domain_error(tmp_path, capsys):
     """A villain file whose spin, and so its window (-j, j), is past the
     float range exits 65 with one line, not 70."""

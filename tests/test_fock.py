@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -118,6 +119,47 @@ def test_max_norm_is_exact_for_rationals():
     op = diagonal_operator(sp, [Fraction(1, 3), Fraction(-7, 2), Fraction(0)], RATIONAL)
     norm = op.max_norm()
     assert isinstance(norm, Fraction) and norm == Fraction(7, 2)
+
+
+def _diag_norm_case(storage: str, values: list):
+    sp = FockSpace(len(values))
+    if storage == "dense":
+        return Operator(sp, np.diag(np.array(values, dtype=complex)), COMPLEX)
+    return diagonal_operator(sp, values, RATIONAL if storage == "rational" else COMPLEX)
+
+
+@pytest.mark.parametrize("storage,values,want", [
+    pytest.param("dense", [1.0, -3.5, 0.5], 3.5, id="dense"),
+    pytest.param("dense", [1.0, -3.5, math.nan], math.nan, id="dense-nan"),
+    pytest.param("banded", [1.0, -3.5, 0.5], 3.5, id="banded"),
+    pytest.param("banded", [1.0, -3.5, math.nan], math.nan, id="banded-nan"),
+    pytest.param("rational", [Fraction(1, 3), Fraction(-7, 2), 0], Fraction(7, 2), id="rational"),
+])
+def test_max_norm_is_the_same_on_every_call(storage, values, want):
+    """``max_norm`` is computed on the first call and remembered: later
+    calls return the same value, a NaN norm included."""
+    op = _diag_norm_case(storage, values)
+    assert (op._bands is None) == (storage == "dense")
+    for _ in range(3):
+        norm = op.max_norm()
+        assert type(norm) is type(want)
+        assert math.isnan(norm) if math.isnan(want) else norm == want
+
+
+def test_adjoint_is_remembered_both_ways():
+    """The adjoint of an adjoint is the operator itself, in either storage
+    and field, and neither keeps the other alive."""
+    sp = FockSpace(5)
+    ops = [annihilation(sp), annihilation(sp, RATIONAL), momentum(sp)]
+    for op in ops:
+        dag = op.adjoint()
+        assert op.adjoint() is dag and dag.adjoint() is op
+        assert np.array_equal(dag.entries, op.entries.conj().T)
+    dag = ops[0].adjoint()
+    ref = weakref.ref(dag)
+    del dag
+    assert ref() is None
+    assert np.array_equal(ops[0].adjoint().entries, ops[0].entries.conj().T)
 
 
 def test_entries_are_frozen():

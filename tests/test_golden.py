@@ -123,6 +123,31 @@ GOLDEN = [
         0,
         id="export-operator-jp-hp-1",
     ),
+    pytest.param(
+        ["export", "transform", *_POINT, "--map", "s1"],
+        "3926c563c62ce8f8b43a814a641cfb3ad64c47e5fc8d1ce29e9102015a1086ff",
+        0,
+        id="export-transform-s1",
+    ),
+    pytest.param(
+        ["export", "transform", "--c1", "-6", "--c3", "1", "--j2", "5", "--dim", "12",
+         "--map", "s1-closed"],
+        "ae3e3ac1bdd79bc5622f713f05f1aa69bc60a035ec56da275b58d2358eb0cf9d",
+        0,
+        id="export-transform-s1-closed",
+    ),
+    pytest.param(
+        ["export", "transform", *_POINT, "--map", "s2", "--q0-odd", "2"],
+        "f15055b774547d70bce40c440b5bf1aa8b0ec60a18629ef0ba34a8dadb8921fe",
+        0,
+        id="export-transform-s2-two-seeds",
+    ),
+    pytest.param(
+        ["export", "transform", "--c1", "1", "--c3", "1", "--j2", "400", "--dim", "402"],
+        "a491089b7f5d3fc4485bd1eed8a5ff1a29f0a46dd688fb7bb5361ab9291880a4",
+        0,
+        id="export-transform-s1-dim-402",
+    ),
 ]
 
 

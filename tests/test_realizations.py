@@ -33,8 +33,15 @@ from higgsalg import (
     verify_realization,
     villain_boson,
 )
-from higgsalg.realizations import _realization_text, _villain_radicand, _window_columns
-from higgsalg.verify import default_grid
+from higgsalg.realizations import (
+    _lowering_power,
+    _raising_power,
+    _realization_text,
+    _spin_offset,
+    _villain_radicand,
+    _window_columns,
+)
+from higgsalg.verify import default_grid, report_to_json, sweep
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 spins = st.integers(min_value=1, max_value=10).map(lambda j2: Fraction(j2, 2))
@@ -391,3 +398,38 @@ def test_hp_weights_past_the_last_bond_change_nothing(k, dim):
         assert r.admissible_mask == mask
         for got, want in ((r.jp, jp), (r.jm, jm), (r.j3, j3)):
             assert got.entries.tobytes() == want.entries.tobytes()
+
+
+_STEP_CONSTANTS = (_lowering_power, _raising_power, _spin_offset)
+
+
+@pytest.mark.parametrize("kind,field", [("hp", COMPLEX), ("dyson", COMPLEX), ("dyson", RATIONAL)])
+def test_cached_step_constants_are_read_only(kind, field):
+    """A cached ladder power or J3 holds read-only bands, and the
+    realization operators made around it share them: writing into a band
+    raises."""
+    dim, k, j2 = 9, 2, 5
+    r = build_realization(FockSpace(dim), AlgebraParams.of(1, 1), Fraction(j2, 2), kind, k, field)
+    raising, j3 = _raising_power(dim, field, k), _spin_offset(dim, field, j2)
+    assert r.j3._bands[0] is j3._bands[0]
+    if kind == "dyson":
+        assert r.jm._bands[-k] is raising._bands[-k]
+    for op in (_lowering_power(dim, field, k), raising, j3, r.jm, r.j3):
+        assert op._bands
+        for band in op._bands.values():
+            with pytest.raises(ValueError):
+                band[0] = band[0]
+
+
+def test_sweep_json_is_the_same_on_cold_and_warm_caches():
+    """The cached step constants change no output byte: a sweep on cleared
+    caches prints what it prints on warm ones, with the dims interleaved."""
+    tokens = ("hp:1", "hp:3", "dyson:1", "dyson:2")
+    cold = {}
+    for dim in (32, 64):
+        for cache in _STEP_CONSTANTS:
+            cache.cache_clear()
+        cold[dim] = report_to_json(sweep(tokens, default_grid(), dim=dim))
+    for dim in (32, 64, 32):
+        assert report_to_json(sweep(tokens, default_grid(), dim=dim)) == cold[dim]
+    assert all(cache.cache_info().hits for cache in _STEP_CONSTANTS)

@@ -24,7 +24,10 @@ from higgsalg import (
     s1_recurrence,
     s2_matching,
     unitarization_residual,
+    z_boundaries,
 )
+from higgsalg.similarity import DiagonalTransform, _transform_text
+from reference import transform_json_dict
 
 
 def test_s1_su2_squares_are_falling_factorials():
@@ -195,7 +198,7 @@ def test_transform_json_round_trip():
     from higgsalg import DiagonalTransform
 
     t = s2_matching(FockSpace(6), SU2_PARAMS, 2, q0_even=1.0, q0_odd=0.5)
-    back = DiagonalTransform.from_json_dict(t.to_json_dict())
+    back = DiagonalTransform.from_json_dict(transform_json_dict(t))
     assert back == t
 
 
@@ -203,7 +206,7 @@ def _strict_json(t) -> dict:
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
 
-    return json.loads(json.dumps(t.to_json_dict(), allow_nan=False), parse_constant=reject)
+    return json.loads(json.dumps(transform_json_dict(t), allow_nan=False), parse_constant=reject)
 
 
 @given(
@@ -229,6 +232,24 @@ def test_masked_in_transform_entries_are_finite_at_large_spin(c1, c3, j2, q0):
         assert all(math.isfinite(x) for x, m in zip(t.entries, t.mask) if m)
         assert all(x == 0.0 for x, m in zip(t.entries, t.mask) if not m)
         assert _strict_json(t)["mask"] == [int(m) for m in t.mask]
+        assert _transform_text(t) == json.dumps(transform_json_dict(t), indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("q0", [1.0, -0.0, -2.5, 3], ids=["one", "minus-zero", "negative", "int"])
+def test_transform_writer_matches_json_dumps(q0):
+    """``export transform`` writes its file directly; the bytes are those
+    of the indent-2 encoder over the file's object for every map kind."""
+    sp = FockSpace(12)
+    for params, j2 in default_grid():
+        j = Fraction(j2, 2)
+        maps = [s1_recurrence(sp, params, j, q0), s2_matching(sp, params, j, q0, 0.5)]
+        if params.c3 != 0 and z_boundaries(params, j) is not None:
+            maps.append(s1_closed_form(sp, params, j, q0))
+        for t in maps:
+            assert _transform_text(t) == json.dumps(transform_json_dict(t), indent=2, allow_nan=False)
+    bad = DiagonalTransform(q0=1.0, entries=(1.0, math.inf), mask=(True, True))
+    with pytest.raises(ValueError):
+        _transform_text(bad)
 
 
 # -- the chain routine against the loops it replaced ---------------------------
