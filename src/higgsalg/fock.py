@@ -84,8 +84,10 @@ def _as_fraction(x: Scalar) -> Fraction:
 #
 # A banded operator is a dict {offset: 1-D numpy array}.  Offset d holds the
 # entries (i, i + d) in order of increasing row, so it has N - |d| entries and
-# starts at (row, column) = _band_start(d).  Only diagonals with a nonzero
-# entry are kept.  The arrays hold complex128 in the complex field and
+# starts at (row, column) = _band_start(d).  A missing offset is a diagonal
+# of zeros, and so is a band of zeros, which arithmetic may leave: every
+# reader (the norms, ``diagonal``, the writer) reads both alike.  The
+# arrays hold complex128 in the complex field and
 # Python ints (object dtype) in the rational field: the numerators of the
 # entries over the operator's one positive int denominator ``_den`` (1 in
 # the complex field).  numpy applies + - * elementwise to either dtype, so
@@ -114,18 +116,14 @@ def _zero_array(shape, field: str) -> np.ndarray:
 
 
 def _over_lcm(bands: dict) -> tuple[_Bands, int]:
-    """Bands of rational values as int numerators over the lcm of their
-    denominators, and that lcm; an int is its own numerator over 1."""
+    """Bands of rational values as read-only int numerators over the lcm
+    of their denominators, and that lcm; an int is its own numerator
+    over 1."""
     bands = {d: [x if type(x) is int else _as_fraction(x) for x in band]
              for d, band in bands.items()}
     den = math.lcm(*{x.denominator for band in bands.values() for x in band})
-    return {d: _band([x.numerator * (den // x.denominator) for x in band], RATIONAL)
+    return {d: _freeze(_band([x.numerator * (den // x.denominator) for x in band], RATIONAL))
             for d, band in bands.items()}, den
-
-
-def _nonzero(bands: _Bands) -> _Bands:
-    """The bands with a nonzero entry, made read-only."""
-    return {d: _freeze(band) for d, band in bands.items() if any(band)}
 
 
 def _band_matmul(n: int, x: _Bands, y: _Bands, field: str) -> _Bands:
@@ -195,7 +193,9 @@ class Operator:
     diagonal) and every product the checks form stays within a few
     offsets, so a product costs O(N * bands^2) scalar operations instead
     of the O(N^3) of a dense one.  Rational operators are always banded;
-    built from a dense array they keep its nonzero diagonals.  Their bands
+    built from a dense array or read from a file they hold the diagonals
+    with a nonzero entry, while arithmetic keeps every band it forms, a
+    band of zeros included, which reads as an absent one.  Their bands
     hold int numerators over one positive int denominator for the whole
     operator, the lcm of the entries' denominators when it is built, so
     their arithmetic makes no ``Fraction``.  A complex
@@ -237,9 +237,8 @@ class Operator:
                 _as_fraction(x)
             n = space.dim
             nz = np.flatnonzero(entries)
-            bands, self._den = _over_lcm({d: entries.diagonal(d)
-                                          for d in np.unique(nz % n - nz // n).tolist()})
-            self._bands = _nonzero(bands)
+            self._bands, self._den = _over_lcm({d: entries.diagonal(d)
+                                                for d in np.unique(nz % n - nz // n).tolist()})
             self._dense = None
         else:
             self._bands = None
@@ -248,17 +247,11 @@ class Operator:
     @staticmethod
     def _banded(space: FockSpace, field: str, bands: _Bands, den: int = 1) -> "Operator":
         """Operator straight from its bands, rational ones as int numerators
-        over ``den``; all-zero bands are dropped."""
-        return Operator._holding(space, field, _nonzero(bands), den)
-
-    @staticmethod
-    def _holding(space: FockSpace, field: str, bands: _Bands, den: int) -> "Operator":
-        """Operator holding ``bands`` as given: read-only, each with a
-        nonzero entry, as ``_nonzero`` leaves them."""
+        over ``den``; the bands are made read-only."""
         op = object.__new__(Operator)
         op.space = space
         op.field = field
-        op._bands = bands
+        op._bands = {d: _freeze(band) for d, band in bands.items()}
         op._den = den
         op._dense = op._norm = op._adjoint = None
         return op

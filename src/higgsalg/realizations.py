@@ -309,7 +309,7 @@ def _spin_offset(dim: int, field: str, j2: int) -> Operator:
 
 def _on(space: FockSpace, constant: Operator) -> Operator:
     """A cached constant as an operator of its own on ``space``."""
-    return Operator._holding(space, constant.field, constant._bands, constant._den)
+    return Operator._banded(space, constant.field, constant._bands, constant._den)
 
 
 def _hp_bonds(params: AlgebraParams, jf: Fraction, j2: int, k: int,

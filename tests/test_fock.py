@@ -399,6 +399,24 @@ def test_zero_has_one_spelling_whatever_the_storage():
                    for pair in payload["entries"] for x in pair if x == 0)
 
 
+@pytest.mark.parametrize("field", [COMPLEX, RATIONAL])
+def test_a_band_of_zeros_reads_as_an_absent_band(field):
+    """Arithmetic keeps the bands it forms, a band of zeros included; every
+    reader sees such an operator as the zero matrix."""
+    sp = FockSpace(5)
+    op = diagonal_operator(sp, [1, -2, Fraction(-1, 2), 3, -4], field) @ creation(sp, field)
+    j3 = diagonal_operator(sp, [Fraction(3, 2) - n for n in range(5)], field)
+    grading = commutator(j3, op) + op  # op raises n, so it lowers j - n by one
+    zero = Operator(sp, np.zeros((5, 5), dtype=object if field == RATIONAL else complex), field)
+    for residual in (op - op, 0 * op, grading):
+        assert residual._bands and not any(band.any() for band in residual._bands.values())
+        written = _operator_text(residual)
+        assert written == _operator_text(zero) and "-0.0" not in written
+        assert residual.max_norm() == 0
+        assert residual.block_max(range(5)) == residual.block_max([1, 2]) == 0
+        assert Operator.from_json_dict(json.loads(written))._bands == {}
+
+
 # -- banded complex field against dense numpy ----------------------------------
 
 _BAND_VALUES = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)

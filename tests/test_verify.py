@@ -25,6 +25,8 @@ from higgsalg import (
     sweep,
     verify_realization,
 )
+from higgsalg import verify as verify_module
+from higgsalg.cli import main
 
 
 def test_exact_one_sided_realization_verifies_to_zero():
@@ -267,6 +269,41 @@ def test_exact_verify_never_builds_the_dense_view(monkeypatch, kind, k, field):
     monkeypatch.setattr(Operator, "entries", property(dense_view))
     report = verify_realization(r)
     assert report.passed and report.field_name == field
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Patch ``owner.name`` to record each call in the returned list."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv,code,casimirs", [
+    (["--c1=-2", "--c3", "0", "--j2", "4", "--dim", "32", "--kind", "hp:1"], 2, 0),
+    (["--c1", "1", "--c3", "1", "--j2", "5", "--dim", "32", "--kind", "hp:1"], 0, 2),
+    # no row reads c1, so a c1 past the float range is never converted
+    (["--c1=-1e400", "--c3", "0", "--j2", "4", "--dim", "12", "--kind", "hp:1"], 2, 0),
+], ids=["vacuous", "measured", "vacuous-past-the-float-range"])
+def test_an_empty_block_forms_no_casimir(monkeypatch, capsys, argv, code, casimirs):
+    """Nothing is measured on an empty block: the Casimirs and the closure
+    are formed only when a row reads them."""
+    calls = _count_calls(monkeypatch, verify_module, "_casimir")
+    assert main(["verify", *argv]) == code
+    assert len(calls) == casimirs
+
+
+def test_an_exact_verify_reads_two_diagonals(monkeypatch):
+    """The exact rows read the closure's diagonal and the Casimir's; the
+    closure terms' diagonals feed only a float tolerance."""
+    r = build_realization(FockSpace(12), AlgebraParams.of(1, 1), Fraction(5, 2), "dyson", 1)
+    calls = _count_calls(monkeypatch, Operator, "diagonal")
+    assert verify_realization(r).passed
+    assert len(calls) == 2
 
 
 def test_tolerance_scales_with_coefficient():
