@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .fock import Operator
+from .fock import Operator, _to_float
 
 RationalLike = Union[int, str, Fraction]
 
@@ -116,9 +116,8 @@ def z_boundaries(params: AlgebraParams, j: RationalLike) -> Optional[tuple[float
     d = discriminant(params, j)
     if d < 0:
         return None
-    jf = _frac(j)
-    root = math.sqrt(float(d))
-    center = float(jf) - 0.5
+    root = math.sqrt(_to_float(d, "the discriminant of the bond quadratic"))
+    center = _to_float(_frac(j), "j") - 0.5
     return (center - root / 2.0, center + root / 2.0)
 
 
@@ -234,7 +233,7 @@ class RepresentationTable:
 def _sqrt_or_none(x: Fraction) -> Optional[float]:
     if x < 0:
         return None
-    return math.sqrt(float(x))
+    return math.sqrt(_to_float(x, "a squared ladder element"))
 
 
 def representation_table(params: AlgebraParams, j: RationalLike) -> RepresentationTable:
@@ -261,35 +260,24 @@ def representation_table(params: AlgebraParams, j: RationalLike) -> Representati
 
 # -- Casimir operators --------------------------------------------------------
 
-def _products() -> Callable[..., Operator]:
-    """A memoized product of generators: ``prod(F1, ..., Fm)`` is
-    (F1 ... Fh)(Fh+1 ... Fm) with h = ceil(m / 2), so J3^3 is (J3 J3) J3
-    and J3^4 is (J3 J3)(J3 J3), and each distinct product is formed once."""
-    memo: dict = {}
-
-    def prod(*factors: Operator) -> Operator:
-        if len(factors) == 1:
-            return factors[0]
-        if factors not in memo:
-            h = (len(factors) + 1) // 2
-            memo[factors] = prod(*factors[:h]) @ prod(*factors[h:])
-        return memo[factors]
-
-    return prod
+def _powers(j3):
+    """(J3, J3^2, J3^3, J3^4), with J3^3 = J3^2 J3 and J3^4 = J3^2 J3^2."""
+    square = j3 @ j3
+    return j3, square, square @ j3, square @ square
 
 
-def _casimir(prod: Callable, num: Callable, jp, jm, j3, params: AlgebraParams,
-             symmetric: bool):
-    """The Casimir form of ``casimir_operator`` as a sum of generator
-    products ``prod(*factors)``, each with its coefficient passed through
-    ``num``.  The verifier evaluates the same sum on compressed blocks."""
+def _casimir(pm, mp, powers, params: AlgebraParams, num: Callable, symmetric: bool):
+    """The Casimir form of ``casimir_operator`` from its named products:
+    ``pm`` = J+ J-, ``mp`` = J- J+ and ``powers`` = (J3, J3^2, J3^3, J3^4),
+    each coefficient passed through ``num``.  The verifier evaluates the
+    same sum on the banded operators and on the momentum-window blocks."""
     c1, c3 = params.c1, params.c3
+    j3, j3_2, j3_3, j3_4 = powers
     a2 = num(c1 + Fraction(c3, 2))
     a4 = num(Fraction(c3, 2))
     if symmetric:
-        return prod(jp, jm) + prod(jm, jp) + a2 * prod(j3, j3) + a4 * prod(j3, j3, j3, j3)
-    return (num(2) * prod(jm, jp) + num(c1) * prod(j3) + a2 * prod(j3, j3)
-            + num(c3) * prod(j3, j3, j3) + a4 * prod(j3, j3, j3, j3))
+        return pm + mp + a2 * j3_2 + a4 * j3_4
+    return num(2) * mp + num(c1) * j3 + a2 * j3_2 + num(c3) * j3_3 + a4 * j3_4
 
 
 def casimir_operator(
@@ -303,4 +291,4 @@ def casimir_operator(
         2 J- J+ + c1 J3 + (c1 + c3/2) J3^2 + c3 J3^3 + (c3/2) J3^4.
     The two agree exactly wherever the defining commutator holds.
     """
-    return _casimir(_products(), lambda c: c, jp, jm, j3, params, symmetric)
+    return _casimir(jp @ jm, jm @ jp, _powers(j3), params, lambda c: c, symmetric)

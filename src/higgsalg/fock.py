@@ -393,7 +393,7 @@ class Operator:
         otherwise (NaN when one is NaN)."""
         if self.field == RATIONAL:
             return Fraction(max(worst, default=0), self._den)
-        return float(np.max(worst, initial=0.0))
+        return float(np.maximum.reduce(worst, initial=0.0))
 
     def max_norm(self):
         """Entrywise max-magnitude norm.  Exact (a Fraction) for the
@@ -415,15 +415,13 @@ class Operator:
         return self._values(_zero_array(max(self.space.dim - abs(d), 0), self.field)
                             if band is None else band)
 
-    def block_max(self, states: Sequence[int]):
-        """Entrywise max magnitude over the principal submatrix on
-        ``states``; 0 when ``states`` is empty.  Exact (a Fraction) for the
-        rational field, a float otherwise."""
-        idx = np.asarray(states, dtype=int)
+    def block_max(self, inside: np.ndarray):
+        """Entrywise max magnitude over the principal submatrix on the
+        states where the boolean array ``inside`` is true; 0 when there are
+        none.  Exact (a Fraction) for the rational field, a float
+        otherwise."""
         if self._bands is None:
-            return float(np.abs(self._dense[np.ix_(idx, idx)]).max(initial=0.0))
-        inside = np.zeros(self.space.dim, dtype=bool)
-        inside[idx] = True
+            return float(np.abs(self._dense[np.ix_(inside, inside)]).max(initial=0.0))
         worst = []
         for d, band in self._bands.items():
             r, c = _band_start(d)
@@ -587,7 +585,7 @@ def number_op(space: FockSpace, field: str = COMPLEX) -> Operator:
 
 
 def identity_op(space: FockSpace, field: str = COMPLEX) -> Operator:
-    return diagonal_operator(space, [1] * space.dim, field)
+    return Operator._banded(space, field, {0: _zero_array(space.dim, field) + 1})
 
 
 def diagonal_operator(space: FockSpace, values: Sequence[Scalar],

@@ -472,13 +472,6 @@ def _in_window(lam: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (lam >= lo - _WINDOW_EPS) & (lam <= hi + _WINDOW_EPS)
 
 
-def _window_columns(space: FockSpace, lo: float, hi: float) -> np.ndarray:
-    """The N x r columns V_w: orthonormal momentum eigenvectors R u whose
-    eigenvalue lies in [lo, hi], from the shared quadrature basis."""
-    lam, u = _quadrature_basis(space.dim)
-    return _quarter_turns(space.dim)[:, None] * u[:, _in_window(lam, lo, hi)]
-
-
 # -- dispatch -----------------------------------------------------------------
 
 def build_realization(

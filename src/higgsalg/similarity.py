@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import AlgebraParams, RationalLike, _frac, z_boundaries
-from .fock import COMPLEX, FockSpace, Operator, pochhammer
+from .fock import COMPLEX, FockSpace, Operator, _to_float, pochhammer
 from .realizations import Realization, product_recurrence
 
 
@@ -86,7 +86,7 @@ def _square_chains(
         factor = weight[n - k]
         if factor <= 0:
             continue
-        squares[n] = squares[n - k] * float(factor)
+        squares[n] = squares[n - k] * _to_float(factor, "a weight of the chain")
         if not math.isfinite(squares[n]):
             continue
         root = math.sqrt(squares[n])
@@ -129,7 +129,7 @@ def s1_closed_form(
     if roots is None:
         raise ValueError("closed-form scaling needs real roots of the bond quadratic")
     zm, zp = roots
-    base = -float(params.c3) / 4.0
+    base = -_to_float(params.c3, "c3") / 4.0
     mask = list(s1_recurrence(space, params, jf, q0).mask)
     entries = [0.0] * space.dim
     for n in range(space.dim):

@@ -29,15 +29,16 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import AlgebraParams, _casimir, _products, casimir_eigenvalue
+from .algebra import AlgebraParams, _casimir, _powers, casimir_eigenvalue
 from .fock import (
     RATIONAL,
     FockSpace,
-    Operator,
     _momentum_entries,
     _quadrature_basis,
+    _quarter_turns,
     _to_float,
     commutator,
+    identity_op,
 )
 from .realizations import (
     Realization,
@@ -45,7 +46,6 @@ from .realizations import (
     VILLAIN_KINDS,
     _in_window,
     _point,
-    _window_columns,
     build_realization,
 )
 
@@ -215,45 +215,45 @@ def _finite(name: str, *values, what: str = "the float residual or its scale",
 # -- the momentum window ------------------------------------------------------
 
 class _Window:
-    """Compressions V-dagger M V onto the momentum window of a spectral
-    realization, for the products M of its generators that the checks
-    form.
+    """The blocks V-dagger M V on the momentum window of a spectral
+    realization that the checks read.
 
     V = R u_w are the momentum eigenvectors in the window: the columns u_w
     of the real quadrature basis whose eigenvalues Lambda lie in it,
     turned by R = diag(i^n) (``fock._quadrature_basis``).  J3 is P, which
-    ``_checks`` enforces, so every J3 next to V is a diagonal scaling:
-    V-dagger J3^a F J3^b V = Lambda^a (V-dagger F V) Lambda^b, and a pure
-    power J3^m compresses to diag(Lambda^m).  What is left, F = J+, J-,
-    J+J- or J-J+, comes from the two thin N x N by N x r products
-    A = V-dagger J+ and B = J+ V: V-dagger J+ V = A V, V-dagger J+J- V =
-    A A-dagger and V-dagger J-J+ V = B-dagger B.  The J- blocks may come
-    from J+ because J- = J+-dagger is judged in its own row,
-    ``adjoint-pairing``; the windowed rows measure J+, J+-dagger and P.
-    No N x N residual is ever formed.
+    ``_checks`` enforces, so J3 next to V is a diagonal scaling: ``powers``
+    are the blocks diag(Lambda^m) of J3^m, m = 1 .. 4, and ``left`` and
+    ``right`` multiply a block by J3 as row and column scalings by Lambda.
+    The other blocks come from the two thin N x N by N x r products
+    A = V-dagger J+ and B = J+ V: ``plus`` = V-dagger J+ V = A V, ``minus``
+    its adjoint, ``pm`` = V-dagger J+J- V = A A-dagger and ``mp`` =
+    V-dagger J-J+ V = B-dagger B.  The J- blocks may come from J+ because
+    J- = J+-dagger is judged in its own row, ``adjoint-pairing``; the
+    windowed rows measure J+, J+-dagger and P.  No N x N residual is ever
+    formed.
     """
 
     def __init__(self, r: Realization, lo: float, hi: float):
-        lam, u = _quadrature_basis(r.space.dim)
+        dim = r.space.dim
+        lam, u = _quadrature_basis(dim)
         inside = _in_window(lam, lo, hi)
         self._lam, self._u = lam[inside], u[:, inside]
         self.rank = len(self._lam)
-        cols = _window_columns(r.space, lo, hi)
+        cols = _quarter_turns(dim)[:, None] * self._u
         jp = r.jp.entries
         a, b = cols.conj().T @ jp, jp @ cols
-        plus = a @ cols
-        self._cores = {"+": plus, "-": plus.conj().T, "+-": a @ a.conj().T, "-+": b.conj().T @ b}
-        self._symbols = {id(r.jp): "+", id(r.jm): "-", id(r.j3): "3"}
+        self.plus = a @ cols
+        self.minus = self.plus.conj().T
+        self.pm, self.mp = a @ a.conj().T, b.conj().T @ b
+        self.powers = tuple(np.diag(self._lam ** m) for m in range(1, 5))
 
-    def product(self, *factors: Operator) -> np.ndarray:
-        """V-dagger F1 ... Fm V; with no factors, V-dagger V, the identity."""
-        word = "".join([self._symbols[id(f)] for f in factors])
-        core = word.strip("3")
-        if not core:
-            return np.diag(self._lam ** len(word))
-        left = len(word) - len(word.lstrip("3"))
-        right = len(word) - len(word.rstrip("3"))
-        return (self._lam ** left)[:, None] * self._cores[core] * self._lam ** right
+    def left(self, block: np.ndarray) -> np.ndarray:
+        """The block of J3 M from the block of M."""
+        return self._lam[:, None] * block
+
+    def right(self, block: np.ndarray) -> np.ndarray:
+        """The block of M J3 from the block of M."""
+        return block * self._lam
 
     def max_entry(self, block: np.ndarray) -> float:
         """max |V B V-dagger|: the largest entry of a compressed residual B
@@ -309,39 +309,56 @@ def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
         checks.append(CheckResult(name, value, tol, block, tol is None or value <= tol,
                                   block == 0, substantive, exact and not asymptotic, asymptotic))
 
-    # Every formula below is a sum of generator products prod(*factors).
-    # The step kinds multiply the banded operators; the spectral kinds
-    # take the r x r compressions onto the momentum window, with float
-    # scale factors.
+    # Every formula below reads the named products J+J-, J-J+ and the
+    # powers of J3, and J+ or J- times J3 on either side.  The step kinds
+    # form them from the banded operators and measure a row on the block
+    # with ``block_max`` on the interior states; the spectral kinds read
+    # the r x r blocks on the momentum window, with float scale factors,
+    # and measure a row with ``max_entry``.
+    jp, jm, j3 = r.jp, r.jm, r.j3
     window = None
     if r.kind in VILLAIN_KINDS:
         # a built J3 is the cached array itself; a loaded one round-trips exactly
-        p = _momentum_entries(r.space.dim)
-        if r.j3.entries is not p and not np.array_equal(r.j3.entries, p):
+        p = _momentum_entries(dim)
+        if j3.entries is not p and not np.array_equal(j3.entries, p):
             raise ValueError(f"a {r.kind} realization needs J3 = P, the momentum quadrature;"
                              " this J3 differs")
         lo, hi = (_to_float(x, "the momentum window") for x in r.window)
         window = _Window(r, lo, hi)
-        prod, num = window.product, lambda c: _to_float(c, "a scale factor")
-        block = window.rank
+        block, num, measure = window.rank, lambda c: _to_float(c, "a scale factor"), window.max_entry
+        plus, minus, left, right = window.plus, window.minus, window.left, window.right
     else:
-        prod, num = _products(), lambda c: c
         states = interior_check_states(r)
-        block = len(states)
+        inside = np.zeros(dim, dtype=bool)
+        inside[states] = True
+        block, num, measure = len(states), lambda c: c, lambda op: op.block_max(inside)
+        plus, minus, left, right = jp, jm, lambda op: j3 @ op, lambda op: op @ j3
 
-    jp, jm, j3 = r.jp, r.jm, r.j3
     if block:
         # only rows measured on ``block`` read the Casimirs and the closure:
         # on an empty block they are all vacuous, and none of these is formed
-        c_sym = _casimir(prod, num, jp, jm, j3, r.params, symmetric=True)
-        c_prod = _casimir(prod, num, jp, jm, j3, r.params, symmetric=False)
+        pm, mp, powers = ((window.pm, window.mp, window.powers) if window is not None
+                          else (jp @ jm, jm @ jp, _powers(j3)))
+        c_sym = _casimir(pm, mp, powers, r.params, num, symmetric=True)
+        c_prod = _casimir(pm, mp, powers, r.params, num, symmetric=False)
         # (J+J- - J-J+) - (c1 J3 + c3 J3^3), and the three terms it cancels
-        terms = (prod(jp, jm), prod(jm, jp), num(c1) * prod(j3) + num(c3) * prod(j3, j3, j3))
+        terms = (pm, mp, num(c1) * powers[0] + num(c3) * powers[2])
         closure = (terms[0] - terms[1]) - terms[2]
 
-    def grading(op: Operator, sign: int):
+    def grading(op, sign: int):
         """[J3, op] - sign k op, zero when op shifts J3 by sign k."""
-        return (prod(j3, op) - prod(op, j3)) - num(sign * k) * prod(op)
+        return (left(op) - right(op)) - num(sign * k) * op
+
+    def eigenvalue(name: str):
+        """The Casimir eigenvalue, as a float outside the exact field."""
+        lam = casimir_eigenvalue(r.params, r.j)
+        return lam if exact else _to_float(lam, f"{name}: the Casimir eigenvalue")
+
+    def deviation(name: str):
+        """C - lambda 1 on the block, zero where the Casimir is the scalar
+        lambda of the multiplet."""
+        one = np.eye(block) if window is not None else identity_op(r.space, r.field)
+        return measure(c_sym - eigenvalue(name) * one)
 
     def pairing() -> None:
         def residual():
@@ -355,56 +372,36 @@ def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
 
         judge("adjoint-pairing", dim, False, residual, lambda: float(jp.max_norm()))
 
-    def eigenvalue(name: str):
-        """The Casimir eigenvalue, as a float outside the exact field."""
-        lam = casimir_eigenvalue(r.params, r.j)
-        return lam if exact else _to_float(lam, f"{name}: the Casimir eigenvalue")
-
     if window is not None:
-        windowed = window.max_entry
-
-        def deviation() -> float:
-            return windowed(c_sym - eigenvalue("casimir-deviation-window") * prod())
-
-        judge("ladder-closure-window", block, True, lambda: windowed(closure), None)
-        judge("grading-raise-window", block, True, lambda: windowed(grading(jp, 1)), None)
-        judge("grading-lower-window", block, True, lambda: windowed(grading(jm, -1)), None)
-        judge("casimir-deviation-window", block, True, deviation, None)
-        judge("casimir-two-forms-window", block, True, lambda: windowed(c_sym - c_prod), None)
+        judge("ladder-closure-window", block, True, lambda: measure(closure), None)
+        judge("grading-raise-window", block, True, lambda: measure(grading(plus, 1)), None)
+        judge("grading-lower-window", block, True, lambda: measure(grading(minus, -1)), None)
+        judge("casimir-deviation-window", block, True,
+              lambda: deviation("casimir-deviation-window"), None)
+        judge("casimir-two-forms-window", block, True, lambda: measure(c_sym - c_prod), None)
         pairing()
         return checks
 
-    def closure_scale() -> float:
-        """The largest closure term; the exact field, held to zero, never reads it."""
-        diags = [t.diagonal() for t in terms]
-        return max(float(max(abs(d[n]) for d in diags)) for n in states)
-
-    judge("ladder-closure", block, True, lambda: max(map(abs, closure.diagonal()[states])),
-          closure_scale)
+    judge("ladder-closure", block, True, lambda: measure(closure),
+          lambda: max(float(measure(t)) for t in terms))
     for label, op, sign in ((f"grading-raise-k{k}", jp, 1), (f"grading-lower-k{k}", jm, -1)):
         judge(label, dim, False, lambda op=op, sign=sign: grading(op, sign).max_norm(),
               lambda op=op: float(j3.max_norm()) * float(op.max_norm()))
     if r.kind == "hp":
         pairing()
-    judge("casimir-two-forms", block, False, lambda: (c_sym - c_prod).block_max(states),
-          lambda: float(c_sym.block_max(states)) + float(c_prod.block_max(states)))
+    judge("casimir-two-forms", block, False, lambda: measure(c_sym - c_prod),
+          lambda: float(measure(c_sym)) + float(measure(c_prod)))
 
     # invariance of the quartic Casimir is a single-step statement; the
     # step-2 form built from these generators is provably not scalar, so
     # only step-1 realizations carry these two checks
     if k == 1:
-        def cscale() -> float:
-            return float(c_sym.block_max(states))
-
-        def scalar_deviation():
-            c_diag, lam = c_sym.diagonal(), eigenvalue("casimir-scalar")
-            return max(abs(c_diag[n] - lam) for n in states)
-
         judge("casimir-commutes", block, True,
-              lambda: max(commutator(c_sym, op).block_max(states) for op in (jp, jm, j3)),
-              lambda: cscale() * max(1.0, max(float(op.max_norm()) for op in (jp, jm, j3))))
-        judge("casimir-scalar", block, True, scalar_deviation,
-              lambda: max(cscale(), abs(eigenvalue("casimir-scalar"))))
+              lambda: max(measure(commutator(c_sym, op)) for op in (jp, jm, j3)),
+              lambda: float(measure(c_sym)) * max(1.0, max(float(op.max_norm())
+                                                           for op in (jp, jm, j3))))
+        judge("casimir-scalar", block, True, lambda: deviation("casimir-scalar"),
+              lambda: max(float(measure(c_sym)), abs(eigenvalue("casimir-scalar"))))
     return checks
 
 

@@ -2,8 +2,9 @@
 
 The package does not call these.  Each is the slow, obvious construction
 of something the package makes another way: the position quadrature and
-exp(i theta H) formed densely, and the file dicts that ``json.dumps(...,
-indent=2)`` turns into the bytes the direct writers must match.
+exp(i theta H) formed densely, the momentum-window columns, and the file
+dicts that ``json.dumps(..., indent=2)`` turns into the bytes the direct
+writers must match.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from higgsalg import COMPLEX, RATIONAL, FockSpace, Operator, annihilation
+from higgsalg.fock import _quadrature_basis, _quarter_turns
+from higgsalg.realizations import _in_window
 
 # Hermiticity slack for float constructions, relative to the largest entry
 # magnitude.
@@ -27,6 +30,13 @@ def position(space: FockSpace) -> Operator:
     """X = (a + a+)/sqrt(2); Hermitian, complex field only, stored dense."""
     a = annihilation(space).entries
     return Operator(space, complex(1.0 / np.sqrt(2.0)) * (a + a.conj().T), COMPLEX)
+
+
+def window_columns(space: FockSpace, lo: float, hi: float) -> np.ndarray:
+    """The N x r columns V_w: orthonormal momentum eigenvectors R u whose
+    eigenvalue lies in [lo, hi], from the shared quadrature basis."""
+    lam, u = _quadrature_basis(space.dim)
+    return _quarter_turns(space.dim)[:, None] * u[:, _in_window(lam, lo, hi)]
 
 
 def unitary_exp(h: Operator, theta: float) -> Operator:

@@ -19,7 +19,7 @@ from higgsalg import (
 )
 from higgsalg import cli
 from higgsalg.cli import main
-from higgsalg.verify import exit_code, report_to_json
+from higgsalg.verify import exit_code, interior_check_states, report_to_json
 
 
 def test_table_output_matches_library(capsys):
@@ -548,6 +548,27 @@ def test_spin_beyond_the_float_range_exits_65(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+_TRANSFORM_AT = ["export", "transform", "--j2", "4", "--dim", "10", "--map"]
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["table", "--c1=1e400", "--c3=0", "--j2", "4"], "a squared ladder element"),
+    ([*_TRANSFORM_AT, "s1", "--c1=1e400", "--c3=0"], "a weight of the chain"),
+    ([*_TRANSFORM_AT, "s2", "--c1=1e400", "--c3=0"], "a weight of the chain"),
+    ([*_TRANSFORM_AT, "s1-closed", "--c1=-1e400", "--c3=1"],
+     "the discriminant of the bond quadratic"),
+    ([*_TRANSFORM_AT, "s1-closed", "--c1=-1e401", "--c3=1e400"], "c3"),
+], ids=["table", "transform-s1", "transform-s2", "transform-s1-closed",
+        "transform-s1-closed-c3"])
+def test_a_weight_beyond_the_float_range_is_a_domain_error(capsys, argv, what):
+    """A table element, a chain weight, or the discriminant or c3 of the
+    closed form past the float range exits 65 with one line, not 70."""
+    assert main(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {what} is beyond the float range\n"
+
+
 _HUGE_POINT = ["--c1", "1", "--c3", "1", "--dim", "4", "--j2", str(10 ** 103)]
 
 
@@ -688,6 +709,27 @@ def test_mask_is_derived_from_the_point(tmp_path, capsys, kind, edit, state):
     name = kind.split(":")[0]
     assert captured.err == (f'error: realization kind "{name}" needs the admissibility mask of'
                             f" its point; mask[{state}] is 0, not 1\n")
+
+
+@pytest.mark.parametrize("kind", [
+    ["--kind", "hp:1"], ["--kind", "dyson:1"], ["--kind", "dyson:1", "--field", "complex"],
+], ids=["hp-1", "dyson-1", "dyson-complex-1"])
+def test_the_closure_reads_its_whole_block(tmp_path, capsys, kind):
+    """One J+ entry off its band, at (n, n + 2) for the first interior
+    state n, leaves the closure's diagonal as it was and puts its residual
+    at (n, n + 1), inside the block; the closure and the Casimir's scalar
+    deviation read the whole block, so both FAIL, with exit 1."""
+    path = tmp_path / "r.json"
+    assert main(["build", "--c1", "1", "--c3", "1", "--j2", "5", "--dim", "12", *kind,
+                 "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    n = interior_check_states(Realization.from_json_dict(doc))[0]
+    doc["jp"]["entries"][n * 12 + n + 2] = "1" if doc["jp"]["field"] == "rational" else [1.0, 0.0]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path), "--format", "json"]) == 1
+    failed = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
+    assert {"ladder-closure", "casimir-scalar"} <= failed
 
 
 def test_spectral_window_beyond_the_float_range_is_a_domain_error(tmp_path, capsys):

@@ -39,9 +39,9 @@ from higgsalg.realizations import (
     _realization_text,
     _spin_offset,
     _villain_radicand,
-    _window_columns,
 )
 from higgsalg.verify import default_grid, report_to_json, sweep
+from reference import window_columns
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 spins = st.integers(min_value=1, max_value=10).map(lambda j2: Fraction(j2, 2))
@@ -296,7 +296,7 @@ def test_villain_adjoint_exact_and_window():
     r = villain_boson(FockSpace(24), AlgebraParams.of(1, 1), 2, form=1)
     assert (r.jm - r.jp.adjoint()).max_norm() == 0.0
     assert r.window == (Fraction(-2), Fraction(2))
-    cols = _window_columns(r.space, -2.0, 2.0)
+    cols = window_columns(r.space, -2.0, 2.0)
     q = cols @ cols.conj().T
     rank = round(float(np.trace(q).real))
     assert 1 <= rank < 24

@@ -32,9 +32,9 @@ from higgsalg import (
 )
 from higgsalg.cli import main
 from higgsalg.fock import COMPLEX, _phase_kernel, _quadrature_basis, _quarter_turns
-from higgsalg.realizations import _window_columns, villain_boson
+from higgsalg.realizations import villain_boson
 from higgsalg.verify import _Window
-from reference import position, unitary_exp
+from reference import position, unitary_exp, window_columns
 
 # |windowed residual - reference| <= _RESIDUAL_RTOL * max(1, |reference|)
 _RESIDUAL_RTOL = 1e-10
@@ -197,7 +197,7 @@ def test_momentum_is_formed_once_per_dim(dim):
 def test_window_projector_from_the_shared_basis(dim):
     space = FockSpace(dim)
     for half in (0.5, 2.0, 3.5):
-        cols = _window_columns(space, -half, half)
+        cols = window_columns(space, -half, half)
         q = cols @ cols.conj().T
         assert np.abs(q @ q - q).max() <= 1e-12
         assert np.abs(q - _dense_window(space, -half, half)).max() <= 1e-13
@@ -232,28 +232,35 @@ class _ReferenceWindow:
         return float(np.abs(self.cols @ block @ self.cols.conj().T).max())
 
 
-# the blocks the windowed checks form, as words in + (J+), - (J-) and 3 (J3)
-WINDOW_BLOCKS = ("", "+-", "-+", "3", "333", "3333", "33", "3+", "+3", "+", "3-", "-3", "-")
+def _window_blocks(window: _Window) -> dict:
+    """The blocks the windowed checks read, by their words in + (J+), - (J-)
+    and 3 (J3); the empty word is the identity the Casimir deviation reads."""
+    j3, j3_2, j3_3, j3_4 = window.powers
+    plus, minus = window.plus, window.minus
+    return {"": np.eye(window.rank), "+-": window.pm, "-+": window.mp, "3": j3, "333": j3_3,
+            "3333": j3_4, "33": j3_2, "3+": window.left(plus), "+3": window.right(plus),
+            "+": plus, "3-": window.left(minus), "-3": window.right(minus), "-": minus}
 
 
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("form", (1, 2))
 def test_window_blocks_agree_with_the_eight_product_reference(form, dim):
-    """Every block from Lambda and the two thin products of J+ equals the
-    block the reference forms from the operators, and ``max_entry`` of a
-    residual equals max |V B V-dagger| formed in complex arithmetic, also
-    where its squares would leave the float range."""
+    """Every named block from Lambda and the two thin products of J+
+    equals the block the reference forms from the operators, and
+    ``max_entry`` of a residual equals max |V B V-dagger| formed in complex
+    arithmetic, also where its squares would leave the float range."""
     for c1, c3, j2 in POINTS:
         j = Fraction(j2, 2)
         r = build_realization(FockSpace(dim), AlgebraParams.of(c1, c3), j, "villain", form)
         window = _Window(r, -float(j), float(j))
-        ref = _ReferenceWindow(_window_columns(r.space, -float(j), float(j)))
+        ref = _ReferenceWindow(window_columns(r.space, -float(j), float(j)))
         ops = {"+": r.jp, "-": r.jm, "3": r.j3}
-        for word in WINDOW_BLOCKS:
-            factors = [ops[x] for x in word]
-            want = ref.product(*factors)
+        blocks = _window_blocks(window)
+        assert len(blocks) == 13
+        for word, got in blocks.items():
+            want = ref.product(*[ops[x] for x in word])
             bound = 1e-12 * max(1.0, float(np.abs(want).max()))
-            assert np.abs(window.product(*factors) - want).max() <= bound, word
+            assert np.abs(got - want).max() <= bound, word
         closure = ref.product(r.jp, r.jm) - ref.product(r.jm, r.jp) - ref.product(r.j3)
         for scale in (1.0, 1e-200, 1e200):
             want = ref.max_entry(scale * closure)

@@ -297,13 +297,14 @@ def test_an_empty_block_forms_no_casimir(monkeypatch, capsys, argv, code, casimi
     assert len(calls) == casimirs
 
 
-def test_an_exact_verify_reads_two_diagonals(monkeypatch):
-    """The exact rows read the closure's diagonal and the Casimir's; the
-    closure terms' diagonals feed only a float tolerance."""
+def test_an_exact_verify_reads_no_diagonal(monkeypatch):
+    """Every exact row measures its block with ``block_max`` on the int
+    numerators, so no row reads a diagonal, which makes one Fraction per
+    state."""
     r = build_realization(FockSpace(12), AlgebraParams.of(1, 1), Fraction(5, 2), "dyson", 1)
     calls = _count_calls(monkeypatch, Operator, "diagonal")
     assert verify_realization(r).passed
-    assert len(calls) == 2
+    assert calls == []
 
 
 def test_tolerance_scales_with_coefficient():
