@@ -377,14 +377,6 @@ class Operator:
             self._adjoint, out._adjoint = weakref.ref(out), weakref.ref(self)
         return out
 
-    def power(self, k: int) -> "Operator":
-        if k < 0:
-            raise ValueError("negative matrix powers are not supported")
-        out = identity_op(self.space, self.field)
-        for _ in range(k):
-            out = out @ self
-        return out
-
     # -- inspection -----------------------------------------------------------
 
     def _largest(self, worst: list):

@@ -37,6 +37,7 @@ from .fock import (
     RATIONAL,
     FockSpace,
     Operator,
+    _band,
     _is_int,
     _operator_text,
     _parse_rational,
@@ -44,12 +45,7 @@ from .fock import (
     _quadrature_basis,
     _quarter_turns,
     _to_float,
-    annihilation,
-    creation,
-    diagonal_operator,
-    identity_op,
     momentum,
-    number_op,
 )
 
 KIND_HP = "hp"
@@ -239,10 +235,17 @@ def product_recurrence(
         H(n) = rhs(n) + H(n - k),
 
     a prefix sum of rhs over each residue class of n mod k.  It is summed
-    in integers, with rhs over the fixed denominator q1 q3 b^3 for
-    c1 = p1/q1, c3 = p3/q3 and j = a/b, and one Fraction is made per
-    value.
+    in integers (``_prefix_sums``), and one Fraction is made per value.
     """
+    h, q = _prefix_sums(params, j, k, nmax)
+    return tuple(Fraction(x, q * _den(n, k)) for n, x in enumerate(h))
+
+
+def _prefix_sums(params: AlgebraParams, j: RationalLike, k: int,
+                 nmax: int) -> tuple[list[int], int]:
+    """H(0) .. H(nmax) of ``product_recurrence`` as int numerators over one
+    denominator q: rhs is summed over q = q1 q3 b^3 for c1 = p1/q1,
+    c3 = p3/q3 and j = a/b, so F_k(n) = H(n) / (q den(n))."""
     if k < 1:
         raise ValueError("step k must be >= 1")
     jf = _frac(j)
@@ -256,7 +259,23 @@ def product_recurrence(
     for n in range(nmax + 1):
         t = a - n * b
         h.append(lin * t + cub * t ** 3 + (h[n - k] if n >= k else 0))
-    return tuple(Fraction(x, q * math.prod(range(n + 1, n + k + 1))) for n, x in enumerate(h))
+    return h, q
+
+
+def _den(n: int, k: int) -> int:
+    """den(n) = (n + 1) ... (n + k)."""
+    return math.prod(range(n + 1, n + k + 1))
+
+
+def _weight_float(h: list[int], q: int, n: int, k: int, what: str) -> float:
+    """F_k(n) = H(n) / (q den(n)) as a float: the int quotient, correctly
+    rounded, so bit-equal to ``float`` of the Fraction ``product_recurrence``
+    gives.  A value beyond the float range raises ValueError naming
+    ``what``."""
+    try:
+        return h[n] / (q * _den(n, k))
+    except OverflowError:
+        raise ValueError(f"{what} is beyond the float range") from None
 
 
 def closed_form_k1(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
@@ -282,44 +301,37 @@ def closed_form_k2(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
 
 # -- step-k constructors ------------------------------------------------------
 #
-# a^k, (a+)^k and J3 = j - nhat depend only on the truncation, the field and
-# k or 2j, so each is formed once per key.  The caches hold operators whose
-# read-only bands every realization shares; each realization gets an
-# operator of its own around them (``_on``), so nothing computed from it
-# later, such as a dense view, a norm or an adjoint, is kept by a cache.
+# Every step-k generator is one band: a shift by k times a function of n.
+# In the normalized basis a^k holds sqrt(n + 1) ... sqrt(n + k) at (n, n + k)
+# and (a+)^k the same at (n + k, n); in the monomial basis a^k holds den(n)
+# there and (a+)^k holds 1, so the exact dyson J+ = F_k(nhat) a^k is H(n) / q.
 
-@functools.lru_cache(maxsize=64)
-def _lowering_power(dim: int, field: str, k: int) -> Operator:
-    """a^k on ``dim`` states."""
-    return annihilation(FockSpace(dim), field).power(k)
-
-
-@functools.lru_cache(maxsize=64)
-def _raising_power(dim: int, field: str, k: int) -> Operator:
-    """(a+)^k on ``dim`` states."""
-    return creation(FockSpace(dim), field).power(k)
+def _step_operator(space: FockSpace, field: str, d: int, values, den: int = 1) -> Operator:
+    """The operator whose one band, at offset d, holds ``values`` (rational
+    ones as int numerators over ``den``); no band when |d| >= dim."""
+    bands = {d: _band(values, field)} if abs(d) < space.dim else {}
+    return Operator._banded(space, field, bands, den)
 
 
-@functools.lru_cache(maxsize=64)
-def _spin_offset(dim: int, field: str, j2: int) -> Operator:
-    """J3 = j - nhat on ``dim`` states, with 2j = ``j2``."""
-    space = FockSpace(dim)
-    return Fraction(j2, 2) * identity_op(space, field) - number_op(space, field)
-
-
-def _on(space: FockSpace, constant: Operator) -> Operator:
-    """A cached constant as an operator of its own on ``space``."""
-    return Operator._banded(space, constant.field, constant._bands, constant._den)
+def _ladder(dim: int, k: int, raising: bool) -> np.ndarray:
+    """The dim - k entries sqrt(n + 1) ... sqrt(n + k) of a^k, or of (a+)^k
+    when ``raising``, multiplied in the order of a k-fold product of the
+    ladder matrices, ascending for a^k and descending for (a+)^k, so each
+    entry has the bits that product gives."""
+    roots, size = np.sqrt(np.arange(1, dim)).astype(complex), max(dim - k, 0)
+    order = range(k, 0, -1) if raising else range(1, k + 1)
+    return functools.reduce(np.multiply, [roots[m - 1:m - 1 + size] for m in order])
 
 
 def _hp_bonds(params: AlgebraParams, jf: Fraction, j2: int, k: int,
-              dim: int) -> tuple[tuple[Fraction, ...], tuple[bool, ...]]:
-    """The hp weights F_k(0 .. top) and the admissibility mask: bond
-    n -> n + k exists only up to n = top = 2j - k and needs F_k(n) >= 0.
-    Later weights would all be masked out, so they are not computed."""
+              dim: int) -> tuple[list[int], int, tuple[bool, ...]]:
+    """H(0 .. top) over q (``_prefix_sums``) and the hp admissibility
+    mask: bond n -> n + k exists only up to n = top = 2j - k and needs
+    F_k(n) >= 0, that is H(n) >= 0.  Later weights would all be masked
+    out, so they are not computed."""
     top = min(dim - 1, j2 - k)
-    weights = product_recurrence(params, jf, k, top)
-    return weights, tuple(n <= top and weights[n] >= 0 for n in range(dim))
+    h, q = _prefix_sums(params, jf, k, top)
+    return h, q, tuple(n <= top and h[n] >= 0 for n in range(dim))
 
 
 def _admissible_mask(kind: str, k: int, params: AlgebraParams, j: RationalLike,
@@ -331,54 +343,43 @@ def _admissible_mask(kind: str, k: int, params: AlgebraParams, j: RationalLike,
     if kind != KIND_HP:
         return (True,) * dim
     jf, j2 = _require_j2(j)
-    return _hp_bonds(params, jf, j2, k, dim)[1]
+    return _hp_bonds(params, jf, j2, k, dim)[2]
 
 
-def _unitary_step(
-    space: FockSpace,
-    params: AlgebraParams,
-    j: RationalLike,
-    k: int,
-) -> Realization:
+def _step_realization(space: FockSpace, params: AlgebraParams, j: RationalLike, kind: str,
+                      k: int, field: str) -> Realization:
+    """hp:k, always complex: J- = (a+)^k sqrt(F_k(nhat)) on the mask, J+
+    its adjoint; or dyson:k in ``field``: J+ = F_k(nhat) a^k, carrying the
+    whole polynomial, and J- = (a+)^k.  Both have J3 = j - nhat, and a
+    complex J3 refuses a j beyond the float range."""
     jf, j2 = _require_j2(j)
-    weights, mask = _hp_bonds(params, jf, j2, k, space.dim)
-    root = [math.sqrt(_to_float(weights[n], "an hp weight")) if mask[n] else 0.0
-            for n in range(space.dim)]
-    jm = _on(space, _raising_power(space.dim, COMPLEX, k)) @ diagonal_operator(space, root, COMPLEX)
-    return Realization(
-        kind=KIND_HP,
-        step_k=k,
-        j2=j2,
-        params=params,
-        jp=jm.adjoint(),
-        jm=jm,
-        j3=_on(space, _spin_offset(space.dim, COMPLEX, j2)),
-        admissible_mask=mask,
-    )
-
-
-def _dyson_step(
-    space: FockSpace,
-    params: AlgebraParams,
-    j: RationalLike,
-    k: int,
-    field: str = RATIONAL,
-) -> Realization:
-    jf, j2 = _require_j2(j)
-    weights = product_recurrence(params, jf, k, space.dim - 1)
-    diag = diagonal_operator(space, weights, field)
-    # the weight multiplies after the k-fold lowering, so the raising
-    # generator carries the full polynomial and J- is the bare creator
-    return Realization(
-        kind=KIND_DYSON,
-        step_k=k,
-        j2=j2,
-        params=params,
-        jp=diag @ _on(space, _lowering_power(space.dim, field, k)),
-        jm=_on(space, _raising_power(space.dim, field, k)),
-        j3=_on(space, _spin_offset(space.dim, field, j2)),
-        admissible_mask=_admissible_mask(KIND_DYSON, k, params, jf, space.dim),
-    )
+    dim, size = space.dim, max(space.dim - k, 0)
+    if kind == KIND_HP:
+        field = COMPLEX
+        h, q, mask = _hp_bonds(params, jf, j2, k, dim)
+        root = [math.sqrt(_weight_float(h, q, n, k, "an hp weight")) if mask[n] else 0.0
+                for n in range(dim)]
+        jm = _step_operator(space, COMPLEX, -k,
+                            _ladder(dim, k, raising=True) * _band(root[:size], COMPLEX))
+        jp = jm.adjoint()
+    else:
+        h, q = _prefix_sums(params, jf, k, dim - 1)
+        mask = _admissible_mask(KIND_DYSON, k, params, jf, dim)
+        if field == RATIONAL:
+            jp = _step_operator(space, RATIONAL, k, h[:size], q)
+            jm = _step_operator(space, RATIONAL, -k, [1] * size)
+        else:
+            weights = [_weight_float(h, q, n, k, "a diagonal value") for n in range(dim)]
+            jp = _step_operator(space, COMPLEX, k,
+                                _band(weights[:size], COMPLEX) * _ladder(dim, k, raising=False))
+            jm = _step_operator(space, COMPLEX, -k, _ladder(dim, k, raising=True))
+    if field == RATIONAL:
+        j3 = _step_operator(space, RATIONAL, 0, [jf.numerator - n * jf.denominator
+                                                 for n in range(dim)], jf.denominator)
+    else:
+        top = _to_float(jf, "a scale factor")
+        j3 = _step_operator(space, COMPLEX, 0, [top - n for n in range(dim)])
+    return Realization(kind, k, j2, params, jp, jm, j3, mask)
 
 
 # -- spectral (phase-operator) constructors -----------------------------------
@@ -491,10 +492,8 @@ def build_realization(
     # a generator entry past the float range is caught below, so numpy
     # need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind == KIND_HP:
-            r = _unitary_step(space, params, j, k)
-        elif kind == KIND_DYSON:
-            r = _dyson_step(space, params, j, k, field)
+        if kind in STEP_KINDS:
+            r = _step_realization(space, params, j, kind, k, field)
         elif kind == "villain":
             r = villain_boson(space, params, j, form=k)
         else:

@@ -3,13 +3,15 @@ and serialization."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
+from operator import matmul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from higgsalg import (
@@ -28,19 +30,20 @@ from higgsalg import (
     creation,
     diagonal_operator,
     g_constant,
+    identity_op,
     parse_kind_token,
     product_recurrence,
     verify_realization,
     villain_boson,
 )
+from higgsalg.fock import _to_float
 from higgsalg.realizations import (
-    _lowering_power,
-    _raising_power,
+    _prefix_sums,
     _realization_text,
-    _spin_offset,
     _villain_radicand,
+    _weight_float,
 )
-from higgsalg.verify import default_grid, report_to_json, sweep
+from higgsalg.verify import default_grid
 from reference import window_columns
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -138,6 +141,13 @@ def test_denominator_variants_split_at_step4():
     assert closure_defects(a) != []
 
 
+def _matrix_power(op, k):
+    """1 @ op @ ... @ op with k factors op, multiplied from the left.  The
+    identity in front sets every zero imaginary part of a complex product
+    to +0.0, as in the products the constructors reproduce."""
+    return functools.reduce(matmul, [op] * k, identity_op(op.space, op.field))
+
+
 def _printed_step4(space, params, j2, kind):
     """hp:4 or dyson:4 assembled from public pieces as the constructors
     assemble them, but on the printed denominators' weights."""
@@ -147,13 +157,14 @@ def _printed_step4(space, params, j2, kind):
         weights = _order_k_reference(params, jf, k, top, "printed")
         mask = tuple(n <= top and weights[n] >= 0 for n in range(space.dim))
         root = [math.sqrt(weights[n]) if mask[n] else 0.0 for n in range(space.dim)]
-        jm = creation(space, COMPLEX).power(k) @ diagonal_operator(space, root, COMPLEX)
+        jm = _matrix_power(creation(space, COMPLEX), k) @ diagonal_operator(space, root, COMPLEX)
         j3 = diagonal_operator(space, [jf - n for n in range(space.dim)], COMPLEX)
         return Realization("hp", k, j2, params, jm.adjoint(), jm, j3, mask)
     weights = _order_k_reference(params, jf, k, space.dim - 1, "printed")
-    jp = diagonal_operator(space, weights, RATIONAL) @ annihilation(space, RATIONAL).power(k)
+    lowering = _matrix_power(annihilation(space, RATIONAL), k)
+    jp = diagonal_operator(space, weights, RATIONAL) @ lowering
     j3 = diagonal_operator(space, [jf - n for n in range(space.dim)], RATIONAL)
-    return Realization("dyson", k, j2, params, jp, creation(space, RATIONAL).power(k), j3,
+    return Realization("dyson", k, j2, params, jp, _matrix_power(creation(space, RATIONAL), k), j3,
                        tuple([True] * space.dim))
 
 
@@ -383,7 +394,7 @@ def _hp_from_all_weights(space, params, j2, k):
     weights = _closed_form_weights(params, jf, k, space.dim - 1)
     mask = tuple(weights[n] >= 0 and n + k <= j2 for n in range(space.dim))
     root = [math.sqrt(float(weights[n])) if mask[n] else 0.0 for n in range(space.dim)]
-    jm = creation(space, COMPLEX).power(k) @ diagonal_operator(space, root, COMPLEX)
+    jm = _matrix_power(creation(space, COMPLEX), k) @ diagonal_operator(space, root, COMPLEX)
     j3 = diagonal_operator(space, [float(jf) - n for n in range(space.dim)], COMPLEX)
     return jm.adjoint(), jm, j3, mask
 
@@ -400,36 +411,83 @@ def test_hp_weights_past_the_last_bond_change_nothing(k, dim):
             assert got.entries.tobytes() == want.entries.tobytes()
 
 
-_STEP_CONSTANTS = (_lowering_power, _raising_power, _spin_offset)
+def _step_reference(space, params, j2, kind, k, field):
+    """(J+, J-, J3, mask) of hp:k or dyson:k assembled from the public
+    ladder and diagonal operators by repeated ``@``, on the weights
+    ``product_recurrence`` gives; hp is complex whatever ``field``."""
+    jf, dim = Fraction(j2, 2), space.dim
+    if kind == "hp":
+        top = min(dim - 1, j2 - k)
+        weights = product_recurrence(params, jf, k, top)
+        mask = tuple(n <= top and weights[n] >= 0 for n in range(dim))
+        root = [math.sqrt(float(weights[n])) if mask[n] else 0.0 for n in range(dim)]
+        jm = _matrix_power(creation(space, COMPLEX), k) @ diagonal_operator(space, root, COMPLEX)
+        j3 = diagonal_operator(space, [jf - n for n in range(dim)], COMPLEX)
+        return jm.adjoint(), jm, j3, mask
+    weights = product_recurrence(params, jf, k, dim - 1)
+    jp = diagonal_operator(space, weights, field) @ _matrix_power(annihilation(space, field), k)
+    j3 = diagonal_operator(space, [jf - n for n in range(dim)], field)
+    return jp, _matrix_power(creation(space, field), k), j3, (True,) * dim
 
 
-@pytest.mark.parametrize("kind,field", [("hp", COMPLEX), ("dyson", COMPLEX), ("dyson", RATIONAL)])
-def test_cached_step_constants_are_read_only(kind, field):
-    """A cached ladder power or J3 holds read-only bands, and the
-    realization operators made around it share them: writing into a band
-    raises."""
-    dim, k, j2 = 9, 2, 5
-    r = build_realization(FockSpace(dim), AlgebraParams.of(1, 1), Fraction(j2, 2), kind, k, field)
-    raising, j3 = _raising_power(dim, field, k), _spin_offset(dim, field, j2)
-    assert r.j3._bands[0] is j3._bands[0]
-    if kind == "dyson":
-        assert r.jm._bands[-k] is raising._bands[-k]
-    for op in (_lowering_power(dim, field, k), raising, j3, r.jm, r.j3):
-        assert op._bands
-        for band in op._bands.values():
-            with pytest.raises(ValueError):
-                band[0] = band[0]
+@given(kind=st.sampled_from(["hp", "dyson"]), k=st.integers(1, 4),
+       field=st.sampled_from([RATIONAL, COMPLEX]), dim=st.integers(2, 40),
+       c1=rationals, c3=rationals, j2=st.integers(0, 40))
+@example(kind="dyson", k=3, field=RATIONAL, dim=3, c1=Fraction(1), c3=Fraction(1), j2=5)
+@example(kind="dyson", k=4, field=COMPLEX, dim=2, c1=Fraction(1), c3=Fraction(1), j2=5)
+@example(kind="hp", k=4, field=COMPLEX, dim=4, c1=Fraction(1), c3=Fraction(1), j2=12)
+@settings(max_examples=300, deadline=None)
+def test_step_generators_are_the_ladder_products(kind, k, field, dim, c1, c3, j2):
+    """Each hp and dyson generator, built as its one band, is the matrix
+    the k-fold ladder product and the weight diagonal give: the same bytes
+    in the complex field, the same rationals in the exact one, and the
+    same mask.  Where k >= dim there is no band at all.  The built bands
+    are read-only."""
+    space, params = FockSpace(dim), AlgebraParams(c1, c3)
+    r = build_realization(space, params, Fraction(j2, 2), kind, k, field)
+    *want, mask = _step_reference(space, params, j2, kind, k, field)
+    assert r.admissible_mask == mask
+    for got, ref in zip((r.jp, r.jm, r.j3), want):
+        assert got.field == ref.field
+        if got.field == COMPLEX:
+            assert got.entries.tobytes() == ref.entries.tobytes()
+        else:
+            assert got.entries.tolist() == ref.entries.tolist()
+        for band in got._bands.values():
+            if band.size:
+                with pytest.raises(ValueError):
+                    band[0] = band[0]
+    if k >= dim:
+        assert r.jp._bands == r.jm._bands == {}
 
 
-def test_sweep_json_is_the_same_on_cold_and_warm_caches():
-    """The cached step constants change no output byte: a sweep on cleared
-    caches prints what it prints on warm ones, with the dims interleaved."""
-    tokens = ("hp:1", "hp:3", "dyson:1", "dyson:2")
-    cold = {}
-    for dim in (32, 64):
-        for cache in _STEP_CONSTANTS:
-            cache.cache_clear()
-        cold[dim] = report_to_json(sweep(tokens, default_grid(), dim=dim))
-    for dim in (32, 64, 32):
-        assert report_to_json(sweep(tokens, default_grid(), dim=dim)) == cold[dim]
-    assert all(cache.cache_info().hits for cache in _STEP_CONSTANTS)
+def _float_or_message(convert):
+    """The float ``convert()`` gives, spelled bit for bit, or the text of
+    the ValueError it raises."""
+    try:
+        return convert().hex()
+    except ValueError as err:
+        return str(err)
+
+
+huge_rationals = st.builds(Fraction, st.integers(-10 ** 400, 10 ** 400), st.integers(1, 10 ** 30))
+
+
+@given(c1=st.one_of(rationals, huge_rationals), c3=st.one_of(rationals, huge_rationals),
+       j2=st.one_of(st.integers(0, 40), st.integers(0, 10 ** 40)), k=st.integers(1, 4),
+       nmax=st.integers(0, 12))
+@example(c1=Fraction(1), c3=Fraction(10 ** 400), j2=5, k=1, nmax=3)
+@example(c1=Fraction(1), c3=Fraction(1), j2=2 ** 60 + 1, k=2, nmax=6)
+@example(c1=Fraction(0), c3=Fraction(-1, 10 ** 320), j2=7, k=3, nmax=8)
+@example(c1=Fraction(0), c3=Fraction(-1, 10 ** 400), j2=7, k=3, nmax=8)
+@settings(max_examples=200, deadline=None)
+def test_weight_floats_are_the_fraction_floats(c1, c3, j2, k, nmax):
+    """A float weight taken from the integer prefix sum H(n) over q den(n)
+    has the bits of the float of the exact weight, also past 2^53, below
+    the smallest normal float and at -0.0, and a weight beyond the float
+    range is refused with the same text."""
+    params, jf = AlgebraParams(c1, c3), Fraction(j2, 2)
+    h, q = _prefix_sums(params, jf, k, nmax)
+    for n, w in enumerate(product_recurrence(params, jf, k, nmax)):
+        want = _float_or_message(lambda: _to_float(w, "an hp weight"))
+        assert _float_or_message(lambda: _weight_float(h, q, n, k, "an hp weight")) == want

@@ -307,6 +307,18 @@ def test_an_exact_verify_reads_no_diagonal(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("kind", ["hp", "dyson"])
+def test_a_float_step1_verify_measures_each_operator_once(monkeypatch, kind):
+    """The symmetric Casimir is part of the scales of three float rows but
+    is measured on the block once: no operator is measured twice."""
+    r = build_realization(FockSpace(16), AlgebraParams.of(1, 1), Fraction(11, 2), kind, 1,
+                          "complex")
+    calls = _count_calls(monkeypatch, Operator, "block_max")
+    assert verify_realization(r).passed
+    measured = [args[0] for args in calls]
+    assert len({id(op) for op in measured}) == len(measured)
+
+
 def test_tolerance_scales_with_coefficient():
     report = verify_realization(build_realization(FockSpace(8), SU2_PARAMS, 2, "hp", 1), 1e-6)
     closure = report.checks[0]
