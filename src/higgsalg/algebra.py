@@ -260,17 +260,12 @@ def representation_table(params: AlgebraParams, j: RationalLike) -> Representati
 
 # -- Casimir operators --------------------------------------------------------
 
-def _powers(j3):
-    """(J3, J3^2, J3^3, J3^4), with J3^3 = J3^2 J3 and J3^4 = J3^2 J3^2."""
-    square = j3 @ j3
-    return j3, square, square @ j3, square @ square
-
-
 def _casimir(pm, mp, powers, params: AlgebraParams, num: Callable, symmetric: bool):
     """The Casimir form of ``casimir_operator`` from its named products:
     ``pm`` = J+ J-, ``mp`` = J- J+ and ``powers`` = (J3, J3^2, J3^3, J3^4),
     each coefficient passed through ``num``.  The verifier evaluates the
-    same sum on the banded operators and on the momentum-window blocks."""
+    same sum on the complex vectors of the step kinds' interior block and
+    on the momentum-window blocks."""
     c1, c3 = params.c1, params.c3
     j3, j3_2, j3_3, j3_4 = powers
     a2 = num(c1 + Fraction(c3, 2))
@@ -291,4 +286,6 @@ def casimir_operator(
         2 J- J+ + c1 J3 + (c1 + c3/2) J3^2 + c3 J3^3 + (c3/2) J3^4.
     The two agree exactly wherever the defining commutator holds.
     """
-    return _casimir(jp @ jm, jm @ jp, _powers(j3), params, lambda c: c, symmetric)
+    square = j3 @ j3
+    powers = (j3, square, square @ j3, square @ square)
+    return _casimir(jp @ jm, jm @ jp, powers, params, lambda c: c, symmetric)

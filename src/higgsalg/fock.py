@@ -190,9 +190,9 @@ class Operator:
     ``creation``, ``diagonal_operator``, ``identity_op``, ``number_op``)
     and all arithmetic on their results keep only the diagonals: every
     generator of the step kinds is a single band (a shift times a
-    diagonal) and every product the checks form stays within a few
-    offsets, so a product costs O(N * bands^2) scalar operations instead
-    of the O(N^3) of a dense one.  Rational operators are always banded;
+    diagonal) and a product of a few of them stays within a few offsets,
+    so a product costs O(N * bands^2) scalar operations instead of the
+    O(N^3) of a dense one.  Rational operators are always banded;
     built from a dense array or read from a file they hold the diagonals
     with a nonzero entry, while arithmetic keeps every band it forms, a
     band of zeros included, which reads as an absent one.  Their bands
@@ -379,23 +379,18 @@ class Operator:
 
     # -- inspection -----------------------------------------------------------
 
-    def _largest(self, worst: list):
-        """Largest of the band magnitudes ``worst``, or zero: a Fraction for
-        the rational field, whose magnitudes are numerators, a float
-        otherwise (NaN when one is NaN)."""
-        if self.field == RATIONAL:
-            return Fraction(max(worst, default=0), self._den)
-        return float(np.maximum.reduce(worst, initial=0.0))
-
     def max_norm(self):
         """Entrywise max-magnitude norm.  Exact (a Fraction) for the
-        rational field, a float otherwise (NaN when an entry is NaN);
-        computed on the first call."""
+        rational field, whose band magnitudes are numerators, a float
+        otherwise (NaN when an entry is NaN); computed on the first call."""
         if self._norm is None:
             if self._bands is None:
                 self._norm = float(np.abs(self._dense).max())
             else:
-                self._norm = self._largest([np.abs(band).max() for band in self._bands.values()])
+                worst = [np.abs(band).max() for band in self._bands.values()]
+                self._norm = (Fraction(max(worst, default=0), self._den)
+                              if self.field == RATIONAL
+                              else float(np.maximum.reduce(worst, initial=0.0)))
         return self._norm
 
     def diagonal(self, d: int = 0) -> Sequence:
@@ -406,21 +401,6 @@ class Operator:
         band = self._bands.get(d)
         return self._values(_zero_array(max(self.space.dim - abs(d), 0), self.field)
                             if band is None else band)
-
-    def block_max(self, inside: np.ndarray):
-        """Entrywise max magnitude over the principal submatrix on the
-        states where the boolean array ``inside`` is true; 0 when there are
-        none.  Exact (a Fraction) for the rational field, a float
-        otherwise."""
-        if self._bands is None:
-            return float(np.abs(self._dense[np.ix_(inside, inside)]).max(initial=0.0))
-        worst = []
-        for d, band in self._bands.items():
-            r, c = _band_start(d)
-            picked = band[inside[r:r + len(band)] & inside[c:c + len(band)]]
-            if picked.size:
-                worst.append(np.abs(picked).max())
-        return self._largest(worst)
 
     def __repr__(self) -> str:
         return f"Operator(dim={self.space.dim}, field={self.field})"

@@ -14,12 +14,21 @@ of the terms being cancelled.  Spectral (villain) realizations are
 different: their identities hold only in the infinite-dimensional limit,
 so their windowed residuals are reported as asymptotic measurements and
 judged by convergence across dimensions, not by a fixed tolerance.  They
-are measured on r x r compressions onto the momentum window (``_Window``),
-from the same formulas the step kinds evaluate on banded operators.
+are measured on r x r compressions onto the momentum window (``_Window``).
+
+A step (hp, dyson) realization is measured from three vectors, J+'s band
+at +k, J-'s band at -k and J3's diagonal (``_Steps``), with no operator
+product formed: every row is a formula per state of the interior block
+or per entry of a band, in Python ints over one denominator in the exact
+field and on complex128 vectors in the other.  A generator read from a
+file may hold an entry off its band: a row that reads it takes the
+larger of its band residual and the largest such entry in its region,
+and ``adjoint-pairing`` compares J- with J+-dagger entry by entry.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,16 +38,17 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import AlgebraParams, _casimir, _powers, casimir_eigenvalue
+from .algebra import AlgebraParams, _casimir, casimir_eigenvalue
 from .fock import (
     RATIONAL,
     FockSpace,
+    Operator,
+    _band_start,
     _momentum_entries,
     _quadrature_basis,
     _quarter_turns,
     _to_float,
-    commutator,
-    identity_op,
+    _zero_array,
 )
 from .realizations import (
     Realization,
@@ -278,6 +288,219 @@ class _Window:
         return math.ldexp(math.sqrt(float(squares.max())), shift)
 
 
+# -- the step rows ------------------------------------------------------------
+
+def _num(c) -> float:
+    """A scale factor of a complex-field formula, as a float."""
+    return _to_float(c, "a scale factor")
+
+
+def _peak(values: np.ndarray) -> float:
+    """max |v| over a complex vector, 0.0 when it is empty; NaN when an
+    entry is NaN, as the judge needs to see it."""
+    return float(np.abs(values).max(initial=0.0))
+
+
+def _top(values, den: int) -> Fraction:
+    """max |v| / den over int numerators, 0 when there are none: the one
+    Fraction an exact row makes."""
+    return Fraction(max(map(abs, values), default=0), den)
+
+
+def _split(op: Operator, d: int) -> tuple:
+    """A step generator's band at offset d, and the rest of it.
+
+    The band is its N - |d| entries, zeros where the operator has no band
+    there: a list of int numerators over the operator's denominator in the
+    rational field, a complex128 array in the other.  The rest maps every
+    other offset that holds a nonzero entry to its diagonal: a built
+    generator is its one band, so only a loaded file can leave anything
+    there, and a complex one that does loads dense."""
+    bands = op._bands
+    if bands is None:
+        n = op.space.dim
+        nz = np.flatnonzero(op._dense)
+        bands = {e: op._dense.diagonal(e) for e in np.unique(nz % n - nz // n).tolist()}
+    band = bands.get(d)
+    if band is None:
+        band = _zero_array(max(op.space.dim - abs(d), 0), op.field)
+    rest = {e: b for e, b in bands.items() if e != d}
+    return (band.tolist() if op.field == RATIONAL else band), rest
+
+
+class _Steps:
+    """The three vectors the rows of a step realization read: J+'s band P
+    at +k, J-'s band M at -k and J3's diagonal T (``_split``).
+
+    On them J+J- and J-J+ are the diagonals P(n) M(n) and M(n - k) P(n - k),
+    the powers of J3 are diagonals, so both Casimir forms are a diagonal C,
+    and the commutator of C with J+ or J- is (C(n) - C(n + k)) times the
+    band on the bonds n -> n + k.  So every row is a formula per state or
+    per bond, on the interior block or on a band, and no operator product
+    is formed.  ``_form`` makes the block's vectors, only when the block
+    holds a state.  In the complex field it also sets ``c_size``,
+    ``prod_size`` and ``closure_size``, the measured parts of the float
+    scales: max |C| of the symmetric form, max |C| of the normal-ordered
+    one and the largest of the three terms the closure cancels, all on
+    the block.
+    """
+
+    def __init__(self, r: Realization, states: list[int]):
+        self.r, self.k, self.states = r, r.step_k, states
+        (self.p, rp), (self.m, rm), (self.t, rt) = (
+            _split(r.jp, self.k), _split(r.jm, -self.k), _split(r.j3, 0))
+        self._rest = {"jp": (r.jp, rp), "jm": (r.jm, rm), "j3": (r.j3, rt)}
+        self.inside = np.zeros(r.space.dim, dtype=bool)
+        self.inside[states] = True
+        # the bands' denominators, 1 in the complex field
+        self.dp, self.dm, self.dt = r.jp._den, r.jm._den, r.j3._den
+        if states:
+            self._form()
+
+    def _bonds(self) -> tuple[list[int], list[int], list[int]]:
+        """(i, j, n) over the bonds n -> n + k inside the block, n and n + k
+        being states i and j of it."""
+        where = {n: i for i, n in enumerate(self.states)}
+        bonds = [(i, where[n + self.k], n) for i, n in enumerate(self.states)
+                 if n + self.k in where]
+        return tuple(map(list, zip(*bonds))) if bonds else ([], [], [])
+
+    def reading(self, residual, names: Sequence[str] = ("jp", "jm", "j3"), whole: bool = False):
+        """The residual of a row that reads the generators ``names``: the
+        larger of ``residual()`` and their largest entry off the band in
+        the row's region, the whole space or the block.  An entry off the
+        band is measured, never dropped."""
+        def measured():
+            value = residual()
+            for name in names:
+                op, rest = self._rest[name]
+                for d, band in rest.items():
+                    if not whole:
+                        r, c = _band_start(d)
+                        band = band[self.inside[r:r + len(band)] & self.inside[c:c + len(band)]]
+                    if band.size:
+                        top = np.abs(band).max()
+                        value = max(value, Fraction(top, op._den) if op.field == RATIONAL
+                                    else float(top))
+            return value
+        return measured
+
+
+class _ExactSteps(_Steps):
+    """The step rows in the rational field.  The vectors hold int
+    numerators, each band over its operator's denominator; a row's values
+    are ints over one denominator, and the row makes one Fraction."""
+
+    def _form(self) -> None:
+        """The closure over u q dt^3 and both Casimir forms over
+        E = u q dt^4 on the block, with u = dp dm and q = 2 q1 q3, which
+        makes c1 q, c3 q and the Casimir coefficients (c1 + c3/2) q and
+        (c3/2) q ints."""
+        k, p, m, t, dt = self.k, self.p, self.m, self.t, self.dt
+        c1, c3 = self.r.params.c1, self.r.params.c3
+        q = 2 * c1.denominator * c3.denominator
+        i1, i3 = c1.numerator * (q // c1.denominator), c3.numerator * (q // c3.denominator)
+        i4 = i3 // 2
+        i2 = i1 + i4
+        u, d2 = self.dp * self.dm, dt * dt
+        f3, f4 = q * d2 * dt, q * d2 * d2
+        a1, a3 = u * i1 * d2, u * i3
+        b1, b2, b3, b4 = a1 * dt, u * i2 * d2, a3 * dt, u * i4
+        self.closure_den, self.e = u * f3, u * f4
+        self.closure_num, self.sym, self.prod = closure, sym, prod = [], [], []
+        for n in self.states:
+            pm, mp, x = p[n] * m[n], m[n - k] * p[n - k] if n >= k else 0, t[n]
+            x2 = x * x
+            x3 = x2 * x
+            quartic = b2 * x2 + b4 * x2 * x2
+            closure.append((pm - mp) * f3 - a1 * x - a3 * x3)
+            sym.append((pm + mp) * f4 + quartic)
+            prod.append(2 * mp * f4 + b1 * x + b3 * x3 + quartic)
+
+    def closure(self) -> Fraction:
+        return _top(self.closure_num, self.closure_den)
+
+    def grading(self, sign: int) -> Fraction:
+        """[J3, J+] - k J+, or [J3, J-] + k J-: the band times
+        T(n) - T(n + k) - k, up to sign, on every bond."""
+        band, den = (self.p, self.dp) if sign > 0 else (self.m, self.dm)
+        t, k, kt = self.t, self.k, self.k * self.dt
+        return _top([(t[n] - t[n + k] - kt) * x for n, x in enumerate(band)], self.dt * den)
+
+    def two_forms(self) -> Fraction:
+        return _top([a - b for a, b in zip(self.sym, self.prod)], self.e)
+
+    def commutes(self) -> Fraction:
+        """[C, J+] and [C, J-] on the bonds inside the block; [C, J3] is
+        zero, both being diagonal."""
+        i, j, n = self._bonds()
+        c, p, m = self.sym, self.p, self.m
+        jumps = [c[a] - c[b] for a, b in zip(i, j)]
+        return max(_top([x * p[s] for x, s in zip(jumps, n)], self.e * self.dp),
+                   _top([x * m[s] for x, s in zip(jumps, n)], self.e * self.dm))
+
+    def deviation(self, lam: Fraction) -> Fraction:
+        """C - lam 1 on the block."""
+        den, shift = lam.denominator, lam.numerator * self.e
+        return _top([c * den - shift for c in self.sym], self.e * den)
+
+
+class _FloatSteps(_Steps):
+    """The step rows in the complex field, on complex128 vectors.  Each
+    entry is formed from the same operands, in the same order, as in the
+    banded operator arithmetic that would hold it, so every float keeps
+    its bits: sums run left to right, J3^3 = J3^2 J3, and numpy's complex
+    product is not commutative bit for bit, so P(n) M(n) and M(n) P(n)
+    are kept apart."""
+
+    def _form(self) -> None:
+        """J+J-, J-J+, the powers of J3, both Casimir forms and the closure
+        on the block, and the sizes the float scales read."""
+        k, p, m, params = self.k, self.p, self.m, self.r.params
+        s = np.array(self.states)
+        below = int(np.searchsorted(s, k))
+        pm, mp = p[s] * m[s], np.zeros(len(s), dtype=complex)
+        mp[below:] = m[s[below:] - k] * p[s[below:] - k]
+        x = self.t[s]
+        square = x * x
+        self.x, powers = x, (x, square, square * x, square * square)
+        self.sym = _casimir(pm, mp, powers, params, _num, symmetric=True)
+        self.prod = _casimir(pm, mp, powers, params, _num, symmetric=False)
+        # (J+J- - J-J+) - (c1 J3 + c3 J3^3), and the three terms it cancels
+        terms = (pm, mp, _num(params.c1) * x + _num(params.c3) * powers[2])
+        self.closure_vec = (terms[0] - terms[1]) - terms[2]
+        self.c_size, self.prod_size = _peak(self.sym), _peak(self.prod)
+        self.closure_size = max(_peak(v) for v in terms)
+
+    def closure(self) -> float:
+        return _peak(self.closure_vec)
+
+    def grading(self, sign: int) -> float:
+        """[J3, J+] - k J+, or [J3, J-] + k J-, on the band."""
+        k, t = self.k, self.t
+        if sign > 0:
+            p = self.p
+            return _peak(((t[:len(p)] * p) - (p * t[k:])) - _num(k) * p)
+        m = self.m
+        return _peak(((t[k:] * m) - (m * t[:len(m)])) - _num(-k) * m)
+
+    def two_forms(self) -> float:
+        return _peak(self.sym - self.prod)
+
+    def commutes(self) -> float:
+        """[C, J+], [C, J-] on the bonds inside the block, and [C, J3],
+        which is zero unless a product leaves the float range."""
+        i, j, n = self._bonds()
+        c, x = self.sym, self.x
+        lo, hi, p, m = c[i], c[j], self.p[n], self.m[n]
+        return max(_peak((lo * p) - (p * hi)), _peak((hi * m) - (m * lo)),
+                   _peak((c * x) - (x * c)))
+
+    def deviation(self, lam: float) -> float:
+        """C - lam 1 on the block."""
+        return _peak(self.sym - lam)
+
+
 # -- the checks ---------------------------------------------------------------
 
 def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
@@ -285,6 +508,7 @@ def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
     k = r.step_k
     dim = r.space.dim
     c1, c3 = r.params.c1, r.params.c3
+    jp, jm, j3 = r.jp, r.jm, r.j3
     checks: list[CheckResult] = []
 
     def judge(name, block, substantive, residual, scale) -> None:
@@ -309,64 +533,21 @@ def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
         checks.append(CheckResult(name, value, tol, block, tol is None or value <= tol,
                                   block == 0, substantive, exact and not asymptotic, asymptotic))
 
-    # Every formula below reads the named products J+J-, J-J+ and the
-    # powers of J3, and J+ or J- times J3 on either side.  The step kinds
-    # form them from the banded operators and measure a row on the block
-    # with ``block_max`` on the interior states; the spectral kinds read
-    # the r x r blocks on the momentum window, with float scale factors,
-    # and measure a row with ``max_entry``.
-    jp, jm, j3 = r.jp, r.jm, r.j3
-    window = None
-    if r.kind in VILLAIN_KINDS:
-        # a built J3 is the cached array itself; a loaded one round-trips exactly
-        p = _momentum_entries(dim)
-        if j3.entries is not p and not np.array_equal(j3.entries, p):
-            raise ValueError(f"a {r.kind} realization needs J3 = P, the momentum quadrature;"
-                             " this J3 differs")
-        lo, hi = (_to_float(x, "the momentum window") for x in r.window)
-        window = _Window(r, lo, hi)
-        block, num, measure = window.rank, lambda c: _to_float(c, "a scale factor"), window.max_entry
-        plus, minus, left, right = window.plus, window.minus, window.left, window.right
-    else:
-        states = interior_check_states(r)
-        inside = np.zeros(dim, dtype=bool)
-        inside[states] = True
-        block, num, measure = len(states), lambda c: c, lambda op: op.block_max(inside)
-        plus, minus, left, right = jp, jm, lambda op: j3 @ op, lambda op: op @ j3
-
-    if block:
-        # only rows measured on ``block`` read the Casimirs and the closure:
-        # on an empty block they are all vacuous, and none of these is formed
-        pm, mp, powers = ((window.pm, window.mp, window.powers) if window is not None
-                          else (jp @ jm, jm @ jp, _powers(j3)))
-        c_sym = _casimir(pm, mp, powers, r.params, num, symmetric=True)
-        c_prod = _casimir(pm, mp, powers, r.params, num, symmetric=False)
-        # (J+J- - J-J+) - (c1 J3 + c3 J3^3), and the three terms it cancels
-        terms = (pm, mp, num(c1) * powers[0] + num(c3) * powers[2])
-        closure = (terms[0] - terms[1]) - terms[2]
-        # max |C| of the symmetric form, read by the float scales of three step rows
-        c_size = None if exact or window is not None else float(measure(c_sym))
-
-    def grading(op, sign: int):
-        """[J3, op] - sign k op, zero when op shifts J3 by sign k."""
-        return (left(op) - right(op)) - num(sign * k) * op
+    # a float row reads the eigenvalue in its residual and in its scale;
+    # the Fraction arithmetic is done once
+    fraction_eigenvalue = functools.cache(lambda: casimir_eigenvalue(r.params, r.j))
 
     def eigenvalue(name: str):
         """The Casimir eigenvalue, as a float outside the exact field."""
-        lam = casimir_eigenvalue(r.params, r.j)
+        lam = fraction_eigenvalue()
         return lam if exact else _to_float(lam, f"{name}: the Casimir eigenvalue")
-
-    def deviation(name: str):
-        """C - lambda 1 on the block, zero where the Casimir is the scalar
-        lambda of the multiplet."""
-        one = np.eye(block) if window is not None else identity_op(r.space, r.field)
-        return measure(c_sym - eigenvalue(name) * one)
 
     def pairing() -> None:
         def residual():
             """max |J- - J+-dagger|.  A built J- is J+'s remembered adjoint,
             so where J+ is finite the difference is exactly 0.0 and is not
-            formed; a loaded J- is compared entry by entry."""
+            formed; a loaded J- is compared entry by entry, on its band and
+            off it, with no product formed."""
             dagger = jp.adjoint()
             if dagger is jm and math.isfinite(jp.max_norm()):
                 return 0.0
@@ -374,35 +555,64 @@ def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
 
         judge("adjoint-pairing", dim, False, residual, lambda: float(jp.max_norm()))
 
-    if window is not None:
+    if r.kind in VILLAIN_KINDS:
+        # Every formula reads the r x r blocks of the named products J+J-,
+        # J-J+ and the powers of J3 on the momentum window, and J+ or J-
+        # times J3 on either side; a row is measured with ``max_entry``.
+        # A built J3 is the cached array itself; a loaded one round-trips exactly.
+        p = _momentum_entries(dim)
+        if j3.entries is not p and not np.array_equal(j3.entries, p):
+            raise ValueError(f"a {r.kind} realization needs J3 = P, the momentum quadrature;"
+                             " this J3 differs")
+        lo, hi = (_to_float(x, "the momentum window") for x in r.window)
+        w = _Window(r, lo, hi)
+        block, measure = w.rank, w.max_entry
+        if block:
+            # on an empty window every row is vacuous, and none of these is formed
+            c_sym = _casimir(w.pm, w.mp, w.powers, r.params, _num, symmetric=True)
+            c_prod = _casimir(w.pm, w.mp, w.powers, r.params, _num, symmetric=False)
+            closure = (w.pm - w.mp) - (_num(c1) * w.powers[0] + _num(c3) * w.powers[2])
+
+        def grading(op, sign: int):
+            """[J3, op] - sign op, zero when op shifts J3 by sign."""
+            return (w.left(op) - w.right(op)) - _num(sign) * op
+
         judge("ladder-closure-window", block, True, lambda: measure(closure), None)
-        judge("grading-raise-window", block, True, lambda: measure(grading(plus, 1)), None)
-        judge("grading-lower-window", block, True, lambda: measure(grading(minus, -1)), None)
+        judge("grading-raise-window", block, True, lambda: measure(grading(w.plus, 1)), None)
+        judge("grading-lower-window", block, True, lambda: measure(grading(w.minus, -1)), None)
         judge("casimir-deviation-window", block, True,
-              lambda: deviation("casimir-deviation-window"), None)
+              lambda: measure(c_sym - eigenvalue("casimir-deviation-window") * np.eye(block)),
+              None)
         judge("casimir-two-forms-window", block, True, lambda: measure(c_sym - c_prod), None)
         pairing()
         return checks
 
-    judge("ladder-closure", block, True, lambda: measure(closure),
-          lambda: max(float(measure(t)) for t in terms))
-    for label, op, sign in ((f"grading-raise-k{k}", jp, 1), (f"grading-lower-k{k}", jm, -1)):
-        judge(label, dim, False, lambda op=op, sign=sign: grading(op, sign).max_norm(),
+    # The step rows read the three vectors of ``_Steps``: the block rows on
+    # the interior block, the grading rows on the bands.
+    states = interior_check_states(r)
+    block = len(states)
+    rows = (_ExactSteps if exact else _FloatSteps)(r, states)
+    read = rows.reading
+
+    judge("ladder-closure", block, True, read(rows.closure), lambda: rows.closure_size)
+    for label, name, op, sign in ((f"grading-raise-k{k}", "jp", jp, 1),
+                                  (f"grading-lower-k{k}", "jm", jm, -1)):
+        judge(label, dim, False, read(lambda sign=sign: rows.grading(sign), (name, "j3"), True),
               lambda op=op: float(j3.max_norm()) * float(op.max_norm()))
     if r.kind == "hp":
         pairing()
-    judge("casimir-two-forms", block, False, lambda: measure(c_sym - c_prod),
-          lambda: c_size + float(measure(c_prod)))
+    judge("casimir-two-forms", block, False, read(rows.two_forms),
+          lambda: rows.c_size + rows.prod_size)
 
     # the quartic Casimir is the step-1 invariant; a step-k realization
     # keeps C_k = 2 J-J+ + P_k(J3) with another polynomial P_k, not formed
     # here, so only step-1 realizations carry these two checks
     if k == 1:
-        judge("casimir-commutes", block, True,
-              lambda: max(measure(commutator(c_sym, op)) for op in (jp, jm, j3)),
-              lambda: c_size * max(1.0, max(float(op.max_norm()) for op in (jp, jm, j3))))
-        judge("casimir-scalar", block, True, lambda: deviation("casimir-scalar"),
-              lambda: max(c_size, abs(eigenvalue("casimir-scalar"))))
+        judge("casimir-commutes", block, True, read(rows.commutes),
+              lambda: rows.c_size * max(1.0, max(float(op.max_norm()) for op in (jp, jm, j3))))
+        judge("casimir-scalar", block, True,
+              read(lambda: rows.deviation(eigenvalue("casimir-scalar"))),
+              lambda: max(rows.c_size, abs(eigenvalue("casimir-scalar"))))
     return checks
 
 

@@ -7,6 +7,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from higgsalg import (
     AlgebraParams,
@@ -25,8 +27,11 @@ from higgsalg import (
     sweep,
     verify_realization,
 )
+from higgsalg import fock
 from higgsalg import verify as verify_module
 from higgsalg.cli import main
+from higgsalg.realizations import _realization_text
+from reference import verify_by_products
 
 
 def test_exact_one_sided_realization_verifies_to_zero():
@@ -283,40 +288,82 @@ def _count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
-@pytest.mark.parametrize("argv,code,casimirs", [
+@pytest.mark.parametrize("argv,code,formed", [
     (["--c1=-2", "--c3", "0", "--j2", "4", "--dim", "32", "--kind", "hp:1"], 2, 0),
-    (["--c1", "1", "--c3", "1", "--j2", "5", "--dim", "32", "--kind", "hp:1"], 0, 2),
+    (["--c1", "1", "--c3", "1", "--j2", "5", "--dim", "32", "--kind", "hp:1"], 0, 1),
     # no row reads c1, so a c1 past the float range is never converted
     (["--c1=-1e400", "--c3", "0", "--j2", "4", "--dim", "12", "--kind", "hp:1"], 2, 0),
-], ids=["vacuous", "measured", "vacuous-past-the-float-range"])
-def test_an_empty_block_forms_no_casimir(monkeypatch, capsys, argv, code, casimirs):
-    """Nothing is measured on an empty block: the Casimirs and the closure
-    are formed only when a row reads them."""
-    calls = _count_calls(monkeypatch, verify_module, "_casimir")
+    (["--c1", "1", "--c3", "1", "--j2", "5", "--dim", "3", "--kind", "dyson:3"], 2, 0),
+    (["--c1", "1", "--c3", "1", "--j2", "5", "--dim", "12", "--kind", "dyson:1"], 0, 1),
+], ids=["vacuous", "measured", "vacuous-past-the-float-range", "exact-vacuous", "exact-measured"])
+def test_an_empty_block_forms_no_casimir(monkeypatch, capsys, argv, code, formed):
+    """Nothing is measured on an empty block: the block's vectors, the
+    Casimirs and the closure among them, are formed only when a row reads
+    them, in either field."""
+    calls = [_count_calls(monkeypatch, rows, "_form")
+             for rows in (verify_module._FloatSteps, verify_module._ExactSteps)]
     assert main(["verify", *argv]) == code
-    assert len(calls) == casimirs
+    assert sum(map(len, calls)) == formed
 
 
-def test_an_exact_verify_reads_no_diagonal(monkeypatch):
-    """Every exact row measures its block with ``block_max`` on the int
-    numerators, so no row reads a diagonal, which makes one Fraction per
-    state."""
-    r = build_realization(FockSpace(12), AlgebraParams.of(1, 1), Fraction(5, 2), "dyson", 1)
-    calls = _count_calls(monkeypatch, Operator, "diagonal")
-    assert verify_realization(r).passed
-    assert calls == []
+_STEP_POINTS = [(kind, k, field) for kind in ("hp", "dyson") for k in (1, 2, 3)
+                for field in ("rational", "complex") if kind == "dyson" or field == "complex"]
 
 
-@pytest.mark.parametrize("kind", ["hp", "dyson"])
-def test_a_float_step1_verify_measures_each_operator_once(monkeypatch, kind):
-    """The symmetric Casimir is part of the scales of three float rows but
-    is measured on the block once: no operator is measured twice."""
-    r = build_realization(FockSpace(16), AlgebraParams.of(1, 1), Fraction(11, 2), kind, 1,
-                          "complex")
-    calls = _count_calls(monkeypatch, Operator, "block_max")
-    assert verify_realization(r).passed
-    measured = [args[0] for args in calls]
-    assert len({id(op) for op in measured}) == len(measured)
+@pytest.mark.parametrize("kind,k,field", _STEP_POINTS,
+                         ids=[f"{kind}-{k}-{field}" for kind, k, field in _STEP_POINTS])
+def test_a_step_verify_forms_no_operator_product(monkeypatch, kind, k, field):
+    """A built step realization is verified from its three band vectors: no
+    operator product or sum is formed and no diagonal is read, which would
+    make one Fraction per state in the exact field."""
+    r = build_realization(FockSpace(12), AlgebraParams.of(1, 1), Fraction(5, 2), kind, k, field)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a step verify formed an operator product or read a diagonal")
+
+    for owner, name in ((fock, "_band_matmul"), (fock, "_band_add"), (Operator, "diagonal")):
+        monkeypatch.setattr(owner, name, refused)
+    report = verify_realization(r)
+    assert report.passed and not report.checks[0].vacuous
+
+
+def _outcome(verify, r) -> str:
+    """The report's JSON, or the one line of the ValueError it raised."""
+    try:
+        return report_to_json(verify(r))
+    except ValueError as err:
+        return f"error: {err}"
+
+
+_COUPLINGS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(kind=st.sampled_from(["hp", "dyson"]), k=st.integers(1, 3),
+       field=st.sampled_from(["rational", "complex"]), dim=st.integers(2, 40),
+       c1=_COUPLINGS, c3=_COUPLINGS,
+       j2=st.one_of(st.integers(0, 12), st.sampled_from([10 ** 40, 10 ** 77, 10 ** 160])),
+       loaded=st.booleans())
+# a step k >= dim: J+ and J- have no band at all
+@example(kind="dyson", k=3, field="rational", dim=3, c1=Fraction(1), c3=Fraction(1), j2=5,
+         loaded=False)
+@example(kind="dyson", k=3, field="complex", dim=2, c1=Fraction(1), c3=Fraction(1), j2=5,
+         loaded=True)
+# no admissible interior state: every block row is vacuous
+@example(kind="hp", k=1, field="complex", dim=32, c1=Fraction(-2), c3=Fraction(0), j2=4,
+         loaded=True)
+@settings(max_examples=150, deadline=None)
+def test_step_rows_match_the_product_reference(kind, k, field, dim, c1, c3, j2, loaded):
+    """The report of every step realization, built or read back from its
+    file, is the same bytes as the one formed from operator products, or
+    the same error."""
+    try:
+        r = build_realization(FockSpace(dim), AlgebraParams(c1, c3), Fraction(j2, 2), kind, k,
+                              field)
+    except ValueError:
+        return
+    if loaded:
+        r = Realization.from_json_dict(json.loads(_realization_text(r)))
+    assert _outcome(verify_realization, r) == _outcome(verify_by_products, r)
 
 
 def test_tolerance_scales_with_coefficient():
