@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .fock import Operator, _to_float
+from .fock import _to_float
 
 RationalLike = Union[int, str, Fraction]
 
@@ -40,11 +40,6 @@ class AlgebraParams:
 
     def __str__(self) -> str:
         return f"(c1={self.c1}, c3={self.c3})"
-
-
-# The two classical degenerations.
-SU2_PARAMS = AlgebraParams(Fraction(2), Fraction(0))
-SU11_PARAMS = AlgebraParams(Fraction(-2), Fraction(0))
 
 
 def casimir_eigenvalue(params: AlgebraParams, j: RationalLike) -> Fraction:
@@ -97,16 +92,6 @@ def discriminant(params: AlgebraParams, j: RationalLike) -> Fraction:
         raise ValueError("root boundaries are defined only for c3 != 0")
     jf = _frac(j)
     return 2 - (2 * jf + 1) ** 2 - 8 * params.c1 / params.c3
-
-
-def monic_bond_quadratic(params: AlgebraParams, j: RationalLike, n: RationalLike) -> Fraction:
-    """q(n) = n^2 - (2j - 1) n + 2 j^2 + 2 c1 / c3, so that
-    bond_quadratic = c3 * q.  Requires c3 != 0."""
-    if params.c3 == 0:
-        raise ValueError("monic form requires c3 != 0")
-    jf = _frac(j)
-    nf = _frac(n)
-    return nf * nf - (2 * jf - 1) * nf + 2 * jf * jf + 2 * params.c1 / params.c3
 
 
 def z_boundaries(params: AlgebraParams, j: RationalLike) -> Optional[tuple[float, float]]:
@@ -258,14 +243,20 @@ def representation_table(params: AlgebraParams, j: RationalLike) -> Representati
     return RepresentationTable(params, jf, tuple(rows))
 
 
-# -- Casimir operators --------------------------------------------------------
+# -- the Casimir forms --------------------------------------------------------
 
 def _casimir(pm, mp, powers, params: AlgebraParams, num: Callable, symmetric: bool):
-    """The Casimir form of ``casimir_operator`` from its named products:
-    ``pm`` = J+ J-, ``mp`` = J- J+ and ``powers`` = (J3, J3^2, J3^3, J3^4),
-    each coefficient passed through ``num``.  The verifier evaluates the
-    same sum on the complex vectors of the step kinds' interior block and
-    on the momentum-window blocks."""
+    """A Casimir form from its named products: ``pm`` = J+ J-, ``mp`` =
+    J- J+ and ``powers`` = (J3, J3^2, J3^3, J3^4), each coefficient passed
+    through ``num``.
+
+    symmetric=True gives the ordering-balanced form
+        J+ J- + J- J+ + (c1 + c3/2) J3^2 + (c3/2) J3^4,
+    symmetric=False the normal-ordered form
+        2 J- J+ + c1 J3 + (c1 + c3/2) J3^2 + c3 J3^3 + (c3/2) J3^4.
+    The two agree exactly wherever the defining commutator holds.  The
+    verifier evaluates them on the complex vectors of the step kinds'
+    interior block and on the momentum-window blocks."""
     c1, c3 = params.c1, params.c3
     j3, j3_2, j3_3, j3_4 = powers
     a2 = num(c1 + Fraction(c3, 2))
@@ -273,19 +264,3 @@ def _casimir(pm, mp, powers, params: AlgebraParams, num: Callable, symmetric: bo
     if symmetric:
         return pm + mp + a2 * j3_2 + a4 * j3_4
     return num(2) * mp + num(c1) * j3 + a2 * j3_2 + num(c3) * j3_3 + a4 * j3_4
-
-
-def casimir_operator(
-    jp: Operator, jm: Operator, j3: Operator, params: AlgebraParams, symmetric: bool = True
-) -> Operator:
-    """Invariant built from realized generators.
-
-    symmetric=True uses the ordering-balanced form
-        J+ J- + J- J+ + (c1 + c3/2) J3^2 + (c3/2) J3^4,
-    symmetric=False the normal-ordered form
-        2 J- J+ + c1 J3 + (c1 + c3/2) J3^2 + c3 J3^3 + (c3/2) J3^4.
-    The two agree exactly wherever the defining commutator holds.
-    """
-    square = j3 @ j3
-    powers = (j3, square, square @ j3, square @ square)
-    return _casimir(jp @ jm, jm @ jp, powers, params, lambda c: c, symmetric)

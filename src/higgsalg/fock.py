@@ -11,13 +11,12 @@ states |0> .. |N-1>.  Two scalar fields are supported:
   invariant under the diagonal change of basis between the two
   conventions, so exact checks done in this field transfer to the
   normalized basis unchanged.  The bands hold Python int numerators over
-  one positive int denominator per operator, so exact arithmetic is
-  integer arithmetic; ``fractions.Fraction`` values are built only where
-  entries leave the operator (``entries``, ``diagonal``, the norms and
-  the file formats).
+  one positive int denominator per operator; ``fractions.Fraction``
+  values are built only where entries leave the operator (``entries``,
+  ``diagonal``, the norms and the file formats).
 
-Operators are immutable; mixed-field arithmetic promotes rational to
-complex.  The ladder and diagonal constructors keep only an operator's
+Operators are immutable values with no arithmetic: the verifier reads
+their bands or dense blocks directly.  A banded operator keeps only its
 diagonals, in either field; a complex operator built from a dense array
 stays dense, and one read from a file is banded only when its nonzero
 entries lie on one diagonal (see ``Operator``).
@@ -33,7 +32,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -85,15 +84,11 @@ def _as_fraction(x: Scalar) -> Fraction:
 # A banded operator is a dict {offset: 1-D numpy array}.  Offset d holds the
 # entries (i, i + d) in order of increasing row, so it has N - |d| entries and
 # starts at (row, column) = _band_start(d).  A missing offset is a diagonal
-# of zeros, and so is a band of zeros, which arithmetic may leave: every
-# reader (the norms, ``diagonal``, the writer) reads both alike.  The
-# arrays hold complex128 in the complex field and
-# Python ints (object dtype) in the rational field: the numerators of the
-# entries over the operator's one positive int denominator ``_den`` (1 in
-# the complex field).  numpy applies + - * elementwise to either dtype, so
-# the band routines below serve both fields; a product's denominator is the
-# product of its factors', and a sum first brings both terms to the lcm of
-# theirs.
+# of zeros, and so is a band of zeros: every reader (the norms,
+# ``diagonal``, the writer) reads both alike.  The arrays hold complex128 in
+# the complex field and Python ints (object dtype) in the rational field:
+# the numerators of the entries over the operator's one positive int
+# denominator ``_den`` (1 in the complex field).
 
 _ZERO = Fraction(0)
 
@@ -115,6 +110,13 @@ def _zero_array(shape, field: str) -> np.ndarray:
     return np.zeros(shape, dtype=object if field == RATIONAL else complex)
 
 
+def _offsets(nz: np.ndarray, n: int) -> list[int]:
+    """The diagonal offsets, ascending, that hold the entries at the flat
+    row-major indices ``nz`` of an n x n matrix: counted, not sorted, so a
+    dense matrix costs one linear pass."""
+    return (np.flatnonzero(np.bincount(nz % n - nz // n + (n - 1))) - (n - 1)).tolist()
+
+
 def _over_lcm(bands: dict) -> tuple[_Bands, int]:
     """Bands of rational values as read-only int numerators over the lcm
     of their denominators, and that lcm; an int is its own numerator
@@ -124,47 +126,6 @@ def _over_lcm(bands: dict) -> tuple[_Bands, int]:
     den = math.lcm(*{x.denominator for band in bands.values() for x in band})
     return {d: _freeze(_band([x.numerator * (den // x.denominator) for x in band], RATIONAL))
             for d, band in bands.items()}, den
-
-
-def _band_matmul(n: int, x: _Bands, y: _Bands, field: str) -> _Bands:
-    """Product of two banded N x N matrices: offset dx times offset dy lands
-    on offset dx + dy, so the work is O(N * bands^2), not O(N^3).  An entry
-    that only one pair of bands reaches is that single product, as in a
-    dense product."""
-    out: _Bands = {}
-    for dx, bx in x.items():
-        for dy, by in y.items():
-            dz = dx + dy
-            # rows r with (r, r + dx) and (r + dx, r + dz) both inside the matrix
-            lo = max(0, -dx, -dz)
-            hi = min(n, n - dx, n - dz)
-            if lo >= hi:
-                continue
-            cnt = hi - lo
-            ix = lo - _band_start(dx)[0]
-            iy = lo + dx - _band_start(dy)[0]
-            iz = lo - _band_start(dz)[0]
-            prods = bx[ix:ix + cnt] * by[iy:iy + cnt]
-            acc = out.get(dz)
-            if acc is not None:
-                acc[iz:iz + cnt] += prods
-            elif cnt == n - abs(dz):
-                out[dz] = prods
-            else:
-                acc = out[dz] = _zero_array(n - abs(dz), field)
-                acc[iz:iz + cnt] = prods
-    return out
-
-
-def _band_add(n: int, x: _Bands, y: _Bands, field: str, subtract: bool) -> _Bands:
-    """x + y, or x - y when ``subtract``, band by band; a band missing on
-    one side counts as zeros there."""
-    op = np.subtract if subtract else np.add
-
-    def side(bands: _Bands, d: int) -> np.ndarray:
-        return bands[d] if d in bands else _zero_array(n - abs(d), field)
-
-    return {d: op(side(x, d), side(y, d)) for d in {**x, **y}}
 
 
 def _is_int(x) -> bool:
@@ -186,24 +147,16 @@ def _parse_rational(x) -> Fraction:
 class Operator:
     """A matrix on a FockSpace, tagged with its scalar field.
 
-    Storage is banded or dense.  The band constructors (``annihilation``,
-    ``creation``, ``diagonal_operator``, ``identity_op``, ``number_op``)
-    and all arithmetic on their results keep only the diagonals: every
-    generator of the step kinds is a single band (a shift times a
-    diagonal) and a product of a few of them stays within a few offsets,
-    so a product costs O(N * bands^2) scalar operations instead of the
-    O(N^3) of a dense one.  Rational operators are always banded;
-    built from a dense array or read from a file they hold the diagonals
-    with a nonzero entry, while arithmetic keeps every band it forms, a
-    band of zeros included, which reads as an absent one.  Their bands
-    hold int numerators over one positive int denominator for the whole
-    operator, the lcm of the entries' denominators when it is built, so
-    their arithmetic makes no ``Fraction``.  A complex
-    operator built from a dense array stays a dense complex128 array, as
-    do ``momentum`` and the spectral generators; one read
-    by ``from_json_dict`` is a single band when its nonzero entries lie on
-    one diagonal, and dense otherwise.  An operation that mixes the two
-    storages densifies the banded operand first.
+    Storage is banded or dense.  ``annihilation`` and the step-kind
+    generators keep only their diagonals: each is a single band, a shift
+    times a diagonal.  Rational operators are always banded; built from a
+    dense array or read from a file they hold the diagonals with a nonzero
+    entry.  Their bands hold int numerators over one positive int
+    denominator for the whole operator, the lcm of the entries'
+    denominators.  A complex operator built from a dense array stays a
+    dense complex128 array, as do ``momentum`` and the spectral
+    generators; one read by ``from_json_dict`` is a single band when its
+    nonzero entries lie on one diagonal, and dense otherwise.
 
     Operators are immutable, so ``max_norm`` is computed once, and
     ``adjoint`` remembers its result, which remembers its source in turn,
@@ -214,8 +167,7 @@ class Operator:
     complex128, or object dtype of Fractions, built on first use as zeros
     plus the bands; ``diagonal`` of a rational operator holds Fractions
     too.  JSON spells every zero part of a complex entry ``0.0``, so an
-    operator file depends only on the matrix, not on its storage or on the
-    arithmetic that produced it.
+    operator file depends only on the matrix, not on its storage.
     """
 
     __slots__ = ("space", "field", "_bands", "_den", "_dense", "_norm", "_adjoint",
@@ -235,10 +187,8 @@ class Operator:
             # goes through _as_fraction
             for x in {type(x): x for x in entries.flat}.values():
                 _as_fraction(x)
-            n = space.dim
-            nz = np.flatnonzero(entries)
-            self._bands, self._den = _over_lcm({d: entries.diagonal(d)
-                                                for d in np.unique(nz % n - nz // n).tolist()})
+            self._bands, self._den = _over_lcm(
+                {d: entries.diagonal(d) for d in _offsets(np.flatnonzero(entries), space.dim)})
             self._dense = None
         else:
             self._bands = None
@@ -260,16 +210,6 @@ class Operator:
     def _exact(space: FockSpace, bands: dict) -> "Operator":
         """Rational operator from bands of rational values."""
         return Operator._banded(space, RATIONAL, *_over_lcm(bands))
-
-    def _with(self, bands: _Bands, den: Optional[int] = None) -> "Operator":
-        return Operator._banded(self.space, self.field, bands, self._den if den is None else den)
-
-    def _over(self, den: int) -> _Bands:
-        """The bands as numerators over ``den``, a multiple of ``_den``."""
-        if den == self._den:
-            return self._bands
-        factor = den // self._den
-        return {d: factor * band for d, band in self._bands.items()}
 
     def _values(self, band: np.ndarray) -> np.ndarray:
         """A band's entries as values of the field: Fractions in the
@@ -305,62 +245,6 @@ class Operator:
             {d: (band / self._den).astype(complex) for d, band in self._bands.items()}
         )
 
-    @staticmethod
-    def _align(a: "Operator", b: "Operator") -> tuple["Operator", "Operator"]:
-        """Both operands in one field and one storage."""
-        if a.space is b.space and a.field == b.field and (a._bands is None) == (b._bands is None):
-            return a, b
-        if a.space != b.space:
-            raise ValueError("operators live on different truncations")
-        if a.field != b.field:
-            a, b = a._promote(), b._promote()
-        if (a._bands is None) != (b._bands is None):
-            a, b = (op if op._bands is None else Operator(op.space, op.entries, COMPLEX)
-                    for op in (a, b))
-        return a, b
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        a, b = Operator._align(self, other)
-        if a._bands is None:
-            return Operator(a.space, a._dense @ b._dense, COMPLEX)
-        return a._with(_band_matmul(a.space.dim, a._bands, b._bands, a.field), a._den * b._den)
-
-    def _sum(self, other: "Operator", subtract: bool) -> "Operator":
-        a, b = Operator._align(self, other)
-        if a._bands is None:
-            return Operator(a.space, a._dense - b._dense if subtract else a._dense + b._dense,
-                            COMPLEX)
-        den = math.lcm(a._den, b._den)
-        return a._with(_band_add(a.space.dim, a._over(den), b._over(den), a.field, subtract), den)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        return self._sum(other, subtract=False)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return self._sum(other, subtract=True)
-
-    def __neg__(self) -> "Operator":
-        if self._bands is None:
-            return Operator(self.space, -self._dense, COMPLEX)
-        return self._with({d: -band for d, band in self._bands.items()})
-
-    def scale(self, c: Scalar) -> "Operator":
-        if self.field == RATIONAL:
-            if not isinstance(c, Rational):
-                return self._promote().scale(c)
-            c = _as_fraction(c)
-            return self._with({d: c.numerator * band for d, band in self._bands.items()},
-                              self._den * c.denominator)
-        c = complex(c) if isinstance(c, complex) else complex(_to_float(c, "a scale factor"))
-        if self._bands is None:
-            return Operator(self.space, c * self._dense, COMPLEX)
-        return self._with({d: c * band for d, band in self._bands.items()})
-
-    def __rmul__(self, c: Scalar) -> "Operator":
-        return self.scale(c)
-
     def adjoint(self) -> "Operator":
         """Conjugate transpose: offset d becomes -d.  In the exact field
         entries are real rationals, so this is the plain transpose.  The
@@ -371,9 +255,11 @@ class Operator:
             if self._bands is None:
                 out = Operator(self.space, self._dense.conj().T, COMPLEX)
             elif self.field == RATIONAL:
-                out = self._with({-d: band for d, band in self._bands.items()})
+                out = Operator._banded(self.space, RATIONAL,
+                                       {-d: band for d, band in self._bands.items()}, self._den)
             else:
-                out = self._with({-d: band.conj() for d, band in self._bands.items()})
+                out = Operator._banded(self.space, COMPLEX,
+                                       {-d: band.conj() for d, band in self._bands.items()})
             self._adjoint, out._adjoint = weakref.ref(out), weakref.ref(self)
         return out
 
@@ -404,6 +290,19 @@ class Operator:
 
     def __repr__(self) -> str:
         return f"Operator(dim={self.space.dim}, field={self.field})"
+
+    def _gap(self, other: "Operator"):
+        """max |self - other| entrywise over two operators on one space: a
+        Fraction when both are rational, a float otherwise (NaN when an
+        entry is NaN).  Band by band when both are banded, so no N x N
+        array is formed, and on the dense matrices otherwise."""
+        if self._bands is None or other._bands is None:
+            return float(np.abs(self.entries - other.entries).max())
+        worst = [np.abs(self.diagonal(d) - other.diagonal(d)).max()
+                 for d in {**self._bands, **other._bands}]
+        if self.field == other.field == RATIONAL:
+            return max(worst, default=_ZERO)
+        return float(np.maximum.reduce(worst, initial=0.0))
 
     # -- serialization --------------------------------------------------------
 
@@ -441,7 +340,7 @@ class Operator:
             live = {x for x, value in parsed.items() if value}
             nz = np.array([i for i, x in enumerate(flat) if x in live], dtype=int)
             bands = {}
-            for d in np.unique(nz % dim - nz // dim).tolist():
+            for d in _offsets(nz, dim):
                 r, c = _band_start(d)
                 start = r * dim + c
                 cells = flat[start:start + (dim - abs(d)) * (dim + 1):dim + 1]
@@ -459,12 +358,10 @@ class Operator:
             if not np.isfinite(values).all():
                 raise ValueError("operator entries must be finite")
             ent = values.view(complex).reshape(dim, dim)
-            nz = np.flatnonzero(ent)
-            offsets = nz % dim - nz // dim
-            if (offsets != offsets[:1]).any():
+            offsets = _offsets(np.flatnonzero(ent), dim)
+            if len(offsets) > 1:
                 return Operator(space, ent, COMPLEX)
-            return Operator._banded(space, COMPLEX,
-                                    {int(d): ent.diagonal(d).copy() for d in offsets[:1]})
+            return Operator._banded(space, COMPLEX, {d: ent.diagonal(d).copy() for d in offsets})
         raise ValueError(f"unknown field {json.dumps(field)}")
 
 
@@ -542,43 +439,6 @@ def annihilation(space: FockSpace, field: str = COMPLEX) -> Operator:
     return Operator._banded(space, field, {1: band})
 
 
-def creation(space: FockSpace, field: str = COMPLEX) -> Operator:
-    """Raising matrix a+; adjoint of ``annihilation`` in the complex field,
-    the unit-entry shift in the exact monomial basis."""
-    if field == RATIONAL:
-        ones = _band([1] * (space.dim - 1), RATIONAL)
-        return Operator._banded(space, RATIONAL, {-1: ones})
-    return annihilation(space, COMPLEX).adjoint()
-
-
-def number_op(space: FockSpace, field: str = COMPLEX) -> Operator:
-    """diag(0, 1, ..., N-1); identical in both bases."""
-    return diagonal_operator(space, range(space.dim), field)
-
-
-def identity_op(space: FockSpace, field: str = COMPLEX) -> Operator:
-    return Operator._banded(space, field, {0: _zero_array(space.dim, field) + 1})
-
-
-def diagonal_operator(space: FockSpace, values: Sequence[Scalar],
-                      field: str = COMPLEX) -> Operator:
-    """diag(v_0, ..., v_{N-1}) from a sequence of the N values.
-
-    Exact values pass to the complex field as ``complex(value)``; one
-    beyond the float range raises ValueError.
-    """
-    vals = list(values)
-    if len(vals) != space.dim:
-        raise ValueError(f"need {space.dim} diagonal values, got {len(vals)}")
-    if field == RATIONAL:
-        return Operator._exact(space, {0: vals})
-    try:
-        band = [complex(v) for v in vals]
-    except OverflowError:
-        raise ValueError("a diagonal value is beyond the float range") from None
-    return Operator._banded(space, COMPLEX, {0: _band(band, COMPLEX)})
-
-
 def pochhammer(q: float, n: int) -> float:
     """Rising factorial (q)_n = q (q+1) ... (q+n-1), with (q)_0 = 1, in
     floats."""
@@ -644,7 +504,3 @@ def _quarter_turns(dim: int) -> np.ndarray:
     """diag(R) = (i^n) for n = 0 .. dim-1, spelled as the exact phases
     1, i, -1, -i; a computed power i**n drifts off them."""
     return np.array([1, 1j, -1, -1j])[np.arange(dim) % 4]
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    return a @ b - b @ a

@@ -164,7 +164,7 @@ class Realization:
             # a window past the float range is refused as the verifier words it
             _to_float(r.j, "the momentum window")
             built = build_realization(r.space, params, r.j, "villain", VILLAIN_KINDS.index(kind) + 1)
-            gap = (r.jp - built.jp).max_norm()
+            gap = r.jp._gap(built.jp)
             if not gap <= _VILLAIN_JP_RTOL * max(1.0, built.jp.max_norm()):
                 raise ValueError(f"realization kind {json.dumps(kind)} needs the J+ it builds at"
                                  f" its point; the file's J+ differs from it by {gap!r}")

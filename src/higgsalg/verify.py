@@ -45,6 +45,7 @@ from .fock import (
     Operator,
     _band_start,
     _momentum_entries,
+    _offsets,
     _quadrature_basis,
     _quarter_turns,
     _to_float,
@@ -318,9 +319,8 @@ def _split(op: Operator, d: int) -> tuple:
     there, and a complex one that does loads dense."""
     bands = op._bands
     if bands is None:
-        n = op.space.dim
-        nz = np.flatnonzero(op._dense)
-        bands = {e: op._dense.diagonal(e) for e in np.unique(nz % n - nz // n).tolist()}
+        bands = {e: op._dense.diagonal(e)
+                 for e in _offsets(np.flatnonzero(op._dense), op.space.dim)}
     band = bands.get(d)
     if band is None:
         band = _zero_array(max(op.space.dim - abs(d), 0), op.field)
@@ -447,11 +447,10 @@ class _ExactSteps(_Steps):
 
 class _FloatSteps(_Steps):
     """The step rows in the complex field, on complex128 vectors.  Each
-    entry is formed from the same operands, in the same order, as in the
-    banded operator arithmetic that would hold it, so every float keeps
-    its bits: sums run left to right, J3^3 = J3^2 J3, and numpy's complex
-    product is not commutative bit for bit, so P(n) M(n) and M(n) P(n)
-    are kept apart."""
+    entry is formed from the same operands, in the same order, as a banded
+    operator product would form it, so every float keeps its bits: sums
+    run left to right, J3^3 = J3^2 J3, and numpy's complex product is not
+    commutative bit for bit, so P(n) M(n) and M(n) P(n) are kept apart."""
 
     def _form(self) -> None:
         """J+J-, J-J+, the powers of J3, both Casimir forms and the closure
@@ -547,11 +546,11 @@ def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
             """max |J- - J+-dagger|.  A built J- is J+'s remembered adjoint,
             so where J+ is finite the difference is exactly 0.0 and is not
             formed; a loaded J- is compared entry by entry, on its band and
-            off it, with no product formed."""
+            off it (``Operator._gap``)."""
             dagger = jp.adjoint()
             if dagger is jm and math.isfinite(jp.max_norm()):
                 return 0.0
-            return (jm - dagger).max_norm()
+            return jm._gap(dagger)
 
         judge("adjoint-pairing", dim, False, residual, lambda: float(jp.max_norm()))
 

@@ -4,32 +4,56 @@ The package does not call these.  Each is the slow, obvious construction
 of something the package makes another way: the position quadrature and
 exp(i theta H) formed densely, the momentum-window columns, the file
 dicts that ``json.dumps(..., indent=2)`` turns into the bytes the direct
-writers must match, and the step-kind report formed from operator
-products.
+writers must match, products of banded operators, and the step-kind
+report formed from them.  It also holds the algebra constants and forms
+that only the tests read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from higgsalg import (
     COMPLEX,
     RATIONAL,
+    AlgebraParams,
     FockSpace,
     Operator,
     annihilation,
     casimir_eigenvalue,
-    casimir_operator,
-    commutator,
-    identity_op,
     interior_check_states,
 )
-from higgsalg.fock import _band_start, _quadrature_basis, _quarter_turns, _to_float
+from higgsalg.algebra import RationalLike, _frac
+from higgsalg.fock import (
+    _band,
+    _band_start,
+    _quadrature_basis,
+    _quarter_turns,
+    _to_float,
+    _zero_array,
+)
 from higgsalg.realizations import _in_window
 from higgsalg.verify import CheckResult, VerificationReport, _finite
+
+# The two classical degenerations.
+SU2_PARAMS = AlgebraParams(Fraction(2), Fraction(0))
+SU11_PARAMS = AlgebraParams(Fraction(-2), Fraction(0))
+
+
+def monic_bond_quadratic(params: AlgebraParams, j: RationalLike, n: RationalLike) -> Fraction:
+    """q(n) = n^2 - (2j - 1) n + 2 j^2 + 2 c1 / c3, so that
+    bond_quadratic = c3 * q.  Requires c3 != 0."""
+    if params.c3 == 0:
+        raise ValueError("monic form requires c3 != 0")
+    jf = _frac(j)
+    nf = _frac(n)
+    return nf * nf - (2 * jf - 1) * nf + 2 * jf * jf + 2 * params.c1 / params.c3
+
 
 # Hermiticity slack for float constructions, relative to the largest entry
 # magnitude.
@@ -37,9 +61,153 @@ _HERMITIAN_RTOL = 1e-10
 
 
 def is_hermitian(op: Operator) -> bool:
-    d = (op - op.adjoint()).max_norm()
-    scale = op.max_norm()
-    return float(d) <= _HERMITIAN_RTOL * max(1.0, float(scale))
+    x = op.entries
+    d = np.abs(x - x.conj().T).max()
+    return float(d) <= _HERMITIAN_RTOL * max(1.0, float(op.max_norm()))
+
+
+# -- products of banded operators ------------------------------------------------
+#
+# The package forms no operator product; the tests define expected values by
+# them.  ``mul``, ``add``, ``sub`` and ``scale`` work on the bands of banded
+# operators of one field and one space, as int numerators over the
+# operator's denominator in the rational field and complex128 in the other:
+# numpy applies + - * elementwise to either dtype, so one set of band
+# routines serves both.  A product's denominator is the product of its
+# factors', and a sum first brings both terms to the lcm of theirs.  An entry
+# that one pair of bands reaches is that single product, so a step-kind
+# product holds the bits the verifier's vectors must reproduce.
+
+_Bands = dict[int, np.ndarray]
+
+
+def _band_matmul(n: int, x: _Bands, y: _Bands, field: str) -> _Bands:
+    """Product of two banded N x N matrices: offset dx times offset dy lands
+    on offset dx + dy, so the work is O(N * bands^2), not O(N^3).  An entry
+    that only one pair of bands reaches is that single product, as in a
+    dense product."""
+    out: _Bands = {}
+    for dx, bx in x.items():
+        for dy, by in y.items():
+            dz = dx + dy
+            # rows r with (r, r + dx) and (r + dx, r + dz) both inside the matrix
+            lo = max(0, -dx, -dz)
+            hi = min(n, n - dx, n - dz)
+            if lo >= hi:
+                continue
+            cnt = hi - lo
+            ix = lo - _band_start(dx)[0]
+            iy = lo + dx - _band_start(dy)[0]
+            iz = lo - _band_start(dz)[0]
+            prods = bx[ix:ix + cnt] * by[iy:iy + cnt]
+            acc = out.get(dz)
+            if acc is not None:
+                acc[iz:iz + cnt] += prods
+            elif cnt == n - abs(dz):
+                out[dz] = prods
+            else:
+                acc = out[dz] = _zero_array(n - abs(dz), field)
+                acc[iz:iz + cnt] = prods
+    return out
+
+
+def _band_add(n: int, x: _Bands, y: _Bands, field: str, subtract: bool) -> _Bands:
+    """x + y, or x - y when ``subtract``, band by band; a band missing on
+    one side counts as zeros there."""
+    op = np.subtract if subtract else np.add
+
+    def side(bands: _Bands, d: int) -> np.ndarray:
+        return bands[d] if d in bands else _zero_array(n - abs(d), field)
+
+    return {d: op(side(x, d), side(y, d)) for d in {**x, **y}}
+
+
+def _banded_pair(a: Operator, b: Operator) -> None:
+    if a.space != b.space or a.field != b.field or a._bands is None or b._bands is None:
+        raise ValueError("the reference products take banded operators of one field and space")
+
+
+def _times(a: Operator, b: Operator) -> Operator:
+    _banded_pair(a, b)
+    return Operator._banded(a.space, a.field, _band_matmul(a.space.dim, a._bands, b._bands, a.field),
+                            a._den * b._den)
+
+
+def mul(*factors: Operator) -> Operator:
+    """The product of the factors, multiplied from the left."""
+    return functools.reduce(_times, factors)
+
+
+def _over(op: Operator, den: int) -> _Bands:
+    """The bands as numerators over ``den``, a multiple of ``_den``."""
+    factor = den // op._den
+    return op._bands if factor == 1 else {d: factor * band for d, band in op._bands.items()}
+
+
+def add(a: Operator, b: Operator, subtract: bool = False) -> Operator:
+    _banded_pair(a, b)
+    den = math.lcm(a._den, b._den)
+    return Operator._banded(a.space, a.field, _band_add(a.space.dim, _over(a, den), _over(b, den),
+                                                        a.field, subtract), den)
+
+
+def sub(a: Operator, b: Operator) -> Operator:
+    return add(a, b, subtract=True)
+
+
+def scale(c, op: Operator) -> Operator:
+    """c op: exact for a rational c in the rational field; in the complex
+    field c is taken as a complex float."""
+    if op.field == RATIONAL:
+        c = Fraction(c)
+        return Operator._banded(op.space, RATIONAL,
+                                {d: c.numerator * band for d, band in op._bands.items()},
+                                op._den * c.denominator)
+    c = complex(c) if isinstance(c, complex) else complex(_to_float(c, "a scale factor"))
+    return Operator._banded(op.space, COMPLEX, {d: c * band for d, band in op._bands.items()})
+
+
+def commutator(a: Operator, b: Operator) -> Operator:
+    return sub(mul(a, b), mul(b, a))
+
+
+def casimir_operator(jp: Operator, jm: Operator, j3: Operator, params: AlgebraParams,
+                     symmetric: bool = True) -> Operator:
+    """The Casimir form ``algebra._casimir`` names, from banded products:
+    symmetric J+ J- + J- J+ + (c1 + c3/2) J3^2 + (c3/2) J3^4, or
+    normal-ordered 2 J- J+ + c1 J3 + (c1 + c3/2) J3^2 + c3 J3^3 + (c3/2) J3^4,
+    summed left to right."""
+    c1, c3 = params.c1, params.c3
+    square = mul(j3, j3)
+    quartic = scale(Fraction(c3, 2), mul(square, square))
+    middle = scale(c1 + Fraction(c3, 2), square)
+    mp = mul(jm, jp)
+    if symmetric:
+        return add(add(add(mul(jp, jm), mp), middle), quartic)
+    return add(add(add(add(scale(2, mp), scale(c1, j3)), middle), scale(c3, mul(square, j3))),
+               quartic)
+
+
+def identity_op(space: FockSpace, field: str = COMPLEX) -> Operator:
+    return Operator._banded(space, field, {0: _zero_array(space.dim, field) + 1})
+
+
+def creation(space: FockSpace, field: str = COMPLEX) -> Operator:
+    """Raising matrix a+; adjoint of ``annihilation`` in the complex field,
+    the unit-entry shift in the exact monomial basis."""
+    if field == RATIONAL:
+        return Operator._banded(space, RATIONAL, {-1: _band([1] * (space.dim - 1), RATIONAL)})
+    return annihilation(space, COMPLEX).adjoint()
+
+
+def diagonal_operator(space: FockSpace, values: Sequence, field: str = COMPLEX) -> Operator:
+    """diag(v_0, ..., v_{N-1}) from a sequence of the N values."""
+    vals = list(values)
+    if len(vals) != space.dim:
+        raise ValueError(f"need {space.dim} diagonal values, got {len(vals)}")
+    if field == RATIONAL:
+        return Operator._exact(space, {0: vals})
+    return Operator._banded(space, COMPLEX, {0: _band([complex(v) for v in vals], COMPLEX)})
 
 
 def position(space: FockSpace) -> Operator:
@@ -136,7 +304,7 @@ def block_max(op: Operator, inside: np.ndarray):
 
 def verify_by_products(r, tolerance_coefficient: float = 1e-12) -> VerificationReport:
     """The report of a step realization with every row formed from
-    operator products: J+J-, J-J+ and the powers of J3 through ``@``, the
+    operator products: J+J-, J-J+ and the powers of J3 through ``mul``, the
     Casimir forms by ``casimir_operator``, commutators, and each block row
     measured by ``block_max`` on the interior block.  Its rows, judges and
     errors are the package's, so on a realization whose generators hold
@@ -169,23 +337,24 @@ def verify_by_products(r, tolerance_coefficient: float = 1e-12) -> VerificationR
         return lam if exact else _to_float(lam, f"{name}: the Casimir eigenvalue")
 
     def deviation(name):
-        return measure(c_sym - eigenvalue(name) * identity_op(r.space, r.field))
+        return measure(sub(c_sym, scale(eigenvalue(name), identity_op(r.space, r.field))))
 
     def grading(op, sign):
-        return commutator(j3, op) - (sign * k) * op
+        return sub(commutator(j3, op), scale(sign * k, op))
 
     def pairing():
         dagger = jp.adjoint()
         if dagger is jm and math.isfinite(jp.max_norm()):
             return 0.0
-        return (jm - dagger).max_norm()
+        return sub(jm, dagger).max_norm()
 
     with np.errstate(over="ignore", invalid="ignore"):
         if block:
             c_sym = casimir_operator(jp, jm, j3, r.params, symmetric=True)
             c_prod = casimir_operator(jp, jm, j3, r.params, symmetric=False)
-            terms = (jp @ jm, jm @ jp, r.params.c1 * j3 + r.params.c3 * (j3 @ j3 @ j3))
-            closure = (terms[0] - terms[1]) - terms[2]
+            terms = (mul(jp, jm), mul(jm, jp),
+                     add(scale(r.params.c1, j3), scale(r.params.c3, mul(j3, j3, j3))))
+            closure = sub(sub(terms[0], terms[1]), terms[2])
             c_size = None if exact else float(measure(c_sym))
         judge("ladder-closure", block, True, lambda: measure(closure),
               lambda: max(float(measure(t)) for t in terms))
@@ -194,7 +363,7 @@ def verify_by_products(r, tolerance_coefficient: float = 1e-12) -> VerificationR
                   lambda op=op: float(j3.max_norm()) * float(op.max_norm()))
         if r.kind == "hp":
             judge("adjoint-pairing", dim, False, pairing, lambda: float(jp.max_norm()))
-        judge("casimir-two-forms", block, False, lambda: measure(c_sym - c_prod),
+        judge("casimir-two-forms", block, False, lambda: measure(sub(c_sym, c_prod)),
               lambda: c_size + float(measure(c_prod)))
         if k == 1:
             judge("casimir-commutes", block, True,

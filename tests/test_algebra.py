@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 
 from higgsalg import (
     AlgebraParams,
-    SU2_PARAMS,
-    SU11_PARAMS,
     admissible_chain,
     admissible_states,
     bond_product,
@@ -25,7 +23,8 @@ from higgsalg import (
     root_side_admissible,
     z_boundaries,
 )
-from higgsalg.algebra import minus_square, monic_bond_quadratic, plus_square
+from higgsalg.algebra import minus_square, plus_square
+from reference import SU2_PARAMS, SU11_PARAMS, monic_bond_quadratic
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=8)
 spins = st.integers(min_value=0, max_value=12).map(lambda j2: Fraction(j2, 2))

@@ -716,20 +716,25 @@ def test_mask_is_derived_from_the_point(tmp_path, capsys, kind, edit, state):
 ], ids=["hp-1", "dyson-1", "dyson-complex-1"])
 def test_the_closure_reads_its_whole_block(tmp_path, capsys, kind):
     """One J+ entry off its band, at (n, n + 2) for the first interior
-    state n, leaves the closure's diagonal as it was and puts its residual
-    at (n, n + 1), inside the block; the closure and the Casimir's scalar
-    deviation read the whole block, so both FAIL, with exit 1."""
+    state n, lies inside the block.  The closure and the Casimir's scalar
+    deviation read J+ on the whole block, and an entry off the band is
+    measured, never dropped (``verify._Steps.reading``): both take the
+    entry itself as their residual, 1 in either field, and FAIL, with
+    exit 1."""
     path = tmp_path / "r.json"
     assert main(["build", "--c1", "1", "--c3", "1", "--j2", "5", "--dim", "12", *kind,
                  "-o", str(path)]) == 0
     doc = json.loads(path.read_text())
     n = interior_check_states(Realization.from_json_dict(doc))[0]
-    doc["jp"]["entries"][n * 12 + n + 2] = "1" if doc["jp"]["field"] == "rational" else [1.0, 0.0]
+    rational = doc["jp"]["field"] == "rational"
+    doc["jp"]["entries"][n * 12 + n + 2] = "1" if rational else [1.0, 0.0]
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "--input", str(path), "--format", "json"]) == 1
-    failed = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
-    assert {"ladder-closure", "casimir-scalar"} <= failed
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    for name in ("ladder-closure", "casimir-scalar"):
+        assert not checks[name]["passed"]
+        assert checks[name]["residual"] == ("1" if rational else 1.0)
 
 
 def test_spectral_window_beyond_the_float_range_is_a_domain_error(tmp_path, capsys):

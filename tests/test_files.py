@@ -168,7 +168,7 @@ def test_rational_file_parses_each_distinct_entry_once(tmp_path, monkeypatch):
     built = build_realization(FockSpace(40), r.params, r.j, "dyson", 1)
     for got, want in ((r.jp, built.jp), (r.jm, built.jm), (r.j3, built.j3)):
         assert got._bands.keys() == want._bands.keys()
-        assert (got - want).max_norm() == 0
+        assert np.array_equal(got.entries, want.entries)
 
 
 def test_zero_operator_loads_banded_without_bands():
@@ -192,6 +192,30 @@ def test_large_loaded_hp_file_verifies_on_its_band(tmp_path, capsys, monkeypatch
     loaded = main(["verify", "--input", str(path)]), capsys.readouterr().out
     assert loaded == direct
     assert direct[0] == 0
+
+
+@pytest.mark.parametrize("entry", [4, 8], ids=["on-band", "off-band"])
+def test_a_rational_hp_file_is_paired_exactly(tmp_path, capsys, entry):
+    """An hp:1 file spelled in the rational field, with one J- entry set to
+    1/3 on its band at (1, 0) or off it at (2, 0), reports the exact
+    max |J- - J+-dagger| as its adjoint-pairing residual, a p/q string."""
+    path = tmp_path / "r.json"
+    assert main(["build", "--c1", "2", "--c3", "0", "--j2", "2", "--dim", "4", "--kind", "hp:1",
+                 "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    for name in ("jp", "jm", "j3"):
+        doc[name]["field"] = "rational"
+        doc[name]["entries"] = [str(Fraction(re)) for re, _ in doc[name]["entries"]]
+    doc["jm"]["entries"][entry] = "1/3"
+    path.write_text(json.dumps(doc))
+    jp, jm = (np.array([Fraction(x) for x in doc[name]["entries"]]).reshape(4, 4)
+              for name in ("jp", "jm"))
+    want = max(abs(x) for x in (jm - jp.T).flat)
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path), "--format", "json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["adjoint-pairing"]["residual"] == str(want)
+    assert not checks["adjoint-pairing"]["passed"]
 
 
 # -- malformed values, spelled as the file holds them --------------------------

@@ -16,7 +16,6 @@ from higgsalg import (
     bond_product,
     closed_form_k2,
     FockSpace,
-    SU2_PARAMS,
     build_realization,
     conjugate,
     default_grid,
@@ -27,7 +26,7 @@ from higgsalg import (
     z_boundaries,
 )
 from higgsalg.similarity import DiagonalTransform, _transform_text
-from reference import transform_json_dict
+from reference import SU2_PARAMS, transform_json_dict
 
 
 def test_s1_su2_squares_are_falling_factorials():
