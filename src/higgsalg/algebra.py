@@ -13,6 +13,7 @@ floating point except the optional float view of the root boundaries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -245,22 +246,27 @@ def representation_table(params: AlgebraParams, j: RationalLike) -> Representati
 
 # -- the Casimir forms --------------------------------------------------------
 
-def _casimir(pm, mp, powers, params: AlgebraParams, num: Callable, symmetric: bool):
+@functools.lru_cache(maxsize=64)
+def _casimir_coefficients(params: AlgebraParams, num: Callable) -> tuple:
+    """(2, c1, c1 + c3/2, c3, c3/2), each passed through ``num`` once."""
+    c1, c3 = params.c1, params.c3
+    return num(2), num(c1), num(c1 + Fraction(c3, 2)), num(c3), num(Fraction(c3, 2))
+
+
+def _casimir(pm, mp, powers, coefficients: tuple, symmetric: bool):
     """A Casimir form from its named products: ``pm`` = J+ J-, ``mp`` =
-    J- J+ and ``powers`` = (J3, J3^2, J3^3, J3^4), each coefficient passed
-    through ``num``.
+    J- J+ and ``powers`` = (J3, J3^2, J3^3, J3^4), with the coefficients
+    of ``_casimir_coefficients``.
 
     symmetric=True gives the ordering-balanced form
         J+ J- + J- J+ + (c1 + c3/2) J3^2 + (c3/2) J3^4,
     symmetric=False the normal-ordered form
         2 J- J+ + c1 J3 + (c1 + c3/2) J3^2 + c3 J3^3 + (c3/2) J3^4.
     The two agree exactly wherever the defining commutator holds.  The
-    verifier evaluates them on the complex vectors of the step kinds'
-    interior block and on the momentum-window blocks."""
-    c1, c3 = params.c1, params.c3
+    verifier evaluates them per state of the step kinds' interior block
+    and on the momentum-window blocks."""
+    two, a1, a2, a3, a4 = coefficients
     j3, j3_2, j3_3, j3_4 = powers
-    a2 = num(c1 + Fraction(c3, 2))
-    a4 = num(Fraction(c3, 2))
     if symmetric:
         return pm + mp + a2 * j3_2 + a4 * j3_4
-    return num(2) * mp + num(c1) * j3 + a2 * j3_2 + num(c3) * j3_3 + a4 * j3_4
+    return two * mp + a1 * j3 + a2 * j3_2 + a3 * j3_3 + a4 * j3_4

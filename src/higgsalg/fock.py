@@ -17,13 +17,15 @@ states |0> .. |N-1>.  Two scalar fields are supported:
 
 Operators are immutable values with no arithmetic: the verifier reads
 their bands or dense blocks directly.  A banded operator keeps only its
-diagonals, in either field; a complex operator built from a dense array
-stays dense, and one read from a file is banded only when its nonzero
-entries lie on one diagonal (see ``Operator``).
+diagonals, in either field, as tuples of Python numbers, so the step kinds
+run without numpy; a dense numpy array holds a complex operator built
+from one, and one read from a file whose nonzero entries lie on more than
+one diagonal (see ``Operator``).
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import json
@@ -33,8 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence, Union
-
-import numpy as np
 
 Scalar = Union[int, float, complex, Fraction]
 
@@ -57,7 +57,7 @@ class FockSpace:
                              f" got {json.dumps(self.dim, default=repr)}")
 
 
-def _freeze(entries: np.ndarray) -> np.ndarray:
+def _freeze(entries):
     entries.setflags(write=False)
     return entries
 
@@ -81,18 +81,18 @@ def _as_fraction(x: Scalar) -> Fraction:
 
 # -- banded storage ------------------------------------------------------------
 #
-# A banded operator is a dict {offset: 1-D numpy array}.  Offset d holds the
-# entries (i, i + d) in order of increasing row, so it has N - |d| entries and
+# A banded operator is a dict {offset: tuple}.  Offset d holds the entries
+# (i, i + d) in order of increasing row, so it has N - |d| entries and
 # starts at (row, column) = _band_start(d).  A missing offset is a diagonal
 # of zeros, and so is a band of zeros: every reader (the norms,
-# ``diagonal``, the writer) reads both alike.  The arrays hold complex128 in
-# the complex field and Python ints (object dtype) in the rational field:
-# the numerators of the entries over the operator's one positive int
-# denominator ``_den`` (1 in the complex field).
+# ``diagonal``, the writer) reads both alike.  A band holds Python numbers
+# of one type: the int numerators of the entries over the operator's one
+# positive int denominator ``_den`` in the rational field; floats for a
+# built generator and complex numbers for a loaded one in the other.
 
 _ZERO = Fraction(0)
 
-_Bands = dict[int, np.ndarray]
+_Bands = dict[int, tuple]
 
 
 def _band_start(d: int) -> tuple[int, int]:
@@ -100,31 +100,39 @@ def _band_start(d: int) -> tuple[int, int]:
     return (-d, 0) if d < 0 else (0, d)
 
 
-def _band(values, field: str) -> np.ndarray:
-    return np.array(values, dtype=object if field == RATIONAL else complex)
+def _zero_band(size: int, field: str) -> tuple:
+    """A band of ``size`` zeros of the storage: int 0, or 0.0."""
+    return (0 if field == RATIONAL else 0.0,) * max(size, 0)
 
 
-def _zero_array(shape, field: str) -> np.ndarray:
-    """Zeros of the band storage, as a band (an int shape) or a dense
-    matrix: int 0 numerators in the rational field."""
-    return np.zeros(shape, dtype=object if field == RATIONAL else complex)
+def _peak(values: Sequence) -> float:
+    """max |v| over a sequence of Python floats or complex numbers, 0.0
+    when empty; NaN when any |v| is NaN, as numpy's max gives it.  Python's
+    max keeps or drops a NaN by where it stands, so the sum finds it."""
+    try:
+        mags = list(map(abs, values))
+    except OverflowError:  # a finite complex whose modulus is past the float range
+        mags = [math.hypot(x.real, x.imag) for x in values]
+    total = sum(mags)
+    return total if total != total else max(mags, default=0.0)
 
 
-def _offsets(nz: np.ndarray, n: int) -> list[int]:
-    """The diagonal offsets, ascending, that hold the entries at the flat
-    row-major indices ``nz`` of an n x n matrix: counted, not sorted, so a
-    dense matrix costs one linear pass."""
+def _offsets(entries) -> list[int]:
+    """The diagonal offsets, ascending, that hold a nonzero entry of the
+    numpy matrix ``entries``: counted, not sorted, in one linear pass."""
+    import numpy as np
+    n = len(entries)
+    nz = np.flatnonzero(entries)
     return (np.flatnonzero(np.bincount(nz % n - nz // n + (n - 1))) - (n - 1)).tolist()
 
 
 def _over_lcm(bands: dict) -> tuple[_Bands, int]:
-    """Bands of rational values as read-only int numerators over the lcm
-    of their denominators, and that lcm; an int is its own numerator
-    over 1."""
+    """Bands of rational values as int numerators over the lcm of their
+    denominators, and that lcm; an int is its own numerator over 1."""
     bands = {d: [x if type(x) is int else _as_fraction(x) for x in band]
              for d, band in bands.items()}
     den = math.lcm(*{x.denominator for band in bands.values() for x in band})
-    return {d: _freeze(_band([x.numerator * (den // x.denominator) for x in band], RATIONAL))
+    return {d: tuple([x.numerator * (den // x.denominator) for x in band])
             for d, band in bands.items()}, den
 
 
@@ -149,13 +157,13 @@ class Operator:
 
     Storage is banded or dense.  ``annihilation`` and the step-kind
     generators keep only their diagonals: each is a single band, a shift
-    times a diagonal.  Rational operators are always banded; built from a
-    dense array or read from a file they hold the diagonals with a nonzero
-    entry.  Their bands hold int numerators over one positive int
-    denominator for the whole operator, the lcm of the entries'
-    denominators.  A complex operator built from a dense array stays a
-    dense complex128 array, as do ``momentum`` and the spectral
-    generators; one read by ``from_json_dict`` is a single band when its
+    times a diagonal.  Rational operators are always banded (``_exact``);
+    read from a file they hold the diagonals with a nonzero entry.  Their
+    bands hold int numerators over one positive int denominator for the
+    whole operator, the lcm of the entries' denominators.  The constructor
+    takes a dense complex numpy array and keeps it dense, as ``momentum``
+    and the spectral generators are; a complex operator read by
+    ``from_json_dict`` is a single band of complex numbers when its
     nonzero entries lie on one diagonal, and dense otherwise.
 
     Operators are immutable, so ``max_norm`` is computed once, and
@@ -173,35 +181,23 @@ class Operator:
     __slots__ = ("space", "field", "_bands", "_den", "_dense", "_norm", "_adjoint",
                  "__weakref__")
 
-    def __init__(self, space: FockSpace, entries: np.ndarray, field: str):
-        if field not in (COMPLEX, RATIONAL):
-            raise ValueError(f"unknown field {field!r}")
+    def __init__(self, space: FockSpace, entries, field: str = COMPLEX):
+        if field != COMPLEX:
+            raise FieldError(f"a dense operator is complex, not {field!r}")
         if entries.shape != (space.dim, space.dim):
             raise ValueError(f"entries shape {entries.shape} does not match dim {space.dim}")
-        self.space = space
-        self.field = field
-        self._den = 1
+        self.space, self.field, self._den, self._bands = space, COMPLEX, 1, None
         self._norm = self._adjoint = None
-        if field == RATIONAL:
-            # every entry must be rational, zeros included: one of each type
-            # goes through _as_fraction
-            for x in {type(x): x for x in entries.flat}.values():
-                _as_fraction(x)
-            self._bands, self._den = _over_lcm(
-                {d: entries.diagonal(d) for d in _offsets(np.flatnonzero(entries), space.dim)})
-            self._dense = None
-        else:
-            self._bands = None
-            self._dense = _freeze(entries)
+        self._dense = _freeze(entries)
 
     @staticmethod
-    def _banded(space: FockSpace, field: str, bands: _Bands, den: int = 1) -> "Operator":
-        """Operator straight from its bands, rational ones as int numerators
-        over ``den``; the bands are made read-only."""
+    def _banded(space: FockSpace, field: str, bands: dict, den: int = 1) -> "Operator":
+        """Operator straight from its bands, sequences of Python numbers
+        (rational ones int numerators over ``den``), kept as tuples."""
         op = object.__new__(Operator)
         op.space = space
         op.field = field
-        op._bands = {d: _freeze(band) for d, band in bands.items()}
+        op._bands = {d: tuple(band) for d, band in bands.items()}
         op._den = den
         op._dense = op._norm = op._adjoint = None
         return op
@@ -211,16 +207,17 @@ class Operator:
         """Rational operator from bands of rational values."""
         return Operator._banded(space, RATIONAL, *_over_lcm(bands))
 
-    def _values(self, band: np.ndarray) -> np.ndarray:
+    def _values(self, band: tuple) -> tuple:
         """A band's entries as values of the field: Fractions in the
         rational field, where the band holds numerators."""
         if self.field == COMPLEX:
             return band
-        return _band([Fraction(x, self._den) for x in band.tolist()], RATIONAL)
+        return tuple([Fraction(x, self._den) for x in band])
 
     @property
-    def entries(self) -> np.ndarray:
+    def entries(self):
         if self._dense is None:
+            import numpy as np
             n = self.space.dim
             base = (np.full((n, n), _ZERO, dtype=object) if self.field == RATIONAL
                     else np.zeros((n, n), dtype=complex))
@@ -240,10 +237,9 @@ class Operator:
         never rounded to a float on its own."""
         if self.field == COMPLEX:
             return self
-        return Operator._banded(
-            self.space, COMPLEX,
-            {d: (band / self._den).astype(complex) for d, band in self._bands.items()}
-        )
+        return Operator._banded(self.space, COMPLEX,
+                                {d: [x / self._den for x in band]
+                                 for d, band in self._bands.items()})
 
     def adjoint(self) -> "Operator":
         """Conjugate transpose: offset d becomes -d.  In the exact field
@@ -254,12 +250,11 @@ class Operator:
         if out is None:
             if self._bands is None:
                 out = Operator(self.space, self._dense.conj().T, COMPLEX)
-            elif self.field == RATIONAL:
-                out = Operator._banded(self.space, RATIONAL,
-                                       {-d: band for d, band in self._bands.items()}, self._den)
-            else:
-                out = Operator._banded(self.space, COMPLEX,
-                                       {-d: band.conj() for d, band in self._bands.items()})
+            else:  # a band of floats or ints is its own conjugate
+                out = Operator._banded(self.space, self.field, {
+                    -d: [x.conjugate() for x in band] if band and type(band[0]) is complex
+                    else band
+                    for d, band in self._bands.items()}, self._den)
             self._adjoint, out._adjoint = weakref.ref(out), weakref.ref(self)
         return out
 
@@ -271,12 +266,12 @@ class Operator:
         otherwise (NaN when an entry is NaN); computed on the first call."""
         if self._norm is None:
             if self._bands is None:
-                self._norm = float(np.abs(self._dense).max())
+                self._norm = float(abs(self._dense).max())
+            elif self.field == RATIONAL:
+                self._norm = Fraction(max((max(map(abs, band)) for band in self._bands.values()),
+                                          default=0), self._den)
             else:
-                worst = [np.abs(band).max() for band in self._bands.values()]
-                self._norm = (Fraction(max(worst, default=0), self._den)
-                              if self.field == RATIONAL
-                              else float(np.maximum.reduce(worst, initial=0.0)))
+                self._norm = _peak(tuple(itertools.chain.from_iterable(self._bands.values())))
         return self._norm
 
     def diagonal(self, d: int = 0) -> Sequence:
@@ -285,7 +280,7 @@ class Operator:
         if self._bands is None:
             return self._dense.diagonal(d)
         band = self._bands.get(d)
-        return self._values(_zero_array(max(self.space.dim - abs(d), 0), self.field)
+        return self._values(_zero_band(self.space.dim - abs(d), self.field)
                             if band is None else band)
 
     def __repr__(self) -> str:
@@ -297,12 +292,12 @@ class Operator:
         entry is NaN).  Band by band when both are banded, so no N x N
         array is formed, and on the dense matrices otherwise."""
         if self._bands is None or other._bands is None:
-            return float(np.abs(self.entries - other.entries).max())
-        worst = [np.abs(self.diagonal(d) - other.diagonal(d)).max()
-                 for d in {**self._bands, **other._bands}]
+            return float(abs(self.entries - other.entries).max())
+        gaps = [x - y for d in {**self._bands, **other._bands}
+                for x, y in zip(self.diagonal(d), other.diagonal(d))]
         if self.field == other.field == RATIONAL:
-            return max(worst, default=_ZERO)
-        return float(np.maximum.reduce(worst, initial=0.0))
+            return max(map(abs, gaps), default=_ZERO)
+        return _peak(gaps)
 
     # -- serialization --------------------------------------------------------
 
@@ -316,8 +311,9 @@ class Operator:
 
         A rational operator loads as its nonzero diagonals.  A complex
         operator whose nonzero entries all lie on one diagonal (every hp
-        and complex dyson generator) loads as that one band; any other
-        complex operator loads dense."""
+        and complex dyson generator) loads as that one band, of Python
+        complex numbers; any other loads dense.  Only this field imports
+        numpy."""
         if type(data) is not dict:
             raise ValueError(f"operator must be an object, got {json.dumps(data)}")
         dim = data["dim"]
@@ -338,9 +334,8 @@ class Operator:
             # not once; only the diagonals holding a nonzero entry are built
             parsed = {x: _parse_rational(x) for x in dict.fromkeys(flat)}
             live = {x for x, value in parsed.items() if value}
-            nz = np.array([i for i, x in enumerate(flat) if x in live], dtype=int)
             bands = {}
-            for d in _offsets(nz, dim):
+            for d in sorted({i % dim - i // dim for i, x in enumerate(flat) if x in live}):
                 r, c = _band_start(d)
                 start = r * dim + c
                 cells = flat[start:start + (dim - abs(d)) * (dim + 1):dim + 1]
@@ -351,6 +346,7 @@ class Operator:
             parts = list(itertools.chain.from_iterable(flat)) if pairs else []
             if not pairs or not set(map(type, parts)) <= {float, int}:
                 raise ValueError("complex entries must be [re, im] number pairs")
+            import numpy as np
             try:
                 values = np.array(parts, dtype=float)
             except OverflowError:
@@ -358,10 +354,10 @@ class Operator:
             if not np.isfinite(values).all():
                 raise ValueError("operator entries must be finite")
             ent = values.view(complex).reshape(dim, dim)
-            offsets = _offsets(np.flatnonzero(ent), dim)
+            offsets = _offsets(ent)
             if len(offsets) > 1:
                 return Operator(space, ent, COMPLEX)
-            return Operator._banded(space, COMPLEX, {d: ent.diagonal(d).copy() for d in offsets})
+            return Operator._banded(space, COMPLEX, {d: ent.diagonal(d).tolist() for d in offsets})
         raise ValueError(f"unknown field {json.dumps(field)}")
 
 
@@ -377,19 +373,16 @@ class Operator:
 # that text and only the nonzero entries are formatted.
 
 
-def _nonzero_runs(op: Operator):
-    """(flat row-major indices, values) of the nonzero entries, one pair
-    per band, or one pair for a dense operator."""
+def _nonzero_entries(op: Operator):
+    """(flat row-major index, Python number) of each nonzero entry, band
+    by band, or in row-major order for a dense operator."""
     n = op.space.dim
     if op._bands is None:
-        flat = op._dense.ravel()
-        idx = np.flatnonzero(flat)
-        yield idx, flat[idx]
+        yield from ((i, x) for i, x in enumerate(op._dense.ravel().tolist()) if x)
         return
     for d, band in op._bands.items():
         r, c = _band_start(d)
-        pos = np.flatnonzero(band)
-        yield (pos + r) * n + pos + c, band[pos]
+        yield from ((r * n + c + i * (n + 1), x) for i, x in enumerate(band) if x)
 
 
 def _entry_items(op: Operator, pad: str) -> list[str]:
@@ -398,17 +391,15 @@ def _entry_items(op: Operator, pad: str) -> list[str]:
     n2 = op.space.dim ** 2
     if op.field == RATIONAL:
         items = [f'{pad}"0"'] * n2
-        for idx, vals in _nonzero_runs(op):
-            for i, x in zip(idx.tolist(), vals.tolist()):
-                items[i] = f'{pad}"{Fraction(x, op._den)}"'
+        for i, x in _nonzero_entries(op):
+            items[i] = f'{pad}"{Fraction(x, op._den)}"'
         return items
     inner = pad + "  "
     items = [f"{pad}[\n{inner}0.0,\n{inner}0.0\n{pad}]"] * n2
-    for idx, vals in _nonzero_runs(op):
-        if not np.isfinite(vals).all():
+    for i, x in _nonzero_entries(op):
+        if not cmath.isfinite(x):
             raise ValueError("an operator entry is not finite")
-        for i, re, im in zip(idx.tolist(), vals.real.tolist(), vals.imag.tolist()):
-            items[i] = f"{pad}[\n{inner}{re + 0.0!r},\n{inner}{im + 0.0!r}\n{pad}]"
+        items[i] = f"{pad}[\n{inner}{x.real + 0.0!r},\n{inner}{x.imag + 0.0!r}\n{pad}]"
     return items
 
 
@@ -432,10 +423,7 @@ def annihilation(space: FockSpace, field: str = COMPLEX) -> Operator:
     Monomial basis (rational field): entry (n-1, n) = n, exactly.
     """
     n = space.dim
-    if field == RATIONAL:
-        band = _band(list(range(1, n)), RATIONAL)
-    else:
-        band = np.sqrt(np.arange(1, n)).astype(complex)
+    band = range(1, n) if field == RATIONAL else [math.sqrt(m) for m in range(1, n)]
     return Operator._banded(space, field, {1: band})
 
 
@@ -452,7 +440,7 @@ def pochhammer(q: float, n: int) -> float:
 
 # -- quadratures and spectral constructions -----------------------------------
 
-_SQRT2 = np.sqrt(2.0)
+_SQRT2 = math.sqrt(2.0)
 
 
 def momentum(space: FockSpace) -> Operator:
@@ -461,7 +449,7 @@ def momentum(space: FockSpace) -> Operator:
 
 
 @functools.lru_cache(maxsize=8)
-def _momentum_entries(dim: int) -> np.ndarray:
+def _momentum_entries(dim: int):
     """The dense matrix of ``momentum`` on ``dim`` states, read-only and
     formed once per dim."""
     a = annihilation(FockSpace(dim)).entries
@@ -469,7 +457,7 @@ def _momentum_entries(dim: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _quadrature_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _quadrature_basis(dim: int):
     """Eigenvalues ``lam`` (ascending) and real orthonormal eigenvectors
     ``u`` of the position quadrature X on ``dim`` states, read-only.
 
@@ -478,13 +466,14 @@ def _quadrature_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
     with R = diag(i^n) (``_quarter_turns``), P = R X R-dagger holds
     exactly, and the momentum eigenvectors are R u with the same ``lam``.
     """
+    import numpy as np
     off = (1.0 / _SQRT2) * np.sqrt(np.arange(1, dim))
     lam, u = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     return _freeze(lam), _freeze(u)
 
 
 @functools.lru_cache(maxsize=8)
-def _phase_kernel(dim: int) -> np.ndarray:
+def _phase_kernel(dim: int):
     """[Re K; Im K], the 2N x N real stack of K = e^{iX} R u on ``dim``
     states, read-only.
 
@@ -493,6 +482,7 @@ def _phase_kernel(dim: int) -> np.ndarray:
     It is formed as u (e^{i lam} (u^T R u)) with real products on the
     interleaved re/im view of each complex factor.
     """
+    import numpy as np
     lam, u = _quadrature_basis(dim)
     ru = _quarter_turns(dim)[:, None] * u
     inner = np.exp(1j * lam)[:, None] * (u.T @ ru.view(float)).view(complex)
@@ -500,7 +490,8 @@ def _phase_kernel(dim: int) -> np.ndarray:
     return _freeze(np.concatenate((k.real, k.imag)))
 
 
-def _quarter_turns(dim: int) -> np.ndarray:
+def _quarter_turns(dim: int):
     """diag(R) = (i^n) for n = 0 .. dim-1, spelled as the exact phases
     1, i, -1, -i; a computed power i**n drifts off them."""
+    import numpy as np
     return np.array([1, 1j, -1, -1j])[np.arange(dim) % 4]

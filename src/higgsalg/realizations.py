@@ -18,6 +18,8 @@ families below, all on a truncated Fock space:
 The step-k weight sequence F_k comes from a three-term recurrence in n,
 for every k; for k = 1 and k = 2 closed forms are available and are
 checked against the recurrence in the test suite.
+The step generators are single bands of Python numbers, built with
+``math``; only the spectral kinds import numpy.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .algebra import AlgebraParams, RationalLike, bond_product, _doubled_spin, _frac
 from .fock import (
@@ -37,7 +38,6 @@ from .fock import (
     RATIONAL,
     FockSpace,
     Operator,
-    _band,
     _is_int,
     _operator_text,
     _parse_rational,
@@ -305,22 +305,26 @@ def closed_form_k2(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
 # In the normalized basis a^k holds sqrt(n + 1) ... sqrt(n + k) at (n, n + k)
 # and (a+)^k the same at (n + k, n); in the monomial basis a^k holds den(n)
 # there and (a+)^k holds 1, so the exact dyson J+ = F_k(nhat) a^k is H(n) / q.
+# A complex band holds floats: a product of real complex128 numbers has the
+# bits of the float product, so each entry is the one the ladder matrices give.
 
 def _step_operator(space: FockSpace, field: str, d: int, values, den: int = 1) -> Operator:
     """The operator whose one band, at offset d, holds ``values`` (rational
     ones as int numerators over ``den``); no band when |d| >= dim."""
-    bands = {d: _band(values, field)} if abs(d) < space.dim else {}
+    bands = {d: values} if abs(d) < space.dim else {}
     return Operator._banded(space, field, bands, den)
 
 
-def _ladder(dim: int, k: int, raising: bool) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _ladder(dim: int, k: int, raising: bool) -> tuple[float, ...]:
     """The dim - k entries sqrt(n + 1) ... sqrt(n + k) of a^k, or of (a+)^k
     when ``raising``, multiplied in the order of a k-fold product of the
     ladder matrices, ascending for a^k and descending for (a+)^k, so each
-    entry has the bits that product gives."""
-    roots, size = np.sqrt(np.arange(1, dim)).astype(complex), max(dim - k, 0)
+    entry has the bits that product gives; formed once per argument."""
+    roots, size = list(map(math.sqrt, range(1, dim))), max(dim - k, 0)
     order = range(k, 0, -1) if raising else range(1, k + 1)
-    return functools.reduce(np.multiply, [roots[m - 1:m - 1 + size] for m in order])
+    product = functools.partial(map, operator.mul)
+    return tuple(functools.reduce(product, [roots[m - 1:m - 1 + size] for m in order]))
 
 
 def _hp_bonds(params: AlgebraParams, jf: Fraction, j2: int, k: int,
@@ -331,7 +335,7 @@ def _hp_bonds(params: AlgebraParams, jf: Fraction, j2: int, k: int,
     out, so they are not computed."""
     top = min(dim - 1, j2 - k)
     h, q = _prefix_sums(params, jf, k, top)
-    return h, q, tuple(n <= top and h[n] >= 0 for n in range(dim))
+    return h, q, tuple([x >= 0 for x in h]) + (False,) * (dim - len(h))
 
 
 def _admissible_mask(kind: str, k: int, params: AlgebraParams, j: RationalLike,
@@ -357,10 +361,11 @@ def _step_realization(space: FockSpace, params: AlgebraParams, j: RationalLike, 
     if kind == KIND_HP:
         field = COMPLEX
         h, q, mask = _hp_bonds(params, jf, j2, k, dim)
+        # every bond past H's last state is masked out
         root = [math.sqrt(_weight_float(h, q, n, k, "an hp weight")) if mask[n] else 0.0
-                for n in range(dim)]
+                for n in range(len(h))] + [0.0] * size
         jm = _step_operator(space, COMPLEX, -k,
-                            _ladder(dim, k, raising=True) * _band(root[:size], COMPLEX))
+                            map(operator.mul, _ladder(dim, k, raising=True), root))
         jp = jm.adjoint()
     else:
         h, q = _prefix_sums(params, jf, k, dim - 1)
@@ -371,7 +376,7 @@ def _step_realization(space: FockSpace, params: AlgebraParams, j: RationalLike, 
         else:
             weights = [_weight_float(h, q, n, k, "a diagonal value") for n in range(dim)]
             jp = _step_operator(space, COMPLEX, k,
-                                _band(weights[:size], COMPLEX) * _ladder(dim, k, raising=False))
+                                map(operator.mul, weights[:size], _ladder(dim, k, raising=False)))
             jm = _step_operator(space, COMPLEX, -k, _ladder(dim, k, raising=True))
     if field == RATIONAL:
         j3 = _step_operator(space, RATIONAL, 0, [jf.numerator - n * jf.denominator
@@ -404,7 +409,7 @@ def g_constant(params: AlgebraParams, j: RationalLike, form: int = 1) -> float:
     raise ValueError(f"form must be 1 or 2, got {form}")
 
 
-def _villain_radicand(params: AlgebraParams, jf: Fraction, p: np.ndarray) -> np.ndarray:
+def _villain_radicand(params: AlgebraParams, jf: Fraction, p):
     """Both forms' w(p)^2, (j - p)(j + 1 + p)(c3/4 (J + Q) + c1/2) with J = j(j + 1),
     Q = p(p + 1): factored, it is exactly 0.0 at the edges p = j and p = -j - 1."""
     half_c1 = _to_float(Fraction(params.c1, 2), "c1 / 2")
@@ -436,6 +441,7 @@ def villain_boson(
     exactly J+-dagger.  Identities hold only on the window |p| <= j, up to
     truncation error; the verifier measures residuals there.
     """
+    import numpy as np
     if form not in (1, 2):
         raise ValueError(f"form must be 1 or 2, got {form}")
     jf, j2 = _require_j2(j)
@@ -468,7 +474,7 @@ def villain_boson(
     )
 
 
-def _in_window(lam: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _in_window(lam, lo: float, hi: float):
     """Which eigenvalues lie in [lo, hi], with a small slack for floats."""
     return (lam >= lo - _WINDOW_EPS) & (lam <= hi + _WINDOW_EPS)
 
@@ -489,15 +495,16 @@ def build_realization(
     on the raising side, in ``field``) with step k >= 1; kind 'villain'
     where k names the radicand form (1 or 2).
     """
-    # a generator entry past the float range is caught below, so numpy
-    # need not warn of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kind in STEP_KINDS:
-            r = _step_realization(space, params, j, kind, k, field)
-        elif kind == "villain":
+    if kind in STEP_KINDS:
+        r = _step_realization(space, params, j, kind, k, field)
+    elif kind == "villain":
+        import numpy as np
+        # a generator entry past the float range is caught below, so numpy
+        # need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
             r = villain_boson(space, params, j, form=k)
-        else:
-            raise ValueError(f"unknown realization kind {kind!r}")
+    else:
+        raise ValueError(f"unknown realization kind {kind!r}")
     # only J+ can leave the float range: J- is its adjoint or (a+)^k, J3 is
     # P or j - nhat, whose scale already refuses a j beyond the float range
     if r.field == COMPLEX and not math.isfinite(r.jp.max_norm()):

@@ -15,10 +15,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-import numpy as np
-
 from .algebra import AlgebraParams, RationalLike, _frac, z_boundaries
-from .fock import COMPLEX, FockSpace, Operator, _to_float, pochhammer
+from .fock import COMPLEX, FockSpace, Operator, _band_start, _offsets, _to_float, pochhammer
 from .realizations import Realization, product_recurrence
 
 
@@ -171,9 +169,14 @@ def conjugate(realization: Realization, transform: DiagonalTransform) -> Realiza
     domain; entries touching an undefined scale are dropped and the bond
     mask is narrowed to match.
 
+    Offset d is scaled by s(i) / s(i + d), band by band, by numpy's
+    elementwise s(i) * A / s(j): the bits of the dense formula, with no
+    N x N array formed.
+
     With the step-1 scaling this carries a one-sided realization onto its
     square-root partner wherever the chain extends.
     """
+    import numpy as np
     if transform.dim != realization.space.dim:
         raise ValueError("transform length does not match the truncation")
     k = realization.step_k
@@ -183,10 +186,17 @@ def conjugate(realization: Realization, transform: DiagonalTransform) -> Realiza
     s = np.where(keep, np.array(transform.entries, dtype=float), 1.0)
 
     def carry(op: Operator) -> Operator:
-        src = op._promote().entries
-        live = (src != 0) & keep[:, None] & keep[None, :]
-        out = np.where(live, s[:, None] * src / s[None, :], 0)
-        return Operator(realization.space, out, COMPLEX)
+        op = op._promote()
+        bands = op._bands if op._bands is not None else {
+            d: op._dense.diagonal(d) for d in _offsets(op._dense)}
+        out = {}
+        for d, band in bands.items():
+            r, c = _band_start(d)
+            rows, cols = slice(r, r + len(band)), slice(c, c + len(band))
+            src = np.array(band, dtype=complex)
+            live = (src != 0) & keep[rows] & keep[cols]
+            out[d] = np.where(live, s[rows] * src / s[cols], 0).tolist()
+        return Operator._banded(realization.space, COMPLEX, out)
 
     # bond b keeps both ends in the domain; a bond past the edge has one end
     far_end = np.concatenate((keep[k:], np.ones(min(k, n), dtype=bool)))
@@ -207,12 +217,13 @@ def unitarization_residual(
     measures U^-1 adj(J-) U - J+ entrywise over bonds whose two ends lie
     in the transform's domain.  Returns (residual, bonds_measured).
     """
+    import numpy as np
     k = realization.step_k
     u = np.square(transform.entries)
     live = np.logical_and(transform.mask[:-k], transform.mask[k:])
     # bond b joins (b + k, b) on offset -k of J- and (b, b + k) on offset k of J+
-    lower = realization.jm._promote().diagonal(-k)[live]
-    upper = realization.jp._promote().diagonal(k)[live]
+    lower = np.array(realization.jm._promote().diagonal(-k), dtype=complex)[live]
+    upper = np.array(realization.jp._promote().diagonal(k), dtype=complex)[live]
     near = u[:-k][live]
     if not near.all():
         raise ZeroDivisionError("U = diag(s^2) is singular on a measured bond")

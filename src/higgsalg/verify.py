@@ -18,17 +18,19 @@ are measured on r x r compressions onto the momentum window (``_Window``).
 
 A step (hp, dyson) realization is measured from three vectors, J+'s band
 at +k, J-'s band at -k and J3's diagonal (``_Steps``), with no operator
-product formed: every row is a formula per state of the interior block
-or per entry of a band, in Python ints over one denominator in the exact
-field and on complex128 vectors in the other.  A generator read from a
-file may hold an entry off its band: a row that reads it takes the
-larger of its band residual and the largest such entry in its region,
-and ``adjoint-pairing`` compares J- with J+-dagger entry by entry.
+product formed: every row is a loop over the states of the interior block
+or the entries of a band, on the tuple bands, in Python ints over one
+denominator in the exact field and in Python floats (complex numbers for
+a loaded file) in the other, with no numpy.  A generator read from a file
+may hold an entry off its band: a row that reads it takes the larger of
+its band residual and the largest such entry in its region, and
+``adjoint-pairing`` compares J- with J+-dagger entry by entry.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -36,9 +38,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string_json
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
-from .algebra import AlgebraParams, _casimir, casimir_eigenvalue
+from .algebra import AlgebraParams, _casimir, _casimir_coefficients, casimir_eigenvalue
 from .fock import (
     RATIONAL,
     FockSpace,
@@ -46,10 +46,11 @@ from .fock import (
     _band_start,
     _momentum_entries,
     _offsets,
+    _peak,
     _quadrature_basis,
     _quarter_turns,
     _to_float,
-    _zero_array,
+    _zero_band,
 )
 from .realizations import (
     Realization,
@@ -202,14 +203,8 @@ def interior_check_states(realization: Realization) -> list[int]:
     """States on which the defining commutator is required to close: deep
     enough inside the truncation that no edge artifact reaches them, with
     every incident bond admissible."""
-    k = realization.step_k
-    n = realization.space.dim
-    mask = realization.admissible_mask
-    out = []
-    for s in range(max(0, n - 2 * k)):
-        if mask[s] and (s < k or mask[s - k]):
-            out.append(s)
-    return out
+    k, mask = realization.step_k, realization.admissible_mask
+    return [s for s in range(realization.space.dim - 2 * k) if mask[s] and (s < k or mask[s - k])]
 
 
 def _finite(name: str, *values, what: str = "the float residual or its scale",
@@ -218,7 +213,7 @@ def _finite(name: str, *values, what: str = "the float residual or its scale",
     saying ``what`` is not finite because ``why`` beyond the float range:
     no verdict can be reached, and no report may carry inf."""
     out = [float(v) for v in values]
-    if not all(math.isfinite(v) for v in out):
+    if not all(map(math.isfinite, out)):
         raise ValueError(f"{name}: {what} is not finite; {why} beyond the float range")
     return out
 
@@ -245,6 +240,7 @@ class _Window:
     """
 
     def __init__(self, r: Realization, lo: float, hi: float):
+        import numpy as np
         dim = r.space.dim
         lam, u = _quadrature_basis(dim)
         inside = _in_window(lam, lo, hi)
@@ -258,15 +254,15 @@ class _Window:
         self.pm, self.mp = a @ a.conj().T, b.conj().T @ b
         self.powers = tuple(np.diag(self._lam ** m) for m in range(1, 5))
 
-    def left(self, block: np.ndarray) -> np.ndarray:
+    def left(self, block):
         """The block of J3 M from the block of M."""
         return self._lam[:, None] * block
 
-    def right(self, block: np.ndarray) -> np.ndarray:
+    def right(self, block):
         """The block of M J3 from the block of M."""
         return block * self._lam
 
-    def max_entry(self, block: np.ndarray) -> float:
+    def max_entry(self, block) -> float:
         """max |V B V-dagger|: the largest entry of a compressed residual B
         back on the whole space, equal to max |q M q| with q = V V-dagger.
 
@@ -276,6 +272,7 @@ class _Window:
         scaled by a power of two near its largest entry, which is exact
         and keeps the squares inside the float range; a non-finite B
         gives its own non-finite largest entry."""
+        import numpy as np
         top = float(np.abs(block).max())
         if not math.isfinite(top):
             return top
@@ -296,12 +293,6 @@ def _num(c) -> float:
     return _to_float(c, "a scale factor")
 
 
-def _peak(values: np.ndarray) -> float:
-    """max |v| over a complex vector, 0.0 when it is empty; NaN when an
-    entry is NaN, as the judge needs to see it."""
-    return float(np.abs(values).max(initial=0.0))
-
-
 def _top(values, den: int) -> Fraction:
     """max |v| / den over int numerators, 0 when there are none: the one
     Fraction an exact row makes."""
@@ -309,23 +300,18 @@ def _top(values, den: int) -> Fraction:
 
 
 def _split(op: Operator, d: int) -> tuple:
-    """A step generator's band at offset d, and the rest of it.
-
-    The band is its N - |d| entries, zeros where the operator has no band
-    there: a list of int numerators over the operator's denominator in the
-    rational field, a complex128 array in the other.  The rest maps every
-    other offset that holds a nonzero entry to its diagonal: a built
-    generator is its one band, so only a loaded file can leave anything
-    there, and a complex one that does loads dense."""
+    """A step generator's band at offset d, its N - |d| entries (zeros
+    where it has no band there), and the rest of it: every other offset
+    holding a nonzero entry, mapped to its diagonal.  A built generator is
+    its one band, so only a loaded file can leave a rest, and a complex one
+    that does loads dense."""
     bands = op._bands
     if bands is None:
-        bands = {e: op._dense.diagonal(e)
-                 for e in _offsets(np.flatnonzero(op._dense), op.space.dim)}
+        bands = {e: op._dense.diagonal(e).tolist() for e in _offsets(op._dense)}
     band = bands.get(d)
     if band is None:
-        band = _zero_array(max(op.space.dim - abs(d), 0), op.field)
-    rest = {e: b for e, b in bands.items() if e != d}
-    return (band.tolist() if op.field == RATIONAL else band), rest
+        band = _zero_band(op.space.dim - abs(d), op.field)
+    return band, {e: b for e, b in bands.items() if e != d}
 
 
 class _Steps:
@@ -335,10 +321,10 @@ class _Steps:
     On them J+J- and J-J+ are the diagonals P(n) M(n) and M(n - k) P(n - k),
     the powers of J3 are diagonals, so both Casimir forms are a diagonal C,
     and the commutator of C with J+ or J- is (C(n) - C(n + k)) times the
-    band on the bonds n -> n + k.  So every row is a formula per state or
-    per bond, on the interior block or on a band, and no operator product
-    is formed.  ``_form`` makes the block's vectors, only when the block
-    holds a state.  In the complex field it also sets ``c_size``,
+    band on the bonds n -> n + k.  So every row is a loop over the states
+    or the bonds of the interior block, or over a band, and no operator
+    product is formed.  ``_form`` makes the block's vectors, only when the
+    block holds a state.  In the complex field it also sets ``c_size``,
     ``prod_size`` and ``closure_size``, the measured parts of the float
     scales: max |C| of the symmetric form, max |C| of the normal-ordered
     one and the largest of the three terms the closure cancels, all on
@@ -350,20 +336,18 @@ class _Steps:
         (self.p, rp), (self.m, rm), (self.t, rt) = (
             _split(r.jp, self.k), _split(r.jm, -self.k), _split(r.j3, 0))
         self._rest = {"jp": (r.jp, rp), "jm": (r.jm, rm), "j3": (r.j3, rt)}
-        self.inside = np.zeros(r.space.dim, dtype=bool)
-        self.inside[states] = True
+        self.inside = set(states)
         # the bands' denominators, 1 in the complex field
         self.dp, self.dm, self.dt = r.jp._den, r.jm._den, r.j3._den
         if states:
             self._form()
 
-    def _bonds(self) -> tuple[list[int], list[int], list[int]]:
-        """(i, j, n) over the bonds n -> n + k inside the block, n and n + k
+    def _bonds(self) -> list[tuple[int, int, int]]:
+        """(i, j, n) for each bond n -> n + k inside the block, n and n + k
         being states i and j of it."""
         where = {n: i for i, n in enumerate(self.states)}
-        bonds = [(i, where[n + self.k], n) for i, n in enumerate(self.states)
-                 if n + self.k in where]
-        return tuple(map(list, zip(*bonds))) if bonds else ([], [], [])
+        return [(i, where[n + self.k], n) for i, n in enumerate(self.states)
+                if n + self.k in where]
 
     def reading(self, residual, names: Sequence[str] = ("jp", "jm", "j3"), whole: bool = False):
         """The residual of a row that reads the generators ``names``: the
@@ -371,17 +355,17 @@ class _Steps:
         the row's region, the whole space or the block.  An entry off the
         band is measured, never dropped."""
         def measured():
-            value = residual()
+            value, inside = residual(), self.inside
             for name in names:
                 op, rest = self._rest[name]
                 for d, band in rest.items():
                     if not whole:
                         r, c = _band_start(d)
-                        band = band[self.inside[r:r + len(band)] & self.inside[c:c + len(band)]]
-                    if band.size:
-                        top = np.abs(band).max()
-                        value = max(value, Fraction(top, op._den) if op.field == RATIONAL
-                                    else float(top))
+                        band = [x for e, x in enumerate(band)
+                                if r + e in inside and c + e in inside]
+                    if band:
+                        value = max(value, Fraction(max(map(abs, band)), op._den)
+                                    if op.field == RATIONAL else _peak(band))
             return value
         return measured
 
@@ -424,8 +408,8 @@ class _ExactSteps(_Steps):
         """[J3, J+] - k J+, or [J3, J-] + k J-: the band times
         T(n) - T(n + k) - k, up to sign, on every bond."""
         band, den = (self.p, self.dp) if sign > 0 else (self.m, self.dm)
-        t, k, kt = self.t, self.k, self.k * self.dt
-        return _top([(t[n] - t[n + k] - kt) * x for n, x in enumerate(band)], self.dt * den)
+        t, kt = self.t, self.k * self.dt
+        return _top([(a - b - kt) * x for a, b, x in zip(t, t[self.k:], band)], self.dt * den)
 
     def two_forms(self) -> Fraction:
         return _top([a - b for a, b in zip(self.sym, self.prod)], self.e)
@@ -433,11 +417,10 @@ class _ExactSteps(_Steps):
     def commutes(self) -> Fraction:
         """[C, J+] and [C, J-] on the bonds inside the block; [C, J3] is
         zero, both being diagonal."""
-        i, j, n = self._bonds()
         c, p, m = self.sym, self.p, self.m
-        jumps = [c[a] - c[b] for a, b in zip(i, j)]
-        return max(_top([x * p[s] for x, s in zip(jumps, n)], self.e * self.dp),
-                   _top([x * m[s] for x, s in zip(jumps, n)], self.e * self.dm))
+        jumps = [(c[i] - c[j], n) for i, j, n in self._bonds()]
+        return max(_top([x * p[n] for x, n in jumps], self.e * self.dp),
+                   _top([x * m[n] for x, n in jumps], self.e * self.dm))
 
     def deviation(self, lam: Fraction) -> Fraction:
         """C - lam 1 on the block."""
@@ -446,28 +429,28 @@ class _ExactSteps(_Steps):
 
 
 class _FloatSteps(_Steps):
-    """The step rows in the complex field, on complex128 vectors.  Each
-    entry is formed from the same operands, in the same order, as a banded
-    operator product would form it, so every float keeps its bits: sums
-    run left to right, J3^3 = J3^2 J3, and numpy's complex product is not
-    commutative bit for bit, so P(n) M(n) and M(n) P(n) are kept apart."""
+    """The step rows in the complex field, by loops over Python floats (or
+    complex numbers, for a loaded file).  Each entry is formed from the
+    same operands, in the same order, as a product of complex128 bands
+    forms it, so every float keeps its bits: sums run left to right,
+    J3^3 = J3^2 J3, and P(n) M(n) is kept apart from M(n) P(n)."""
 
     def _form(self) -> None:
         """J+J-, J-J+, the powers of J3, both Casimir forms and the closure
-        on the block, and the sizes the float scales read."""
-        k, p, m, params = self.k, self.p, self.m, self.r.params
-        s = np.array(self.states)
-        below = int(np.searchsorted(s, k))
-        pm, mp = p[s] * m[s], np.zeros(len(s), dtype=complex)
-        mp[below:] = m[s[below:] - k] * p[s[below:] - k]
-        x = self.t[s]
-        square = x * x
-        self.x, powers = x, (x, square, square * x, square * square)
-        self.sym = _casimir(pm, mp, powers, params, _num, symmetric=True)
-        self.prod = _casimir(pm, mp, powers, params, _num, symmetric=False)
-        # (J+J- - J-J+) - (c1 J3 + c3 J3^3), and the three terms it cancels
-        terms = (pm, mp, _num(params.c1) * x + _num(params.c3) * powers[2])
-        self.closure_vec = (terms[0] - terms[1]) - terms[2]
+        per state of the block, and the sizes the float scales read."""
+        k, p, m, t = self.k, self.p, self.m, self.t
+        coefficients = _casimir_coefficients(self.r.params, _num)
+        rows = []
+        for n in self.states:
+            pm, mp, x = p[n] * m[n], m[n - k] * p[n - k] if n >= k else 0.0, t[n]
+            square = x * x
+            powers = (x, square, square * x, square * square)
+            # (J+J- - J-J+) - (c1 J3 + c3 J3^3), and the three terms it cancels
+            line = coefficients[1] * x + coefficients[3] * powers[2]
+            rows.append((x, _casimir(pm, mp, powers, coefficients, symmetric=True),
+                         _casimir(pm, mp, powers, coefficients, symmetric=False),
+                         (pm - mp) - line, pm, mp, line))
+        self.x, self.sym, self.prod, self.closure_vec, *terms = map(list, zip(*rows))
         self.c_size, self.prod_size = _peak(self.sym), _peak(self.prod)
         self.closure_size = max(_peak(v) for v in terms)
 
@@ -475,29 +458,30 @@ class _FloatSteps(_Steps):
         return _peak(self.closure_vec)
 
     def grading(self, sign: int) -> float:
-        """[J3, J+] - k J+, or [J3, J-] + k J-, on the band."""
-        k, t = self.k, self.t
+        """[J3, J+] - k J+, or [J3, J-] + k J-, on the nonzero entries of
+        the band: where J3 is finite a zero entry gives a zero term."""
+        t, kf, band = self.t, _num(sign * self.k), self.p if sign > 0 else self.m
+        live = band if math.isfinite(self.r.j3.max_norm()) else itertools.repeat(True)
+        terms = itertools.compress(zip(t, t[self.k:], band), live)
         if sign > 0:
-            p = self.p
-            return _peak(((t[:len(p)] * p) - (p * t[k:])) - _num(k) * p)
-        m = self.m
-        return _peak(((t[k:] * m) - (m * t[:len(m)])) - _num(-k) * m)
+            return _peak([((a * x) - (x * b)) - kf * x for a, b, x in terms])
+        return _peak([((b * x) - (x * a)) - kf * x for a, b, x in terms])
 
     def two_forms(self) -> float:
-        return _peak(self.sym - self.prod)
+        return _peak([a - b for a, b in zip(self.sym, self.prod)])
 
     def commutes(self) -> float:
         """[C, J+], [C, J-] on the bonds inside the block, and [C, J3],
         which is zero unless a product leaves the float range."""
-        i, j, n = self._bonds()
-        c, x = self.sym, self.x
-        lo, hi, p, m = c[i], c[j], self.p[n], self.m[n]
-        return max(_peak((lo * p) - (p * hi)), _peak((hi * m) - (m * lo)),
-                   _peak((c * x) - (x * c)))
+        c, x, p, m = self.sym, self.x, self.p, self.m
+        bonds = self._bonds()
+        return _peak([(c[i] * p[n]) - (p[n] * c[j]) for i, j, n in bonds]
+                     + [(c[j] * m[n]) - (m[n] * c[i]) for i, j, n in bonds]
+                     + [(y * z) - (z * y) for y, z in zip(c, x)])
 
     def deviation(self, lam: float) -> float:
         """C - lam 1 on the block."""
-        return _peak(self.sym - lam)
+        return _peak([c - lam for c in self.sym])
 
 
 # -- the checks ---------------------------------------------------------------
@@ -555,6 +539,7 @@ def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
         judge("adjoint-pairing", dim, False, residual, lambda: float(jp.max_norm()))
 
     if r.kind in VILLAIN_KINDS:
+        import numpy as np
         # Every formula reads the r x r blocks of the named products J+J-,
         # J-J+ and the powers of J3 on the momentum window, and J+ or J-
         # times J3 on either side; a row is measured with ``max_entry``.
@@ -568,8 +553,9 @@ def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
         block, measure = w.rank, w.max_entry
         if block:
             # on an empty window every row is vacuous, and none of these is formed
-            c_sym = _casimir(w.pm, w.mp, w.powers, r.params, _num, symmetric=True)
-            c_prod = _casimir(w.pm, w.mp, w.powers, r.params, _num, symmetric=False)
+            coefficients = _casimir_coefficients(r.params, _num)
+            c_sym = _casimir(w.pm, w.mp, w.powers, coefficients, symmetric=True)
+            c_prod = _casimir(w.pm, w.mp, w.powers, coefficients, symmetric=False)
             closure = (w.pm - w.mp) - (_num(c1) * w.powers[0] + _num(c3) * w.powers[2])
 
         def grading(op, sign: int):
@@ -620,10 +606,13 @@ def verify_realization(r: Realization, tolerance_coefficient: float = 1e-12) -> 
     residual does not exceed tolerance_coefficient * dim * scale."""
     if r.kind not in STEP_KINDS + VILLAIN_KINDS:
         raise ValueError(f"unknown realization kind {r.kind!r}")
-    # overflow past the float range is caught by judge, so numpy need not
-    # warn of it
-    with np.errstate(over="ignore", invalid="ignore"):
+    if all(op._bands is not None for op in (r.jp, r.jm, r.j3)):
         checks = _checks(r, tolerance_coefficient)
+    else:
+        import numpy as np
+        # judge catches overflow past the float range; numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            checks = _checks(r, tolerance_coefficient)
     return VerificationReport(
         kind=r.kind,
         step_k=r.step_k,
@@ -652,11 +641,7 @@ GRID_COUPLINGS: tuple[tuple[int, int], ...] = (
 def default_grid() -> list[tuple[AlgebraParams, int]]:
     """The standard sampling: seven coupling pairs crossed with
     2j = 1 .. 6."""
-    out = []
-    for c1, c3 in GRID_COUPLINGS:
-        for j2 in range(1, 7):
-            out.append((AlgebraParams.of(c1, c3), j2))
-    return out
+    return [(AlgebraParams.of(c1, c3), j2) for c1, c3 in GRID_COUPLINGS for j2 in range(1, 7)]
 
 
 def grid_from_json(data) -> list[tuple[AlgebraParams, int]]:

@@ -30,12 +30,12 @@ from higgsalg import (
 )
 from higgsalg.algebra import RationalLike, _frac
 from higgsalg.fock import (
-    _band,
+    _as_fraction,
     _band_start,
+    _offsets,
     _quadrature_basis,
     _quarter_turns,
     _to_float,
-    _zero_array,
 )
 from higgsalg.realizations import _in_window
 from higgsalg.verify import CheckResult, VerificationReport, _finite
@@ -66,19 +66,50 @@ def is_hermitian(op: Operator) -> bool:
     return float(d) <= _HERMITIAN_RTOL * max(1.0, float(op.max_norm()))
 
 
+def rational_operator(space: FockSpace, entries: np.ndarray) -> Operator:
+    """The rational operator of a dense array of rational entries, built by
+    ``Operator._exact`` from the diagonals that hold a nonzero entry.
+    Every entry must be rational, zeros included: one of each type goes
+    through ``fock._as_fraction``, which raises FieldError on any other."""
+    for x in {type(x): x for x in entries.flat}.values():
+        _as_fraction(x)
+    return Operator._exact(space, {d: list(entries.diagonal(d)) for d in _offsets(entries)})
+
+
 # -- products of banded operators ------------------------------------------------
 #
 # The package forms no operator product; the tests define expected values by
 # them.  ``mul``, ``add``, ``sub`` and ``scale`` work on the bands of banded
-# operators of one field and one space, as int numerators over the
-# operator's denominator in the rational field and complex128 in the other:
-# numpy applies + - * elementwise to either dtype, so one set of band
-# routines serves both.  A product's denominator is the product of its
-# factors', and a sum first brings both terms to the lcm of theirs.  An entry
-# that one pair of bands reaches is that single product, so a step-kind
-# product holds the bits the verifier's vectors must reproduce.
+# operators of one field and one space, taken as numpy arrays (``_arrays``):
+# int numerators over the operator's denominator (object dtype) in the
+# rational field and complex128 in the other.  numpy applies + - *
+# elementwise to either dtype, so one set of band routines serves both.  A
+# product's denominator is the product of its factors', and a sum first
+# brings both terms to the lcm of theirs.  An entry that one pair of bands
+# reaches is that single product, so a step-kind product holds the bits the
+# verifier's loops must reproduce.
 
 _Bands = dict[int, np.ndarray]
+
+
+def _zeros(n: int, field: str) -> np.ndarray:
+    return np.zeros(n, dtype=object if field == RATIONAL else complex)
+
+
+def _arrays(op: Operator) -> _Bands:
+    """The bands of a banded operator as numpy arrays of its field."""
+    return {d: np.array(band, dtype=object if op.field == RATIONAL else complex)
+            for d, band in op._bands.items()}
+
+
+def _from_arrays(space: FockSpace, field: str, bands: _Bands, den: int = 1) -> Operator:
+    """The banded operator whose bands are these arrays, as Python numbers:
+    a complex band with no nonzero imaginary part as floats, as the package
+    holds a real band, so a zero imaginary part has no sign to keep."""
+    def numbers(band: np.ndarray) -> list:
+        return band.real.tolist() if field == COMPLEX and not band.imag.any() else band.tolist()
+
+    return Operator._banded(space, field, {d: numbers(band) for d, band in bands.items()}, den)
 
 
 def _band_matmul(n: int, x: _Bands, y: _Bands, field: str) -> _Bands:
@@ -106,7 +137,7 @@ def _band_matmul(n: int, x: _Bands, y: _Bands, field: str) -> _Bands:
             elif cnt == n - abs(dz):
                 out[dz] = prods
             else:
-                acc = out[dz] = _zero_array(n - abs(dz), field)
+                acc = out[dz] = _zeros(n - abs(dz), field)
                 acc[iz:iz + cnt] = prods
     return out
 
@@ -117,7 +148,7 @@ def _band_add(n: int, x: _Bands, y: _Bands, field: str, subtract: bool) -> _Band
     op = np.subtract if subtract else np.add
 
     def side(bands: _Bands, d: int) -> np.ndarray:
-        return bands[d] if d in bands else _zero_array(n - abs(d), field)
+        return bands[d] if d in bands else _zeros(n - abs(d), field)
 
     return {d: op(side(x, d), side(y, d)) for d in {**x, **y}}
 
@@ -129,8 +160,8 @@ def _banded_pair(a: Operator, b: Operator) -> None:
 
 def _times(a: Operator, b: Operator) -> Operator:
     _banded_pair(a, b)
-    return Operator._banded(a.space, a.field, _band_matmul(a.space.dim, a._bands, b._bands, a.field),
-                            a._den * b._den)
+    bands = _band_matmul(a.space.dim, _arrays(a), _arrays(b), a.field)
+    return _from_arrays(a.space, a.field, bands, a._den * b._den)
 
 
 def mul(*factors: Operator) -> Operator:
@@ -141,14 +172,14 @@ def mul(*factors: Operator) -> Operator:
 def _over(op: Operator, den: int) -> _Bands:
     """The bands as numerators over ``den``, a multiple of ``_den``."""
     factor = den // op._den
-    return op._bands if factor == 1 else {d: factor * band for d, band in op._bands.items()}
+    return {d: factor * band for d, band in _arrays(op).items()}
 
 
 def add(a: Operator, b: Operator, subtract: bool = False) -> Operator:
     _banded_pair(a, b)
     den = math.lcm(a._den, b._den)
-    return Operator._banded(a.space, a.field, _band_add(a.space.dim, _over(a, den), _over(b, den),
-                                                        a.field, subtract), den)
+    return _from_arrays(a.space, a.field, _band_add(a.space.dim, _over(a, den), _over(b, den),
+                                                    a.field, subtract), den)
 
 
 def sub(a: Operator, b: Operator) -> Operator:
@@ -160,11 +191,11 @@ def scale(c, op: Operator) -> Operator:
     field c is taken as a complex float."""
     if op.field == RATIONAL:
         c = Fraction(c)
-        return Operator._banded(op.space, RATIONAL,
-                                {d: c.numerator * band for d, band in op._bands.items()},
-                                op._den * c.denominator)
+        return _from_arrays(op.space, RATIONAL,
+                            {d: c.numerator * band for d, band in _arrays(op).items()},
+                            op._den * c.denominator)
     c = complex(c) if isinstance(c, complex) else complex(_to_float(c, "a scale factor"))
-    return Operator._banded(op.space, COMPLEX, {d: c * band for d, band in op._bands.items()})
+    return _from_arrays(op.space, COMPLEX, {d: c * band for d, band in _arrays(op).items()})
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
@@ -189,14 +220,14 @@ def casimir_operator(jp: Operator, jm: Operator, j3: Operator, params: AlgebraPa
 
 
 def identity_op(space: FockSpace, field: str = COMPLEX) -> Operator:
-    return Operator._banded(space, field, {0: _zero_array(space.dim, field) + 1})
+    return _from_arrays(space, field, {0: _zeros(space.dim, field) + 1})
 
 
 def creation(space: FockSpace, field: str = COMPLEX) -> Operator:
     """Raising matrix a+; adjoint of ``annihilation`` in the complex field,
     the unit-entry shift in the exact monomial basis."""
     if field == RATIONAL:
-        return Operator._banded(space, RATIONAL, {-1: _band([1] * (space.dim - 1), RATIONAL)})
+        return Operator._banded(space, RATIONAL, {-1: [1] * (space.dim - 1)})
     return annihilation(space, COMPLEX).adjoint()
 
 
@@ -207,7 +238,7 @@ def diagonal_operator(space: FockSpace, values: Sequence, field: str = COMPLEX) 
         raise ValueError(f"need {space.dim} diagonal values, got {len(vals)}")
     if field == RATIONAL:
         return Operator._exact(space, {0: vals})
-    return Operator._banded(space, COMPLEX, {0: _band([complex(v) for v in vals], COMPLEX)})
+    return Operator._banded(space, COMPLEX, {0: [complex(v) for v in vals]})
 
 
 def position(space: FockSpace) -> Operator:
@@ -292,7 +323,7 @@ def block_max(op: Operator, inside: np.ndarray):
     if op._bands is None:
         return float(np.abs(op._dense[np.ix_(inside, inside)]).max(initial=0.0))
     worst = []
-    for d, band in op._bands.items():
+    for d, band in _arrays(op).items():
         r, c = _band_start(d)
         picked = band[inside[r:r + len(band)] & inside[c:c + len(band)]]
         if picked.size:

@@ -532,20 +532,34 @@ def test_verify_input_matches_direct_verify(tmp_path, capsys, kind, points):
 _HUGE_SPIN = ["--c1", "1", "--c3", "1", "--dim", "4", "--kind", "hp:1"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", *_HUGE_SPIN, "--j2", str(10 ** 60), "--format", "json"],
-    ["verify", *_HUGE_SPIN, "--j2", str(10 ** 90)],
-    ["build", *_HUGE_SPIN, "--j2", str(10 ** 200)],
-], ids=["verify-residual-overflows", "verify-casimir-overflows", "build-weight-overflows"])
-def test_spin_beyond_the_float_range_exits_65(capsys, argv):
+_HUGE_C3 = ["verify", "--c1", "1", "--j2", "11", "--dim", "32", "--c3"]
+
+
+@pytest.mark.parametrize("argv,row", [
+    (["verify", *_HUGE_SPIN, "--j2", str(10 ** 60), "--format", "json"], None),
+    (["verify", *_HUGE_SPIN, "--j2", str(10 ** 90)], None),
+    (["build", *_HUGE_SPIN, "--j2", str(10 ** 200)], None),
+    ([*_HUGE_C3, "1e303", "--kind", "hp:1"], "casimir-commutes"),
+    ([*_HUGE_C3, "1e306", "--kind", "hp:1"], "ladder-closure"),
+    ([*_HUGE_C3, "1e303", "--kind", "dyson:1", "--field", "complex"], "grading-raise-k1"),
+    ([*_HUGE_C3, "1e304", "--kind", "dyson:1", "--field", "complex"], "ladder-closure"),
+], ids=["verify-residual-overflows", "verify-casimir-overflows", "build-weight-overflows",
+        "hp-commutes-overflows", "hp-closure-overflows", "dyson-grading-overflows",
+        "dyson-closure-overflows"])
+def test_spin_beyond_the_float_range_exits_65(capsys, argv, row):
     """Float entries that leave the float range give one error line, not a
-    NaN residual, a numpy warning or an internal error."""
+    NaN residual, a numpy warning or an internal error.  Where ``row`` is
+    given, the line names it: the first row whose residual or scale is not
+    finite."""
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 65
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    if row is not None:
+        assert captured.err == (f"error: {row}: the float residual or its scale is not finite;"
+                                " the entries are beyond the float range\n")
 
 
 _TRANSFORM_AT = ["export", "transform", "--j2", "4", "--dim", "10", "--map"]

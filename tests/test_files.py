@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from higgsalg import COMPLEX, RATIONAL, AlgebraParams, FockSpace, Operator, build_realization
 from higgsalg import fock
 from higgsalg.cli import main
-from higgsalg.fock import _band, _operator_text
+from higgsalg.fock import _operator_text
 from higgsalg.realizations import Realization, _realization_text
-from reference import operator_json_dict, realization_json_dict
+from reference import operator_json_dict, rational_operator, realization_json_dict
 
 
 def _reference(doc: dict) -> str:
@@ -53,9 +53,11 @@ def _operators(draw):
                  for d, size in sizes.items()}
         if field == RATIONAL:
             return Operator._exact(space, bands)
-        return Operator._banded(space, field, {d: _band(b, field) for d, b in bands.items()})
+        return Operator._banded(space, field, bands)
     flat = draw(st.lists(values, min_size=dim * dim, max_size=dim * dim))
-    return Operator(space, _band(flat, field).reshape(dim, dim), field)
+    if field == RATIONAL:
+        return rational_operator(space, np.array(flat, dtype=object).reshape(dim, dim))
+    return Operator(space, np.array(flat, dtype=complex).reshape(dim, dim), COMPLEX)
 
 
 @given(_operators())

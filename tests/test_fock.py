@@ -33,6 +33,7 @@ from reference import (
     mul,
     operator_json_dict,
     position,
+    rational_operator,
     scale,
     sub,
     unitary_exp,
@@ -186,7 +187,7 @@ def _rational_matrices(draw):
         )
     )
     ent = np.array(vals, dtype=object).reshape(dim, dim)
-    return Operator(FockSpace(dim), ent, RATIONAL)
+    return rational_operator(FockSpace(dim), ent)
 
 
 def _through_json(op: Operator) -> Operator:
@@ -214,13 +215,16 @@ def test_complex_serialization_round_trip():
 @pytest.mark.parametrize("bad", [0.0, 0j, np.float64(0.0), 0.5, None, "1"])
 def test_rational_operator_rejects_a_non_rational_entry(bad):
     """Every entry of a dense array given to the rational field must be
-    rational, zeros included; the rational ones keep their nonzero bands."""
+    rational, zeros included; the rational ones keep their nonzero bands.
+    The constructor itself takes only a dense complex array."""
     entries = np.array([[Fraction(0), 1], [Fraction(2, 3), 0]], dtype=object)
-    op = Operator(FockSpace(2), entries, RATIONAL)
+    op = rational_operator(FockSpace(2), entries)
     assert sorted(op._bands) == [-1, 1] and op.entries.tolist() == entries.tolist()
-    entries[1, 1] = bad
     with pytest.raises(FieldError):
         Operator(FockSpace(2), entries, RATIONAL)
+    entries[1, 1] = bad
+    with pytest.raises(FieldError):
+        rational_operator(FockSpace(2), entries)
 
 
 def test_serialization_rejects_bad_payload():
@@ -266,7 +270,7 @@ def _rational_operator_pairs(draw):
                 band = draw(st.lists(_SMALL_FRACTIONS, min_size=size, max_size=size))
                 for t, v in enumerate(band):
                     ent[(t - d, t) if d < 0 else (t, t + d)] = v
-        return Operator(FockSpace(dim), ent, RATIONAL)
+        return rational_operator(FockSpace(dim), ent)
 
     return operator(), operator()
 
@@ -314,7 +318,7 @@ def _over_denominators(draw, dim):
     for d in draw(st.sets(st.integers(1 - dim, dim - 1), max_size=4)):
         for t in range(dim - abs(d)):
             ref[(t - d, t) if d < 0 else (t, t + d)] = Fraction(draw(_NUMERATORS), den)
-    return Operator(FockSpace(dim), ref, RATIONAL), ref
+    return rational_operator(FockSpace(dim), ref), ref
 
 
 def _assert_integer_bands(op):
@@ -390,9 +394,10 @@ def test_a_band_of_zeros_reads_as_an_absent_band(field):
     op = mul(diagonal_operator(sp, [1, -2, Fraction(-1, 2), 3, -4], field), creation(sp, field))
     j3 = diagonal_operator(sp, [Fraction(3, 2) - n for n in range(5)], field)
     grading = add(commutator(j3, op), op)  # op raises n, so it lowers j - n by one
-    zero = Operator(sp, np.zeros((5, 5), dtype=object if field == RATIONAL else complex), field)
+    zero = (rational_operator(sp, np.zeros((5, 5), dtype=object)) if field == RATIONAL
+            else Operator(sp, np.zeros((5, 5), dtype=complex), COMPLEX))
     for residual in (sub(op, op), scale(0, op), grading):
-        assert residual._bands and not any(band.any() for band in residual._bands.values())
+        assert residual._bands and not any(any(band) for band in residual._bands.values())
         written = _operator_text(residual)
         assert written == _operator_text(zero) and "-0.0" not in written
         assert residual.max_norm() == 0
@@ -436,7 +441,7 @@ def _complex_band_operands(draw):
         for d in sorted(offsets):
             size = dim - abs(d)
             band = np.array(draw(st.lists(_BAND_VALUES, min_size=size, max_size=size))) * axis
-            bands[d] = band
+            bands[d] = band.tolist()
             dense += np.diag(band, d)
         return Operator._banded(FockSpace(dim), COMPLEX, bands), dense
 

@@ -445,7 +445,7 @@ def test_step_generators_are_the_ladder_products(kind, k, field, dim, c1, c3, j2
     the k-fold ladder product and the weight diagonal give: the same bytes
     in the complex field, the same rationals in the exact one, and the
     same mask.  Where k >= dim there is no band at all.  The built bands
-    are read-only."""
+    are tuples, so read-only."""
     space, params = FockSpace(dim), AlgebraParams(c1, c3)
     r = build_realization(space, params, Fraction(j2, 2), kind, k, field)
     *want, mask = _step_reference(space, params, j2, kind, k, field)
@@ -456,10 +456,7 @@ def test_step_generators_are_the_ladder_products(kind, k, field, dim, c1, c3, j2
             assert got.entries.tobytes() == ref.entries.tobytes()
         else:
             assert got.entries.tolist() == ref.entries.tolist()
-        for band in got._bands.values():
-            if band.size:
-                with pytest.raises(ValueError):
-                    band[0] = band[0]
+        assert all(type(band) is tuple for band in got._bands.values())
     if k >= dim:
         assert r.jp._bands == r.jm._bands == {}
 

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from higgsalg import (
     AlgebraParams,
+    Operator,
+    Realization,
     bond_product,
     closed_form_k2,
     FockSpace,
@@ -25,6 +27,7 @@ from higgsalg import (
     unitarization_residual,
     z_boundaries,
 )
+from higgsalg.realizations import _realization_text
 from higgsalg.similarity import DiagonalTransform, _transform_text
 from reference import SU2_PARAMS, transform_json_dict
 
@@ -140,6 +143,40 @@ def test_conjugate_matches_entrywise_reference(dim, q0):
             for name in ("jp", "jm", "j3"):
                 want = _conjugate_entrywise(getattr(r, name), t)
                 assert getattr(carried, name).entries.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_conjugate_carries_band_by_band(monkeypatch, k, loaded):
+    """A banded realization is carried band by band: no N x N array is
+    formed, the carried generators stay banded, and every entry has the
+    bits of the dense formula s(i) * A / s(j), built and read back from its
+    file, in either field."""
+    sp = FockSpace(24)
+    for params, j2 in default_grid():
+        j = Fraction(j2, 2)
+        t = (s1_recurrence(sp, params, j, -2.5) if k == 1
+             else s2_matching(sp, params, j, q0_even=1.5, q0_odd=-0.5))
+        for field in ("rational", "complex"):
+            r = build_realization(sp, params, j, "dyson", k, field=field)
+            if loaded:
+                r = Realization.from_json_dict(json.loads(_realization_text(r)))
+            with monkeypatch.context() as patch:
+                patch.setattr(Operator, "entries", property(_refuse_dense))
+                carried = conjugate(r, t)
+            keep = np.array(t.mask)
+            s = np.where(keep, np.array(t.entries), 1.0)
+            for name in ("jp", "jm", "j3"):
+                src = getattr(r, name)._promote().entries
+                live = (src != 0) & keep[:, None] & keep[None, :]
+                want = np.where(live, s[:, None] * src / s[None, :], 0)
+                got = getattr(carried, name)
+                assert got._bands is not None
+                assert got.entries.tobytes() == want.tobytes()
+
+
+def _refuse_dense(op):
+    raise AssertionError("conjugate formed the dense matrix of a banded operator")
 
 
 @pytest.mark.parametrize("coup,j2", [((2, 0), 6), ((1, 1), 5), ((0, 2), 4)])

@@ -27,7 +27,7 @@ from higgsalg import (
     momentum,
     verify_realization,
 )
-from higgsalg.algebra import _casimir
+from higgsalg.algebra import _casimir, _casimir_coefficients
 from higgsalg.cli import main
 from higgsalg.fock import COMPLEX, _phase_kernel, _quadrature_basis, _quarter_turns
 from higgsalg.realizations import villain_boson
@@ -86,8 +86,9 @@ def _reference_residuals(r: Realization) -> dict[str, float]:
     c1, c3 = float(r.params.c1), float(r.params.c3)
     pm, mp, square = jp @ jm, jm @ jp, j3 @ j3
     powers = (j3, square, square @ j3, square @ square)
-    c_sym = _casimir(pm, mp, powers, r.params, float, symmetric=True)
-    c_prod = _casimir(pm, mp, powers, r.params, float, symmetric=False)
+    coefficients = _casimir_coefficients(r.params, float)
+    c_sym = _casimir(pm, mp, powers, coefficients, symmetric=True)
+    c_prod = _casimir(pm, mp, powers, coefficients, symmetric=False)
     lam = float(casimir_eigenvalue(r.params, r.j))
     residuals = {
         "ladder-closure-window": (pm - mp) - (c1 * j3 + c3 * powers[2]),
