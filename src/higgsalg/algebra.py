@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .fock import _to_float
 
@@ -247,10 +247,11 @@ def representation_table(params: AlgebraParams, j: RationalLike) -> Representati
 # -- the Casimir forms --------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
-def _casimir_coefficients(params: AlgebraParams, num: Callable) -> tuple:
-    """(2, c1, c1 + c3/2, c3, c3/2), each passed through ``num`` once."""
+def _casimir_coefficients(params: AlgebraParams) -> tuple:
+    """(2, c1, c1 + c3/2, c3, c3/2), each converted to a float once."""
     c1, c3 = params.c1, params.c3
-    return num(2), num(c1), num(c1 + Fraction(c3, 2)), num(c3), num(Fraction(c3, 2))
+    return tuple(_to_float(x, "a scale factor")
+                 for x in (2, c1, c1 + Fraction(c3, 2), c3, Fraction(c3, 2)))
 
 
 def _casimir(pm, mp, powers, coefficients: tuple, symmetric: bool):

@@ -30,6 +30,7 @@ from .fock import FockSpace, RATIONAL, _operator_text
 from .realizations import Realization, _realization_text, build_realization
 from .similarity import _transform_text, s1_closed_form, s1_recurrence, s2_matching
 from .verify import (
+    _TOLERANCE_COEFFICIENT,
     default_grid,
     exit_code,
     grid_from_json,
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     _point_args(p_verify, required=False)
     _build_args(p_verify)
     p_verify.add_argument("--input", default=None, help="verify a saved realization JSON instead of building")
-    p_verify.add_argument("--tolerance-coefficient", type=_tolerance, default=1e-12,
+    p_verify.add_argument("--tolerance-coefficient", type=_tolerance, default=_TOLERANCE_COEFFICIENT,
                           help="float tolerance is this times dim times scale")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.add_argument("-o", "--output", default=None)
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", default="default",
                          help="'default' or a JSON file of {c1, c3, j2} points")
     p_sweep.add_argument("--dim", type=_dimension, default=32)
-    p_sweep.add_argument("--tolerance-coefficient", type=_tolerance, default=1e-12)
+    p_sweep.add_argument("--tolerance-coefficient", type=_tolerance, default=_TOLERANCE_COEFFICIENT)
     p_sweep.add_argument("--format", choices=["text", "json"], default="text")
     p_sweep.add_argument("-o", "--output", default=None)
     p_sweep.set_defaults(func=_cmd_sweep)

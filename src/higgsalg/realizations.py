@@ -38,6 +38,7 @@ from .fock import (
     RATIONAL,
     FockSpace,
     Operator,
+    _dense_from_json_dict,
     _is_int,
     _operator_text,
     _parse_rational,
@@ -69,7 +70,8 @@ class Realization:
     True means the matrix element is present and the pairing is Hermitian
     there.  Dyson realizations have an all-true mask.  For the spectral
     (villain) kinds the Fock mask is uninformative and ``window`` is the
-    momentum interval on which identities are checked.
+    momentum interval on which identities are checked.  A step-kind
+    realization holds its generators as bands; a dense one raises ValueError.
     """
 
     kind: str
@@ -80,6 +82,11 @@ class Realization:
     jm: Operator
     j3: Operator
     admissible_mask: tuple[bool, ...]
+
+    def __post_init__(self) -> None:
+        if self.kind in STEP_KINDS and any(op._bands is None for op in (self.jp, self.jm, self.j3)):
+            raise ValueError(f"a step-kind ({self.kind}) realization holds bands, not dense"
+                             " operators")
 
     @property
     def space(self) -> FockSpace:
@@ -113,7 +120,8 @@ class Realization:
         spectral J+ that is not the one built at the file's point (up to
         ``_VILLAIN_JP_RTOL``), a mask other than the one a build derives at
         the file's point (``_admissible_mask``), or an operator entry that
-        is not a finite number of its field."""
+        is not a finite number of its field.  The kind picks the storage: a
+        spectral file's complex operators load dense, any other as bands."""
         if type(data) is not dict:
             raise ValueError(f"realization file must be an object, got {json.dumps(data)}")
         # a missing j2 is reported before the kind and step are judged
@@ -124,7 +132,8 @@ class Realization:
             raise ValueError(f"kind {json.dumps(kind)} needs a step k >= 1 (1 if spectral),"
                              f" got {json.dumps(k)}")
         params, j2 = _point(data)
-        ops = {name: Operator.from_json_dict(data[name]) for name in ("jp", "jm", "j3")}
+        load = _dense_from_json_dict if kind in VILLAIN_KINDS else Operator.from_json_dict
+        ops = {name: load(data[name]) for name in ("jp", "jm", "j3")}
         op_dims = [op.space.dim for op in ops.values()]
         if any(d != data["dim"] for d in op_dims):
             raise ValueError(f"operator dims {op_dims} do not all equal"

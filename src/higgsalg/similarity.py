@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .algebra import AlgebraParams, RationalLike, _frac, z_boundaries
-from .fock import COMPLEX, FockSpace, Operator, _band_start, _offsets, _to_float, pochhammer
-from .realizations import Realization, product_recurrence
+from .fock import COMPLEX, FockSpace, Operator, _band_start, _to_float, pochhammer
+from .realizations import STEP_KINDS, Realization, product_recurrence
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,11 @@ def conjugate(realization: Realization, transform: DiagonalTransform) -> Realiza
     N x N array formed.
 
     With the step-1 scaling this carries a one-sided realization onto its
-    square-root partner wherever the chain extends.
+    square-root partner wherever the chain extends.  A spectral
+    realization, which has no bands, raises ValueError.
     """
+    if realization.kind not in STEP_KINDS:
+        raise ValueError(f"conjugate carries a step-kind realization, not {realization.kind!r}")
     import numpy as np
     if transform.dim != realization.space.dim:
         raise ValueError("transform length does not match the truncation")
@@ -186,11 +189,8 @@ def conjugate(realization: Realization, transform: DiagonalTransform) -> Realiza
     s = np.where(keep, np.array(transform.entries, dtype=float), 1.0)
 
     def carry(op: Operator) -> Operator:
-        op = op._promote()
-        bands = op._bands if op._bands is not None else {
-            d: op._dense.diagonal(d) for d in _offsets(op._dense)}
         out = {}
-        for d, band in bands.items():
+        for d, band in op._promote()._bands.items():
             r, c = _band_start(d)
             rows, cols = slice(r, r + len(band)), slice(c, c + len(band))
             src = np.array(band, dtype=complex)

@@ -29,7 +29,6 @@ its band residual and the largest such entry in its region, and
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -45,7 +44,6 @@ from .fock import (
     Operator,
     _band_start,
     _momentum_entries,
-    _offsets,
     _peak,
     _quadrature_basis,
     _quarter_turns,
@@ -62,6 +60,8 @@ from .realizations import (
 )
 
 Residual = Union[float, Fraction, None]
+
+_TOLERANCE_COEFFICIENT = 1e-12
 
 
 def _residual_text(x: Residual) -> str:
@@ -301,17 +301,12 @@ def _top(values, den: int) -> Fraction:
 
 def _split(op: Operator, d: int) -> tuple:
     """A step generator's band at offset d, its N - |d| entries (zeros
-    where it has no band there), and the rest of it: every other offset
-    holding a nonzero entry, mapped to its diagonal.  A built generator is
-    its one band, so only a loaded file can leave a rest, and a complex one
-    that does loads dense."""
-    bands = op._bands
-    if bands is None:
-        bands = {e: op._dense.diagonal(e).tolist() for e in _offsets(op._dense)}
-    band = bands.get(d)
-    if band is None:
-        band = _zero_band(op.space.dim - abs(d), op.field)
-    return band, {e: b for e, b in bands.items() if e != d}
+    where it has no band there), and the rest of it: its other bands.  A
+    built generator is its one band, so only a loaded file can leave a
+    rest."""
+    rest = dict(op._bands)
+    band = rest.pop(d, None)
+    return (_zero_band(op.space.dim - abs(d), op.field) if band is None else band), rest
 
 
 class _Steps:
@@ -439,7 +434,7 @@ class _FloatSteps(_Steps):
         """J+J-, J-J+, the powers of J3, both Casimir forms and the closure
         per state of the block, and the sizes the float scales read."""
         k, p, m, t = self.k, self.p, self.m, self.t
-        coefficients = _casimir_coefficients(self.r.params, _num)
+        coefficients = _casimir_coefficients(self.r.params)
         rows = []
         for n in self.states:
             pm, mp, x = p[n] * m[n], m[n - k] * p[n - k] if n >= k else 0.0, t[n]
@@ -516,13 +511,10 @@ def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
         checks.append(CheckResult(name, value, tol, block, tol is None or value <= tol,
                                   block == 0, substantive, exact and not asymptotic, asymptotic))
 
-    # a float row reads the eigenvalue in its residual and in its scale;
-    # the Fraction arithmetic is done once
-    fraction_eigenvalue = functools.cache(lambda: casimir_eigenvalue(r.params, r.j))
-
-    def eigenvalue(name: str):
-        """The Casimir eigenvalue, as a float outside the exact field."""
-        lam = fraction_eigenvalue()
+    def eigenvalue(lam: Fraction, name: str):
+        """The Casimir eigenvalue ``lam``, as a float outside the exact
+        field; converted in the row that reads it, so its refusal names
+        that row."""
         return lam if exact else _to_float(lam, f"{name}: the Casimir eigenvalue")
 
     def pairing() -> None:
@@ -540,37 +532,42 @@ def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
 
     if r.kind in VILLAIN_KINDS:
         import numpy as np
-        # Every formula reads the r x r blocks of the named products J+J-,
-        # J-J+ and the powers of J3 on the momentum window, and J+ or J-
-        # times J3 on either side; a row is measured with ``max_entry``.
-        # A built J3 is the cached array itself; a loaded one round-trips exactly.
-        p = _momentum_entries(dim)
-        if j3.entries is not p and not np.array_equal(j3.entries, p):
-            raise ValueError(f"a {r.kind} realization needs J3 = P, the momentum quadrature;"
-                             " this J3 differs")
-        lo, hi = (_to_float(x, "the momentum window") for x in r.window)
-        w = _Window(r, lo, hi)
-        block, measure = w.rank, w.max_entry
-        if block:
-            # on an empty window every row is vacuous, and none of these is formed
-            coefficients = _casimir_coefficients(r.params, _num)
-            c_sym = _casimir(w.pm, w.mp, w.powers, coefficients, symmetric=True)
-            c_prod = _casimir(w.pm, w.mp, w.powers, coefficients, symmetric=False)
-            closure = (w.pm - w.mp) - (_num(c1) * w.powers[0] + _num(c3) * w.powers[2])
+        # judge catches overflow past the float range; numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Every formula reads the r x r blocks of the named products J+J-,
+            # J-J+ and the powers of J3 on the momentum window, and J+ or J-
+            # times J3 on either side; a row is measured with ``max_entry``.
+            # A built J3 is the cached array itself; a loaded one round-trips
+            # exactly.
+            p = _momentum_entries(dim)
+            if j3.entries is not p and not np.array_equal(j3.entries, p):
+                raise ValueError(f"a {r.kind} realization needs J3 = P, the momentum quadrature;"
+                                 " this J3 differs")
+            lo, hi = (_to_float(x, "the momentum window") for x in r.window)
+            w = _Window(r, lo, hi)
+            block, measure = w.rank, w.max_entry
+            if block:
+                # on an empty window every row is vacuous, and none of these is formed
+                coefficients = _casimir_coefficients(r.params)
+                lam = casimir_eigenvalue(r.params, r.j)
+                c_sym = _casimir(w.pm, w.mp, w.powers, coefficients, symmetric=True)
+                c_prod = _casimir(w.pm, w.mp, w.powers, coefficients, symmetric=False)
+                closure = (w.pm - w.mp) - (_num(c1) * w.powers[0] + _num(c3) * w.powers[2])
 
-        def grading(op, sign: int):
-            """[J3, op] - sign op, zero when op shifts J3 by sign."""
-            return (w.left(op) - w.right(op)) - _num(sign) * op
+            def grading(op, sign: int):
+                """[J3, op] - sign op, zero when op shifts J3 by sign."""
+                return (w.left(op) - w.right(op)) - _num(sign) * op
 
-        judge("ladder-closure-window", block, True, lambda: measure(closure), None)
-        judge("grading-raise-window", block, True, lambda: measure(grading(w.plus, 1)), None)
-        judge("grading-lower-window", block, True, lambda: measure(grading(w.minus, -1)), None)
-        judge("casimir-deviation-window", block, True,
-              lambda: measure(c_sym - eigenvalue("casimir-deviation-window") * np.eye(block)),
-              None)
-        judge("casimir-two-forms-window", block, True, lambda: measure(c_sym - c_prod), None)
-        pairing()
-        return checks
+            judge("ladder-closure-window", block, True, lambda: measure(closure), None)
+            judge("grading-raise-window", block, True,
+                  lambda: measure(grading(w.plus, 1)), None)
+            judge("grading-lower-window", block, True,
+                  lambda: measure(grading(w.minus, -1)), None)
+            judge("casimir-deviation-window", block, True, lambda: measure(
+                c_sym - eigenvalue(lam, "casimir-deviation-window") * np.eye(block)), None)
+            judge("casimir-two-forms-window", block, True, lambda: measure(c_sym - c_prod), None)
+            pairing()
+            return checks
 
     # The step rows read the three vectors of ``_Steps``: the block rows on
     # the interior block, the grading rows on the bands.
@@ -593,26 +590,23 @@ def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
     # keeps C_k = 2 J-J+ + P_k(J3) with another polynomial P_k, not formed
     # here, so only step-1 realizations carry these two checks
     if k == 1:
+        # the eigenvalue's Fraction is made once, and only on a non-empty block
+        lam = casimir_eigenvalue(r.params, r.j) if block else None
         judge("casimir-commutes", block, True, read(rows.commutes),
               lambda: rows.c_size * max(1.0, max(float(op.max_norm()) for op in (jp, jm, j3))))
         judge("casimir-scalar", block, True,
-              read(lambda: rows.deviation(eigenvalue("casimir-scalar"))),
-              lambda: max(rows.c_size, abs(eigenvalue("casimir-scalar"))))
+              read(lambda: rows.deviation(eigenvalue(lam, "casimir-scalar"))),
+              lambda: max(rows.c_size, abs(eigenvalue(lam, "casimir-scalar"))))
     return checks
 
 
-def verify_realization(r: Realization, tolerance_coefficient: float = 1e-12) -> VerificationReport:
+def verify_realization(r: Realization,
+                        tolerance_coefficient: float = _TOLERANCE_COEFFICIENT) -> VerificationReport:
     """Measure every identity ``r`` asserts.  A float check passes when its
     residual does not exceed tolerance_coefficient * dim * scale."""
     if r.kind not in STEP_KINDS + VILLAIN_KINDS:
         raise ValueError(f"unknown realization kind {r.kind!r}")
-    if all(op._bands is not None for op in (r.jp, r.jm, r.j3)):
-        checks = _checks(r, tolerance_coefficient)
-    else:
-        import numpy as np
-        # judge catches overflow past the float range; numpy need not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            checks = _checks(r, tolerance_coefficient)
+    checks = _checks(r, tolerance_coefficient)
     return VerificationReport(
         kind=r.kind,
         step_k=r.step_k,
@@ -746,7 +740,7 @@ def sweep(
     tokens: Sequence[str],
     grid: Sequence[tuple[AlgebraParams, int]],
     dim: int = 32,
-    tolerance_coefficient: float = 1e-12,
+    tolerance_coefficient: float = _TOLERANCE_COEFFICIENT,
 ) -> SweepReport:
     """Verify every requested realization at every grid point, in order:
     the report is the cross product grid x tokens.

@@ -32,7 +32,6 @@ from higgsalg.algebra import RationalLike, _frac
 from higgsalg.fock import (
     _as_fraction,
     _band_start,
-    _offsets,
     _quadrature_basis,
     _quarter_turns,
     _to_float,
@@ -73,7 +72,9 @@ def rational_operator(space: FockSpace, entries: np.ndarray) -> Operator:
     through ``fock._as_fraction``, which raises FieldError on any other."""
     for x in {type(x): x for x in entries.flat}.values():
         _as_fraction(x)
-    return Operator._exact(space, {d: list(entries.diagonal(d)) for d in _offsets(entries)})
+    n = len(entries)
+    offsets = [d for d in range(1 - n, n) if any(entries.diagonal(d))]
+    return Operator._exact(space, {d: list(entries.diagonal(d)) for d in offsets})
 
 
 # -- products of banded operators ------------------------------------------------
@@ -320,8 +321,6 @@ def block_max(op: Operator, inside: np.ndarray):
     where ``inside`` is true, read band by band; 0 when there are none.  A
     Fraction in the rational field, a float otherwise (NaN when an entry
     is NaN)."""
-    if op._bands is None:
-        return float(np.abs(op._dense[np.ix_(inside, inside)]).max(initial=0.0))
     worst = []
     for d, band in _arrays(op).items():
         r, c = _band_start(d)

@@ -516,9 +516,9 @@ _FULL_SUPPORT_POINT = ["--c1", "3", "--c3", "-1", "--j2", "4", "--dim", "40"]
 ], ids=["hp-1", "hp-2", "hp-3", "dyson-complex-1", "dyson-complex-2", "dyson-complex-3",
         "dyson-rational-1", "dyson-rational-2", "dyson-rational-3", "villain-1", "villain-2"])
 def test_verify_input_matches_direct_verify(tmp_path, capsys, kind, points):
-    """A saved realization loads banded when each operator is one diagonal
-    (hp and dyson in either field) and dense otherwise (villain); verifying
-    it prints what verifying the in-memory original prints, byte for byte."""
+    """A saved realization loads as its kind holds it: as bands for hp and
+    dyson in either field, dense for villain; verifying it prints what
+    verifying the in-memory original prints, byte for byte."""
     for i, point in enumerate(points):
         path = tmp_path / f"r{i}.json"
         assert main(["build", *point, *kind, "-o", str(path)]) == 0

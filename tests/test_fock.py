@@ -246,6 +246,45 @@ def test_serialization_rejects_bad_payload():
             )
 
 
+@pytest.mark.parametrize("payload", [
+    pytest.param({"dim": 2, "field": "complex", "entries": [[1.0, 0.0]] * 3}, id="count"),
+    pytest.param({"dim": 1, "field": "complex", "entries": [[1.0, 0.0]]}, id="dim"),
+    pytest.param({"dim": 2, "field": "octonion", "entries": [[1.0, 0.0]] * 4}, id="field"),
+    pytest.param({"dim": 2, "field": "complex", "entries": [[1.0, 0.0], [True, 0.0]] * 2},
+                 id="boolean-part"),
+    pytest.param({"dim": 2, "field": "complex", "entries": [[0.0, 0.0], [math.nan, 0.0]] * 2},
+                 id="nan-part"),
+    pytest.param({"dim": 2, "field": "complex", "entries": [[0.0, 10 ** 400]] * 4},
+                 id="int-past-floats"),
+    pytest.param({"dim": 2, "field": "complex", "entries": "x"}, id="entries-not-a-list"),
+    pytest.param({"dim": 2, "field": "rational", "entries": ["1", "1/0", "0", "0"]},
+                 id="rational-zero-denominator"),
+    pytest.param({"field": "complex", "entries": []}, id="missing-dim"),
+    pytest.param([1], id="not-an-object"),
+])
+def test_the_dense_loader_refuses_as_the_band_loader(payload):
+    """A villain file's operators go through ``_dense_from_json_dict``; a
+    malformed one is refused with the error ``from_json_dict`` raises."""
+    errors = []
+    for load in (Operator.from_json_dict, fock._dense_from_json_dict):
+        with pytest.raises((ValueError, KeyError)) as info:
+            load(payload)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+
+
+def test_the_dense_loader_holds_the_band_loaders_matrix():
+    """A complex payload loads dense, a rational one as its bands, and
+    either holds the matrix ``from_json_dict`` reads."""
+    entries = [[0.0, 0.0], [1.5, -2.0], [0.0, 0.0], [-0.5, 0.0]] * 2 + [[0.0, 0.0]] * 8
+    for payload in ({"dim": 4, "field": "complex", "entries": entries},
+                    {"dim": 2, "field": "rational", "entries": ["0", "1/3", "-2", "0"]}):
+        banded, dense = Operator.from_json_dict(payload), fock._dense_from_json_dict(payload)
+        assert banded._bands is not None
+        assert (dense._bands is None) == (payload["field"] == COMPLEX)
+        assert dense.entries.tolist() == banded.entries.tolist()
+
+
 # -- band products and views against dense Fraction matrices ------------------
 
 _SMALL_FRACTIONS = st.builds(

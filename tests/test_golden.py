@@ -9,9 +9,11 @@ value goes in with the change that explains it.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
+from higgsalg import Realization, interior_check_states
 from higgsalg.cli import main
 
 _POINT = ["--c1", "1", "--c3", "1", "--j2", "5", "--dim", "12"]
@@ -171,3 +173,42 @@ def test_one_parser_serves_every_call(capsys):
             main(["sweep", "--kinds", "hp:9,bogus"])
         assert exc.value.code == 64
         assert capsys.readouterr().out == ""
+
+
+# Two step files, each with one J+ entry off its band, at (n, n + k + 1) for
+# the first interior state n, so that J+ holds two diagonals; the rows that
+# read J+ on the interior block measure the entry and FAIL.  The digests were taken when
+# such a J+ loaded as a dense matrix, and hold now that it loads as bands.
+_TAMPERED_KINDS = {
+    "hp-1": ["--kind", "hp:1"],
+    "dyson-complex-2": ["--kind", "dyson:2", "--field", "complex"],
+}
+
+TAMPERED = [
+    pytest.param("hp-1", "text",
+                 "a48994294af054ffde5cf9012a42f6daea4309a27d2773f732f4202090ca6bd6",
+                 1, id="verify-input-tampered-hp-1"),
+    pytest.param("hp-1", "json",
+                 "6fcf1647b81f778d205163bd958d587cdbb5ea5482dce3ae45748df271bb0eed",
+                 1, id="verify-input-tampered-hp-1-json"),
+    pytest.param("dyson-complex-2", "text",
+                 "a0d6e6dfb94486fbf3e785bca40e60ff2b75229347620b10bedf2256a84db9e6",
+                 1, id="verify-input-tampered-dyson-complex-2"),
+    pytest.param("dyson-complex-2", "json",
+                 "9bb0eb9cddfac6373ff949bb1419d126487b591a8e6ed2034e1cf242d6070558",
+                 1, id="verify-input-tampered-dyson-complex-2-json"),
+]
+
+
+@pytest.mark.parametrize("kind,fmt,digest,code", TAMPERED)
+def test_tampered_file_digest(tmp_path, capsys, kind, fmt, digest, code):
+    path = tmp_path / "r.json"
+    assert main(["build", *_POINT, *_TAMPERED_KINDS[kind], "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    n, k, dim = interior_check_states(Realization.from_json_dict(doc))[0], doc["k"], doc["dim"]
+    doc["jp"]["entries"][n * dim + n + k + 1] = [1.0, 0.0]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path), "--format", fmt]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -62,16 +62,20 @@ def _fresh_run(argv, cwd) -> tuple[bool, int]:
     ["verify", *_POINT, "--kind", "dyson:3"],
     ["build", *_POINT, "--kind", "dyson:2", "-o", "built.json"],
     ["verify", "--input", "rational.json"],
+    ["verify", "--input", "hp.json"],
+    ["verify", "--input", "complex.json"],
     ["sweep"],
     ["table", *_POINT],
     ["export", "operator", *_POINT, "--kind", "hp:2", "--which", "jp"],
     ["export", "transform", *_POINT],
 ], ids=["verify-hp1", "verify-hp3", "verify-dyson1-rational", "verify-dyson1-complex",
-        "verify-dyson3", "build", "verify-rational-file", "sweep", "table", "export-operator",
-        "export-transform"])
+        "verify-dyson3", "build", "verify-rational-file", "verify-hp-file",
+        "verify-complex-dyson-file", "sweep", "table", "export-operator", "export-transform"])
 def test_the_step_paths_import_no_numpy(tmp_path, argv):
-    assert main(["build", *_POINT, "--kind", "dyson:1", "--dim", "12",
-                 "-o", str(tmp_path / "rational.json")]) == 0
+    for name, kind in (("rational", ["dyson:1"]), ("hp", ["hp:1"]),
+                       ("complex", ["dyson:1", "--field", "complex"])):
+        assert main(["build", *_POINT, "--kind", *kind, "--dim", "12",
+                     "-o", str(tmp_path / f"{name}.json")]) == 0
     loaded, code = _fresh_run(argv, tmp_path)
     assert code == 0
     assert not loaded

@@ -114,6 +114,13 @@ def test_conjugation_dimension_guard():
         conjugate(build_realization(FockSpace(10), SU2_PARAMS, 2, "dyson", 1), t)
 
 
+def test_conjugation_refuses_a_spectral_realization():
+    sp = FockSpace(12)
+    t = s1_recurrence(sp, SU2_PARAMS, 2)
+    with pytest.raises(ValueError, match="step-kind"):
+        conjugate(build_realization(sp, AlgebraParams.of(1, 1), 2, "villain", 1), t)
+
+
 def _conjugate_entrywise(op, transform) -> np.ndarray:
     """Reference for ``conjugate``: s(i) A[i, l] / s(l) one entry at a
     time, keeping only nonzero entries whose two ends are in the domain."""

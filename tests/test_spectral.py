@@ -86,7 +86,7 @@ def _reference_residuals(r: Realization) -> dict[str, float]:
     c1, c3 = float(r.params.c1), float(r.params.c3)
     pm, mp, square = jp @ jm, jm @ jp, j3 @ j3
     powers = (j3, square, square @ j3, square @ square)
-    coefficients = _casimir_coefficients(r.params, float)
+    coefficients = _casimir_coefficients(r.params)
     c_sym = _casimir(pm, mp, powers, coefficients, symmetric=True)
     c_prod = _casimir(pm, mp, powers, coefficients, symmetric=False)
     lam = float(casimir_eigenvalue(r.params, r.j))

@@ -73,15 +73,16 @@ def test_unbounded_chain_reports_vacuous():
 
 def test_tampered_matrix_element_fails():
     base = build_realization(FockSpace(8), SU2_PARAMS, 2, "hp", 1)
-    entries = base.jm.entries.copy()
-    entries[1, 0] += 0.5
+    # entry (1, 0) is the first of J-'s band at offset -1
+    band = list(base.jm.diagonal(-1))
+    band[0] += 0.5
     broken = Realization(
         kind=base.kind,
         step_k=base.step_k,
         j2=base.j2,
         params=base.params,
         jp=base.jp,
-        jm=Operator(base.space, entries, field=base.field),
+        jm=Operator._banded(base.space, base.field, {-1: band}),
         j3=base.j3,
         admissible_mask=base.admissible_mask,
     )
@@ -90,6 +91,14 @@ def test_tampered_matrix_element_fails():
     assert exit_code(report) == 1
     failed = [c.name for c in report.checks if not c.passed]
     assert "ladder-closure" in failed
+
+
+@pytest.mark.parametrize("kind", ["hp", "dyson"])
+def test_a_step_realization_refuses_a_dense_operator(kind):
+    base = build_realization(FockSpace(8), SU2_PARAMS, 2, kind, 1, field="complex")
+    dense = Operator(base.space, base.jm.entries.copy())
+    with pytest.raises(ValueError, match="bands, not dense"):
+        dataclasses.replace(base, jm=dense)
 
 
 def test_interior_states_respect_mask_and_edge():
