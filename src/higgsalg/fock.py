@@ -16,11 +16,11 @@ states |0> .. |N-1>.  Two scalar fields are supported:
   ``diagonal``, the norms and the file formats).
 
 Operators are immutable values with no arithmetic: the verifier reads
-their bands or dense blocks directly.  The kind picks the storage.  A
-step-kind (hp, dyson) operator keeps only its nonzero diagonals, in either
-field, as tuples of Python numbers, built or read from a file, so the step
-kinds run without numpy; a spectral (villain) operator and the momentum
-quadrature are dense complex numpy arrays (see ``Operator``).
+their bands or dense blocks directly.  The kind picks the type.  A
+step-kind (hp, dyson) operator is a ``BandedOperator``, its nonzero
+diagonals in either field as tuples of Python numbers, built or read from
+a file, so the step kinds run without numpy; a spectral (villain) operator
+and the momentum quadrature are ``DenseOperator``s, complex numpy arrays.
 """
 
 from __future__ import annotations
@@ -144,56 +144,61 @@ def _parse_rational(x) -> Fraction:
 
 
 class Operator:
-    """A matrix on a FockSpace, tagged with its scalar field.
-
-    Storage is banded or dense.  ``annihilation`` and the step-kind
-    generators keep only their diagonals: each is a single band, a shift
-    times a diagonal.  Rational operators are always banded (``_exact``).
-    Their bands hold int numerators over one positive int denominator for
-    the whole operator, the lcm of the entries' denominators.  The
-    constructor takes a dense complex numpy array and keeps it dense, as
-    ``momentum`` and the spectral generators are, loaded or built.
+    """A matrix on a FockSpace, tagged with its scalar field; the base of
+    ``BandedOperator`` and ``DenseOperator``.
 
     Operators are immutable, so ``max_norm`` is computed once, and
     ``adjoint`` remembers its result, which remembers its source in turn,
     for as long as both live: the adjoint of an adjoint is the operator
-    itself, not an equal copy.
-
-    ``entries`` is a read-only dense numpy array in either storage:
-    complex128, or object dtype of Fractions, built on first use as zeros
-    plus the bands; ``diagonal`` of a rational operator holds Fractions
-    too.  JSON spells every zero part of a complex entry ``0.0``, so an
-    operator file depends only on the matrix, not on its storage.
+    itself, not an equal copy.  ``entries`` is a read-only dense numpy
+    array in either type.  JSON spells every zero part of a complex entry
+    ``0.0``, so an operator file depends only on the matrix, not its type.
     """
 
-    __slots__ = ("space", "field", "_bands", "_den", "_dense", "_norm", "_adjoint",
-                 "__weakref__")
+    __slots__ = ("space", "field", "_norm", "_adjoint", "__weakref__")
 
-    def __init__(self, space: FockSpace, entries, field: str = COMPLEX):
-        if field != COMPLEX:
-            raise FieldError(f"a dense operator is complex, not {field!r}")
-        if entries.shape != (space.dim, space.dim):
-            raise ValueError(f"entries shape {entries.shape} does not match dim {space.dim}")
-        self.space, self.field, self._den, self._bands = space, COMPLEX, 1, None
-        self._norm = self._adjoint = None
-        self._dense = _freeze(entries)
+    def adjoint(self) -> "Operator":
+        """Conjugate transpose.  The result is remembered, and remembers
+        this operator as its own adjoint, through weak references: neither
+        keeps the other alive."""
+        out = None if self._adjoint is None else self._adjoint()
+        if out is None:
+            out = self._transpose()
+            self._adjoint, out._adjoint = weakref.ref(out), weakref.ref(self)
+        return out
+
+    def max_norm(self):
+        """Entrywise max-magnitude norm.  Exact (a Fraction) for the
+        rational field, a float otherwise (NaN when an entry is NaN);
+        computed on the first call."""
+        if self._norm is None:
+            self._norm = self._max_abs()
+        return self._norm
+
+    def __repr__(self) -> str:
+        return f"Operator(dim={self.space.dim}, field={self.field})"
+
+
+class BandedOperator(Operator):
+    """An operator kept as its nonzero diagonals, in either field (the
+    banded storage above): ``annihilation`` and the step-kind generators,
+    each a single band, a shift times a diagonal.  A rational one holds int
+    numerators over one positive int denominator ``den``, the lcm of its
+    entries' denominators.  ``entries`` is built on first use as zeros plus
+    the bands, complex128 or object dtype of Fractions; ``diagonal`` of a
+    rational operator holds Fractions too."""
+
+    __slots__ = ("_bands", "_den", "_dense")
+
+    def __init__(self, space: FockSpace, field: str, bands: dict, den: int = 1):
+        self.space, self.field, self._den = space, field, den
+        self._bands = {d: tuple(band) for d, band in bands.items()}
+        self._dense = self._norm = self._adjoint = None
 
     @staticmethod
-    def _banded(space: FockSpace, field: str, bands: dict, den: int = 1) -> "Operator":
-        """Operator straight from its bands, sequences of Python numbers
-        (rational ones int numerators over ``den``), kept as tuples."""
-        op = object.__new__(Operator)
-        op.space = space
-        op.field = field
-        op._bands = {d: tuple(band) for d, band in bands.items()}
-        op._den = den
-        op._dense = op._norm = op._adjoint = None
-        return op
-
-    @staticmethod
-    def _exact(space: FockSpace, bands: dict) -> "Operator":
+    def _exact(space: FockSpace, bands: dict) -> "BandedOperator":
         """Rational operator from bands of rational values."""
-        return Operator._banded(space, RATIONAL, *_over_lcm(bands))
+        return BandedOperator(space, RATIONAL, *_over_lcm(bands))
 
     def _values(self, band: tuple) -> tuple:
         """A band's entries as values of the field: Fractions in the
@@ -216,81 +221,47 @@ class Operator:
             self._dense = _freeze(base)
         return self._dense
 
-    # -- construction helpers -------------------------------------------------
-
-    def _promote(self) -> "Operator":
+    def _promote(self) -> "BandedOperator":
         """Return the complex-field version of an exact operator.  Each
         entry is the int quotient numerator / denominator, correctly
         rounded, as ``complex(Fraction)`` is; a numerator past 2**53 is
         never rounded to a float on its own."""
         if self.field == COMPLEX:
             return self
-        return Operator._banded(self.space, COMPLEX,
-                                {d: [x / self._den for x in band]
-                                 for d, band in self._bands.items()})
+        return BandedOperator(self.space, COMPLEX,
+                              {d: [x / self._den for x in band] for d, band in self._bands.items()})
 
-    def adjoint(self) -> "Operator":
-        """Conjugate transpose: offset d becomes -d.  In the exact field
-        entries are real rationals, so this is the plain transpose.  The
-        result is remembered, and remembers this operator as its own
-        adjoint, through weak references: neither keeps the other alive."""
-        out = None if self._adjoint is None else self._adjoint()
-        if out is None:
-            if self._bands is None:
-                out = Operator(self.space, self._dense.conj().T, COMPLEX)
-            else:  # a band of floats or ints is its own conjugate
-                out = Operator._banded(self.space, self.field, {
-                    -d: [x.conjugate() for x in band] if band and type(band[0]) is complex
-                    else band
-                    for d, band in self._bands.items()}, self._den)
-            self._adjoint, out._adjoint = weakref.ref(out), weakref.ref(self)
-        return out
+    def _transpose(self) -> "BandedOperator":
+        # offset d becomes -d; a band of floats or ints is its own conjugate
+        return BandedOperator(self.space, self.field, {
+            -d: [x.conjugate() for x in band] if band and type(band[0]) is complex else band
+            for d, band in self._bands.items()}, self._den)
 
-    # -- inspection -----------------------------------------------------------
-
-    def max_norm(self):
-        """Entrywise max-magnitude norm.  Exact (a Fraction) for the
-        rational field, whose band magnitudes are numerators, a float
-        otherwise (NaN when an entry is NaN); computed on the first call."""
-        if self._norm is None:
-            if self._bands is None:
-                self._norm = float(abs(self._dense).max())
-            elif self.field == RATIONAL:
-                self._norm = Fraction(max((max(map(abs, band)) for band in self._bands.values()),
-                                          default=0), self._den)
-            else:
-                self._norm = _peak(tuple(itertools.chain.from_iterable(self._bands.values())))
-        return self._norm
+    def _max_abs(self):
+        if self.field == RATIONAL:
+            return Fraction(max((max(map(abs, band)) for band in self._bands.values()),
+                                default=0), self._den)
+        return _peak(tuple(itertools.chain.from_iterable(self._bands.values())))
 
     def diagonal(self, d: int = 0) -> Sequence:
         """The N - |d| entries (i, i + d) of diagonal offset d, in order of
         increasing row; d = 0 is the main diagonal."""
-        if self._bands is None:
-            return self._dense.diagonal(d)
         band = self._bands.get(d)
         return self._values(_zero_band(self.space.dim - abs(d), self.field)
                             if band is None else band)
 
-    def __repr__(self) -> str:
-        return f"Operator(dim={self.space.dim}, field={self.field})"
-
-    def _gap(self, other: "Operator"):
-        """max |self - other| entrywise over two operators on one space: a
-        Fraction when both are rational, a float otherwise (NaN when an
-        entry is NaN).  Band by band when both are banded, so no N x N
-        array is formed, and on the dense matrices otherwise."""
-        if self._bands is None or other._bands is None:
-            return float(abs(self.entries - other.entries).max())
+    def _gap(self, other: "BandedOperator"):
+        """max |self - other| entrywise over two operators on one space,
+        band by band, so no N x N array is formed: a Fraction when both
+        are rational, a float otherwise (NaN when an entry is NaN)."""
         gaps = [x - y for d in {**self._bands, **other._bands}
                 for x, y in zip(self.diagonal(d), other.diagonal(d))]
         if self.field == other.field == RATIONAL:
             return max(map(abs, gaps), default=_ZERO)
         return _peak(gaps)
 
-    # -- serialization --------------------------------------------------------
-
     @staticmethod
-    def from_json_dict(data: dict) -> "Operator":
+    def from_json_dict(data: dict) -> "BandedOperator":
         """An operator read back from the object ``_operator_text`` writes,
         as its nonzero diagonals in either field, in one pure-Python pass.
         Raises ValueError on a malformed payload: one that is not an
@@ -323,15 +294,76 @@ class Operator:
         except OverflowError:  # complex() of an int part past the float range
             raise ValueError("operator entries must be finite") from None
         if field == RATIONAL:
-            return Operator._exact(space, bands)
+            return BandedOperator._exact(space, bands)
         if not all(map(cmath.isfinite, itertools.chain.from_iterable(bands.values()))):
             raise ValueError("operator entries must be finite")
-        return Operator._banded(space, COMPLEX, bands)
+        return BandedOperator(space, COMPLEX, bands)
+
+    def _nonzero_entries(self):
+        """(flat row-major index, Python number) of each nonzero entry,
+        band by band."""
+        n = self.space.dim
+        for d, band in self._bands.items():
+            r, c = _band_start(d)
+            yield from ((r * n + c + i * (n + 1), x) for i, x in enumerate(band) if x)
+
+
+class DenseOperator(Operator):
+    """An operator kept as a dense complex numpy array, read-only: the
+    spectral (villain) generators and ``momentum``, built or loaded.  Its
+    field is always complex."""
+
+    __slots__ = ("_dense",)
+
+    def __init__(self, space: FockSpace, entries):
+        if entries.shape != (space.dim, space.dim):
+            raise ValueError(f"entries shape {entries.shape} does not match dim {space.dim}")
+        self.space, self.field = space, COMPLEX
+        self._norm = self._adjoint = None
+        self._dense = _freeze(entries)
+
+    @property
+    def entries(self):
+        return self._dense
+
+    def _transpose(self) -> "DenseOperator":
+        return DenseOperator(self.space, self._dense.conj().T)
+
+    def _max_abs(self) -> float:
+        return float(abs(self._dense).max())
+
+    def _gap(self, other: "DenseOperator") -> float:
+        return float(abs(self._dense - other._dense).max())
+
+    @staticmethod
+    def from_json_dict(data) -> "DenseOperator":
+        """An operator of a spectral (villain) file, by one numpy parse of
+        its parts: 22 ms for a dim-256 villain J+, against 100 ms for the
+        pure-Python pass of ``BandedOperator.from_json_dict`` (2-vCPU
+        machine, Python 3.11.7, numpy 2.4.6).  Both make the same checks
+        and refusals (``_payload``); this one also refuses a rational
+        operator, since a dense one is complex."""
+        space, field, values = _payload(data)
+        if field != COMPLEX:
+            raise ValueError(f"a dense (spectral) operator is complex, not {json.dumps(field)}")
+        import numpy as np
+        try:
+            values = np.array(values, dtype=float)
+        except OverflowError:
+            raise ValueError("operator entries must be finite") from None
+        if not np.isfinite(values).all():
+            raise ValueError("operator entries must be finite")
+        return DenseOperator(space, values.view(complex).reshape(space.dim, space.dim))
+
+    def _nonzero_entries(self):
+        """(flat row-major index, Python number) of each nonzero entry, in
+        row-major order."""
+        return ((i, x) for i, x in enumerate(self._dense.ravel().tolist()) if x)
 
 
 def _payload(data) -> tuple[FockSpace, str, list]:
     """An operator object's space, field and values, checked as
-    ``Operator.from_json_dict`` states: the N^2 entries of a rational
+    ``BandedOperator.from_json_dict`` states: the N^2 entries of a rational
     operator, the 2 N^2 parts (re, im) of a complex one.  The JSON types
     are checked over the set of types present; bool is a type of its own."""
     if type(data) is not dict:
@@ -357,25 +389,6 @@ def _payload(data) -> tuple[FockSpace, str, list]:
     raise ValueError(f"unknown field {json.dumps(field)}")
 
 
-def _dense_from_json_dict(data) -> Operator:
-    """An operator of a spectral (villain) file.  A complex one loads dense,
-    by one numpy parse of its parts: 22 ms for a dim-256 villain J+, against
-    100 ms for the pure-Python pass of ``Operator.from_json_dict`` (2-vCPU
-    machine, Python 3.11.7, numpy 2.4.6), which reads a rational one.  Both
-    make the same checks and refusals (``_payload``)."""
-    space, field, values = _payload(data)
-    if field == RATIONAL:
-        return Operator.from_json_dict(data)
-    import numpy as np
-    try:
-        values = np.array(values, dtype=float)
-    except OverflowError:
-        raise ValueError("operator entries must be finite") from None
-    if not np.isfinite(values).all():
-        raise ValueError("operator entries must be finite")
-    return Operator(space, values.view(complex).reshape(space.dim, space.dim), COMPLEX)
-
-
 # -- the file writer ----------------------------------------------------------
 #
 # json.dumps(..., indent=2) runs CPython's pure-Python encoder, since the C
@@ -388,30 +401,18 @@ def _dense_from_json_dict(data) -> Operator:
 # that text and only the nonzero entries are formatted.
 
 
-def _nonzero_entries(op: Operator):
-    """(flat row-major index, Python number) of each nonzero entry, band
-    by band, or in row-major order for a dense operator."""
-    n = op.space.dim
-    if op._bands is None:
-        yield from ((i, x) for i, x in enumerate(op._dense.ravel().tolist()) if x)
-        return
-    for d, band in op._bands.items():
-        r, c = _band_start(d)
-        yield from ((r * n + c + i * (n + 1), x) for i, x in enumerate(band) if x)
-
-
 def _entry_items(op: Operator, pad: str) -> list[str]:
     """The N*N items of the ``entries`` list, each indented by ``pad``.
     A non-finite complex entry raises ValueError; nothing writes NaN."""
     n2 = op.space.dim ** 2
     if op.field == RATIONAL:
         items = [f'{pad}"0"'] * n2
-        for i, x in _nonzero_entries(op):
+        for i, x in op._nonzero_entries():
             items[i] = f'{pad}"{Fraction(x, op._den)}"'
         return items
     inner = pad + "  "
     items = [f"{pad}[\n{inner}0.0,\n{inner}0.0\n{pad}]"] * n2
-    for i, x in _nonzero_entries(op):
+    for i, x in op._nonzero_entries():
         if not cmath.isfinite(x):
             raise ValueError("an operator entry is not finite")
         items[i] = f"{pad}[\n{inner}{x.real + 0.0!r},\n{inner}{x.imag + 0.0!r}\n{pad}]"
@@ -431,7 +432,7 @@ def _operator_text(op: Operator, level: int = 0) -> str:
 
 # -- ladder operators ---------------------------------------------------------
 
-def annihilation(space: FockSpace, field: str = COMPLEX) -> Operator:
+def annihilation(space: FockSpace, field: str = COMPLEX) -> BandedOperator:
     """Lowering matrix a.
 
     Normalized basis (complex field): entry (n-1, n) = sqrt(n).
@@ -439,7 +440,7 @@ def annihilation(space: FockSpace, field: str = COMPLEX) -> Operator:
     """
     n = space.dim
     band = range(1, n) if field == RATIONAL else [math.sqrt(m) for m in range(1, n)]
-    return Operator._banded(space, field, {1: band})
+    return BandedOperator(space, field, {1: band})
 
 
 def pochhammer(q: float, n: int) -> float:
@@ -458,9 +459,9 @@ def pochhammer(q: float, n: int) -> float:
 _SQRT2 = math.sqrt(2.0)
 
 
-def momentum(space: FockSpace) -> Operator:
+def momentum(space: FockSpace) -> DenseOperator:
     """P = -i (a - a+)/sqrt(2); Hermitian, complex field only, stored dense."""
-    return Operator(space, _momentum_entries(space.dim), COMPLEX)
+    return DenseOperator(space, _momentum_entries(space.dim))
 
 
 @functools.lru_cache(maxsize=8)

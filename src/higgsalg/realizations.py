@@ -36,9 +36,10 @@ from .algebra import AlgebraParams, RationalLike, bond_product, _doubled_spin, _
 from .fock import (
     COMPLEX,
     RATIONAL,
+    BandedOperator,
+    DenseOperator,
     FockSpace,
     Operator,
-    _dense_from_json_dict,
     _is_int,
     _operator_text,
     _parse_rational,
@@ -71,7 +72,7 @@ class Realization:
     there.  Dyson realizations have an all-true mask.  For the spectral
     (villain) kinds the Fock mask is uninformative and ``window`` is the
     momentum interval on which identities are checked.  A step-kind
-    realization holds its generators as bands; a dense one raises ValueError.
+    realization holds ``BandedOperator`` generators; any other raises ValueError.
     """
 
     kind: str
@@ -84,7 +85,8 @@ class Realization:
     admissible_mask: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        if self.kind in STEP_KINDS and any(op._bands is None for op in (self.jp, self.jm, self.j3)):
+        if self.kind in STEP_KINDS and not all(isinstance(op, BandedOperator)
+                                               for op in (self.jp, self.jm, self.j3)):
             raise ValueError(f"a step-kind ({self.kind}) realization holds bands, not dense"
                              " operators")
 
@@ -119,9 +121,9 @@ class Realization:
         window other than [-j, j], a spectral point that does not build, a
         spectral J+ that is not the one built at the file's point (up to
         ``_VILLAIN_JP_RTOL``), a mask other than the one a build derives at
-        the file's point (``_admissible_mask``), or an operator entry that
-        is not a finite number of its field.  The kind picks the storage: a
-        spectral file's complex operators load dense, any other as bands."""
+        the file's point (``_admissible_mask``), an operator entry that is
+        not a finite number of its field, or a rational spectral operator.
+        The kind picks the type: spectral operators load dense, step ones as bands."""
         if type(data) is not dict:
             raise ValueError(f"realization file must be an object, got {json.dumps(data)}")
         # a missing j2 is reported before the kind and step are judged
@@ -132,7 +134,7 @@ class Realization:
             raise ValueError(f"kind {json.dumps(kind)} needs a step k >= 1 (1 if spectral),"
                              f" got {json.dumps(k)}")
         params, j2 = _point(data)
-        load = _dense_from_json_dict if kind in VILLAIN_KINDS else Operator.from_json_dict
+        load = (DenseOperator if kind in VILLAIN_KINDS else BandedOperator).from_json_dict
         ops = {name: load(data[name]) for name in ("jp", "jm", "j3")}
         op_dims = [op.space.dim for op in ops.values()]
         if any(d != data["dim"] for d in op_dims):
@@ -317,11 +319,10 @@ def closed_form_k2(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
 # A complex band holds floats: a product of real complex128 numbers has the
 # bits of the float product, so each entry is the one the ladder matrices give.
 
-def _step_operator(space: FockSpace, field: str, d: int, values, den: int = 1) -> Operator:
+def _step_operator(space: FockSpace, field: str, d: int, values, den: int = 1) -> BandedOperator:
     """The operator whose one band, at offset d, holds ``values`` (rational
     ones as int numerators over ``den``); no band when |d| >= dim."""
-    bands = {d: values} if abs(d) < space.dim else {}
-    return Operator._banded(space, field, bands, den)
+    return BandedOperator(space, field, {d: values} if abs(d) < space.dim else {}, den)
 
 
 @functools.lru_cache(maxsize=64)
@@ -433,7 +434,6 @@ def villain_boson(
     params: AlgebraParams,
     j: RationalLike,
     form: int = 1,
-    g_override: Optional[float] = None,
 ) -> Realization:
     """Phase-operator realization J+ = e^{iX} w(P), J3 = P.
 
@@ -445,9 +445,8 @@ def villain_boson(
     positive radicand enters: J+ is one real (2N x |S|)(|S| x N) product,
     N^2 |S| work.  A NaN radicand counts as support and yields a
     non-finite J+, which ``build_realization`` refuses.  The form picks the
-    kind label and the refusal (form 1: no real g_constant; form 2: c3 <= 0);
-    ``g_override`` adds g^2 - g_constant(form=1)^2 to the radicand.  J- is
-    exactly J+-dagger.  Identities hold only on the window |p| <= j, up to
+    kind label and the refusal (form 1: no real g_constant; form 2: c3 <= 0).
+    J- is exactly J+-dagger.  Identities hold only on the window |p| <= j, up to
     truncation error; the verifier measures residuals there.
     """
     import numpy as np
@@ -456,13 +455,11 @@ def villain_boson(
     jf, j2 = _require_j2(j)
     if form == 2 and params.c3 <= 0:
         raise ValueError("the second radicand form needs c3 > 0")
-    if form == 1 and g_override is None:
+    if form == 1:
         g_constant(params, jf, 1)  # refuses a point with no real g
     dim = space.dim
     lam, u = _quadrature_basis(dim)
     rad = _villain_radicand(params, jf, lam)
-    if g_override is not None:
-        rad += g_override ** 2 - g_constant(params, jf, 1) ** 2
     if not _in_window(lam, -float(jf), float(jf)).any():
         raise ValueError("no momentum eigenvalue falls in the window [-j, j]")
     live = ~(rad <= 0)  # not rad > 0, which would drop a NaN radicand
@@ -470,7 +467,7 @@ def villain_boson(
     entries = np.empty((dim, dim), dtype=complex)
     entries.real, entries.imag = stack[:dim], stack[dim:]
     entries *= _quarter_turns(dim).conj()
-    jp = Operator(space, entries, COMPLEX)
+    jp = DenseOperator(space, entries)
     return Realization(
         kind=VILLAIN_KINDS[form - 1],
         step_k=1,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .algebra import AlgebraParams, RationalLike, _frac, z_boundaries
-from .fock import COMPLEX, FockSpace, Operator, _band_start, _to_float, pochhammer
+from .fock import COMPLEX, BandedOperator, FockSpace, _band_start, _to_float, pochhammer
 from .realizations import STEP_KINDS, Realization, product_recurrence
 
 
@@ -188,7 +188,7 @@ def conjugate(realization: Realization, transform: DiagonalTransform) -> Realiza
     # 1.0 off the domain keeps the division finite on entries dropped anyway
     s = np.where(keep, np.array(transform.entries, dtype=float), 1.0)
 
-    def carry(op: Operator) -> Operator:
+    def carry(op: BandedOperator) -> BandedOperator:
         out = {}
         for d, band in op._promote()._bands.items():
             r, c = _band_start(d)
@@ -196,7 +196,7 @@ def conjugate(realization: Realization, transform: DiagonalTransform) -> Realiza
             src = np.array(band, dtype=complex)
             live = (src != 0) & keep[rows] & keep[cols]
             out[d] = np.where(live, s[rows] * src / s[cols], 0).tolist()
-        return Operator._banded(realization.space, COMPLEX, out)
+        return BandedOperator(realization.space, COMPLEX, out)
 
     # bond b keeps both ends in the domain; a bond past the edge has one end
     far_end = np.concatenate((keep[k:], np.ones(min(k, n), dtype=bool)))

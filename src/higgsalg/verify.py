@@ -40,8 +40,8 @@ from typing import Optional, Sequence, Union
 from .algebra import AlgebraParams, _casimir, _casimir_coefficients, casimir_eigenvalue
 from .fock import (
     RATIONAL,
+    BandedOperator,
     FockSpace,
-    Operator,
     _band_start,
     _momentum_entries,
     _peak,
@@ -299,7 +299,7 @@ def _top(values, den: int) -> Fraction:
     return Fraction(max(map(abs, values), default=0), den)
 
 
-def _split(op: Operator, d: int) -> tuple:
+def _split(op: BandedOperator, d: int) -> tuple:
     """A step generator's band at offset d, its N - |d| entries (zeros
     where it has no band there), and the rest of it: its other bands.  A
     built generator is its one band, so only a loaded file can leave a
@@ -522,7 +522,7 @@ def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
             """max |J- - J+-dagger|.  A built J- is J+'s remembered adjoint,
             so where J+ is finite the difference is exactly 0.0 and is not
             formed; a loaded J- is compared entry by entry, on its band and
-            off it (``Operator._gap``)."""
+            off it (``_gap``)."""
             dagger = jp.adjoint()
             if dagger is jm and math.isfinite(jp.max_norm()):
                 return 0.0

@@ -30,13 +30,16 @@ from higgsalg import (
 )
 from higgsalg.algebra import RationalLike, _frac
 from higgsalg.fock import (
+    BandedOperator,
+    DenseOperator,
     _as_fraction,
     _band_start,
     _quadrature_basis,
     _quarter_turns,
     _to_float,
 )
-from higgsalg.realizations import _in_window
+from higgsalg import realizations
+from higgsalg.realizations import _in_window, g_constant
 from higgsalg.verify import CheckResult, VerificationReport, _finite
 
 # The two classical degenerations.
@@ -65,16 +68,16 @@ def is_hermitian(op: Operator) -> bool:
     return float(d) <= _HERMITIAN_RTOL * max(1.0, float(op.max_norm()))
 
 
-def rational_operator(space: FockSpace, entries: np.ndarray) -> Operator:
+def rational_operator(space: FockSpace, entries: np.ndarray) -> BandedOperator:
     """The rational operator of a dense array of rational entries, built by
-    ``Operator._exact`` from the diagonals that hold a nonzero entry.
+    ``BandedOperator._exact`` from the diagonals that hold a nonzero entry.
     Every entry must be rational, zeros included: one of each type goes
     through ``fock._as_fraction``, which raises FieldError on any other."""
     for x in {type(x): x for x in entries.flat}.values():
         _as_fraction(x)
     n = len(entries)
     offsets = [d for d in range(1 - n, n) if any(entries.diagonal(d))]
-    return Operator._exact(space, {d: list(entries.diagonal(d)) for d in offsets})
+    return BandedOperator._exact(space, {d: list(entries.diagonal(d)) for d in offsets})
 
 
 # -- products of banded operators ------------------------------------------------
@@ -97,20 +100,20 @@ def _zeros(n: int, field: str) -> np.ndarray:
     return np.zeros(n, dtype=object if field == RATIONAL else complex)
 
 
-def _arrays(op: Operator) -> _Bands:
+def _arrays(op: BandedOperator) -> _Bands:
     """The bands of a banded operator as numpy arrays of its field."""
     return {d: np.array(band, dtype=object if op.field == RATIONAL else complex)
             for d, band in op._bands.items()}
 
 
-def _from_arrays(space: FockSpace, field: str, bands: _Bands, den: int = 1) -> Operator:
+def _from_arrays(space: FockSpace, field: str, bands: _Bands, den: int = 1) -> BandedOperator:
     """The banded operator whose bands are these arrays, as Python numbers:
     a complex band with no nonzero imaginary part as floats, as the package
     holds a real band, so a zero imaginary part has no sign to keep."""
     def numbers(band: np.ndarray) -> list:
         return band.real.tolist() if field == COMPLEX and not band.imag.any() else band.tolist()
 
-    return Operator._banded(space, field, {d: numbers(band) for d, band in bands.items()}, den)
+    return BandedOperator(space, field, {d: numbers(band) for d, band in bands.items()}, den)
 
 
 def _band_matmul(n: int, x: _Bands, y: _Bands, field: str) -> _Bands:
@@ -155,7 +158,8 @@ def _band_add(n: int, x: _Bands, y: _Bands, field: str, subtract: bool) -> _Band
 
 
 def _banded_pair(a: Operator, b: Operator) -> None:
-    if a.space != b.space or a.field != b.field or a._bands is None or b._bands is None:
+    if (a.space != b.space or a.field != b.field or not isinstance(a, BandedOperator)
+            or not isinstance(b, BandedOperator)):
         raise ValueError("the reference products take banded operators of one field and space")
 
 
@@ -228,7 +232,7 @@ def creation(space: FockSpace, field: str = COMPLEX) -> Operator:
     """Raising matrix a+; adjoint of ``annihilation`` in the complex field,
     the unit-entry shift in the exact monomial basis."""
     if field == RATIONAL:
-        return Operator._banded(space, RATIONAL, {-1: [1] * (space.dim - 1)})
+        return BandedOperator(space, RATIONAL, {-1: [1] * (space.dim - 1)})
     return annihilation(space, COMPLEX).adjoint()
 
 
@@ -238,14 +242,25 @@ def diagonal_operator(space: FockSpace, values: Sequence, field: str = COMPLEX) 
     if len(vals) != space.dim:
         raise ValueError(f"need {space.dim} diagonal values, got {len(vals)}")
     if field == RATIONAL:
-        return Operator._exact(space, {0: vals})
-    return Operator._banded(space, COMPLEX, {0: [complex(v) for v in vals]})
+        return BandedOperator._exact(space, {0: vals})
+    return BandedOperator(space, COMPLEX, {0: [complex(v) for v in vals]})
 
 
-def position(space: FockSpace) -> Operator:
+def position(space: FockSpace) -> DenseOperator:
     """X = (a + a+)/sqrt(2); Hermitian, complex field only, stored dense."""
     a = annihilation(space).entries
-    return Operator(space, complex(1.0 / np.sqrt(2.0)) * (a + a.conj().T), COMPLEX)
+    return DenseOperator(space, complex(1.0 / np.sqrt(2.0)) * (a + a.conj().T))
+
+
+def detune(monkeypatch, g: float) -> None:
+    """Make ``villain_boson`` build with the coupling scale g in place of
+    ``g_constant(form=1)``: its radicand, plus g^2 - g_constant(form=1)^2."""
+    radicand = realizations._villain_radicand
+
+    def detuned(params, jf, p):
+        return radicand(params, jf, p) + (g ** 2 - g_constant(params, jf, 1) ** 2)
+
+    monkeypatch.setattr(realizations, "_villain_radicand", detuned)
 
 
 def window_columns(space: FockSpace, lo: float, hi: float) -> np.ndarray:
@@ -255,7 +270,7 @@ def window_columns(space: FockSpace, lo: float, hi: float) -> np.ndarray:
     return _quarter_turns(space.dim)[:, None] * u[:, _in_window(lam, lo, hi)]
 
 
-def unitary_exp(h: Operator, theta: float) -> Operator:
+def unitary_exp(h: Operator, theta: float) -> DenseOperator:
     """exp(i * theta * H) for Hermitian H, via eigendecomposition.
 
     A truncated power series would lose unitarity at the truncation edge;
@@ -263,12 +278,12 @@ def unitary_exp(h: Operator, theta: float) -> Operator:
     """
     if isinstance(theta, complex):
         raise ValueError("theta must be real")
-    op = h._promote()
+    op = h._promote() if isinstance(h, BandedOperator) else h
     if not is_hermitian(op):
         raise ValueError("unitary_exp requires a Hermitian operator")
     w, v = np.linalg.eigh(op.entries)
     u = (v * np.exp(1j * float(theta) * w)) @ v.conj().T
-    return Operator(op.space, u, COMPLEX)
+    return DenseOperator(op.space, u)
 
 
 def operator_json_dict(op: Operator) -> dict:

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from higgsalg import COMPLEX, RATIONAL, AlgebraParams, FockSpace, Operator, build_realization
-from higgsalg import fock
+from higgsalg import COMPLEX, RATIONAL, AlgebraParams, FockSpace, build_realization
+from higgsalg import fock, realizations
 from higgsalg.cli import main
-from higgsalg.fock import _operator_text
+from higgsalg.fock import BandedOperator, DenseOperator, _operator_text
 from higgsalg.realizations import Realization, _realization_text
 from reference import operator_json_dict, rational_operator, realization_json_dict
 
@@ -52,12 +52,12 @@ def _operators(draw):
         bands = {d: draw(st.lists(values, min_size=size, max_size=size))
                  for d, size in sizes.items()}
         if field == RATIONAL:
-            return Operator._exact(space, bands)
-        return Operator._banded(space, field, bands)
+            return BandedOperator._exact(space, bands)
+        return BandedOperator(space, field, bands)
     flat = draw(st.lists(values, min_size=dim * dim, max_size=dim * dim))
     if field == RATIONAL:
         return rational_operator(space, np.array(flat, dtype=object).reshape(dim, dim))
-    return Operator(space, np.array(flat, dtype=complex).reshape(dim, dim), COMPLEX)
+    return DenseOperator(space, np.array(flat, dtype=complex).reshape(dim, dim))
 
 
 @given(_operators())
@@ -103,9 +103,9 @@ def test_writer_refuses_a_non_finite_entry(bad, storage):
     """json.dumps would write NaN or Infinity; the writer raises instead."""
     space = FockSpace(3)
     band = np.array([1.0, bad, 2.0], dtype=complex)
-    op = Operator._banded(space, COMPLEX, {0: band})
+    op = BandedOperator(space, COMPLEX, {0: band})
     if storage == "dense":
-        op = Operator(space, np.diag(band), COMPLEX)
+        op = DenseOperator(space, np.diag(band))
     with pytest.raises(ValueError, match="not finite"):
         _operator_text(op)
 
@@ -129,7 +129,7 @@ def test_single_band_files_load_banded(tmp_path, kind, k):
     r = _loaded(tmp_path, [*_POINT, "--dim", "12", "--kind", f"{kind}:{k}", "--field", "complex"])
     built = build_realization(FockSpace(12), r.params, r.j, kind, k, COMPLEX)
     for got, want in ((r.jp, built.jp), (r.jm, built.jm), (r.j3, built.j3)):
-        assert got._bands is not None and len(got._bands) == 1
+        assert isinstance(got, BandedOperator) and len(got._bands) == 1
         assert got._bands.keys() == want._bands.keys()
         (d,) = got._bands
         assert np.array_equal(got._bands[d], want._bands[d])
@@ -138,7 +138,31 @@ def test_single_band_files_load_banded(tmp_path, kind, k):
 @pytest.mark.parametrize("form", ["villain:1", "villain:2"])
 def test_villain_files_load_dense(tmp_path, form):
     r = _loaded(tmp_path, [*_POINT, "--dim", "12", "--kind", form])
-    assert all(op._bands is None for op in (r.jp, r.jm, r.j3))
+    assert all(isinstance(op, DenseOperator) for op in (r.jp, r.jm, r.j3))
+
+
+def test_a_rational_villain_file_is_refused_as_it_loads(tmp_path, capsys, monkeypatch):
+    """A villain file whose three operators are respelled in the rational
+    field (each entry as its real part) exits 65 with one stderr line
+    naming the field, before the point is rebuilt to compare J+."""
+    path = tmp_path / "r.json"
+    assert main(["build", "--c1", "1", "--c3", "1", "--j2", "4", "--dim", "8",
+                 "--kind", "villain:1", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    for name in ("jp", "jm", "j3"):
+        doc[name] = {"dim": 8, "field": "rational",
+                     "entries": [str(Fraction(re)) for re, _ in doc[name]["entries"]]}
+    path.write_text(json.dumps(doc))
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a rational villain file was rebuilt")
+
+    monkeypatch.setattr(realizations, "build_realization", rebuilt)
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path)]) == 65
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == 'error: a dense (spectral) operator is complex, not "rational"\n'
 
 
 def test_rational_file_parses_each_distinct_entry_once(tmp_path, monkeypatch):
@@ -174,7 +198,7 @@ def test_rational_file_parses_each_distinct_entry_once(tmp_path, monkeypatch):
 
 
 def test_zero_operator_loads_banded_without_bands():
-    op = Operator.from_json_dict({"dim": 3, "field": "complex", "entries": [[0.0, 0.0]] * 9})
+    op = BandedOperator.from_json_dict({"dim": 3, "field": "complex", "entries": [[0.0, 0.0]] * 9})
     assert op._bands == {}
     assert op.max_norm() == 0.0
 
@@ -190,7 +214,7 @@ def test_large_loaded_hp_file_verifies_on_its_band(tmp_path, capsys, monkeypatch
     def dense_view(self):
         raise AssertionError("verifying a loaded single-band file built a dense view")
 
-    monkeypatch.setattr(Operator, "entries", property(dense_view))
+    monkeypatch.setattr(BandedOperator, "entries", property(dense_view))
     loaded = main(["verify", "--input", str(path)]), capsys.readouterr().out
     assert loaded == direct
     assert direct[0] == 0

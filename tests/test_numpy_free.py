@@ -22,11 +22,11 @@ from higgsalg import (
     COMPLEX,
     AlgebraParams,
     FockSpace,
-    Operator,
     build_realization,
     interior_check_states,
 )
 from higgsalg import fock, verify
+from higgsalg.fock import BandedOperator
 from higgsalg.cli import main
 
 _SRC = str(Path(higgsalg.__file__).resolve().parent.parent)
@@ -105,9 +105,9 @@ def test_the_float_reducers_give_nan_wherever_it_stands(where):
     assert math.isnan(fock._peak(values))
     assert math.isnan(fock._peak([complex(x, -1.0) for x in values]))
     space = FockSpace(6)
-    op = Operator._banded(space, COMPLEX, {1: values})
+    op = BandedOperator(space, COMPLEX, {1: values})
     assert math.isnan(op.max_norm())
-    assert math.isnan(op._gap(Operator._banded(space, COMPLEX, {-1: [1.0] * 5})))
+    assert math.isnan(op._gap(BandedOperator(space, COMPLEX, {-1: [1.0] * 5})))
 
 
 def test_a_modulus_past_the_float_range_is_inf_not_an_error():
@@ -187,6 +187,6 @@ def test_a_zero_band_entry_is_read_where_j3_is_not_finite():
     r = build_realization(FockSpace(32), AlgebraParams.of(2, 0), 6, "hp", 1)
     assert r.jp.diagonal(1)[30] == r.jm.diagonal(-1)[30] == 0.0
     t = [*r.j3.diagonal()[:31], math.inf]
-    broken = dataclasses.replace(r, j3=Operator._banded(r.space, COMPLEX, {0: t}))
+    broken = dataclasses.replace(r, j3=BandedOperator(r.space, COMPLEX, {0: t}))
     rows = verify._FloatSteps(broken, [])
     assert math.isnan(rows.grading(1)) and math.isnan(rows.grading(-1))

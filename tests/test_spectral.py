@@ -18,7 +18,6 @@ import pytest
 from higgsalg import (
     AlgebraParams,
     FockSpace,
-    Operator,
     Realization,
     annihilation,
     build_realization,
@@ -29,10 +28,10 @@ from higgsalg import (
 )
 from higgsalg.algebra import _casimir, _casimir_coefficients
 from higgsalg.cli import main
-from higgsalg.fock import COMPLEX, _phase_kernel, _quadrature_basis, _quarter_turns
+from higgsalg.fock import DenseOperator, _phase_kernel, _quadrature_basis, _quarter_turns
 from higgsalg.realizations import villain_boson
 from higgsalg.verify import _Window
-from reference import position, unitary_exp, window_columns
+from reference import detune, position, unitary_exp, window_columns
 
 # |windowed residual - reference| <= _RESIDUAL_RTOL * max(1, |reference|)
 _RESIDUAL_RTOL = 1e-10
@@ -73,8 +72,8 @@ def _reference_build(space: FockSpace, params: AlgebraParams, j: Fraction, form:
     evals, evecs = np.linalg.eigh(p.entries)
     rad = _reference_radicand(params, form, g_constant(params, j, form), evals)
     s = (evecs * np.sqrt(np.maximum(rad, 0.0))) @ evecs.conj().T
-    jp = Operator(space, unitary_exp(position(space), 1.0).entries @ (0.5 * (s + s.conj().T)),
-                  COMPLEX)
+    jp = DenseOperator(space,
+                       unitary_exp(position(space), 1.0).entries @ (0.5 * (s + s.conj().T)))
     return Realization(f"villain{form}", 1, int(2 * j), params, jp, jp.adjoint(), p,
                        tuple([True] * space.dim))
 
@@ -136,15 +135,17 @@ def test_build_on_a_nearly_full_support_agrees_with_dense_reference(dim):
     assert np.abs(jp - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
-def test_empty_support_gives_zero_and_nan_stays_nonfinite():
+def test_empty_support_gives_zero_and_nan_stays_nonfinite(monkeypatch):
     """With g = 0 the radicand is negative at every eigenvalue and J+ is
     exactly zero; a NaN radicand is kept in the support, so J+ is not
     finite and ``build_realization`` would refuse it."""
     space, params, j = FockSpace(96), AlgebraParams.of(1, 1), Fraction(3, 2)
     lam, _ = _quadrature_basis(space.dim)
     assert (_reference_radicand(params, 1, 0.0, lam) < 0).all()
-    assert not villain_boson(space, params, j, 1, g_override=0.0).jp.entries.any()
-    jp = villain_boson(space, params, j, 1, g_override=float("nan")).jp.entries
+    detune(monkeypatch, 0.0)
+    assert not villain_boson(space, params, j, 1).jp.entries.any()
+    detune(monkeypatch, float("nan"))
+    jp = villain_boson(space, params, j, 1).jp.entries
     assert not np.isfinite(jp).all()
 
 
@@ -227,7 +228,7 @@ class _ReferenceWindow:
                 self._memo[key] = self._get("left", factors[:h]) @ self._get("right", factors[h:])
         return self._memo[key]
 
-    def product(self, *factors: Operator) -> np.ndarray:
+    def product(self, *factors: DenseOperator) -> np.ndarray:
         return self._get("block", factors)
 
     def max_entry(self, block: np.ndarray) -> float:
@@ -288,8 +289,9 @@ def test_villain_verify_forms_no_operator_product(monkeypatch):
     only two thin products of an operator, V-dagger J+ and J+ V."""
     n = 128
     r = build_realization(FockSpace(n), AlgebraParams.of(1, 1), Fraction(3, 2), "villain", 1)
-    entries = Operator.entries
-    monkeypatch.setattr(Operator, "entries", property(lambda op: entries.fget(op).view(_Counted)))
+    entries = DenseOperator.entries
+    monkeypatch.setattr(DenseOperator, "entries",
+                        property(lambda op: entries.fget(op).view(_Counted)))
     monkeypatch.setattr(_Counted, "shapes", [])
     report = verify_realization(r)
     rank = {c.block_size for c in report.checks if c.name in WINDOW_CHECKS}.pop()
@@ -302,7 +304,7 @@ def test_villain_j3_other_than_p_is_refused(tmp_path, capsys):
     in the library with ValueError, from a file with exit 65 and one line."""
     r = build_realization(FockSpace(24), AlgebraParams.of(1, 1), Fraction(3, 2), "villain", 1)
     shifted = Realization(r.kind, 1, r.j2, r.params, r.jp, r.jm,
-                          Operator(r.space, r.j3.entries + np.eye(24), COMPLEX), r.admissible_mask)
+                          DenseOperator(r.space, r.j3.entries + np.eye(24)), r.admissible_mask)
     with pytest.raises(ValueError, match="J3"):
         verify_realization(shifted)
     path = tmp_path / "villain.json"

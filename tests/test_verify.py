@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from higgsalg import (
     AlgebraParams,
     FockSpace,
-    Operator,
     Realization,
     build_realization,
     default_grid,
@@ -27,6 +26,7 @@ from higgsalg import (
 )
 from higgsalg import verify as verify_module
 from higgsalg.cli import main
+from higgsalg.fock import BandedOperator, DenseOperator
 from higgsalg.realizations import _realization_text
 from reference import SU2_PARAMS, SU11_PARAMS, verify_by_products
 
@@ -82,7 +82,7 @@ def test_tampered_matrix_element_fails():
         j2=base.j2,
         params=base.params,
         jp=base.jp,
-        jm=Operator._banded(base.space, base.field, {-1: band}),
+        jm=BandedOperator(base.space, base.field, {-1: band}),
         j3=base.j3,
         admissible_mask=base.admissible_mask,
     )
@@ -96,7 +96,7 @@ def test_tampered_matrix_element_fails():
 @pytest.mark.parametrize("kind", ["hp", "dyson"])
 def test_a_step_realization_refuses_a_dense_operator(kind):
     base = build_realization(FockSpace(8), SU2_PARAMS, 2, kind, 1, field="complex")
-    dense = Operator(base.space, base.jm.entries.copy())
+    dense = DenseOperator(base.space, base.jm.entries.copy())
     with pytest.raises(ValueError, match="bands, not dense"):
         dataclasses.replace(base, jm=dense)
 
@@ -277,7 +277,7 @@ def test_exact_verify_never_builds_the_dense_view(monkeypatch, kind, k, field):
     def dense_view(self):
         raise AssertionError("the step-kind checks built a dense view")
 
-    monkeypatch.setattr(Operator, "entries", property(dense_view))
+    monkeypatch.setattr(BandedOperator, "entries", property(dense_view))
     report = verify_realization(r)
     assert report.passed and report.field_name == field
 
@@ -327,8 +327,8 @@ def test_a_step_verify_forms_no_operator_product(monkeypatch, kind, k, field):
     def refused(*args, **kwargs):
         raise AssertionError("a step verify formed a dense matrix or read a diagonal")
 
-    monkeypatch.setattr(Operator, "entries", property(refused))
-    monkeypatch.setattr(Operator, "diagonal", refused)
+    monkeypatch.setattr(BandedOperator, "entries", property(refused))
+    monkeypatch.setattr(BandedOperator, "diagonal", refused)
     report = verify_realization(r)
     assert report.passed and not report.checks[0].vacuous
 
