@@ -175,9 +175,6 @@ class Operator:
             self._norm = self._max_abs()
         return self._norm
 
-    def __repr__(self) -> str:
-        return f"Operator(dim={self.space.dim}, field={self.field})"
-
 
 class BandedOperator(Operator):
     """An operator kept as its nonzero diagonals, in either field (the

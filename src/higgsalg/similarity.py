@@ -215,8 +215,11 @@ def unitarization_residual(
 ) -> tuple[float, int]:
     """How far U = diag(s^2) is from intertwining the pair (J-, J+):
     measures U^-1 adj(J-) U - J+ entrywise over bonds whose two ends lie
-    in the transform's domain.  Returns (residual, bonds_measured).
+    in the transform's domain.  Returns (residual, bonds_measured).  A
+    spectral realization, which has no bands, raises ValueError.
     """
+    if realization.kind not in STEP_KINDS:
+        raise ValueError(f"the metric is of a step-kind realization, not {realization.kind!r}")
     import numpy as np
     k = realization.step_k
     u = np.square(transform.entries)

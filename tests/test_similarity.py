@@ -117,8 +117,10 @@ def test_conjugation_dimension_guard():
 def test_conjugation_refuses_a_spectral_realization():
     sp = FockSpace(12)
     t = s1_recurrence(sp, SU2_PARAMS, 2)
-    with pytest.raises(ValueError, match="step-kind"):
-        conjugate(build_realization(sp, AlgebraParams.of(1, 1), 2, "villain", 1), t)
+    r = build_realization(sp, AlgebraParams.of(1, 1), 2, "villain", 1)
+    for bands_only in (conjugate, unitarization_residual):
+        with pytest.raises(ValueError, match="step-kind"):
+            bands_only(r, t)
 
 
 def _conjugate_entrywise(op, transform) -> np.ndarray:
