@@ -252,13 +252,16 @@ def position(space: FockSpace) -> DenseOperator:
     return DenseOperator(space, complex(1.0 / np.sqrt(2.0)) * (a + a.conj().T))
 
 
+_VILLAIN_RADICAND = realizations._villain_radicand
+
+
 def detune(monkeypatch, g: float) -> None:
     """Make ``villain_boson`` build with the coupling scale g in place of
-    ``g_constant(form=1)``: its radicand, plus g^2 - g_constant(form=1)^2."""
-    radicand = realizations._villain_radicand
+    ``g_constant(form=1)``: the package's radicand plus g^2 - g_constant(form=1)^2,
+    whichever scale an earlier call set."""
 
     def detuned(params, jf, p):
-        return radicand(params, jf, p) + (g ** 2 - g_constant(params, jf, 1) ** 2)
+        return _VILLAIN_RADICAND(params, jf, p) + (g ** 2 - g_constant(params, jf, 1) ** 2)
 
     monkeypatch.setattr(realizations, "_villain_radicand", detuned)
 

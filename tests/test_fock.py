@@ -233,7 +233,8 @@ def test_serialization_rejects_bad_payload():
     # a float
     for bad in ("1/0", "inf", "nan", float("inf"), [1, 2], True, 0.1, None):
         with pytest.raises(ValueError):
-            BandedOperator.from_json_dict({"dim": 2, "field": "rational", "entries": ["1", bad, "0", "0"]})
+            BandedOperator.from_json_dict(
+                {"dim": 2, "field": "rational", "entries": ["1", bad, "0", "0"]})
     for bad in ([float("nan"), 0.0], [0.0, float("-inf")], ["x", 0.0], [1.0], [True, 0.0],
                 [0.0, False], ["1.5", 0.0], [10 ** 400, 0.0], [1.0, 0.0, 0.0], (1.0, 0.0), 1.0):
         with pytest.raises(ValueError):

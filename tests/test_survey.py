@@ -78,7 +78,7 @@ def _off_band(doc):
 
 def _survey() -> dict[str, list]:
     """Class name -> its steps: an argv, in which ``FILE`` stands for a
-    scratch file, or an edit of that file's JSON document."""
+    temporary file, or an edit of that file's JSON document."""
     rng = random.Random(_SEED)
     classes: dict[str, list] = {}
     kinds = [("hp", _STEPS), ("dyson", _STEPS), ("villain", ("1", "2"))]
