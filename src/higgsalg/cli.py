@@ -287,8 +287,83 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _is_value(parser: argparse.ArgumentParser, text: str) -> bool:
+    """Whether ``parser`` reads ``text``, after a space, as a value and not
+    as an option: it is empty or one character long, it does not start with
+    a prefix character, or it is a negative number by the parser's own
+    pattern, in a parser with no option that looks like one."""
+    return (len(text) < 2 or text[0] not in parser.prefix_chars
+            or (parser._negative_number_matcher.match(text) is not None
+                and not parser._has_negative_number_optionals))
+
+
+def _quick(argv) -> Optional[argparse.Namespace]:
+    """The namespace ``_parser().parse_args(argv)`` returns, read in one
+    pass over the parser's own table, or None.
+
+    It reads only a well-formed command line: a subcommand path, then exact
+    option strings of that subcommand, each given once with one value, as
+    ``--opt value`` or ``--opt=value``.  Anything else (help, an
+    abbreviation, a repeated or unknown option, a missing required one, a
+    value its type or choices refuse) gives None and is left to argparse,
+    so every usage line, message and exit code stays argparse's own.
+    Defaults are filled as argparse fills them: a string default goes
+    through its type, then the subcommand's ``set_defaults`` apply."""
+    parser, path, i = _parser(), {}, 0
+    while parser._subparsers is not None:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        if i == len(argv) or argv[i] not in sub.choices:
+            return None
+        path[sub.dest] = argv[i]
+        parser = sub.choices[argv[i]]
+        i += 1
+    given = {}
+    while i < len(argv):
+        word = argv[i]
+        action = parser._option_string_actions.get(word)
+        if action is not None and i + 1 < len(argv) and _is_value(parser, argv[i + 1]):
+            text, i = argv[i + 1], i + 2
+        elif word.startswith("--") and "=" in word:
+            option, text = word.split("=", 1)
+            action, i = parser._option_string_actions.get(option), i + 1
+            if text == "--":  # argparse drops a "--" from an option's values
+                return None
+        else:
+            return None
+        if type(action) is not argparse._StoreAction or action.nargs is not None or action in given:
+            return None
+        given[action] = text
+    values = {}
+    for action in parser._actions:
+        if action.dest is argparse.SUPPRESS:
+            continue
+        if action in given:
+            text = given[action]
+        elif action.required:
+            return None
+        elif action.default is argparse.SUPPRESS:
+            continue
+        elif not isinstance(action.default, str):
+            values[action.dest] = action.default
+            continue
+        else:
+            text = action.default
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action in given and action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for dest, default in parser._defaults.items():
+        values.setdefault(dest, default)
+    return argparse.Namespace(**{**path, **values})
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _quick(argv) or _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as err:

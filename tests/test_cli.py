@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higgsalg import (
     AlgebraParams,
@@ -881,3 +885,146 @@ def test_infinite_tolerance_is_a_domain_error(capsys, fmt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {_INFINITE_TOLERANCE}\n"
+
+
+# The fast path of ``main`` (``cli._quick``) against argparse.  Argv are
+# drawn from each command's vocabulary: its own option strings, exact,
+# abbreviated or joined to a value by "="; values its types accept or
+# refuse, negative numbers and rationals, empty strings and values that
+# start with "-"; repeats, stray tokens, help and missing required options.
+
+_COMMANDS = [("verify",), ("build",), ("sweep",), ("table",), ("export", "transform"),
+             ("export", "operator")]
+_NUMBERS = ("1", "-2", "0.5", "-.5", "3")
+# Per option, values its type takes; an option with choices takes those.
+_TAKEN = {
+    "c1": (*_NUMBERS, "2/3"), "c3": (*_NUMBERS, "2/3"), "q0": _NUMBERS, "q0_odd": _NUMBERS,
+    "tolerance_coefficient": ("1", "0.5", "0", "1e-3"),
+    "j2": ("0", "5", "4"),
+    "dim": ("2", "8", "12"),
+    "kind": ("hp:1", "dyson:2", "villain:1", "hp"),
+    "kinds": ("hp:1", " hp:1 , hp:2", "dyson:1,hp:2"),
+    "grid": ("default", "-", "grid.json"),
+    "input": ("missing.json",),
+    "output": ("-", "out.json"),
+}
+# Values that some or all of the types refuse, or that argparse reads as an
+# option after a space.
+_REFUSED = ("-1/2", "1e400", "nan", "x", "", "bogus", "hp:0", "-1", "-", "--", "-x", "-1e3")
+_STRAY = ("-", "--", "-h", "--help", "--bogus", "-1", "stray", "")
+
+
+def _leaf(parser, words):
+    for word in words:
+        parser = next(a for a in parser._actions if a.choices and word in a.choices).choices[word]
+    return parser
+
+
+_FAULTS = (None, None, "refused", "refused", "abbreviated", "bare", "repeated", "missing",
+           "stray")
+
+
+@st.composite
+def _argv(draw):
+    """A command line with every required option and a few others, each
+    once with a value its type takes, spelled ``--opt value`` or
+    ``--opt=value``; then at most one fault."""
+    words = draw(st.sampled_from(_COMMANDS + [(), ("export",), ("bogus",)]))
+    if words not in _COMMANDS:
+        return [*words, *draw(st.lists(st.sampled_from(_STRAY), max_size=3))]
+    options = [a for a in _leaf(cli.build_parser(), words)._actions if a.option_strings]
+    chosen = [a for a in options if a.required]
+    chosen += draw(st.lists(st.sampled_from([a for a in options if not a.required]),
+                            unique=True, max_size=4))
+    chosen = draw(st.permutations(chosen))
+
+    def item(action, values=None):
+        taken = tuple(action.choices) if action.choices else _TAKEN.get(action.dest, ("1",))
+        return [draw(st.sampled_from(action.option_strings)),
+                draw(st.sampled_from(values or taken)), draw(st.sampled_from(("space", "equals")))]
+
+    items = [item(a) for a in chosen]
+    fault = draw(st.sampled_from(_FAULTS))
+    at = draw(st.integers(0, max(len(items) - 1, 0)))
+    if fault in ("refused", "repeated", "missing") and not items:
+        fault = "stray"
+    if fault == "refused":
+        items[at] = item(chosen[at], _REFUSED)
+    elif fault == "repeated":
+        items.insert(draw(st.integers(0, len(items))), item(chosen[at]))
+    elif fault == "missing":
+        del items[at]
+    elif fault in ("abbreviated", "bare") and items and len(items[at][0]) > 3:
+        items[at][2] = fault
+    argv = list(words)
+    for option, value, shape in items:
+        if shape == "space":
+            argv += [option, value]
+        elif shape == "equals":
+            argv.append(f"{option}={value}")
+        elif shape == "abbreviated":
+            argv += [option[:draw(st.integers(3, len(option) - 1))], value]
+        else:
+            argv.append(option)
+    if fault == "stray":
+        argv.insert(draw(st.integers(len(words), len(argv))), draw(st.sampled_from(_STRAY)))
+    return argv
+
+
+def _argparse(argv):
+    """What a fresh parser makes of ``argv``: its namespace, or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argv())
+def test_quick_reads_what_argparse_reads(argv):
+    """The fast path either gives up or returns argparse's own namespace."""
+    quick = cli._quick(argv)
+    assert quick is None or quick == _argparse(argv)
+
+
+# One argv of each shape the benchmark workloads send (perfbench/workloads.py):
+# an exact verify, a float sweep over a grid file, a spectral verify, and the
+# transport pair of a complex build to a file and a transform export.
+_WORKLOAD_ARGVS = [
+    ["verify", "--kind", "dyson:2", "--c1", "-2", "--c3", "1", "--j2", "5", "--dim", "17",
+     "--format", "json"],
+    ["sweep", "--kinds", "hp:1,hp:2,hp:3", "--grid", "grid-0000.json", "--dim", "64",
+     "--format", "json"],
+    ["verify", "--kind", "villain:1", "--c1", "3", "--c3", "-1", "--j2", "4", "--dim", "96",
+     "--format", "json"],
+    ["build", "--kind", "dyson:1", "--field", "complex", "--c1", "-2", "--c3", "1", "--j2", "3",
+     "--dim", "24", "-o", "realization.json"],
+    ["export", "transform", "--map", "s1-closed", "--c1", "2", "--c3", "0", "--j2", "6",
+     "--dim", "40"],
+]
+
+
+def test_quick_reads_every_golden_and_workload_argv():
+    """Every golden command line and every workload shape is read by the
+    fast path, so that a later change cannot lose it unnoticed."""
+    from test_golden import GOLDEN
+
+    for argv in [list(p.values[0]) for p in GOLDEN] + _WORKLOAD_ARGVS:
+        quick = cli._quick(argv)
+        assert quick is not None, argv
+        assert quick == _argparse(argv)
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    """``main()`` with no argv reads ``sys.argv[1:]``, on the fast path and
+    off it."""
+    monkeypatch.setattr("sys.argv", ["higgsalg", "table", "--c1", "3", "--c3", "-1", "--j2", "4"])
+    assert main() == 0
+    assert capsys.readouterr().out == representation_table(AlgebraParams.of(3, -1), 2).to_csv()
+    monkeypatch.setattr("sys.argv", ["higgsalg", "table", "--c1", "1", "--c3", "-1/2", "--j2", "4"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 64
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "higgsalg table: error: argument --c3: expected one argument")
