@@ -335,8 +335,6 @@ def _quick(argv) -> Optional[argparse.Namespace]:
         given[action] = text
     values = {}
     for action in parser._actions:
-        if action.dest is argparse.SUPPRESS:
-            continue
         if action in given:
             text = given[action]
         elif action.required:
