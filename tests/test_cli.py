@@ -24,6 +24,8 @@ from higgsalg import (
 from higgsalg import cli
 from higgsalg.cli import main
 from higgsalg.verify import exit_code, interior_check_states, report_to_json
+from test_golden import GOLDEN
+from test_survey import _subparser
 
 
 def test_table_output_matches_library(capsys):
@@ -914,12 +916,6 @@ _REFUSED = ("-1/2", "1e400", "nan", "x", "", "bogus", "hp:0", "-1", "-", "--", "
 _STRAY = ("-", "--", "-h", "--help", "--bogus", "-1", "stray", "")
 
 
-def _leaf(parser, words):
-    for word in words:
-        parser = next(a for a in parser._actions if a.choices and word in a.choices).choices[word]
-    return parser
-
-
 _FAULTS = (None, None, "refused", "refused", "abbreviated", "bare", "repeated", "missing",
            "stray")
 
@@ -932,7 +928,7 @@ def _argv(draw):
     words = draw(st.sampled_from(_COMMANDS + [(), ("export",), ("bogus",)]))
     if words not in _COMMANDS:
         return [*words, *draw(st.lists(st.sampled_from(_STRAY), max_size=3))]
-    options = [a for a in _leaf(cli.build_parser(), words)._actions if a.option_strings]
+    options = [a for a in _subparser(cli.build_parser(), words)._actions if a.option_strings]
     chosen = [a for a in options if a.required]
     chosen += draw(st.lists(st.sampled_from([a for a in options if not a.required]),
                             unique=True, max_size=4))
@@ -1008,8 +1004,6 @@ _WORKLOAD_ARGVS = [
 def test_quick_reads_every_golden_and_workload_argv():
     """Every golden command line and every workload shape is read by the
     fast path, so that a later change cannot lose it unnoticed."""
-    from test_golden import GOLDEN
-
     for argv in [list(p.values[0]) for p in GOLDEN] + _WORKLOAD_ARGVS:
         quick = cli._quick(argv)
         assert quick is not None, argv
