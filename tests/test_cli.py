@@ -914,8 +914,6 @@ _TAKEN = {
 # option after a space.
 _REFUSED = ("-1/2", "1e400", "nan", "x", "", "bogus", "hp:0", "-1", "-", "--", "-x", "-1e3")
 _STRAY = ("-", "--", "-h", "--help", "--bogus", "-1", "stray", "")
-
-
 _FAULTS = (None, None, "refused", "refused", "abbreviated", "bare", "repeated", "missing",
            "stray")
 
