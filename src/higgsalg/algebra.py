@@ -15,29 +15,40 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
-from .fock import _to_float
+from .fock import _Value, _seal, _to_float
 
-RationalLike = Union[int, str, Fraction]
+RationalLike = int | str | Fraction
 
 
 def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class AlgebraParams:
-    """The pair (c1, c3) of structure constants, held exactly."""
+class AlgebraParams(_Value):
+    """The pair (c1, c3) of structure constants, held exactly.  Equal
+    pairs are equal values with one hash, as the ``_casimir_coefficients``
+    cache needs."""
 
-    c1: Fraction
-    c3: Fraction
+    __slots__ = ("c1", "c3")
+
+    def __init__(self, c1: Fraction, c3: Fraction):
+        self.c1 = c1
+        self.c3 = c3
+        _seal(self)
 
     @staticmethod
     def of(c1: RationalLike, c3: RationalLike) -> "AlgebraParams":
         return AlgebraParams(_frac(c1), _frac(c3))
+
+    def __eq__(self, other):
+        if type(other) is not AlgebraParams:
+            return NotImplemented
+        return self.c1 == other.c1 and self.c3 == other.c3
+
+    def __hash__(self) -> int:
+        return hash((self.c1, self.c3))
 
     def __str__(self) -> str:
         return f"(c1={self.c1}, c3={self.c3})"
@@ -45,9 +56,17 @@ class AlgebraParams:
 
 def casimir_eigenvalue(params: AlgebraParams, j: RationalLike) -> Fraction:
     """Invariant eigenvalue on the spin-j multiplet:
-    c1 j(j+1) + (c3/2) j^2 (j+1)^2."""
+    c1 j(j+1) + (c3/2) j^2 (j+1)^2.
+
+    Summed as int numerators over one denominator, and one Fraction made:
+    with c1 = p1/q1, c3 = p3/q3, j = a/b and s = a(a + b), so that
+    j(j+1) = s/b^2, it is s (2 p1 q3 b^2 + p3 q1 s) / (2 q1 q3 b^4)."""
     jf = _frac(j)
-    return params.c1 * jf * (jf + 1) + Fraction(params.c3, 2) * (jf * (jf + 1)) ** 2
+    a, b = jf.numerator, jf.denominator
+    c1, c3 = params.c1, params.c3
+    q1, q3 = c1.denominator, c3.denominator
+    s, b2 = a * (a + b), b * b
+    return Fraction(s * (2 * c1.numerator * q3 * b2 + c3.numerator * q1 * s), 2 * q1 * q3 * b2 * b2)
 
 
 def bond_quadratic(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
@@ -95,7 +114,7 @@ def discriminant(params: AlgebraParams, j: RationalLike) -> Fraction:
     return 2 - (2 * jf + 1) ** 2 - 8 * params.c1 / params.c3
 
 
-def z_boundaries(params: AlgebraParams, j: RationalLike) -> Optional[tuple[float, float]]:
+def z_boundaries(params: AlgebraParams, j: RationalLike) -> tuple[float, float] | None:
     """Roots (z_minus, z_plus) = j - 1/2 -+ sqrt(D)/2 of the monic bond
     quadratic, as floats.  None when the roots are complex.  Exact sign
     questions should go through root_side_admissible instead."""
@@ -107,7 +126,7 @@ def z_boundaries(params: AlgebraParams, j: RationalLike) -> Optional[tuple[float
     return (center - root / 2.0, center + root / 2.0)
 
 
-def root_side_admissible(params: AlgebraParams, j: RationalLike, n: int) -> Optional[bool]:
+def root_side_admissible(params: AlgebraParams, j: RationalLike, n: int) -> bool | None:
     """Predict the sign of bond_product(n) from the position of n relative
     to the roots of the bond quadratic, exactly in rational arithmetic.
 
@@ -136,8 +155,8 @@ def root_side_admissible(params: AlgebraParams, j: RationalLike, n: int) -> Opti
 
 def _doubled_spin(j: RationalLike) -> tuple[Fraction, int]:
     jf = _frac(j)
-    top = int(2 * jf)
-    if 2 * jf != top:
+    top, rest = divmod(2 * jf.numerator, jf.denominator)
+    if rest:
         raise ValueError(f"2j must be an integer, got j = {jf}")
     return jf, top
 
@@ -149,8 +168,7 @@ def admissible_states(params: AlgebraParams, j: RationalLike) -> list[int]:
     return [n for n in range(top + 1) if minus_square(params, jf, n) >= 0]
 
 
-@dataclass(frozen=True)
-class ChainStructure:
+class ChainStructure(_Value):
     """Decomposition of [0, 2j] under the bond signs.
 
     ``main`` is the chain grown from the displaced vacuum n = 0 through
@@ -160,8 +178,12 @@ class ChainStructure:
     but is not reachable from n = 0.
     """
 
-    main: tuple[int, ...]
-    segments: tuple[tuple[int, ...], ...]
+    __slots__ = ("main", "segments")
+
+    def __init__(self, main: tuple[int, ...], segments: tuple[tuple[int, ...], ...]):
+        self.main = main
+        self.segments = segments
+        _seal(self)
 
 
 def admissible_chain(params: AlgebraParams, j: RationalLike) -> ChainStructure:
@@ -187,20 +209,30 @@ def admissible_chain(params: AlgebraParams, j: RationalLike) -> ChainStructure:
 
 # -- the representation table -------------------------------------------------
 
-@dataclass(frozen=True)
-class TableRow:
-    n: int
-    j3: Fraction
-    plus: Optional[float]
-    minus: Optional[float]
-    admissible: bool
+class TableRow(_Value):
+    """One state n of the table: its J3 eigenvalue, the elements of J+ and
+    J- (None where the radicand is negative) and its admissible flag."""
+
+    __slots__ = ("n", "j3", "plus", "minus", "admissible")
+
+    def __init__(self, n: int, j3: Fraction, plus: float | None, minus: float | None,
+                 admissible: bool):
+        self.n = n
+        self.j3 = j3
+        self.plus = plus
+        self.minus = minus
+        self.admissible = admissible
+        _seal(self)
 
 
-@dataclass(frozen=True)
-class RepresentationTable:
-    params: AlgebraParams
-    j: Fraction
-    rows: tuple[TableRow, ...]
+class RepresentationTable(_Value):
+    __slots__ = ("params", "j", "rows")
+
+    def __init__(self, params: AlgebraParams, j: Fraction, rows: tuple[TableRow, ...]):
+        self.params = params
+        self.j = j
+        self.rows = rows
+        _seal(self)
 
     def to_csv(self) -> str:
         lines = [
@@ -216,7 +248,7 @@ class RepresentationTable:
         return "\n".join(lines) + "\n"
 
 
-def _sqrt_or_none(x: Fraction) -> Optional[float]:
+def _sqrt_or_none(x: Fraction) -> float | None:
     if x < 0:
         return None
     return math.sqrt(_to_float(x, "a squared ladder element"))

@@ -23,7 +23,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import AlgebraParams, representation_table
 from .fock import FockSpace, RATIONAL, _operator_text
@@ -110,7 +109,7 @@ def _kind_list(text: str) -> list[str]:
     return tokens
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -297,7 +296,7 @@ def _is_value(parser: argparse.ArgumentParser, text: str) -> bool:
                 and not parser._has_negative_number_optionals))
 
 
-def _quick(argv) -> Optional[argparse.Namespace]:
+def _quick(argv) -> argparse.Namespace | None:
     """The namespace ``_parser().parse_args(argv)`` returns, read in one
     pass over the parser's own table, or None.
 

@@ -31,12 +31,11 @@ import itertools
 import json
 import math
 import weakref
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence, Union
 
-Scalar = Union[int, float, complex, Fraction]
+Scalar = int | float | complex | Fraction
 
 COMPLEX = "complex"
 RATIONAL = "rational"
@@ -45,16 +44,83 @@ class FieldError(TypeError):
     """Raised when an operation is asked of the wrong scalar field."""
 
 
-@dataclass(frozen=True)
-class FockSpace:
-    """A truncation keeping the first ``dim`` occupation states."""
+# -- value classes -------------------------------------------------------------
 
-    dim: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < 2:
+class _Value:
+    """Base of the package's value classes: immutable, with their fields in
+    ``__slots__``.
+
+    A subclass's ``__init__`` fills the fields by plain assignment and
+    ends with ``_seal(self)``.  It runs on the class's draft, a subclass
+    made with it that writes as any object does, and ``_seal`` turns the
+    draft into the class itself, whose ``__setattr__`` and ``__delattr__``
+    raise AttributeError: no field changes once ``__init__`` has returned.
+    Each field costs one plain store; setting each through
+    ``object.__setattr__`` made a nine-field ``CheckResult`` about twice as
+    slow to build, and a step verify builds one per row."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, draft: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if not draft:
+            cls._draft = type(cls.__name__, (cls,), {"__slots__": (),
+                                                     "__setattr__": object.__setattr__,
+                                                     "__delattr__": object.__delattr__},
+                              draft=True)
+
+    def __new__(cls, *args, **kwargs):
+        return object.__new__(cls._draft)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild a value as __init__ builds one, on the draft
+        return _rebuilt, (type(self), tuple([getattr(self, name) for name in self.__slots__]))
+
+
+def _seal(value: _Value) -> None:
+    """The last step of a value class's ``__init__``: the filled draft
+    becomes an instance of the class."""
+    value.__class__ = type(value).__base__
+
+
+def _rebuilt(cls: type, fields: tuple) -> _Value:
+    """The value of class ``cls`` whose slots hold ``fields``, in order."""
+    value = object.__new__(cls._draft)
+    for name, field in zip(cls.__slots__, fields):
+        setattr(value, name, field)
+    _seal(value)
+    return value
+
+
+class FockSpace(_Value):
+    """A truncation keeping the first ``dim`` occupation states.  Equal
+    dims make equal spaces."""
+
+    __slots__ = ("dim",)
+
+    def __init__(self, dim: int):
+        if not isinstance(dim, int) or dim < 2:
             raise ValueError(f"truncation dimension must be an integer >= 2,"
-                             f" got {json.dumps(self.dim, default=repr)}")
+                             f" got {json.dumps(dim, default=repr)}")
+        self.dim = dim
+        _seal(self)
+
+    def __eq__(self, other):
+        return self.dim == other.dim if type(other) is FockSpace else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dim,))
 
 
 def _freeze(entries):

@@ -28,9 +28,7 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import AlgebraParams, RationalLike, bond_product, _doubled_spin, _frac
 from .fock import (
@@ -40,12 +38,14 @@ from .fock import (
     DenseOperator,
     FockSpace,
     Operator,
+    _Value,
     _is_int,
     _operator_text,
     _parse_rational,
     _phase_kernel,
     _quadrature_basis,
     _quarter_turns,
+    _seal,
     _to_float,
     momentum,
 )
@@ -63,8 +63,7 @@ _WINDOW_EPS = 1e-9
 _VILLAIN_JP_RTOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class Realization:
+class Realization(_Value):
     """A concrete matrix triple (J+, J-, J3) with its provenance.
 
     ``admissible_mask[n]`` gates the bond taking state n to state n + k:
@@ -73,22 +72,26 @@ class Realization:
     (villain) kinds the Fock mask is uninformative and ``window`` is the
     momentum interval on which identities are checked.  A step-kind
     realization holds ``BandedOperator`` generators; any other raises ValueError.
+    A realization equals only itself.
     """
 
-    kind: str
-    step_k: int
-    j2: int
-    params: AlgebraParams
-    jp: Operator
-    jm: Operator
-    j3: Operator
-    admissible_mask: tuple[bool, ...]
+    __slots__ = ("kind", "step_k", "j2", "params", "jp", "jm", "j3", "admissible_mask")
 
-    def __post_init__(self) -> None:
-        if self.kind in STEP_KINDS and not all(isinstance(op, BandedOperator)
-                                               for op in (self.jp, self.jm, self.j3)):
-            raise ValueError(f"a step-kind ({self.kind}) realization holds bands, not dense"
+    def __init__(self, kind: str, step_k: int, j2: int, params: AlgebraParams, jp: Operator,
+                 jm: Operator, j3: Operator, admissible_mask: tuple[bool, ...]):
+        if kind in STEP_KINDS and not (isinstance(jp, BandedOperator) and isinstance(
+                jm, BandedOperator) and isinstance(j3, BandedOperator)):
+            raise ValueError(f"a step-kind ({kind}) realization holds bands, not dense"
                              " operators")
+        self.kind = kind
+        self.step_k = step_k
+        self.j2 = j2
+        self.params = params
+        self.jp = jp
+        self.jm = jm
+        self.j3 = j3
+        self.admissible_mask = admissible_mask
+        _seal(self)
 
     @property
     def space(self) -> FockSpace:
@@ -103,7 +106,7 @@ class Realization:
         return Fraction(self.j2, 2)
 
     @property
-    def window(self) -> Optional[tuple[Fraction, Fraction]]:
+    def window(self) -> tuple[Fraction, Fraction] | None:
         """[-j, j] for the spectral kinds, None for the step kinds."""
         return (-self.j, self.j) if self.kind in VILLAIN_KINDS else None
 
@@ -269,7 +272,7 @@ def _prefix_sums(params: AlgebraParams, j: RationalLike, k: int,
     h: list = []
     for n in range(nmax + 1):
         t = a - n * b
-        h.append(lin * t + cub * t ** 3 + (h[n - k] if n >= k else 0))
+        h.append(lin * t + cub * (t * t * t) + (h[n - k] if n >= k else 0))
     return h, q
 
 
@@ -389,8 +392,8 @@ def _step_realization(space: FockSpace, params: AlgebraParams, j: RationalLike, 
                                 map(operator.mul, weights[:size], _ladder(dim, k, raising=False)))
             jm = _step_operator(space, COMPLEX, -k, _ladder(dim, k, raising=True))
     if field == RATIONAL:
-        j3 = _step_operator(space, RATIONAL, 0, [jf.numerator - n * jf.denominator
-                                                 for n in range(dim)], jf.denominator)
+        a, b = jf.numerator, jf.denominator
+        j3 = _step_operator(space, RATIONAL, 0, [a - n * b for n in range(dim)], b)
     else:
         top = _to_float(jf, "a scale factor")
         j3 = _step_operator(space, COMPLEX, 0, [top - n for n in range(dim)])

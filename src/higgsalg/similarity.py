@@ -12,23 +12,46 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
 
 from .algebra import AlgebraParams, RationalLike, _frac, z_boundaries
-from .fock import COMPLEX, BandedOperator, FockSpace, _band_start, _to_float, pochhammer
+from .fock import (
+    COMPLEX,
+    BandedOperator,
+    FockSpace,
+    _Value,
+    _band_start,
+    _seal,
+    _to_float,
+    pochhammer,
+)
 from .realizations import STEP_KINDS, Realization, product_recurrence
 
 
-@dataclass(frozen=True)
-class DiagonalTransform:
+class DiagonalTransform(_Value):
     """Diagonal scaling s(0) .. s(N-1); mask[n] marks entries reachable
-    through strictly positive weights from the seed."""
+    through strictly positive weights from the seed.  Equal fields make
+    equal transforms, so a map read back from its file equals the map."""
 
-    q0: float
-    entries: tuple[float, ...]
-    mask: tuple[bool, ...]
-    q0_odd: Optional[float] = None
+    __slots__ = ("q0", "entries", "mask", "q0_odd")
+
+    def __init__(self, q0: float, entries: tuple[float, ...], mask: tuple[bool, ...],
+                 q0_odd: float | None = None):
+        self.q0 = q0
+        self.entries = entries
+        self.mask = mask
+        self.q0_odd = q0_odd
+        _seal(self)
+
+    def _fields(self) -> tuple:
+        return self.q0, self.entries, self.mask, self.q0_odd
+
+    def __eq__(self, other):
+        if type(other) is not DiagonalTransform:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @property
     def dim(self) -> int:
@@ -201,13 +224,9 @@ def conjugate(realization: Realization, transform: DiagonalTransform) -> Realiza
     # bond b keeps both ends in the domain; a bond past the edge has one end
     far_end = np.concatenate((keep[k:], np.ones(min(k, n), dtype=bool)))
     new_mask = np.array(realization.admissible_mask, dtype=bool) & keep & far_end
-    return replace(
-        realization,
-        jp=carry(realization.jp),
-        jm=carry(realization.jm),
-        j3=carry(realization.j3),
-        admissible_mask=tuple(new_mask.tolist()),
-    )
+    return Realization(realization.kind, k, realization.j2, realization.params,
+                       carry(realization.jp), carry(realization.jm), carry(realization.j3),
+                       tuple(new_mask.tolist()))
 
 
 def unitarization_residual(

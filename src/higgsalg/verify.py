@@ -32,21 +32,23 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string_json
-from typing import Optional, Sequence, Union
 
 from .algebra import AlgebraParams, _casimir, _casimir_coefficients, casimir_eigenvalue
 from .fock import (
     RATIONAL,
     BandedOperator,
     FockSpace,
+    _ZERO,
+    _Value,
     _band_start,
     _momentum_entries,
     _peak,
     _quadrature_basis,
     _quarter_turns,
+    _seal,
     _to_float,
     _zero_band,
 )
@@ -59,7 +61,7 @@ from .realizations import (
     build_realization,
 )
 
-Residual = Union[float, Fraction, None]
+Residual = float | Fraction | None
 
 _TOLERANCE_COEFFICIENT = 1e-12
 
@@ -89,6 +91,8 @@ def _residual_json(x: Residual) -> str:
     ValueError: no report carries NaN or Infinity."""
     if x is None:
         return "null"
+    if x is _ZERO:  # the residual of a passing exact row, and every exact tolerance
+        return '"0"'
     # a float is tested first: Fraction's isinstance check is the slow ABC one
     if not isinstance(x, float) and isinstance(x, Fraction):
         return f'"{x}"'
@@ -107,17 +111,26 @@ def _list_json(items, pad: str) -> str:
     return "[\n" + ",\n".join([item + x._json(item) for x in items]) + f"\n{pad}]"
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    residual: Residual
-    tolerance: Residual
-    block_size: int
-    passed: bool
-    vacuous: bool
-    substantive: bool
-    exact: bool
-    asymptotic: bool = False
+class CheckResult(_Value):
+    """One named check: its residual and tolerance (None where there is
+    none), the number of states it was measured on, and its verdict."""
+
+    __slots__ = ("name", "residual", "tolerance", "block_size", "passed", "vacuous",
+                 "substantive", "exact", "asymptotic")
+
+    def __init__(self, name: str, residual: Residual, tolerance: Residual, block_size: int,
+                 passed: bool, vacuous: bool, substantive: bool, exact: bool,
+                 asymptotic: bool = False):
+        self.name = name
+        self.residual = residual
+        self.tolerance = tolerance
+        self.block_size = block_size
+        self.passed = passed
+        self.vacuous = vacuous
+        self.substantive = substantive
+        self.exact = exact
+        self.asymptotic = asymptotic
+        _seal(self)
 
     @property
     def _status(self) -> str:
@@ -138,31 +151,34 @@ class CheckResult:
                 f'{k}"asymptotic": {_BOOL[self.asymptotic]}\n{pad}}}')
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    kind: str
-    step_k: int
-    j2: int
-    c1: str
-    c3: str
-    dim: int
-    field_name: str
-    checks: tuple[CheckResult, ...]
-    passed: bool = field(init=False)
-    outcome: str = field(init=False)
-    vacuous_only: bool = field(init=False)
+class VerificationReport(_Value):
+    """The checks of one realization, with the point they were measured
+    at and the verdict they reach."""
 
-    def __post_init__(self) -> None:
-        """The verdict, reached once: ``outcome`` is "FAIL" when a check
+    __slots__ = ("kind", "step_k", "j2", "c1", "c3", "dim", "field_name", "checks",
+                 "passed", "outcome", "vacuous_only")
+
+    def __init__(self, kind: str, step_k: int, j2: int, c1: str, c3: str, dim: int,
+                 field_name: str, checks: tuple[CheckResult, ...]):
+        """The verdict is reached once: ``outcome`` is "FAIL" when a check
         fails, else "vacuous" when every substantive check (and there is
         one) is vacuous, else "pass"."""
-        passed = all(c.passed for c in self.checks)
-        substantive = [c.vacuous for c in self.checks if c.substantive]
+        passed = all(c.passed for c in checks)
+        substantive = [c.vacuous for c in checks if c.substantive]
         outcome = ("FAIL" if not passed
                    else "vacuous" if substantive and all(substantive) else "pass")
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "vacuous_only", outcome == "vacuous")
+        self.kind = kind
+        self.step_k = step_k
+        self.j2 = j2
+        self.c1 = c1
+        self.c3 = c3
+        self.dim = dim
+        self.field_name = field_name
+        self.checks = checks
+        self.passed = passed
+        self.outcome = outcome
+        self.vacuous_only = outcome == "vacuous"
+        _seal(self)
 
     def _json(self, pad: str) -> str:
         k = pad + "  "
@@ -193,7 +209,7 @@ class VerificationReport:
 _EXIT_CODES = {"pass": 0, "FAIL": 1, "vacuous": 2}
 
 
-def exit_code(report: Union[VerificationReport, SweepReport]) -> int:
+def exit_code(report: VerificationReport | SweepReport) -> int:
     return _EXIT_CODES[report.outcome]
 
 
@@ -294,18 +310,20 @@ def _num(c) -> float:
 
 
 def _top(values, den: int) -> Fraction:
-    """max |v| / den over int numerators, 0 when there are none: the one
-    Fraction an exact row makes."""
-    return Fraction(max(map(abs, values), default=0), den)
+    """max |v| / den over int numerators: the one Fraction an exact row
+    makes, or the shared zero when that is 0 or there are no values."""
+    top = max(map(abs, values), default=0)
+    return Fraction(top, den) if top else _ZERO
 
 
 def _split(op: BandedOperator, d: int) -> tuple:
     """A step generator's band at offset d, its N - |d| entries (zeros
     where it has no band there), and the rest of it: its other bands.  A
     built generator is its one band, so only a loaded file can leave a
-    rest."""
-    rest = dict(op._bands)
-    band = rest.pop(d, None)
+    rest, and the bands are copied only then."""
+    bands = op._bands
+    band = bands.get(d)
+    rest = {} if bands.keys() <= {d} else {e: x for e, x in bands.items() if e != d}
     return (_zero_band(op.space.dim - abs(d), op.field) if band is None else band), rest
 
 
@@ -330,8 +348,9 @@ class _Steps:
         self.r, self.k, self.states = r, r.step_k, states
         (self.p, rp), (self.m, rm), (self.t, rt) = (
             _split(r.jp, self.k), _split(r.jm, -self.k), _split(r.j3, 0))
-        self._rest = {"jp": (r.jp, rp), "jm": (r.jm, rm), "j3": (r.j3, rt)}
-        self.inside = set(states)
+        # the generators that hold an entry off their band, each with the rest
+        self._rest = {name: (op, rest) for name, op, rest in
+                      (("jp", r.jp, rp), ("jm", r.jm, rm), ("j3", r.j3, rt)) if rest}
         # the bands' denominators, 1 in the complex field
         self.dp, self.dm, self.dt = r.jp._den, r.jm._den, r.j3._den
         if states:
@@ -348,11 +367,15 @@ class _Steps:
         """The residual of a row that reads the generators ``names``: the
         larger of ``residual()`` and their largest entry off the band in
         the row's region, the whole space or the block.  An entry off the
-        band is measured, never dropped."""
+        band is measured, never dropped.  Where none of them holds one, as
+        in every built realization, this is ``residual`` itself."""
+        rests = [self._rest[name] for name in names if name in self._rest]
+        if not rests:
+            return residual
+
         def measured():
-            value, inside = residual(), self.inside
-            for name in names:
-                op, rest = self._rest[name]
+            value, inside = residual(), set(self.states)
+            for op, rest in rests:
                 for d, band in rest.items():
                     if not whole:
                         r, c = _band_start(d)
@@ -498,18 +521,24 @@ def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
         ``scale()``.  A check passes unless its residual exceeds its
         tolerance."""
         value = tol = None
+        passed = True
         asymptotic = block > 0 and scale is None
         if asymptotic:
             (value,) = _finite(name, residual())
         elif block > 0 and exact:
-            value, tol = residual(), Fraction(0)
+            # a residual is a largest magnitude: held to zero, it passes only at zero
+            value, tol = residual(), _ZERO
+            passed = not value
         elif block > 0:
-            value, size = _finite(name, residual(), scale())
-            (tol,) = _finite(name, tolerance_coefficient * dim * max(1.0, size),
-                             what="the float tolerance",
-                             why="coefficient x dim x scale is")
-        checks.append(CheckResult(name, value, tol, block, tol is None or value <= tol,
-                                  block == 0, substantive, exact and not asymptotic, asymptotic))
+            value, size = residual(), scale()
+            if not (math.isfinite(value) and math.isfinite(size)):
+                _finite(name, value, size)
+            tol = tolerance_coefficient * dim * max(1.0, size)
+            if not math.isfinite(tol):
+                _finite(name, tol, what="the float tolerance", why="coefficient x dim x scale is")
+            passed = value <= tol
+        checks.append(CheckResult(name, value, tol, block, passed, block == 0, substantive,
+                                  exact and not asymptotic, asymptotic))
 
     def eigenvalue(lam: Fraction, name: str):
         """The Casimir eigenvalue ``lam``, as a float outside the exact
@@ -654,14 +683,21 @@ def grid_from_json(data) -> list[tuple[AlgebraParams, int]]:
     return points
 
 
-@dataclass(frozen=True)
-class SweepEntry:
-    c1: str
-    c3: str
-    j2: int
-    token: str
-    report: Optional[VerificationReport]
-    error: Optional[str] = None
+class SweepEntry(_Value):
+    """One realization of a sweep at one grid point: its report, or the
+    error that building or verifying it raised."""
+
+    __slots__ = ("c1", "c3", "j2", "token", "report", "error")
+
+    def __init__(self, c1: str, c3: str, j2: int, token: str,
+                 report: VerificationReport | None, error: str | None = None):
+        self.c1 = c1
+        self.c3 = c3
+        self.j2 = j2
+        self.token = token
+        self.report = report
+        self.error = error
+        _seal(self)
 
     @property
     def outcome(self) -> str:
@@ -684,24 +720,24 @@ class SweepEntry:
                 f'{k}{last}\n{pad}}}')
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    entries: tuple[SweepEntry, ...]
-    n_failed: int = field(init=False)
-    n_vacuous: int = field(init=False)
-    outcome: str = field(init=False)
+class SweepReport(_Value):
+    """The entries of a sweep, counted and judged."""
 
-    def __post_init__(self) -> None:
-        """The verdict, reached once: ``outcome`` is "FAIL" when an entry
-        fails, else "vacuous" when every entry (and there is one) is
+    __slots__ = ("entries", "n_failed", "n_vacuous", "outcome")
+
+    def __init__(self, entries: tuple[SweepEntry, ...]):
+        """The verdict is reached once: ``outcome`` is "FAIL" when an
+        entry fails, else "vacuous" when every entry (and there is one) is
         vacuous, else "pass"."""
-        outcomes = [e.outcome for e in self.entries]
+        outcomes = [e.outcome for e in entries]
         failed, vacuous = outcomes.count("FAIL"), outcomes.count("vacuous")
         outcome = ("FAIL" if failed
                    else "vacuous" if outcomes and vacuous == len(outcomes) else "pass")
-        object.__setattr__(self, "n_failed", failed)
-        object.__setattr__(self, "n_vacuous", vacuous)
-        object.__setattr__(self, "outcome", outcome)
+        self.entries = entries
+        self.n_failed = failed
+        self.n_vacuous = vacuous
+        self.outcome = outcome
+        _seal(self)
 
     def _json(self, pad: str) -> str:
         k = pad + "  "
@@ -766,7 +802,7 @@ def sweep(
     return SweepReport(tuple(entries))
 
 
-def report_to_json(report: Union[VerificationReport, SweepReport]) -> str:
+def report_to_json(report: VerificationReport | SweepReport) -> str:
     """The report as a JSON document: the bytes of
     ``json.dumps(..., indent=2)`` plus a newline, written directly by the
     report classes.  A non-finite residual or tolerance raises ValueError

@@ -57,6 +57,13 @@ def monic_bond_quadratic(params: AlgebraParams, j: RationalLike, n: RationalLike
     return nf * nf - (2 * jf - 1) * nf + 2 * jf * jf + 2 * params.c1 / params.c3
 
 
+def casimir_eigenvalue_by_definition(params: AlgebraParams, j: RationalLike) -> Fraction:
+    """c1 j(j+1) + (c3/2) j^2 (j+1)^2, in Fractions as the definition
+    spells it."""
+    jf = _frac(j)
+    return params.c1 * jf * (jf + 1) + params.c3 / 2 * jf ** 2 * (jf + 1) ** 2
+
+
 # Hermiticity slack for float constructions, relative to the largest entry
 # magnitude.
 _HERMITIAN_RTOL = 1e-10

@@ -24,7 +24,12 @@ from higgsalg import (
     z_boundaries,
 )
 from higgsalg.algebra import minus_square, plus_square
-from reference import SU2_PARAMS, SU11_PARAMS, monic_bond_quadratic
+from reference import (
+    SU2_PARAMS,
+    SU11_PARAMS,
+    casimir_eigenvalue_by_definition,
+    monic_bond_quadratic,
+)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=8)
 spins = st.integers(min_value=0, max_value=12).map(lambda j2: Fraction(j2, 2))
@@ -41,6 +46,19 @@ def test_casimir_eigenvalue_classical_limits(j2):
     j = Fraction(j2, 2)
     assert casimir_eigenvalue(SU2_PARAMS, j) == 2 * j * (j + 1)
     assert casimir_eigenvalue(SU11_PARAMS, j) == -2 * j * (j + 1)
+
+
+_wide = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+
+
+@given(c1=_wide, c3=_wide, j2=st.integers(0, 10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_casimir_eigenvalue_is_its_definition(c1, c3, j2):
+    """The eigenvalue equals c1 j(j+1) + (c3/2) j^2 (j+1)^2 exactly, for
+    signed couplings with numerators and denominators up to 10^30 and 2j
+    up to 10^6."""
+    params, j = AlgebraParams(c1, c3), Fraction(j2, 2)
+    assert casimir_eigenvalue(params, j) == casimir_eigenvalue_by_definition(params, j)
 
 
 @given(c1=rationals, c3=rationals, j=spins, n=st.integers(0, 12))

@@ -25,7 +25,7 @@ from higgsalg import cli
 from higgsalg.cli import main
 from higgsalg.verify import exit_code, interior_check_states, report_to_json
 from test_golden import GOLDEN
-from test_survey import _subparser
+from test_survey import _off_band_cell, _off_band_entry, _subparser
 
 
 def test_table_output_matches_library(capsys):
@@ -755,6 +755,41 @@ def test_the_closure_reads_its_whole_block(tmp_path, capsys, kind):
     for name in ("ladder-closure", "casimir-scalar"):
         assert not checks[name]["passed"]
         assert checks[name]["residual"] == ("1" if rational else 1.0)
+
+
+_BLOCK_ROWS = ("ladder-closure", "casimir-two-forms", "casimir-commutes", "casimir-scalar")
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+@pytest.mark.parametrize("name", ["jm", "j3"])
+@pytest.mark.parametrize("kind", [
+    ["--kind", "hp:1"], ["--kind", "dyson:1"], ["--kind", "dyson:2"],
+    ["--kind", "dyson:1", "--field", "complex"], ["--kind", "dyson:2", "--field", "complex"],
+], ids=["hp-1", "dyson-1", "dyson-2", "dyson-complex-1", "dyson-complex-2"])
+def test_an_entry_off_a_band_is_read_by_the_rows_that_read_it(tmp_path, capsys, kind, name,
+                                                               inside):
+    """One J- entry just below its band, or one J3 entry just above its
+    diagonal, with both ends inside the interior block or in the last row
+    or column, outside it.  The block rows take it only inside the block;
+    the grading rows that read the generator take it wherever it lies,
+    and so does hp's ``adjoint-pairing``, which compares J- with
+    J+-dagger entry by entry.  Every other row passes, and the exit is 1."""
+    path = tmp_path / "r.json"
+    assert main(["build", "--c1", "1", "--c3", "1", "--j2", "5", "--dim", "12", *kind,
+                 "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    k, (row, col) = doc["k"], _off_band_cell(doc, name, inside)
+    states = interior_check_states(Realization.from_json_dict(doc))
+    assert (row in states and col in states) == inside
+    _off_band_entry(name, inside)(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path), "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    graded = {f"grading-lower-k{k}"} | ({f"grading-raise-k{k}"} if name == "j3" else set())
+    paired = {"adjoint-pairing"} if name == "jm" and doc["kind"] == "hp" else set()
+    block = {c["name"] for c in checks if c["name"] in _BLOCK_ROWS} if inside else set()
+    assert {c["name"] for c in checks if not c["passed"]} == graded | paired | block
 
 
 def test_spectral_window_beyond_the_float_range_is_a_domain_error(tmp_path, capsys):

@@ -2,11 +2,11 @@
 
 Each command runs ``higgsalg.cli.main`` in a fresh interpreter, which then
 reports whether numpy was imported.  A spectral verify must import it, so
-the check can fail."""
+the check can fail.  The package's own import loads no ``dataclasses``,
+``inspect`` or ``typing`` either."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -22,6 +22,7 @@ from higgsalg import (
     COMPLEX,
     AlgebraParams,
     FockSpace,
+    Realization,
     build_realization,
     interior_check_states,
 )
@@ -41,17 +42,40 @@ with contextlib.redirect_stdout(io.StringIO()):
 print("numpy" in sys.modules, code)
 """
 
+# prints which of the modules named in its arguments importing higgsalg.cli
+# adds; one loaded before the import, as a site hook may load typing, is not
+# counted
+_IMPORT_CHILD = """\
+import sys
+before = set(sys.modules)
+import higgsalg.cli
+print(*sorted(set(sys.argv[1:]) & (set(sys.modules) - before)))
+"""
+
 _POINT = ["--c1", "1", "--c3", "1", "--j2", "5"]
+
+
+def _child_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [_SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
 def _fresh_run(argv, cwd) -> tuple[bool, int]:
     """(numpy imported, exit code) of ``cli.main(argv)`` in a new interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [_SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, "-c", _CHILD, *argv], cwd=cwd, env=env,
+    done = subprocess.run([sys.executable, "-c", _CHILD, *argv], cwd=cwd, env=_child_env(),
                           capture_output=True, text=True, check=True)
     loaded, code = done.stdout.split()
     return loaded == "True", int(code)
+
+
+def test_the_package_imports_no_dataclasses_inspect_or_typing(tmp_path):
+    """A fresh interpreter's import of ``higgsalg.cli`` adds none of
+    ``dataclasses``, ``inspect`` and ``typing``; it does add ``fractions``,
+    so the check can fail."""
+    done = subprocess.run([sys.executable, "-c", _IMPORT_CHILD, "dataclasses", "inspect",
+                           "typing", "fractions"], cwd=tmp_path, env=_child_env(),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["fractions"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -187,6 +211,7 @@ def test_a_zero_band_entry_is_read_where_j3_is_not_finite():
     r = build_realization(FockSpace(32), AlgebraParams.of(2, 0), 6, "hp", 1)
     assert r.jp.diagonal(1)[30] == r.jm.diagonal(-1)[30] == 0.0
     t = [*r.j3.diagonal()[:31], math.inf]
-    broken = dataclasses.replace(r, j3=BandedOperator(r.space, COMPLEX, {0: t}))
+    broken = Realization(r.kind, r.step_k, r.j2, r.params, r.jp, r.jm,
+                         BandedOperator(r.space, COMPLEX, {0: t}), r.admissible_mask)
     rows = verify._FloatSteps(broken, [])
     assert math.isnan(rows.grading(1)) and math.isnan(rows.grading(-1))

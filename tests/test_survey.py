@@ -5,8 +5,9 @@ the subcommand takes none).  Its invocations are drawn once from a seeded
 generator, and its digest runs over the exit code, stderr and stdout of
 each in order, plus the bytes of every file a ``build -o`` writes.  The
 classes cover hp:1-4 and dyson:1-4 in both fields, villain:1-2, the
-refusal points of the README's exit table, and per subcommand the
-spellings at the edges of argparse's grammar (``parse-edge/...``).
+refusal points of the README's exit table, per subcommand the
+spellings at the edges of argparse's grammar (``parse-edge/...``), and
+step files holding one J- or J3 entry off its band (``off-band/...``).
 
 A change that only simplifies code leaves every digest as it is.  An
 intended output change moves the digests of its own classes; to re-pin a
@@ -29,6 +30,7 @@ import random
 
 import pytest
 
+from higgsalg import Realization, interior_check_states
 from higgsalg.cli import build_parser, main
 
 _SEED = 1956
@@ -120,6 +122,7 @@ def _survey() -> dict[str, list]:
     _refusals(classes)
     _step_four(rng, classes)
     _parse_edges(classes)
+    _off_band_rule(classes)
     return classes
 
 
@@ -219,6 +222,43 @@ def _parse_edges(classes: dict[str, list]) -> None:
         ["sweep", *rest, "stray"],
         ["sweep", *rest, "--dim"],
         ["sweep", "--kinds", " hp:1 , hp:2", "--dim", "8"]]
+
+
+def _off_band_cell(doc, name: str, inside: bool) -> tuple[int, int]:
+    """(row, column) of an entry off the band of J- (``jm``, at offset
+    -(k + 1), just below its band) or of J3 (``j3``, just above its
+    diagonal): with both ends in the interior block, at its first state,
+    or in the last row or column of the space, outside it."""
+    k, dim = doc["k"], doc["dim"]
+    n = (interior_check_states(Realization.from_json_dict(doc))[0] if inside
+         else dim - k - 2 if name == "jm" else dim - 2)
+    return (n + k + 1, n) if name == "jm" else (n, n + 1)
+
+
+def _off_band_entry(name: str, inside: bool):
+    """An edit setting the entry at ``_off_band_cell`` to 1."""
+    def edit(doc):
+        row, col = _off_band_cell(doc, name, inside)
+        one = "1" if doc[name]["field"] == "rational" else [1.0, 0.0]
+        doc[name]["entries"][row * doc["dim"] + col] = one
+    return edit
+
+
+def _off_band_rule(classes: dict[str, list]) -> None:
+    """Step files with one J- or J3 entry off its band, inside the interior
+    block or outside it, one class per generator and field: the block rows
+    read the entry only inside the block, the grading rows wherever it
+    lies.  Fixed points, drawn from no generator."""
+    point = ["--c1", "1", "--c3", "1", "--j2", "5", "--dim", "12"]
+    for name in ("jm", "j3"):
+        for field in _FIELDS:
+            steps = classes[f"off-band/{name}/{field}"] = []
+            for kind in ("hp:1", "dyson:1", "dyson:2"):
+                for inside in (True, False):
+                    steps += [["build", *point, "--kind", kind, "--field", field, "-o", "FILE"],
+                              _off_band_entry(name, inside),
+                              ["verify", "--input", "FILE"],
+                              ["verify", "--input", "FILE", "--format", "json"]]
 
 
 def _refusals(classes: dict[str, list]) -> None:
@@ -346,6 +386,10 @@ DIGESTS = {
     "export-operator/villain/complex": "b004f842857c9a8c6e55c62a65898e5f40ff57a6c39415e96827b16c63ee2f5b",
     "export-operator/villain/rational": "933c9c6a29982049ea0e3a5ff9f0301a259e03e3d0d71e72af4277f8510f88b4",
     "export-transform/-/-": "9e621e914168fbc60d047986ece9a6fbce36425d27503e78a6e7fb97617a8ceb",
+    "off-band/j3/complex": "6ae238bb7d84a9e7c0e24c1b6b758da216598666377059b10ab9346b5e629e68",
+    "off-band/j3/rational": "5cdd5ac7f0806ea85fb2abc42d0082a3a8a74780aeac62b21ec3edcaddae92cb",
+    "off-band/jm/complex": "8201cfcd1df5f13caf3357be4216fc43d3d58a28f285a4f3868088b3d54c4da7",
+    "off-band/jm/rational": "65bb05bd42f12f2e139a127bd3ca3cc5f26f9a4e93fd64d41f3dbeb3a68ec08a",
     "parse-edge/build/-": "899f857b947ddd3744317b1a338cdd57f6dbb8176f60fc99db0c6e8ee739fc67",
     "parse-edge/export-operator/-": "b5a5912f64a2443ed64a00ce8576839330fdd982e73ec84db45a00d62d18c35d",
     "parse-edge/export-transform/-": "8dff856f955909f833cdb9d7fd87f5f6977b5d80416eb405d348f02f70c07858",
