@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
-from .fock import _Value, _seal, _to_float
+from .fock import _to_float
 
 RationalLike = int | str | Fraction
 
@@ -26,29 +27,16 @@ def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class AlgebraParams(_Value):
+class AlgebraParams(namedtuple("AlgebraParams", "c1 c3")):
     """The pair (c1, c3) of structure constants, held exactly.  Equal
     pairs are equal values with one hash, as the ``_casimir_coefficients``
     cache needs."""
 
-    __slots__ = ("c1", "c3")
-
-    def __init__(self, c1: Fraction, c3: Fraction):
-        self.c1 = c1
-        self.c3 = c3
-        _seal(self)
+    __slots__ = ()
 
     @staticmethod
     def of(c1: RationalLike, c3: RationalLike) -> "AlgebraParams":
         return AlgebraParams(_frac(c1), _frac(c3))
-
-    def __eq__(self, other):
-        if type(other) is not AlgebraParams:
-            return NotImplemented
-        return self.c1 == other.c1 and self.c3 == other.c3
-
-    def __hash__(self) -> int:
-        return hash((self.c1, self.c3))
 
     def __str__(self) -> str:
         return f"(c1={self.c1}, c3={self.c3})"
@@ -168,7 +156,7 @@ def admissible_states(params: AlgebraParams, j: RationalLike) -> list[int]:
     return [n for n in range(top + 1) if minus_square(params, jf, n) >= 0]
 
 
-class ChainStructure(_Value):
+class ChainStructure(namedtuple("ChainStructure", "main segments")):
     """Decomposition of [0, 2j] under the bond signs.
 
     ``main`` is the chain grown from the displaced vacuum n = 0 through
@@ -178,12 +166,7 @@ class ChainStructure(_Value):
     but is not reachable from n = 0.
     """
 
-    __slots__ = ("main", "segments")
-
-    def __init__(self, main: tuple[int, ...], segments: tuple[tuple[int, ...], ...]):
-        self.main = main
-        self.segments = segments
-        _seal(self)
+    __slots__ = ()
 
 
 def admissible_chain(params: AlgebraParams, j: RationalLike) -> ChainStructure:
@@ -209,30 +192,13 @@ def admissible_chain(params: AlgebraParams, j: RationalLike) -> ChainStructure:
 
 # -- the representation table -------------------------------------------------
 
-class TableRow(_Value):
-    """One state n of the table: its J3 eigenvalue, the elements of J+ and
-    J- (None where the radicand is negative) and its admissible flag."""
-
-    __slots__ = ("n", "j3", "plus", "minus", "admissible")
-
-    def __init__(self, n: int, j3: Fraction, plus: float | None, minus: float | None,
-                 admissible: bool):
-        self.n = n
-        self.j3 = j3
-        self.plus = plus
-        self.minus = minus
-        self.admissible = admissible
-        _seal(self)
+# One state n of the table: its J3 eigenvalue, the elements of J+ and J-
+# (None where the radicand is negative) and its admissible flag.
+TableRow = namedtuple("TableRow", "n j3 plus minus admissible")
 
 
-class RepresentationTable(_Value):
-    __slots__ = ("params", "j", "rows")
-
-    def __init__(self, params: AlgebraParams, j: Fraction, rows: tuple[TableRow, ...]):
-        self.params = params
-        self.j = j
-        self.rows = rows
-        _seal(self)
+class RepresentationTable(namedtuple("RepresentationTable", "params j rows")):
+    __slots__ = ()
 
     def to_csv(self) -> str:
         lines = [

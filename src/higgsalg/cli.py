@@ -67,6 +67,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> float:
+    value = _finite_float(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonzero, got {text!r}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = _finite_float(text)
     if value < 0:
@@ -92,12 +99,11 @@ def _doubled_spin(text: str) -> int:
     return _int_at_least(text, 0, "doubled spin 2j")
 
 
-def _kind_token(text: str) -> str:
+def _kind_token(text: str) -> tuple[str, int]:
     try:
-        parse_kind_token(text)
+        return parse_kind_token(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
-    return text
 
 
 def _kind_list(text: str) -> list[str]:
@@ -144,7 +150,7 @@ def _build_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _construct(args) -> Realization:
-    kind, num = parse_kind_token(args.kind)
+    kind, num = args.kind
     params = AlgebraParams(args.c1, args.c3)
     return build_realization(FockSpace(args.dim), params, Fraction(args.j2, 2), kind, num,
                              field=args.field)
@@ -261,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     _point_args(p_tr)
     p_tr.add_argument("--map", choices=["s1", "s1-closed", "s2"], default="s1")
     p_tr.add_argument("--dim", type=_dimension, default=32)
-    p_tr.add_argument("--q0", type=_finite_float, default=1.0, help="seed value at n = 0")
-    p_tr.add_argument("--q0-odd", type=_finite_float, default=1.0,
+    p_tr.add_argument("--q0", type=_seed, default=1.0, help="seed value at n = 0")
+    p_tr.add_argument("--q0-odd", type=_seed, default=1.0,
                       help="seed at n = 1 for the two-chain step-2 map")
     p_tr.add_argument("-o", "--output", default=None)
     p_tr.set_defaults(func=_cmd_export_transform)

@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 import weakref
+from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from numbers import Rational
@@ -45,82 +46,27 @@ class FieldError(TypeError):
 
 
 # -- value classes -------------------------------------------------------------
+#
+# Each value class of the package is a ``collections.namedtuple``, or a
+# subclass of one with ``__slots__ = ()`` where it has methods: immutable,
+# built by position or keyword, equal and hashed by its fields, printed as
+# ``Name(field=value, ...)``, and copied or pickled through its ``__new__``.
+# A class that checks its arguments or derives fields from them does so in
+# ``__new__``; ``_make`` and ``_replace`` would bypass that, and nothing
+# calls them.
 
 
-class _Value:
-    """Base of the package's value classes: immutable, with their fields in
-    ``__slots__``.
-
-    A subclass's ``__init__`` fills the fields by plain assignment and
-    ends with ``_seal(self)``.  It runs on the class's draft, a subclass
-    made with it that writes as any object does, and ``_seal`` turns the
-    draft into the class itself, whose ``__setattr__`` and ``__delattr__``
-    raise AttributeError: no field changes once ``__init__`` has returned.
-    Each field costs one plain store; setting each through
-    ``object.__setattr__`` made a nine-field ``CheckResult`` about twice as
-    slow to build, and a step verify builds one per row."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, draft: bool = False, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if not draft:
-            cls._draft = type(cls.__name__, (cls,), {"__slots__": (),
-                                                     "__setattr__": object.__setattr__,
-                                                     "__delattr__": object.__delattr__},
-                              draft=True)
-
-    def __new__(cls, *args, **kwargs):
-        return object.__new__(cls._draft)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild a value as __init__ builds one, on the draft
-        return _rebuilt, (type(self), tuple([getattr(self, name) for name in self.__slots__]))
-
-
-def _seal(value: _Value) -> None:
-    """The last step of a value class's ``__init__``: the filled draft
-    becomes an instance of the class."""
-    value.__class__ = type(value).__base__
-
-
-def _rebuilt(cls: type, fields: tuple) -> _Value:
-    """The value of class ``cls`` whose slots hold ``fields``, in order."""
-    value = object.__new__(cls._draft)
-    for name, field in zip(cls.__slots__, fields):
-        setattr(value, name, field)
-    _seal(value)
-    return value
-
-
-class FockSpace(_Value):
+class FockSpace(namedtuple("FockSpace", "dim")):
     """A truncation keeping the first ``dim`` occupation states.  Equal
     dims make equal spaces."""
 
-    __slots__ = ("dim",)
+    __slots__ = ()
 
-    def __init__(self, dim: int):
+    def __new__(cls, dim: int):
         if not isinstance(dim, int) or dim < 2:
             raise ValueError(f"truncation dimension must be an integer >= 2,"
                              f" got {json.dumps(dim, default=repr)}")
-        self.dim = dim
-        _seal(self)
-
-    def __eq__(self, other):
-        return self.dim == other.dim if type(other) is FockSpace else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.dim,))
+        return tuple.__new__(cls, (dim,))
 
 
 def _freeze(entries):

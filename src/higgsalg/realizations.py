@@ -28,6 +28,7 @@ import functools
 import json
 import math
 import operator
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import AlgebraParams, RationalLike, bond_product, _doubled_spin, _frac
@@ -38,14 +39,12 @@ from .fock import (
     DenseOperator,
     FockSpace,
     Operator,
-    _Value,
     _is_int,
     _operator_text,
     _parse_rational,
     _phase_kernel,
     _quadrature_basis,
     _quarter_turns,
-    _seal,
     _to_float,
     momentum,
 )
@@ -63,7 +62,8 @@ _WINDOW_EPS = 1e-9
 _VILLAIN_JP_RTOL = 1e-12
 
 
-class Realization(_Value):
+class Realization(namedtuple("Realization",
+                             "kind step_k j2 params jp jm j3 admissible_mask")):
     """A concrete matrix triple (J+, J-, J3) with its provenance.
 
     ``admissible_mask[n]`` gates the bond taking state n to state n + k:
@@ -72,26 +72,19 @@ class Realization(_Value):
     (villain) kinds the Fock mask is uninformative and ``window`` is the
     momentum interval on which identities are checked.  A step-kind
     realization holds ``BandedOperator`` generators; any other raises ValueError.
-    A realization equals only itself.
+    Operators compare by identity, so two realizations are equal when they
+    hold the same three operators and equal provenance and mask.
     """
 
-    __slots__ = ("kind", "step_k", "j2", "params", "jp", "jm", "j3", "admissible_mask")
+    __slots__ = ()
 
-    def __init__(self, kind: str, step_k: int, j2: int, params: AlgebraParams, jp: Operator,
-                 jm: Operator, j3: Operator, admissible_mask: tuple[bool, ...]):
+    def __new__(cls, kind: str, step_k: int, j2: int, params: AlgebraParams, jp: Operator,
+                jm: Operator, j3: Operator, admissible_mask: tuple[bool, ...]):
         if kind in STEP_KINDS and not (isinstance(jp, BandedOperator) and isinstance(
                 jm, BandedOperator) and isinstance(j3, BandedOperator)):
             raise ValueError(f"a step-kind ({kind}) realization holds bands, not dense"
                              " operators")
-        self.kind = kind
-        self.step_k = step_k
-        self.j2 = j2
-        self.params = params
-        self.jp = jp
-        self.jm = jm
-        self.j3 = j3
-        self.admissible_mask = admissible_mask
-        _seal(self)
+        return tuple.__new__(cls, (kind, step_k, j2, params, jp, jm, j3, admissible_mask))
 
     @property
     def space(self) -> FockSpace:

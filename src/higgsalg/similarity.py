@@ -12,46 +12,27 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 
 from .algebra import AlgebraParams, RationalLike, _frac, z_boundaries
 from .fock import (
     COMPLEX,
     BandedOperator,
     FockSpace,
-    _Value,
     _band_start,
-    _seal,
     _to_float,
     pochhammer,
 )
 from .realizations import STEP_KINDS, Realization, product_recurrence
 
 
-class DiagonalTransform(_Value):
+class DiagonalTransform(namedtuple("DiagonalTransform", "q0 entries mask q0_odd",
+                                   defaults=(None,))):
     """Diagonal scaling s(0) .. s(N-1); mask[n] marks entries reachable
     through strictly positive weights from the seed.  Equal fields make
     equal transforms, so a map read back from its file equals the map."""
 
-    __slots__ = ("q0", "entries", "mask", "q0_odd")
-
-    def __init__(self, q0: float, entries: tuple[float, ...], mask: tuple[bool, ...],
-                 q0_odd: float | None = None):
-        self.q0 = q0
-        self.entries = entries
-        self.mask = mask
-        self.q0_odd = q0_odd
-        _seal(self)
-
-    def _fields(self) -> tuple:
-        return self.q0, self.entries, self.mask, self.q0_odd
-
-    def __eq__(self, other):
-        if type(other) is not DiagonalTransform:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    __slots__ = ()
 
     @property
     def dim(self) -> int:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string_json
@@ -42,13 +43,11 @@ from .fock import (
     BandedOperator,
     FockSpace,
     _ZERO,
-    _Value,
     _band_start,
     _momentum_entries,
     _peak,
     _quadrature_basis,
     _quarter_turns,
-    _seal,
     _to_float,
     _zero_band,
 )
@@ -111,26 +110,12 @@ def _list_json(items, pad: str) -> str:
     return "[\n" + ",\n".join([item + x._json(item) for x in items]) + f"\n{pad}]"
 
 
-class CheckResult(_Value):
+class CheckResult(namedtuple("CheckResult", "name residual tolerance block_size passed vacuous"
+                             " substantive exact asymptotic", defaults=(False,))):
     """One named check: its residual and tolerance (None where there is
     none), the number of states it was measured on, and its verdict."""
 
-    __slots__ = ("name", "residual", "tolerance", "block_size", "passed", "vacuous",
-                 "substantive", "exact", "asymptotic")
-
-    def __init__(self, name: str, residual: Residual, tolerance: Residual, block_size: int,
-                 passed: bool, vacuous: bool, substantive: bool, exact: bool,
-                 asymptotic: bool = False):
-        self.name = name
-        self.residual = residual
-        self.tolerance = tolerance
-        self.block_size = block_size
-        self.passed = passed
-        self.vacuous = vacuous
-        self.substantive = substantive
-        self.exact = exact
-        self.asymptotic = asymptotic
-        _seal(self)
+    __slots__ = ()
 
     @property
     def _status(self) -> str:
@@ -151,15 +136,15 @@ class CheckResult(_Value):
                 f'{k}"asymptotic": {_BOOL[self.asymptotic]}\n{pad}}}')
 
 
-class VerificationReport(_Value):
+class VerificationReport(namedtuple("VerificationReport", "kind step_k j2 c1 c3 dim field_name"
+                                    " checks passed outcome vacuous_only")):
     """The checks of one realization, with the point they were measured
     at and the verdict they reach."""
 
-    __slots__ = ("kind", "step_k", "j2", "c1", "c3", "dim", "field_name", "checks",
-                 "passed", "outcome", "vacuous_only")
+    __slots__ = ()
 
-    def __init__(self, kind: str, step_k: int, j2: int, c1: str, c3: str, dim: int,
-                 field_name: str, checks: tuple[CheckResult, ...]):
+    def __new__(cls, kind: str, step_k: int, j2: int, c1: str, c3: str, dim: int,
+                field_name: str, checks: tuple[CheckResult, ...]):
         """The verdict is reached once: ``outcome`` is "FAIL" when a check
         fails, else "vacuous" when every substantive check (and there is
         one) is vacuous, else "pass"."""
@@ -167,18 +152,12 @@ class VerificationReport(_Value):
         substantive = [c.vacuous for c in checks if c.substantive]
         outcome = ("FAIL" if not passed
                    else "vacuous" if substantive and all(substantive) else "pass")
-        self.kind = kind
-        self.step_k = step_k
-        self.j2 = j2
-        self.c1 = c1
-        self.c3 = c3
-        self.dim = dim
-        self.field_name = field_name
-        self.checks = checks
-        self.passed = passed
-        self.outcome = outcome
-        self.vacuous_only = outcome == "vacuous"
-        _seal(self)
+        return tuple.__new__(cls, (kind, step_k, j2, c1, c3, dim, field_name, checks,
+                                   passed, outcome, outcome == "vacuous"))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild the report through __new__ from its checks
+        return self[:8]
 
     def _json(self, pad: str) -> str:
         k = pad + "  "
@@ -683,21 +662,11 @@ def grid_from_json(data) -> list[tuple[AlgebraParams, int]]:
     return points
 
 
-class SweepEntry(_Value):
+class SweepEntry(namedtuple("SweepEntry", "c1 c3 j2 token report error", defaults=(None,))):
     """One realization of a sweep at one grid point: its report, or the
     error that building or verifying it raised."""
 
-    __slots__ = ("c1", "c3", "j2", "token", "report", "error")
-
-    def __init__(self, c1: str, c3: str, j2: int, token: str,
-                 report: VerificationReport | None, error: str | None = None):
-        self.c1 = c1
-        self.c3 = c3
-        self.j2 = j2
-        self.token = token
-        self.report = report
-        self.error = error
-        _seal(self)
+    __slots__ = ()
 
     @property
     def outcome(self) -> str:
@@ -720,12 +689,12 @@ class SweepEntry(_Value):
                 f'{k}{last}\n{pad}}}')
 
 
-class SweepReport(_Value):
+class SweepReport(namedtuple("SweepReport", "entries n_failed n_vacuous outcome")):
     """The entries of a sweep, counted and judged."""
 
-    __slots__ = ("entries", "n_failed", "n_vacuous", "outcome")
+    __slots__ = ()
 
-    def __init__(self, entries: tuple[SweepEntry, ...]):
+    def __new__(cls, entries: tuple[SweepEntry, ...]):
         """The verdict is reached once: ``outcome`` is "FAIL" when an
         entry fails, else "vacuous" when every entry (and there is one) is
         vacuous, else "pass"."""
@@ -733,11 +702,11 @@ class SweepReport(_Value):
         failed, vacuous = outcomes.count("FAIL"), outcomes.count("vacuous")
         outcome = ("FAIL" if failed
                    else "vacuous" if outcomes and vacuous == len(outcomes) else "pass")
-        self.entries = entries
-        self.n_failed = failed
-        self.n_vacuous = vacuous
-        self.outcome = outcome
-        _seal(self)
+        return tuple.__new__(cls, (entries, failed, vacuous, outcome))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild the report through __new__ from its entries
+        return self[:1]
 
     def _json(self, pad: str) -> str:
         k = pad + "  "

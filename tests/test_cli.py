@@ -458,6 +458,21 @@ def test_export_transform_is_strict_json_at_large_spin(capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("option", ["--q0", "--q0-odd"])
+@pytest.mark.parametrize("seed", ["0", "-0", "0.0", "1e-400"])
+def test_a_zero_seed_is_a_usage_error(capsys, option, seed):
+    """A zero seed makes an all-zero map, which no conjugation can invert."""
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "transform", "--c1", "1", "--c3", "1", "--j2", "4", "--map", "s2",
+              option, seed])
+    captured = capsys.readouterr()
+    assert exc.value.code == 64
+    assert captured.out == ""
+    assert captured.err.startswith("usage: higgsalg export transform")
+    assert captured.err.endswith(f"error: argument {option}: seed must be nonzero,"
+                                 f" got {seed!r}\n")
+
+
 @pytest.mark.parametrize("j2", [2.5, -1, True, "3"], ids=["float", "negative", "bool", "string"])
 def test_bad_grid_j2_exits_65(tmp_path, capsys, j2):
     """Grid rows and realization files read their j2 the same way."""

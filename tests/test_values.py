@@ -14,6 +14,7 @@ from higgsalg import (
     AlgebraParams,
     CheckResult,
     FockSpace,
+    Realization,
     SweepEntry,
     SweepReport,
     VerificationReport,
@@ -69,13 +70,23 @@ def test_no_attribute_can_be_written(name):
         assert getattr(value, attr, None) is before
 
 
+def _twins(value) -> tuple:
+    """A copy, a deep copy and a pickled copy of ``value``."""
+    return copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+
+
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_a_copy_is_a_sealed_value(name):
     value, fields = INSTANCES[name]
-    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+    for i, twin in enumerate(_twins(value)):
         assert type(twin) is type(value)
         with pytest.raises(AttributeError):
             setattr(twin, fields[0], 0)
+        if name == "Realization" and i:
+            # a deep or pickled twin holds new operators, which compare by identity
+            assert twin != value and twin == Realization(*twin)
+        else:
+            assert twin == value and hash(twin) == hash(value)
     twin = copy.copy(value)
     assert all(getattr(twin, attr) is getattr(value, attr) for attr in fields)
 
@@ -104,6 +115,12 @@ def test_a_realization_equals_only_itself():
     assert r == r and r != again
 
 
+def test_a_realization_rebuilt_from_its_fields_equals_it():
+    r, fields = INSTANCES["Realization"]
+    again = Realization(**{name: getattr(r, name) for name in fields})
+    assert again == r and hash(again) == hash(r) and again == Realization(*r)
+
+
 def _check(passed: bool, vacuous: bool, substantive: bool) -> CheckResult:
     return CheckResult("row", None, None, 0 if vacuous else 1, passed, vacuous, substantive, True)
 
@@ -111,6 +128,20 @@ def _check(passed: bool, vacuous: bool, substantive: bool) -> CheckResult:
 def _report(*checks: CheckResult) -> VerificationReport:
     return VerificationReport(kind="dyson", step_k=1, j2=5, c1="1", c3="1", dim=8,
                               field_name="rational", checks=checks)
+
+
+def test_a_verdict_survives_every_copy():
+    checks = (_check(True, True, True), _check(False, False, True))
+    for report in (_report(*checks), _report(checks[0])):
+        for twin in _twins(report):
+            assert (twin.passed, twin.outcome, twin.vacuous_only) == (
+                report.passed, report.outcome, report.vacuous_only)
+        entries = (SweepEntry("1", "1", 2, "hp:1", report), SweepEntry("1", "1", 2, "hp:1", None,
+                                                                        "refused"))
+        for swept in (SweepReport(entries), SweepReport(entries[:1])):
+            for twin in _twins(swept):
+                assert twin == swept and (twin.n_failed, twin.n_vacuous, twin.outcome) == (
+                    swept.n_failed, swept.n_vacuous, swept.outcome)
 
 
 @pytest.mark.parametrize("checks,outcome", [
@@ -162,3 +193,35 @@ def test_keyword_construction():
     report = _report(c)
     assert (report.kind, report.step_k, report.j2, report.c1, report.c3, report.dim,
             report.field_name) == ("dyson", 1, 5, "1", "1", 8, "rational")
+
+
+def test_repr_spells_every_field():
+    params = AlgebraParams.of(1, 2)
+    check = CheckResult("row", Fraction(1, 3), 1e-12, 2, True, False, True, False)
+    refused = SweepEntry("1", "2", 2, "hp:1", None, "refused")
+    table = representation_table(params, 0)
+    pins = {
+        FockSpace(8): "FockSpace(dim=8)",
+        params: "AlgebraParams(c1=Fraction(1, 1), c3=Fraction(2, 1))",
+        admissible_chain(params, 1): "ChainStructure(main=(0, 1, 2), segments=())",
+        table.rows[0]: "TableRow(n=0, j3=Fraction(0, 1), plus=0.0, minus=0.0, admissible=True)",
+        table: "RepresentationTable(params=AlgebraParams(c1=Fraction(1, 1), c3=Fraction(2, 1)),"
+               " j=Fraction(0, 1), rows=(TableRow(n=0, j3=Fraction(0, 1), plus=0.0, minus=0.0,"
+               " admissible=True),))",
+        DiagonalTransform(1.0, (1.0, 2.5), (True, False)):
+            "DiagonalTransform(q0=1.0, entries=(1.0, 2.5), mask=(True, False), q0_odd=None)",
+        check: "CheckResult(name='row', residual=Fraction(1, 3), tolerance=1e-12, block_size=2,"
+               " passed=True, vacuous=False, substantive=True, exact=False, asymptotic=False)",
+        VerificationReport("hp", 1, 2, "1", "2", 4, "complex", (check,)):
+            "VerificationReport(kind='hp', step_k=1, j2=2, c1='1', c3='2', dim=4,"
+            " field_name='complex', checks=(CheckResult(name='row', residual=Fraction(1, 3),"
+            " tolerance=1e-12, block_size=2, passed=True, vacuous=False, substantive=True,"
+            " exact=False, asymptotic=False),), passed=True, outcome='pass', vacuous_only=False)",
+        refused: "SweepEntry(c1='1', c3='2', j2=2, token='hp:1', report=None, error='refused')",
+        SweepReport((refused,)):
+            "SweepReport(entries=(SweepEntry(c1='1', c3='2', j2=2, token='hp:1', report=None,"
+            " error='refused'),), n_failed=1, n_vacuous=0, outcome='FAIL')",
+    }
+    assert {type(value).__name__ for value in pins} == set(INSTANCES) - {"Realization"}
+    for value, text in pins.items():
+        assert repr(value) == text
