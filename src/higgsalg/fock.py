@@ -94,13 +94,18 @@ def _as_fraction(x: Scalar) -> Fraction:
 # -- banded storage ------------------------------------------------------------
 #
 # A banded operator is a dict {offset: tuple}.  Offset d holds the entries
-# (i, i + d) in order of increasing row, so it has N - |d| entries and
-# starts at (row, column) = _band_start(d).  A missing offset is a diagonal
-# of zeros, and so is a band of zeros: every reader (the norms,
-# ``diagonal``, the writer) reads both alike.  A band holds Python numbers
-# of one type: the int numerators of the entries over the operator's one
-# positive int denominator ``_den`` in the rational field; floats for a
-# built generator and complex numbers for a loaded one in the other.
+# (i, i + d) in order of increasing row, starting at (row, column) =
+# _band_start(d) and ending at its last nonzero entry, so it has at most
+# N - |d| entries; the entries past its end are zeros.  A diagonal of zeros
+# has no band.  The constructor keeps this rule, so an hp generator, which
+# is zero past its multiplet, is stored as the multiplet's bonds, and a
+# built operator and the one its file loads hold the same bands.
+# ``diagonal`` pads a band to its N - |d| entries; the writer and the
+# dense view index each band by its own length.  A band holds Python
+# numbers of one type: the int numerators of the entries over the
+# operator's one positive int denominator ``_den`` in the rational field;
+# floats for a built generator and complex numbers for a loaded one in the
+# other.
 
 _ZERO = Fraction(0)
 
@@ -112,9 +117,21 @@ def _band_start(d: int) -> tuple[int, int]:
     return (-d, 0) if d < 0 else (0, d)
 
 
-def _zero_band(size: int, field: str) -> tuple:
-    """A band of ``size`` zeros of the storage: int 0, or 0.0."""
-    return (0 if field == RATIONAL else 0.0,) * max(size, 0)
+def _padded(band: tuple, size: int, field: str) -> tuple:
+    """A stored band followed by zeros of the storage (int 0, or 0.0) up to
+    ``size`` entries; the band itself when it is that long or longer."""
+    return band + (0 if field == RATIONAL else 0.0,) * (size - len(band))
+
+
+def _trimmed(band) -> tuple:
+    """The band up to its last nonzero entry, by one backward scan from its
+    end: a band that ends on a nonzero entry, as a producer that passes a
+    short band gives it, costs one test.  NaN is nonzero."""
+    band = tuple(band)
+    end = len(band)
+    while end and not band[end - 1]:
+        end -= 1
+    return band if end == len(band) else band[:end]
 
 
 def _peak(values: Sequence) -> float:
@@ -201,7 +218,7 @@ class BandedOperator(Operator):
 
     def __init__(self, space: FockSpace, field: str, bands: dict, den: int = 1):
         self.space, self.field, self._den = space, field, den
-        self._bands = {d: tuple(band) for d, band in bands.items()}
+        self._bands = {d: kept for d, band in bands.items() if (kept := _trimmed(band))}
         self._dense = self._norm = self._adjoint = None
 
     @staticmethod
@@ -243,7 +260,7 @@ class BandedOperator(Operator):
     def _transpose(self) -> "BandedOperator":
         # offset d becomes -d; a band of floats or ints is its own conjugate
         return BandedOperator(self.space, self.field, {
-            -d: [x.conjugate() for x in band] if band and type(band[0]) is complex else band
+            -d: [x.conjugate() for x in band] if type(band[0]) is complex else band
             for d, band in self._bands.items()}, self._den)
 
     def _max_abs(self):
@@ -254,10 +271,9 @@ class BandedOperator(Operator):
 
     def diagonal(self, d: int = 0) -> Sequence:
         """The N - |d| entries (i, i + d) of diagonal offset d, in order of
-        increasing row; d = 0 is the main diagonal."""
-        band = self._bands.get(d)
-        return self._values(_zero_band(self.space.dim - abs(d), self.field)
-                            if band is None else band)
+        increasing row, its stored band padded with zeros; d = 0 is the
+        main diagonal."""
+        return self._values(_padded(self._bands.get(d, ()), self.space.dim - abs(d), self.field))
 
     def _gap(self, other: "BandedOperator"):
         """max |self - other| entrywise over two operators on one space,
@@ -272,7 +288,8 @@ class BandedOperator(Operator):
     @staticmethod
     def from_json_dict(data: dict) -> "BandedOperator":
         """An operator read back from the object ``_operator_text`` writes,
-        as its nonzero diagonals in either field, in one pure-Python pass.
+        as its nonzero diagonals in either field, each up to its last
+        nonzero entry, in one pure-Python pass.
         Raises ValueError on a malformed payload: one that is not an
         object, a bad dim, entry count or field, or an entry that is not a
         finite number of the field, spelled as the field's JSON type
@@ -291,14 +308,17 @@ class BandedOperator(Operator):
             # the values are the parts; one that is not finite, or an int past
             # the float range, is nonzero
             width, make = 2, complex
-            nonzero = {i >> 1 for i in itertools.compress(itertools.count(), values)}
-        # the diagonals holding a nonzero entry, from part j of every step-th value
+            nonzero = (i >> 1 for i in itertools.compress(itertools.count(), values))
+        # the row of the last nonzero entry on each diagonal that holds one:
+        # the indices ascend, so the last row set for an offset is its last
+        last = {c - r: r for r, c in map(divmod, nonzero, itertools.repeat(dim))}
+        # each band up to that entry, from part j of every step-th value
         bands, step = {}, width * (dim + 1)
         try:
-            for d in sorted({i % dim - i // dim for i in nonzero}):
+            for d in sorted(last):
                 r, c = _band_start(d)
                 start = width * (r * dim + c)
-                stop = start + (dim - abs(d)) * step
+                stop = start + (last[d] - r + 1) * step
                 bands[d] = list(map(make, *(values[start + j:stop:step] for j in range(width))))
         except OverflowError:  # complex() of an int part past the float range
             raise ValueError("operator entries must be finite") from None

@@ -367,9 +367,9 @@ def _step_realization(space: FockSpace, params: AlgebraParams, j: RationalLike, 
     if kind == KIND_HP:
         field = COMPLEX
         h, q, mask = _hp_bonds(params, jf, j2, k, dim)
-        # every bond past H's last state is masked out
+        # every bond past H's last state is masked out, so J- ends there
         root = [math.sqrt(_weight_float(h, q, n, k, "an hp weight")) if mask[n] else 0.0
-                for n in range(len(h))] + [0.0] * size
+                for n in range(len(h))]
         jm = _step_operator(space, COMPLEX, -k,
                             map(operator.mul, _ladder(dim, k, raising=True), root))
         jp = jm.adjoint()

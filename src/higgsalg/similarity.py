@@ -74,7 +74,13 @@ def _square_chains(
     ``product_recurrence``, as every step-k realization takes them.  A
     chain stops (mask False, entry 0.0) at its first nonpositive weight or
     its first square that is not a finite float; its entries carry the sign
-    of its seed."""
+    of its seed.  A seed that is zero or not finite raises ValueError: it
+    would make every entry of its chain zero, or none finite."""
+    for seed in seeds:
+        if not math.isfinite(seed):
+            raise ValueError(f"not a finite number: {seed!r}")
+        if seed == 0:
+            raise ValueError(f"seed must be nonzero, got {seed!r}")
     k = len(seeds)
     weight = product_recurrence(params, j, k, space.dim - 1 - k)
     entries = [0.0] * space.dim

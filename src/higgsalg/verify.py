@@ -45,11 +45,11 @@ from .fock import (
     _ZERO,
     _band_start,
     _momentum_entries,
+    _padded,
     _peak,
     _quadrature_basis,
     _quarter_turns,
     _to_float,
-    _zero_band,
 )
 from .realizations import (
     Realization,
@@ -199,7 +199,8 @@ def interior_check_states(realization: Realization) -> list[int]:
     enough inside the truncation that no edge artifact reaches them, with
     every incident bond admissible."""
     k, mask = realization.step_k, realization.admissible_mask
-    return [s for s in range(realization.space.dim - 2 * k) if mask[s] and (s < k or mask[s - k])]
+    return [s for s in itertools.compress(range(realization.space.dim - 2 * k), mask)
+            if s < k or mask[s - k]]
 
 
 def _finite(name: str, *values, what: str = "the float residual or its scale",
@@ -295,20 +296,23 @@ def _top(values, den: int) -> Fraction:
     return Fraction(top, den) if top else _ZERO
 
 
-def _split(op: BandedOperator, d: int) -> tuple:
-    """A step generator's band at offset d, its N - |d| entries (zeros
-    where it has no band there), and the rest of it: its other bands.  A
+def _split(op: BandedOperator, d: int, size: int) -> tuple:
+    """A step generator's band at offset d, padded with zeros to ``size``
+    entries where it ends sooner, and the rest of it: its other bands.  A
     built generator is its one band, so only a loaded file can leave a
     rest, and the bands are copied only then."""
     bands = op._bands
-    band = bands.get(d)
+    band = bands.get(d, ())
     rest = {} if bands.keys() <= {d} else {e: x for e, x in bands.items() if e != d}
-    return (_zero_band(op.space.dim - abs(d), op.field) if band is None else band), rest
+    return _padded(band, size, op.field), rest
 
 
 class _Steps:
     """The three vectors the rows of a step realization read: J+'s band P
-    at +k, J-'s band M at -k and J3's diagonal T (``_split``).
+    at +k, J-'s band M at -k and J3's diagonal T (``_split``).  P and M
+    are read up to the block's last state, or to their stored end where
+    that lies further, and T on all N states, since the grading rows read
+    it at both ends of every bond of a band.
 
     On them J+J- and J-J+ are the diagonals P(n) M(n) and M(n - k) P(n - k),
     the powers of J3 are diagonals, so both Casimir forms are a diagonal C,
@@ -325,8 +329,9 @@ class _Steps:
 
     def __init__(self, r: Realization, states: list[int]):
         self.r, self.k, self.states = r, r.step_k, states
+        size = states[-1] + 1 if states else 0
         (self.p, rp), (self.m, rm), (self.t, rt) = (
-            _split(r.jp, self.k), _split(r.jm, -self.k), _split(r.j3, 0))
+            _split(r.jp, self.k, size), _split(r.jm, -self.k, size), _split(r.j3, 0, r.space.dim))
         # the generators that hold an entry off their band, each with the rest
         self._rest = {name: (op, rest) for name, op, rest in
                       (("jp", r.jp, rp), ("jm", r.jm, rm), ("j3", r.j3, rt)) if rest}
@@ -456,10 +461,14 @@ class _FloatSteps(_Steps):
 
     def grading(self, sign: int) -> float:
         """[J3, J+] - k J+, or [J3, J-] + k J-, on the nonzero entries of
-        the band: where J3 is finite a zero entry gives a zero term."""
+        the band: where J3 is finite a zero entry gives a zero term.  Where
+        it is not, inf * 0 is NaN, so the band is read padded to its
+        N - k bonds."""
         t, kf, band = self.t, _num(sign * self.k), self.p if sign > 0 else self.m
-        live = band if math.isfinite(self.r.j3.max_norm()) else itertools.repeat(True)
-        terms = itertools.compress(zip(t, t[self.k:], band), live)
+        if math.isfinite(self.r.j3.max_norm()):
+            terms = itertools.compress(zip(t, t[self.k:], band), band)
+        else:
+            terms = zip(t, t[self.k:], _padded(band, len(t) - self.k, self.r.field))
         if sign > 0:
             return _peak([((a * x) - (x * b)) - kf * x for a, b, x in terms])
         return _peak([((b * x) - (x * a)) - kf * x for a, b, x in terms])

@@ -108,9 +108,13 @@ def _zeros(n: int, field: str) -> np.ndarray:
 
 
 def _arrays(op: BandedOperator) -> _Bands:
-    """The bands of a banded operator as numpy arrays of its field."""
-    return {d: np.array(band, dtype=object if op.field == RATIONAL else complex)
-            for d, band in op._bands.items()}
+    """The bands of a banded operator as numpy arrays of its field, each
+    read through ``diagonal`` at its N - |d| entries: in the rational field
+    as int numerators over the operator's denominator."""
+    if op.field == RATIONAL:
+        return {d: np.array([int(x * op._den) for x in op.diagonal(d)], dtype=object)
+                for d in op._bands}
+    return {d: np.array(op.diagonal(d), dtype=complex) for d in op._bands}
 
 
 def _from_arrays(space: FockSpace, field: str, bands: _Bands, den: int = 1) -> BandedOperator:

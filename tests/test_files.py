@@ -135,6 +135,27 @@ def test_single_band_files_load_banded(tmp_path, kind, k):
         assert np.array_equal(got._bands[d], want._bands[d])
 
 
+@pytest.mark.parametrize("argv,length", [
+    (["--c1", "4", "--c3=-1", "--j2", "4", "--dim", "12", "--kind", "hp:1"], 3),
+    (["--c1=-2", "--c3", "0", "--j2", "4", "--dim", "32", "--kind", "hp:1"], 0),
+    ([*_POINT, "--dim", "3", "--kind", "dyson:3", "--field", "rational"], 0),
+    ([*_POINT, "--dim", "3", "--kind", "dyson:3", "--field", "complex"], 0),
+], ids=["hp-zero-weight-end", "hp-vacuous", "dyson-past-dim-rational", "dyson-past-dim-complex"])
+def test_built_and_loaded_bands_agree(tmp_path, argv, length):
+    """Where a generator is not one band of N - |d| entries, a file loads
+    the bands the in-memory build holds: an hp chain that ends inside the
+    truncation on a zero weight (F_1(3) = 0 at this point) stores J+ and
+    J- up to their last nonzero entry, ``length`` of them, and they hold no
+    band at a point with no admissible bond, nor at a step k >= dim, in
+    either field."""
+    r = _loaded(tmp_path, argv)
+    built = build_realization(r.space, r.params, r.j, r.kind, r.step_k, r.field)
+    for got, want in ((r.jp, built.jp), (r.jm, built.jm), (r.j3, built.j3)):
+        assert got.field == want.field and got._bands == want._bands
+    k = r.step_k
+    assert [len(built.jp._bands.get(k, ())), len(built.jm._bands.get(-k, ()))] == [length] * 2
+
+
 @pytest.mark.parametrize("form", ["villain:1", "villain:2"])
 def test_villain_files_load_dense(tmp_path, form):
     r = _loaded(tmp_path, [*_POINT, "--dim", "12", "--kind", form])

@@ -414,6 +414,21 @@ def test_hp_weights_past_the_last_bond_change_nothing(k, dim):
             assert got.entries.tobytes() == want.entries.tobytes()
 
 
+def test_hp_bands_end_at_the_multiplet():
+    """A built hp J+ and J- each hold one band of at most
+    min(2j - k + 1, dim - k) entries: the bonds of the multiplet, not the
+    dim - k of the truncation, so building and verifying them is O(2j)
+    work at any dim."""
+    space = FockSpace(128)
+    for params, j2 in default_grid():
+        for k in (1, 2, 3):
+            r = build_realization(space, params, Fraction(j2, 2), "hp", k)
+            most = max(0, min(j2 - k + 1, space.dim - k))
+            for op, d in ((r.jp, k), (r.jm, -k)):
+                assert op._bands.keys() <= {d}
+                assert len(op._bands.get(d, ())) <= most
+
+
 def _step_reference(space, params, j2, kind, k, field):
     """(J+, J-, J3, mask) of hp:k or dyson:k assembled from the public
     ladder and diagonal operators by repeated ``@``, on the weights

@@ -201,13 +201,30 @@ def test_unitarization_metric(coup, j2):
 
 
 def test_unitarization_needs_an_invertible_metric():
-    """A zero seed makes U = diag(s^2) singular on its chain: no residual
-    is reported, not even NaN."""
+    """A seed whose square underflows makes U = diag(s^2) singular on its
+    chain: no residual is reported, not even NaN."""
     sp = FockSpace(8)
     params = AlgebraParams.of(1, 1)
     r = build_realization(sp, params, Fraction(5, 2), "dyson", 1, field="complex")
     with pytest.raises(ZeroDivisionError):
-        unitarization_residual(r, s1_recurrence(sp, params, Fraction(5, 2), q0=0.0))
+        unitarization_residual(r, s1_recurrence(sp, params, Fraction(5, 2), q0=1e-200))
+
+
+@pytest.mark.parametrize("seed", [0.0, -0.0, 0, math.inf, -math.inf, math.nan])
+def test_a_zero_or_non_finite_seed_is_refused(seed):
+    """Every map refuses a seed that is zero or not finite, in the words of
+    the CLI's ``--q0``: a zero seed would leave an all-zero chain with every
+    mask bit set, whose conjugation divides 0 / 0."""
+    sp, j = FockSpace(8), Fraction(5, 2)
+    rooted = AlgebraParams.of(-8, 1)
+    assert z_boundaries(rooted, j) is not None
+    word = "seed must be nonzero" if seed == 0 else "not a finite number"
+    for build in (lambda: s1_recurrence(sp, SU2_PARAMS, j, seed),
+                  lambda: s1_closed_form(sp, rooted, j, seed),
+                  lambda: s2_matching(sp, SU2_PARAMS, j, seed, 1.0),
+                  lambda: s2_matching(sp, SU2_PARAMS, j, 1.0, seed)):
+        with pytest.raises(ValueError, match=word):
+            build()
 
 
 def test_s2_parity_chains():
@@ -258,7 +275,7 @@ def _strict_json(t) -> dict:
     c1=st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
     c3=st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 3)),
     j2=st.integers(min_value=150, max_value=500),
-    q0=st.floats(min_value=-1e3, max_value=1e3),
+    q0=st.floats(min_value=-1e3, max_value=1e3).filter(bool),
 )
 @example(c1=Fraction(1), c3=Fraction(1), j2=400, q0=1.0)
 @settings(max_examples=25, deadline=None)
@@ -280,7 +297,8 @@ def test_masked_in_transform_entries_are_finite_at_large_spin(c1, c3, j2, q0):
         assert _transform_text(t) == json.dumps(transform_json_dict(t), indent=2, allow_nan=False)
 
 
-@pytest.mark.parametrize("q0", [1.0, -0.0, -2.5, 3], ids=["one", "minus-zero", "negative", "int"])
+@pytest.mark.parametrize("q0", [1.0, -1e-200, -2.5, 3],
+                         ids=["one", "minus-underflow", "negative", "int"])
 def test_transform_writer_matches_json_dumps(q0):
     """``export transform`` writes its file directly; the bytes are those
     of the indent-2 encoder over the file's object for every map kind."""
@@ -349,7 +367,7 @@ def _bits(xs) -> bytes:
     return np.array(xs, dtype=float).tobytes()
 
 
-_SEEDS = [1.0, -2.5, 0.0, 1e-200, -1e-200, 3e150]
+_SEEDS = [1.0, -2.5, 1e-200, -1e-200, 3e150]
 # couplings whose weights have denominators, which the integer grid lacks
 _OFF_GRID = [(AlgebraParams.of(Fraction(*c1), Fraction(*c3)), j2)
              for c1, c3 in (((2, 3), (-3, 2)), ((1, 7), (5, 3)), ((-5, 2), (1, 3)))
@@ -368,7 +386,7 @@ def test_square_chains_match_the_loops_they_replaced(dim, q0):
         t = s2_matching(sp, params, j, q0, -q0)
         entries, mask = _s2_loop(sp, params, j, q0, -q0)
         assert list(t.entries) == entries and list(t.mask) == mask
-        if q0 * q0 != 0 or q0 == 0:
+        if q0 * q0 != 0:
             # a seed whose square underflows is the one place the step-2
             # loop differed: after one -0.0 it wrote 0.0, see below
             assert _bits(t.entries) == _bits(entries)

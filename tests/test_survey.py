@@ -26,11 +26,12 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 
 import pytest
 
-from higgsalg import Realization, interior_check_states
+from higgsalg import Realization, interior_check_states, verify
 from higgsalg.cli import build_parser, main
 
 _SEED = 1956
@@ -428,6 +429,22 @@ DIGESTS = {
 @pytest.mark.parametrize("name", sorted(SURVEY))
 def test_survey_digest(tmp_path, name):
     assert _digest(name, tmp_path) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("writer", ["_residual_json", "_residual_text"])
+def test_a_one_ulp_residual_moves_a_digest(tmp_path, monkeypatch, writer):
+    """A residual writer that moves every float it spells by one ulp moves
+    the digest of at least one verify class of its format: the survey pins
+    each residual to its last bit."""
+    write = getattr(verify, writer)
+
+    def moved(x):
+        return write(math.nextafter(x, math.inf) if isinstance(x, float) else x)
+
+    monkeypatch.setattr(verify, writer, moved)
+    prefix = "verify-json/" if writer == "_residual_json" else "verify-text/"
+    assert any(_digest(name, tmp_path) != DIGESTS[name] for name in sorted(SURVEY)
+               if name.startswith(prefix))
 
 
 def _subparser(parser, words):
