@@ -6,9 +6,12 @@ The algebra under study closes as
 
 with rational structure constants c1, c3.  On the spin-j multiplet the
 states are indexed by a displacement n = j - m, n = 0 .. 2j, and every
-squared ladder element is a rational function of (c1, c3, j, n).  All
-quantities here are exact Fractions; nothing in this module touches
-floating point except the optional float view of the root boundaries.
+squared ladder element is a rational function of (c1, c3, j, n), read
+from one integer prefix sum H(n) (``_prefix_sums``), which every
+realization's weights read too.  Quantities here are exact; floats appear
+only in the float view of the root boundaries, the table's ladder
+elements (square roots) and the Casimir coefficients the float verifier
+scales by.
 """
 
 from __future__ import annotations
@@ -57,45 +60,42 @@ def casimir_eigenvalue(params: AlgebraParams, j: RationalLike) -> Fraction:
     return Fraction(s * (2 * c1.numerator * q3 * b2 + c3.numerator * q1 * s), 2 * q1 * q3 * b2 * b2)
 
 
-def bond_quadratic(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
-    """The quadratic factor 2 c1 + c3 (2 j^2 - n (2j - n - 1)) appearing in
-    every squared ladder element.  Its sign decides whether the bond from
-    state n to state n+1 survives."""
+def _prefix_sums(params: AlgebraParams, j: RationalLike, k: int,
+                 nmax: int) -> tuple[list[int], int]:
+    """H(0) .. H(nmax) of the step-k weights as int numerators over one
+    denominator q: H(n) = rhs(n) + H(n - k) with rhs(n) = c1 (j - n) +
+    c3 (j - n)^3, summed over q = q1 q3 b^3 for c1 = p1/q1, c3 = p3/q3 and
+    j = a/b, so that F_k(n) = H(n) / (q den(n)) (see
+    ``realizations.product_recurrence``).  At k = 1, H(n) / q is the
+    squared J- element from state n to n + 1."""
+    if k < 1:
+        raise ValueError("step k must be >= 1")
     jf = _frac(j)
-    return 2 * params.c1 + params.c3 * (2 * jf * jf - n * (2 * jf - n - 1))
+    c1, c3 = params.c1, params.c3
+    a, b = jf.numerator, jf.denominator
+    # rhs(n) = (lin t + cub t^3) / q with t = a - n b
+    q = c1.denominator * c3.denominator * b ** 3
+    lin = c1.numerator * c3.denominator * b * b
+    cub = c3.numerator * c1.denominator
+    h: list = []
+    for n in range(nmax + 1):
+        t = a - n * b
+        h.append(lin * t + cub * (t * t * t) + (h[n - k] if n >= k else 0))
+    return h, q
 
 
-def bond_product(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
-    """(1/4) (2j - n) * bond_quadratic(n).
-
-    Equal to the product of the two single-step factor functions, and to
-    minus_square(n) / (n + 1).  Strictly positive bond_product(n) keeps
-    the n <-> n+1 bond; zero terminates a chain cleanly; negative breaks
-    Hermiticity of the pair (J+, J-) across that bond.
-    """
-    jf = _frac(j)
-    return Fraction(1, 4) * (2 * jf - n) * bond_quadratic(params, jf, n)
-
-
-def minus_square(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
-    """Squared matrix element of J- taking state n to state n+1."""
-    return (n + 1) * bond_product(params, j, n)
-
-
-def plus_square(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
-    """Squared matrix element of J+ taking state n to state n-1.
-    Mirrors minus_square one step down; zero at n = 0."""
-    if n == 0:
-        return Fraction(0)
-    return n * bond_product(params, j, n - 1)
+def _den(n: int, k: int) -> int:
+    """den(n) = (n + 1) ... (n + k)."""
+    return math.prod(range(n + 1, n + k + 1))
 
 
 # -- root boundaries of the bond quadratic ------------------------------------
 
 def discriminant(params: AlgebraParams, j: RationalLike) -> Fraction:
-    """Discriminant D of the monic quadratic q(n) with
-    bond_quadratic = c3 * q(n); real roots exist iff D >= 0.
-    Requires c3 != 0."""
+    """Discriminant D of the monic quadratic q(n) with c3 q(n) =
+    2 c1 + c3 (2 j^2 - n (2j - n - 1)), the bond quadratic: the step-1
+    weight is F_1(n) = (2j - n) c3 q(n) / 4.  Real roots exist iff
+    D >= 0.  Requires c3 != 0."""
     if params.c3 == 0:
         raise ValueError("root boundaries are defined only for c3 != 0")
     jf = _frac(j)
@@ -115,8 +115,9 @@ def z_boundaries(params: AlgebraParams, j: RationalLike) -> tuple[float, float] 
 
 
 def root_side_admissible(params: AlgebraParams, j: RationalLike, n: int) -> bool | None:
-    """Predict the sign of bond_product(n) from the position of n relative
-    to the roots of the bond quadratic, exactly in rational arithmetic.
+    """Predict the sign of the step-1 weight F_1(n), that is of H(n)
+    (``_prefix_sums`` at k = 1), from the position of n relative to the
+    roots of the bond quadratic, exactly in rational arithmetic.
 
     Returns True/False for a definite prediction, None where the root
     picture does not decide: n sitting exactly on a root, or n = 2j where
@@ -149,11 +150,20 @@ def _doubled_spin(j: RationalLike) -> tuple[Fraction, int]:
     return jf, top
 
 
-def admissible_states(params: AlgebraParams, j: RationalLike) -> list[int]:
-    """All n in [0, 2j] whose lowering radicand is nonnegative,
-    by direct sign scan."""
+def _lowering_sums(params: AlgebraParams, j: RationalLike) -> tuple[Fraction, list[int], int]:
+    """j, and H(0) .. H(2j) over q at k = 1 (``_prefix_sums``): the squared
+    J- element from state n to n + 1 is H(n) / q, and the squared J+
+    element from n to n - 1 is H(n - 1) / q."""
     jf, top = _doubled_spin(j)
-    return [n for n in range(top + 1) if minus_square(params, jf, n) >= 0]
+    h, q = _prefix_sums(params, jf, 1, top)
+    return jf, h, q
+
+
+def admissible_states(params: AlgebraParams, j: RationalLike) -> list[int]:
+    """All n in [0, 2j] whose lowering radicand H(n) is nonnegative,
+    by direct sign scan."""
+    h = _lowering_sums(params, j)[1]
+    return [n for n, x in enumerate(h) if x >= 0]
 
 
 class ChainStructure(namedtuple("ChainStructure", "main segments")):
@@ -170,12 +180,11 @@ class ChainStructure(namedtuple("ChainStructure", "main segments")):
 
 
 def admissible_chain(params: AlgebraParams, j: RationalLike) -> ChainStructure:
-    jf, top = _doubled_spin(j)
+    h = _lowering_sums(params, j)[1]
     main = [0]
-    while main[-1] < top and bond_product(params, jf, main[-1]) > 0:
+    while main[-1] < len(h) - 1 and h[main[-1]] > 0:
         main.append(main[-1] + 1)
-    in_main = set(main)
-    states = [n for n in admissible_states(params, jf) if n not in in_main]
+    states = [n for n, x in enumerate(h) if x >= 0 and n > main[-1]]
     segments: list[tuple[int, ...]] = []
     run: list[int] = []
     for n in states:
@@ -214,29 +223,32 @@ class RepresentationTable(namedtuple("RepresentationTable", "params j rows")):
         return "\n".join(lines) + "\n"
 
 
-def _sqrt_or_none(x: Fraction) -> float | None:
-    if x < 0:
+def _sqrt_or_none(h: int, q: int) -> float | None:
+    """sqrt(h / q) for q > 0, None where h < 0."""
+    if h < 0:
         return None
-    return math.sqrt(_to_float(x, "a squared ladder element"))
+    return math.sqrt(_to_float(Fraction(h, q), "a squared ladder element"))
 
 
 def representation_table(params: AlgebraParams, j: RationalLike) -> RepresentationTable:
     """Matrix elements of J+- over the full index range n = 0 .. 2j.
 
     plus(n) moves n to n-1, minus(n) moves n to n+1; an element whose
-    radicand is negative is reported as missing.  The admissible flag is
-    the per-state sign scan (nonnegative lowering radicand).
+    radicand is negative is reported as missing.  The radicands are
+    H(n) / q for minus and H(n - 1) / q for plus, 0 at n = 0
+    (``_lowering_sums``).  The admissible flag is the per-state sign scan
+    (nonnegative lowering radicand).
     """
-    jf, top = _doubled_spin(j)
+    jf, h, q = _lowering_sums(params, j)
     rows = []
-    for n in range(top + 1):
+    for n, x in enumerate(h):
         rows.append(
             TableRow(
                 n=n,
                 j3=jf - n,
-                plus=_sqrt_or_none(plus_square(params, jf, n)),
-                minus=_sqrt_or_none(minus_square(params, jf, n)),
-                admissible=minus_square(params, jf, n) >= 0,
+                plus=_sqrt_or_none(h[n - 1] if n else 0, q),
+                minus=_sqrt_or_none(x, q),
+                admissible=x >= 0,
             )
         )
     return RepresentationTable(params, jf, tuple(rows))

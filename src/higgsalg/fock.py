@@ -34,16 +34,11 @@ import weakref
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from numbers import Rational
 
 Scalar = int | float | complex | Fraction
 
 COMPLEX = "complex"
 RATIONAL = "rational"
-
-class FieldError(TypeError):
-    """Raised when an operation is asked of the wrong scalar field."""
-
 
 # -- value classes -------------------------------------------------------------
 #
@@ -81,14 +76,6 @@ def _to_float(x: Scalar, what: str) -> float:
         return float(x)
     except OverflowError:
         raise ValueError(f"{what} is beyond the float range") from None
-
-
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, Rational):
-        return Fraction(x)
-    raise FieldError(f"exact field requires rational scalars, got {type(x).__name__}")
 
 
 # -- banded storage ------------------------------------------------------------
@@ -147,10 +134,9 @@ def _peak(values: Sequence) -> float:
 
 
 def _over_lcm(bands: dict) -> tuple[_Bands, int]:
-    """Bands of rational values as int numerators over the lcm of their
-    denominators, and that lcm; an int is its own numerator over 1."""
-    bands = {d: [x if type(x) is int else _as_fraction(x) for x in band]
-             for d, band in bands.items()}
+    """Bands of rational values, ints or Fractions, as int numerators over
+    the lcm of their denominators, and that lcm; an int is its own
+    numerator over 1."""
     den = math.lcm(*{x.denominator for band in bands.values() for x in band})
     return {d: tuple([x.numerator * (den // x.denominator) for x in band])
             for d, band in bands.items()}, den

@@ -16,8 +16,9 @@ families below, all on a truncated Fock space:
   with truncation error decaying as the dimension grows.
 
 The step-k weight sequence F_k comes from a three-term recurrence in n,
-for every k; for k = 1 and k = 2 closed forms are available and are
-checked against the recurrence in the test suite.
+for every k, summed as the integer prefix sum ``algebra._prefix_sums``;
+the closed forms for k = 1 and k = 2 live in ``tests/reference.py``, as
+the oracle the test suite holds the recurrence to.
 The step generators are single bands of Python numbers, built with
 ``math``; only the spectral kinds import numpy.
 """
@@ -31,7 +32,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import AlgebraParams, RationalLike, bond_product, _doubled_spin, _frac
+from .algebra import AlgebraParams, RationalLike, _den, _doubled_spin, _frac, _prefix_sums
 from .fock import (
     COMPLEX,
     RATIONAL,
@@ -242,36 +243,11 @@ def product_recurrence(
         H(n) = rhs(n) + H(n - k),
 
     a prefix sum of rhs over each residue class of n mod k.  It is summed
-    in integers (``_prefix_sums``), and one Fraction is made per value.
+    in integers (``algebra._prefix_sums``), and one Fraction is made per
+    value.
     """
     h, q = _prefix_sums(params, j, k, nmax)
     return tuple(Fraction(x, q * _den(n, k)) for n, x in enumerate(h))
-
-
-def _prefix_sums(params: AlgebraParams, j: RationalLike, k: int,
-                 nmax: int) -> tuple[list[int], int]:
-    """H(0) .. H(nmax) of ``product_recurrence`` as int numerators over one
-    denominator q: rhs is summed over q = q1 q3 b^3 for c1 = p1/q1,
-    c3 = p3/q3 and j = a/b, so F_k(n) = H(n) / (q den(n))."""
-    if k < 1:
-        raise ValueError("step k must be >= 1")
-    jf = _frac(j)
-    c1, c3 = params.c1, params.c3
-    a, b = jf.numerator, jf.denominator
-    # rhs(n) = (lin t + cub t^3) / q with t = a - n b
-    q = c1.denominator * c3.denominator * b ** 3
-    lin = c1.numerator * c3.denominator * b * b
-    cub = c3.numerator * c1.denominator
-    h: list = []
-    for n in range(nmax + 1):
-        t = a - n * b
-        h.append(lin * t + cub * (t * t * t) + (h[n - k] if n >= k else 0))
-    return h, q
-
-
-def _den(n: int, k: int) -> int:
-    """den(n) = (n + 1) ... (n + k)."""
-    return math.prod(range(n + 1, n + k + 1))
 
 
 def _weight_float(h: list[int], q: int, n: int, k: int, what: str) -> float:
@@ -283,27 +259,6 @@ def _weight_float(h: list[int], q: int, n: int, k: int, what: str) -> float:
         return h[n] / (q * _den(n, k))
     except OverflowError:
         raise ValueError(f"{what} is beyond the float range") from None
-
-
-def closed_form_k1(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
-    """Step-1 weight in closed form; equals the bond product."""
-    return bond_product(params, j, n)
-
-
-def closed_form_k2(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
-    """Step-2 weight in closed form, with the alternating transient that
-    the order-2 difference equation admits."""
-    jf = _frac(j)
-    c1, c3 = params.c1, params.c3
-    sign = -1 if n % 2 else 1
-    term1 = 2 * c1 * (sign * (2 * jf + 1) - (n + 1) + (2 * jf - n) * (2 * n + 3))
-    term3 = c3 * (
-        1
-        + 6 * jf * jf * (2 * jf - 1)
-        + sign * (2 * jf + 1) * (2 * jf * jf + 2 * jf - 1)
-        + 2 * n * (2 * jf - n - 2) * (2 * jf * jf - (2 * jf - n) * (n + 2))
-    )
-    return (term1 + term3) / (16 * (n + 1) * (n + 2))
 
 
 # -- step-k constructors ------------------------------------------------------

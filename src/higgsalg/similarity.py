@@ -73,9 +73,12 @@ def _square_chains(
     chain c seeded with s(c) = seeds[c], with F_k the weights of
     ``product_recurrence``, as every step-k realization takes them.  A
     chain stops (mask False, entry 0.0) at its first nonpositive weight or
-    its first square that is not a finite float; its entries carry the sign
-    of its seed.  A seed that is zero or not finite raises ValueError: it
-    would make every entry of its chain zero, or none finite."""
+    its first square that is not a finite nonzero float: one that overflows,
+    or one that underflows to 0.0, as the square of a seed below about
+    1.5e-154 does at once.  So every masked-in entry is finite and nonzero,
+    and carries the sign of its seed.  A seed that is zero or not finite
+    raises ValueError: it would make every entry of its chain zero, or none
+    finite."""
     for seed in seeds:
         if not math.isfinite(seed):
             raise ValueError(f"not a finite number: {seed!r}")
@@ -95,7 +98,7 @@ def _square_chains(
         if factor <= 0:
             continue
         squares[n] = squares[n - k] * _to_float(factor, "a weight of the chain")
-        if not math.isfinite(squares[n]):
+        if not 0.0 < squares[n] < math.inf:
             continue
         root = math.sqrt(squares[n])
         entries[n] = root if seeds[n % k] >= 0 else -root
@@ -111,9 +114,9 @@ def s1_recurrence(
 
     The chain stops at the first nonpositive weight; the top weight
     F_1(2j) always vanishes, so no chain passes n = 2j.  It also stops
-    (mask False, entry 0.0) at the first entry that is not a finite
-    float, where the squares overflow at large j, so every masked-in
-    entry is finite.
+    (mask False, entry 0.0) at the first square that is not a finite
+    nonzero float, where the squares overflow at large j or underflow
+    from a tiny seed, so every masked-in entry is finite and nonzero.
     """
     entries, mask = _square_chains(space, params, j, (q0,))
     return DiagonalTransform(q0=q0, entries=entries, mask=mask)
@@ -168,7 +171,8 @@ def s2_matching(
     """Step-2 scaling: two independent parity chains seeded at n = 0 and
     n = 1, each obeying s(n+2)^2 = F_2(n) s(n)^2 and carrying the sign of
     its seed.  A chain stops at its first nonpositive weight or at its
-    first square that is not a finite float."""
+    first square that is not a finite nonzero float, so every masked-in
+    entry is finite and nonzero."""
     entries, mask = _square_chains(space, params, j, (q0_even, q0_odd))
     return DiagonalTransform(q0=q0_even, entries=entries, mask=mask, q0_odd=q0_odd)
 

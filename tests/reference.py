@@ -32,7 +32,6 @@ from higgsalg.algebra import RationalLike, _frac
 from higgsalg.fock import (
     BandedOperator,
     DenseOperator,
-    _as_fraction,
     _band_start,
     _quadrature_basis,
     _quarter_turns,
@@ -45,6 +44,67 @@ from higgsalg.verify import CheckResult, VerificationReport, _finite
 # The two classical degenerations.
 SU2_PARAMS = AlgebraParams(Fraction(2), Fraction(0))
 SU11_PARAMS = AlgebraParams(Fraction(-2), Fraction(0))
+
+
+# -- the closed forms of the weights -------------------------------------------
+#
+# The package reads every weight from the integer prefix sum
+# ``algebra._prefix_sums``; these closed forms are the independent spelling
+# the tests hold it to.
+
+
+def bond_quadratic(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
+    """The quadratic factor 2 c1 + c3 (2 j^2 - n (2j - n - 1)) appearing in
+    every squared ladder element.  Its sign decides whether the bond from
+    state n to state n+1 survives."""
+    jf = _frac(j)
+    return 2 * params.c1 + params.c3 * (2 * jf * jf - n * (2 * jf - n - 1))
+
+
+def bond_product(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
+    """(1/4) (2j - n) * bond_quadratic(n).
+
+    Equal to the product of the two single-step factor functions, and to
+    minus_square(n) / (n + 1).  Strictly positive bond_product(n) keeps
+    the n <-> n+1 bond; zero terminates a chain cleanly; negative breaks
+    Hermiticity of the pair (J+, J-) across that bond.
+    """
+    jf = _frac(j)
+    return Fraction(1, 4) * (2 * jf - n) * bond_quadratic(params, jf, n)
+
+
+def minus_square(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
+    """Squared matrix element of J- taking state n to state n+1."""
+    return (n + 1) * bond_product(params, j, n)
+
+
+def plus_square(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
+    """Squared matrix element of J+ taking state n to state n-1.
+    Mirrors minus_square one step down; zero at n = 0."""
+    if n == 0:
+        return Fraction(0)
+    return n * bond_product(params, j, n - 1)
+
+
+def closed_form_k1(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
+    """Step-1 weight in closed form; equals the bond product."""
+    return bond_product(params, j, n)
+
+
+def closed_form_k2(params: AlgebraParams, j: RationalLike, n: int) -> Fraction:
+    """Step-2 weight in closed form, with the alternating transient that
+    the order-2 difference equation admits."""
+    jf = _frac(j)
+    c1, c3 = params.c1, params.c3
+    sign = -1 if n % 2 else 1
+    term1 = 2 * c1 * (sign * (2 * jf + 1) - (n + 1) + (2 * jf - n) * (2 * n + 3))
+    term3 = c3 * (
+        1
+        + 6 * jf * jf * (2 * jf - 1)
+        + sign * (2 * jf + 1) * (2 * jf * jf + 2 * jf - 1)
+        + 2 * n * (2 * jf - n - 2) * (2 * jf * jf - (2 * jf - n) * (n + 2))
+    )
+    return (term1 + term3) / (16 * (n + 1) * (n + 2))
 
 
 def monic_bond_quadratic(params: AlgebraParams, j: RationalLike, n: RationalLike) -> Fraction:
@@ -78,10 +138,11 @@ def is_hermitian(op: Operator) -> bool:
 def rational_operator(space: FockSpace, entries: np.ndarray) -> BandedOperator:
     """The rational operator of a dense array of rational entries, built by
     ``BandedOperator._exact`` from the diagonals that hold a nonzero entry.
-    Every entry must be rational, zeros included: one of each type goes
-    through ``fock._as_fraction``, which raises FieldError on any other."""
-    for x in {type(x): x for x in entries.flat}.values():
-        _as_fraction(x)
+    Every entry must be an int or a Fraction, zeros included, as
+    ``_exact`` takes them; any other type raises TypeError."""
+    for kind in {type(x) for x in entries.flat}:
+        if kind is not Fraction and (kind is bool or not issubclass(kind, int)):
+            raise TypeError(f"exact field requires rational scalars, got {kind.__name__}")
     n = len(entries)
     offsets = [d for d in range(1 - n, n) if any(entries.diagonal(d))]
     return BandedOperator._exact(space, {d: list(entries.diagonal(d)) for d in offsets})

@@ -20,8 +20,6 @@ from higgsalg import (
     admissible_states,
     annihilation,
     build_realization,
-    closed_form_k1,
-    closed_form_k2,
     conjugate,
     default_grid,
     discriminant,
@@ -36,7 +34,15 @@ from higgsalg import (
     villain_boson,
 )
 from higgsalg.fock import RATIONAL
-from reference import SU2_PARAMS, creation, detune, diagonal_operator, mul
+from reference import (
+    SU2_PARAMS,
+    closed_form_k1,
+    closed_form_k2,
+    creation,
+    detune,
+    diagonal_operator,
+    mul,
+)
 
 
 def _verdict(capsys, num: int, desc: str, ok: bool) -> None:

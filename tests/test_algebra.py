@@ -15,20 +15,21 @@ from higgsalg import (
     AlgebraParams,
     admissible_chain,
     admissible_states,
-    bond_product,
-    bond_quadratic,
     casimir_eigenvalue,
     discriminant,
     representation_table,
     root_side_admissible,
     z_boundaries,
 )
-from higgsalg.algebra import minus_square, plus_square
 from reference import (
     SU2_PARAMS,
     SU11_PARAMS,
+    bond_product,
+    bond_quadratic,
     casimir_eigenvalue_by_definition,
+    minus_square,
     monic_bond_quadratic,
+    plus_square,
 )
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=8)
@@ -209,3 +210,36 @@ def test_top_state_is_always_admissible(c1, c3, j):
     params = AlgebraParams(c1, c3)
     assert bond_product(params, j, int(2 * j)) == 0
     assert int(2 * j) in admissible_states(params, j)
+
+
+def _root(square: Fraction) -> float | None:
+    return None if square < 0 else math.sqrt(square)
+
+
+@given(c1=rationals, c3=rationals, j2=st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_table_and_scan_are_the_closed_forms(c1, c3, j2):
+    """The table, the admissible states and the chain decomposition, which
+    the package reads from the prefix sum H(n), are what the closed forms
+    of the squared elements give: plus and minus bit for bit, the flags
+    and chains exactly."""
+    params, j = AlgebraParams(c1, c3), Fraction(j2, 2)
+    minus = [minus_square(params, j, n) for n in range(j2 + 1)]
+    rows = representation_table(params, j).rows
+    assert [tuple(r) for r in rows] == [
+        (n, j - n, _root(plus_square(params, j, n)), _root(minus[n]), minus[n] >= 0)
+        for n in range(j2 + 1)]
+    assert admissible_states(params, j) == [n for n in range(j2 + 1) if minus[n] >= 0]
+    end = 0
+    while end < j2 and bond_product(params, j, end) > 0:
+        end += 1
+    runs: list[list[int]] = []
+    for n in range(end + 1, j2 + 1):
+        if minus[n] >= 0:
+            if runs and runs[-1][-1] == n - 1:
+                runs[-1].append(n)
+            else:
+                runs.append([n])
+    chain = admissible_chain(params, j)
+    assert chain.main == tuple(range(end + 1))
+    assert chain.segments == tuple(map(tuple, runs))

@@ -23,7 +23,7 @@ from higgsalg import (
     pochhammer,
 )
 from higgsalg import fock
-from higgsalg.fock import BandedOperator, DenseOperator, FieldError, _operator_text
+from higgsalg.fock import BandedOperator, DenseOperator, _operator_text
 from reference import (
     add,
     commutator,
@@ -219,7 +219,7 @@ def test_rational_operator_rejects_a_non_rational_entry(bad):
     op = rational_operator(FockSpace(2), entries)
     assert sorted(op._bands) == [-1, 1] and op.entries.tolist() == entries.tolist()
     entries[1, 1] = bad
-    with pytest.raises(FieldError):
+    with pytest.raises(TypeError, match="exact field requires rational scalars"):
         rational_operator(FockSpace(2), entries)
 
 

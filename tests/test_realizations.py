@@ -20,17 +20,15 @@ from higgsalg import (
     Realization,
     annihilation,
     build_realization,
-    closed_form_k1,
-    closed_form_k2,
     g_constant,
     parse_kind_token,
     product_recurrence,
     verify_realization,
     villain_boson,
 )
+from higgsalg.algebra import _prefix_sums
 from higgsalg.fock import _to_float
 from higgsalg.realizations import (
-    _prefix_sums,
     _realization_text,
     _villain_radicand,
     _weight_float,
@@ -39,6 +37,8 @@ from higgsalg.verify import default_grid
 from reference import (
     SU2_PARAMS,
     SU11_PARAMS,
+    closed_form_k1,
+    closed_form_k2,
     commutator,
     creation,
     diagonal_operator,

@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 from higgsalg import (
     AlgebraParams,
     Realization,
-    bond_product,
-    closed_form_k2,
     FockSpace,
     build_realization,
     conjugate,
@@ -29,7 +27,7 @@ from higgsalg import (
 from higgsalg.fock import BandedOperator
 from higgsalg.realizations import _realization_text
 from higgsalg.similarity import DiagonalTransform, _transform_text
-from reference import SU2_PARAMS, transform_json_dict
+from reference import SU2_PARAMS, bond_product, closed_form_k2, transform_json_dict
 
 
 def test_s1_su2_squares_are_falling_factorials():
@@ -201,13 +199,31 @@ def test_unitarization_metric(coup, j2):
 
 
 def test_unitarization_needs_an_invertible_metric():
-    """A seed whose square underflows makes U = diag(s^2) singular on its
-    chain: no residual is reported, not even NaN."""
+    """A map that masks in a zero entry makes U = diag(s^2) singular on a
+    measured bond: no residual is reported, not even NaN.  No chain of the
+    package masks in a zero, so the map is built by hand."""
     sp = FockSpace(8)
     params = AlgebraParams.of(1, 1)
     r = build_realization(sp, params, Fraction(5, 2), "dyson", 1, field="complex")
+    singular = DiagonalTransform(q0=1.0, entries=(1.0, 0.0) + (1.0,) * 6, mask=(True,) * 8)
     with pytest.raises(ZeroDivisionError):
-        unitarization_residual(r, s1_recurrence(sp, params, Fraction(5, 2), q0=1e-200))
+        unitarization_residual(r, singular)
+
+
+@pytest.mark.parametrize("q0", [1e-200, -1e-200, 1e-160])
+def test_a_tiny_seed_masks_in_only_finite_nonzero_entries(q0):
+    """A chain stops where its square underflows to 0.0, as it stops where
+    it overflows: 1e-200 squares to 0.0 at once, so its chain holds the
+    seed alone, and 1e-160 squares to a subnormal that later weights may
+    take to 0.0.  Every masked-in entry is finite and nonzero, so
+    ``conjugate`` and ``unitarization_residual`` never divide by zero."""
+    sp = FockSpace(24)
+    for params, j2 in default_grid() + _OFF_GRID:
+        j = Fraction(j2, 2)
+        for t in (s1_recurrence(sp, params, j, q0), s2_matching(sp, params, j, q0, -q0)):
+            assert all(math.isfinite(x) and x != 0.0 for x, m in zip(t.entries, t.mask) if m)
+            if q0 * q0 == 0:
+                assert t.mask[2:] == (False,) * (sp.dim - 2)
 
 
 @pytest.mark.parametrize("seed", [0.0, -0.0, 0, math.inf, -math.inf, math.nan])
@@ -318,7 +334,8 @@ def test_transform_writer_matches_json_dumps(q0):
 # -- the chain routine against the loops it replaced ---------------------------
 
 def _s1_loop(space, params, j, q0):
-    """The step-1 chain loop as written before the shared chain routine."""
+    """The step-1 chain loop as written before the shared chain routine,
+    which now also stops at a square that underflows to zero."""
     jf = Fraction(j)
     entries = [0.0] * space.dim
     mask = [False] * space.dim
@@ -332,7 +349,7 @@ def _s1_loop(space, params, j, q0):
         if factor <= 0:
             break
         sq *= float(factor)
-        if not math.isfinite(sq):
+        if not math.isfinite(sq) or sq == 0:
             break
         entries[n] = math.sqrt(sq) if q0 >= 0 else -math.sqrt(sq)
         mask[n] = True
@@ -340,7 +357,8 @@ def _s1_loop(space, params, j, q0):
 
 
 def _s2_loop(space, params, j, q0_even, q0_odd):
-    """The step-2 chain loop as written before the shared chain routine."""
+    """The step-2 chain loop as written before the shared chain routine,
+    which now also stops at a square that underflows to zero."""
     jf = Fraction(j)
     entries = [0.0] * space.dim
     mask = [False] * space.dim
@@ -356,7 +374,7 @@ def _s2_loop(space, params, j, q0_even, q0_odd):
         if factor <= 0:
             continue
         squares[n] = float(factor) * squares[n - 2]
-        if not math.isfinite(squares[n]):
+        if not math.isfinite(squares[n]) or squares[n] == 0:
             continue
         entries[n] = math.sqrt(squares[n]) if entries[n - 2] >= 0 else -math.sqrt(squares[n])
         mask[n] = True
@@ -385,11 +403,7 @@ def test_square_chains_match_the_loops_they_replaced(dim, q0):
         assert _bits(t.entries) == _bits(entries) and list(t.mask) == mask
         t = s2_matching(sp, params, j, q0, -q0)
         entries, mask = _s2_loop(sp, params, j, q0, -q0)
-        assert list(t.entries) == entries and list(t.mask) == mask
-        if q0 * q0 != 0:
-            # a seed whose square underflows is the one place the step-2
-            # loop differed: after one -0.0 it wrote 0.0, see below
-            assert _bits(t.entries) == _bits(entries)
+        assert _bits(t.entries) == _bits(entries) and list(t.mask) == mask
 
 
 @pytest.mark.parametrize("build", [
@@ -397,8 +411,8 @@ def test_square_chains_match_the_loops_they_replaced(dim, q0):
     lambda sp, j, q0: s2_matching(sp, SU2_PARAMS, j, q0, q0),
 ], ids=["s1", "s2"])
 def test_chain_entries_keep_the_sign_of_their_seed(build):
-    # the squares of a -1e-200 seed underflow to zero, so every later
-    # entry is a zero that keeps the seed's sign
-    t = build(FockSpace(10), 3, -1e-200)
+    # the squares of a -1e-160 seed are subnormal, so every later entry is
+    # a tiny nonzero value that keeps the seed's sign
+    t = build(FockSpace(10), 3, -1e-160)
     assert sum(t.mask) >= 6
     assert all(math.copysign(1.0, x) == -1.0 for x, m in zip(t.entries, t.mask) if m)
