@@ -250,10 +250,12 @@ class BandedOperator(Operator):
             for d, band in self._bands.items()}, self._den)
 
     def _max_abs(self):
+        """max |entry|: a single band, as each built step generator is, read in place."""
+        bands = self._bands.values()
         if self.field == RATIONAL:
-            return Fraction(max((max(map(abs, band)) for band in self._bands.values()),
-                                default=0), self._den)
-        return _peak(tuple(itertools.chain.from_iterable(self._bands.values())))
+            return Fraction(max((max(map(abs, band)) for band in bands), default=0), self._den)
+        return _peak(next(iter(bands)) if len(bands) == 1
+                     else tuple(itertools.chain.from_iterable(bands)))
 
     def diagonal(self, d: int = 0) -> Sequence:
         """The N - |d| entries (i, i + d) of diagonal offset d, in order of

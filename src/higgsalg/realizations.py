@@ -74,7 +74,8 @@ class Realization(namedtuple("Realization",
     momentum interval on which identities are checked.  A step-kind
     realization holds ``BandedOperator`` generators; any other raises ValueError.
     Operators compare by identity, so two realizations are equal when they
-    hold the same three operators and equal provenance and mask.
+    hold the same three operators and equal provenance and mask.  Step
+    builds at one (dim, 2j, field) share J3 (``_j3``), not J+ or J-, so differ.
     """
 
     __slots__ = ()
@@ -315,8 +316,8 @@ def _step_realization(space: FockSpace, params: AlgebraParams, j: RationalLike, 
                       k: int, field: str) -> Realization:
     """hp:k, always complex: J- = (a+)^k sqrt(F_k(nhat)) on the mask, J+
     its adjoint; or dyson:k in ``field``: J+ = F_k(nhat) a^k, carrying the
-    whole polynomial, and J- = (a+)^k.  Both have J3 = j - nhat, and a
-    complex J3 refuses a j beyond the float range."""
+    whole polynomial, and J- = (a+)^k.  Both have J3 = j - nhat, one shared
+    operator per (dim, 2j, field) (``_j3``), built after J+ and J-."""
     jf, j2 = _require_j2(j)
     dim, size = space.dim, max(space.dim - k, 0)
     if kind == KIND_HP:
@@ -339,13 +340,21 @@ def _step_realization(space: FockSpace, params: AlgebraParams, j: RationalLike, 
             jp = _step_operator(space, COMPLEX, k,
                                 map(operator.mul, weights[:size], _ladder(dim, k, raising=False)))
             jm = _step_operator(space, COMPLEX, -k, _ladder(dim, k, raising=True))
+    return Realization(kind, k, j2, params, jp, jm, _j3(dim, j2, field), mask)
+
+
+@functools.lru_cache(maxsize=64)
+def _j3(dim: int, j2: int, field: str) -> BandedOperator:
+    """J3 = j - nhat on ``dim`` states in ``field``, with its cached
+    ``max_norm``, keyed by the int 2j, since a Fraction's hash computes a
+    modular inverse.  A complex J3 refuses a j beyond the float range,
+    after J+ and J-, so a point where both leave it names the weight."""
+    space, jf = FockSpace(dim), Fraction(j2, 2)
     if field == RATIONAL:
         a, b = jf.numerator, jf.denominator
-        j3 = _step_operator(space, RATIONAL, 0, [a - n * b for n in range(dim)], b)
-    else:
-        top = _to_float(jf, "a scale factor")
-        j3 = _step_operator(space, COMPLEX, 0, [top - n for n in range(dim)])
-    return Realization(kind, k, j2, params, jp, jm, j3, mask)
+        return _step_operator(space, RATIONAL, 0, [a - n * b for n in range(dim)], b)
+    top = _to_float(jf, "a scale factor")
+    return _step_operator(space, COMPLEX, 0, [top - n for n in range(dim)])
 
 
 # -- spectral (phase-operator) constructors -----------------------------------

@@ -465,10 +465,11 @@ class _FloatSteps(_Steps):
         it is not, inf * 0 is NaN, so the band is read padded to its
         N - k bonds."""
         t, kf, band = self.t, _num(sign * self.k), self.p if sign > 0 else self.m
+        tail = itertools.islice(t, self.k, None)  # J3's tail, read in place
         if math.isfinite(self.r.j3.max_norm()):
-            terms = itertools.compress(zip(t, t[self.k:], band), band)
+            terms = itertools.compress(zip(t, tail, band), band)
         else:
-            terms = zip(t, t[self.k:], _padded(band, len(t) - self.k, self.r.field))
+            terms = zip(t, tail, _padded(band, len(t) - self.k, self.r.field))
         if sign > 0:
             return _peak([((a * x) - (x * b)) - kf * x for a, b, x in terms])
         return _peak([((b * x) - (x * a)) - kf * x for a, b, x in terms])
@@ -762,21 +763,23 @@ def sweep(
     Entries run one after another in this thread; the work is pure Python
     and holds the interpreter lock, so worker threads measured no gain.
     A truncation dimension below 2 raises ValueError once, before any
-    entry is built; a ValueError from building or verifying one entry is
-    that entry's error.
+    entry is built, and so does a bad token, parsed once if the grid holds
+    a point.  A ValueError from building or verifying one entry is that
+    entry's error.  A point's j, c1 and c3 are spelled once for its entries.
     """
     space = FockSpace(dim)
+    kinds = [(token, *parse_kind_token(token)) for token in tokens] if grid else []
     entries = []
     for params, j2 in grid:
-        for token in tokens:
-            kind, num = parse_kind_token(token)
+        j, c1, c3 = Fraction(j2, 2), str(params.c1), str(params.c3)
+        for token, kind, num in kinds:
             report = error = None
             try:
-                r = build_realization(space, params, Fraction(j2, 2), kind, num)
-                report = verify_realization(r, tolerance_coefficient)
+                report = verify_realization(build_realization(space, params, j, kind, num),
+                                            tolerance_coefficient)
             except ValueError as err:
                 error = str(err)
-            entries.append(SweepEntry(str(params.c1), str(params.c3), j2, token, report, error))
+            entries.append(SweepEntry(c1, c3, j2, token, report, error))
     return SweepReport(tuple(entries))
 
 

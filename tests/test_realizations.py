@@ -27,12 +27,14 @@ from higgsalg import (
     villain_boson,
 )
 from higgsalg.algebra import _prefix_sums
+from higgsalg.cli import main
 from higgsalg.fock import _to_float
 from higgsalg.realizations import (
     _realization_text,
     _villain_radicand,
     _weight_float,
 )
+from higgsalg.similarity import conjugate, s1_recurrence
 from higgsalg.verify import default_grid
 from reference import (
     SU2_PARAMS,
@@ -506,3 +508,30 @@ def test_weight_floats_are_the_fraction_floats(c1, c3, j2, k, nmax):
     for n, w in enumerate(product_recurrence(params, jf, k, nmax)):
         want = _float_or_message(lambda: _to_float(w, "an hp weight"))
         assert _float_or_message(lambda: _weight_float(h, q, n, k, "an hp weight")) == want
+
+
+@pytest.mark.parametrize("field", [RATIONAL, COMPLEX])
+@pytest.mark.parametrize("kind", ["hp", "dyson"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_step_builds_at_one_point_share_their_j3(k, kind, field, tmp_path):
+    """Two builds at one (dim, 2j, field) hold one J3 object but each its
+    own J+ and J-, so the realizations still compare unequal.  The shared
+    J3 is, band for band and in its denominator, the J3 its ``build -o``
+    file loads, and verifying, conjugating, reading the entries or the
+    adjoint of one realization leaves its bands as they were."""
+    space, params, j2 = FockSpace(12), AlgebraParams.of(1, 1), 5
+    one, two = (build_realization(space, params, Fraction(j2, 2), kind, k, field)
+                for _ in range(2))
+    assert one.j3 is two.j3
+    assert one.jp is not two.jp and one.jm is not two.jm and one != two
+    path = tmp_path / "r.json"
+    assert main(["build", "--c1", "1", "--c3", "1", "--j2", str(j2), "--dim", "12",
+                 "--kind", f"{kind}:{k}", "--field", field, "-o", str(path)]) == 0
+    loaded = Realization.from_json_dict(json.loads(path.read_text())).j3
+    assert loaded._bands == one.j3._bands and loaded._den == one.j3._den
+    bands = dict(one.j3._bands)
+    verify_realization(one)
+    conjugate(one, s1_recurrence(space, params, Fraction(j2, 2)))
+    assert one.j3.entries.shape == (12, 12) and one.j3.adjoint() is not one.j3
+    assert one.j3._bands == bands and all(one.j3._bands[d] is band for d, band in bands.items())
+    assert two.j3 is one.j3

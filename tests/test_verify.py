@@ -28,7 +28,7 @@ from higgsalg import (
 from higgsalg import verify as verify_module
 from higgsalg.cli import main
 from higgsalg.fock import BandedOperator, DenseOperator
-from higgsalg.realizations import _realization_text
+from higgsalg.realizations import _j3, _realization_text
 from reference import SU2_PARAMS, SU11_PARAMS, verify_by_products
 
 
@@ -381,3 +381,67 @@ def test_tolerance_scales_with_coefficient():
     report = verify_realization(build_realization(FockSpace(8), SU2_PARAMS, 2, "hp", 1), 1e-6)
     closure = report.checks[0]
     assert closure.tolerance >= 1e-6 * 8
+
+
+def _sweep_alone(tokens, grid, dim) -> list[str]:
+    """Each entry of ``sweep(tokens, grid, dim)`` built and verified on
+    its own, grid point by grid point and token by token, with no J3 left
+    from an earlier build: its report's JSON or its error.  A bad token
+    raises ValueError as ``parse_kind_token`` words it, at the first point."""
+    out = []
+    for params, j2 in grid:
+        for token in tokens:
+            kind, num = parse_kind_token(token)
+            _j3.cache_clear()
+            try:
+                r = build_realization(FockSpace(dim), params, Fraction(j2, 2), kind, num)
+            except ValueError as err:
+                out.append(f"error: {err}")
+                continue
+            out.append(_outcome(verify_realization, r))
+    return out
+
+
+_STEP_TOKENS = [f"{kind}:{k}" for kind in ("hp", "dyson") for k in (1, 2, 3)]
+
+
+@given(tokens=st.lists(st.sampled_from(_STEP_TOKENS + ["hp:0", "borel:1"]), min_size=1,
+                       max_size=4),
+       points=st.lists(st.tuples(_COUPLINGS, _COUPLINGS,
+                                 st.one_of(st.integers(0, 14), st.just(10 ** 160))),
+                       max_size=3),
+       dim=st.integers(2, 128))
+# a bad token with an empty grid builds nothing and raises nothing
+@example(tokens=["hp:1", "borel:1"], points=[], dim=8)
+# with a point, it is refused
+@example(tokens=["hp:1", "hp:0"], points=[(Fraction(1), Fraction(1), 4)], dim=8)
+# both the hp weight and J3 leave the float range: the weight is named
+@example(tokens=["hp:1", "dyson:1", "hp:2"], points=[(Fraction(1), Fraction(1), 10 ** 320)],
+         dim=16)
+@settings(max_examples=60, deadline=None)
+def test_a_sweep_entry_is_its_point_verified_alone(tokens, points, dim):
+    """Each sweep entry has the report bytes, or the error, of its point
+    built and verified alone with an empty J3 cache; so sharing one J3
+    per (dim, 2j, field) and parsing each token once change no entry, and
+    a bad token is refused, or not, as it was."""
+    grid = [(AlgebraParams(c1, c3), j2) for c1, c3, j2 in points]
+    try:
+        want = _sweep_alone(tokens, grid, dim)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            sweep(tokens, grid, dim)
+        assert str(got.value) == str(err)
+        return
+    entries = sweep(tokens, grid, dim).entries
+    assert [f"error: {e.error}" if e.error is not None else report_to_json(e.report)
+            for e in entries] == want
+
+
+def test_a_step_build_names_its_weight_before_j3():
+    """At a j beyond the float range both a float weight and J3 = j - nhat
+    leave it; J3 is built after J+ and J-, so the weight is named."""
+    point = (AlgebraParams.of(1, 1), 10 ** 320)
+    (entry,) = sweep(["hp:1"], [point], 16).entries
+    assert entry.error == "an hp weight is beyond the float range"
+    with pytest.raises(ValueError, match="^a diagonal value is beyond the float range$"):
+        build_realization(FockSpace(16), point[0], Fraction(10 ** 320, 2), "dyson", 1, "complex")
