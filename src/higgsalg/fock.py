@@ -250,12 +250,11 @@ class BandedOperator(Operator):
             for d, band in self._bands.items()}, self._den)
 
     def _max_abs(self):
-        """max |entry|: a single band, as each built step generator is, read in place."""
+        """max |entry|, band by band, each band read in place."""
         bands = self._bands.values()
         if self.field == RATIONAL:
             return Fraction(max((max(map(abs, band)) for band in bands), default=0), self._den)
-        return _peak(next(iter(bands)) if len(bands) == 1
-                     else tuple(itertools.chain.from_iterable(bands)))
+        return _peak([_peak(band) for band in bands])
 
     def diagonal(self, d: int = 0) -> Sequence:
         """The N - |d| entries (i, i + d) of diagonal offset d, in order of

@@ -348,7 +348,8 @@ def _j3(dim: int, j2: int, field: str) -> BandedOperator:
     """J3 = j - nhat on ``dim`` states in ``field``, with its cached
     ``max_norm``, keyed by the int 2j, since a Fraction's hash computes a
     modular inverse.  A complex J3 refuses a j beyond the float range,
-    after J+ and J-, so a point where both leave it names the weight."""
+    after J+ and J-, so a point where both leave it names the weight.
+    A dense ``entries`` view read from it lives as long as its cache entry."""
     space, jf = FockSpace(dim), Fraction(j2, 2)
     if field == RATIONAL:
         a, b = jf.numerator, jf.denominator

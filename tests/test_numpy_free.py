@@ -131,6 +131,8 @@ def test_the_float_reducers_give_nan_wherever_it_stands(where):
     space = FockSpace(6)
     op = BandedOperator(space, COMPLEX, {1: values})
     assert math.isnan(op.max_norm())
+    # a NaN in one band of several, beside a band of larger entries
+    assert math.isnan(BandedOperator(space, COMPLEX, {-2: [9.0] * 4, 1: values}).max_norm())
     assert math.isnan(op._gap(BandedOperator(space, COMPLEX, {-1: [1.0] * 5})))
 
 
