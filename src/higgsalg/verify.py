@@ -2,29 +2,32 @@
 
 Every identity a realization asserts is turned into a named check with a
 measured residual, a tolerance, and the number of states it was measured
-on.  Every kind goes through one pipeline and one judge.  A check
-measured on an empty block (an empty admissible set, or an empty momentum
-window for the spectral kinds) is reported as vacuous, never as silently
-passing: a sweep whose only outcome is vacuous checks gets its own exit
-status.
+on.  Each source of rows (``_Window`` for the spectral kinds, ``_ExactSteps``
+or ``_FloatSteps`` for the step kinds) lists its rows once, in report
+order, as (name, substantive, on the block, measure): a row on the block is
+measured on the source's ``block`` states, any other on the whole space,
+and ``measure(source)`` returns the residual and its float scale.  One judge,
+``_judge``, reads every row.  A check measured on an empty block (an empty
+admissible set, or an empty momentum window) is reported as vacuous, never
+as silently passing: a sweep whose only outcome is vacuous checks gets its
+own exit status.
 
-Exact-field realizations are held to residual zero.  Float realizations
-get tolerance coefficient * dimension * scale, where scale is the size
-of the terms being cancelled.  Spectral (villain) realizations are
-different: their identities hold only in the infinite-dimensional limit,
-so their windowed residuals are reported as asymptotic measurements and
-judged by convergence across dimensions, not by a fixed tolerance.  They
-are measured on r x r compressions onto the momentum window (``_Window``).
+Exact-field residuals are held to zero, and have no scale.  Float
+realizations get tolerance coefficient * dimension * scale, where scale is
+the size of the terms being cancelled.  Spectral (villain) identities hold
+only in the infinite-dimensional limit, so their windowed rows have no
+scale either: they are asymptotic measurements on r x r compressions onto
+the momentum window, judged by convergence across dimensions.
 
 A step (hp, dyson) realization is measured from three vectors, J+'s band
-at +k, J-'s band at -k and J3's diagonal (``_Steps``), with no operator
-product formed: every row is a loop over the states of the interior block
-or the entries of a band, on the tuple bands, in Python ints over one
-denominator in the exact field and in Python floats (complex numbers for
-a loaded file) in the other, with no numpy.  A generator read from a file
-may hold an entry off its band: a row that reads it takes the larger of
-its band residual and the largest such entry in its region, and
-``adjoint-pairing`` compares J- with J+-dagger entry by entry.
+at +k, J-'s band at -k and J3's diagonal, with no operator product formed:
+every row is a loop over the states of the interior block or the entries
+of a band, in Python ints over one denominator in the exact field and in
+Python floats (complex numbers for a loaded file) in the other, with no
+numpy.  A generator read from a file may hold an entry off its band: a row
+that reads it takes the larger of its band residual and the largest such
+entry in its region, and ``adjoint-pairing`` compares J- with J+-dagger
+entry by entry.
 """
 
 from __future__ import annotations
@@ -214,49 +217,125 @@ def _finite(name: str, *values, what: str = "the float residual or its scale",
     return out
 
 
+# -- the rows -----------------------------------------------------------------
+
+def _pairing(source) -> tuple[float, float]:
+    """max |J- - J+-dagger|, scaled by max |J+|.  A built J- is J+'s
+    remembered adjoint, so where J+ is finite the difference is exactly 0.0
+    and is not formed; a loaded J- is compared entry by entry, on its band
+    and off it (``_gap``)."""
+    jp, jm = source.r.jp, source.r.jm
+    dagger, scale = jp.adjoint(), float(jp.max_norm())
+    return (0.0 if dagger is jm and math.isfinite(scale) else jm._gap(dagger)), scale
+
+
+# the one row both sources list: hp and villain claim J- = J+-dagger
+_PAIRING = ("adjoint-pairing", False, False, _pairing)
+
+
+def _eigenvalue(r: Realization) -> float:
+    """The Casimir eigenvalue of r's point as a float, converted in the row
+    that reads it, so that ``_judge`` names that row in its refusal."""
+    return _to_float(casimir_eigenvalue(r.params, r.j), "the Casimir eigenvalue")
+
+
+def _judge(row: tuple, source, exact: bool, dim: int, coefficient: float) -> CheckResult:
+    """One row's check, on the source's block or, off it, on all dim states.
+    In order: an empty block is vacuous, and nothing is measured; an exact
+    residual is held to zero; a float residual with no scale is a spectral
+    asymptotic measurement, with no tolerance; any other is held to
+    coefficient * dim * max(1, scale).  A ValueError the measure raises is
+    refused naming the row."""
+    name, substantive, on_block, measure = row
+    block = source.block if on_block else dim
+    if not block:
+        return CheckResult(name, None, None, 0, True, True, substantive, exact)
+    try:
+        value, scale = measure(source)
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from None
+    if exact:
+        # a residual is a largest magnitude: held to zero, it passes only at zero
+        return CheckResult(name, value, _ZERO, block, not value, False, substantive, True)
+    if scale is None:
+        (value,) = _finite(name, value)
+        return CheckResult(name, value, None, block, True, False, substantive, False, True)
+    if not (math.isfinite(value) and math.isfinite(scale)):
+        _finite(name, value, scale)
+    tol = coefficient * dim * max(1.0, scale)
+    if not math.isfinite(tol):
+        _finite(name, tol, what="the float tolerance", why="coefficient x dim x scale is")
+    return CheckResult(name, value, tol, block, value <= tol, False, substantive, False)
+
+
 # -- the momentum window ------------------------------------------------------
 
 class _Window:
-    """The blocks V-dagger M V on the momentum window of a spectral
-    realization that the checks read.
+    """The rows of a spectral realization, on the blocks V-dagger M V of
+    the momentum window.  J3 must be P, the momentum quadrature.
 
     V = R u_w are the momentum eigenvectors in the window: the columns u_w
-    of the real quadrature basis whose eigenvalues Lambda lie in it,
-    turned by R = diag(i^n) (``fock._quadrature_basis``).  J3 is P, which
-    ``_checks`` enforces, so J3 next to V is a diagonal scaling: ``powers``
-    are the blocks diag(Lambda^m) of J3^m, m = 1 .. 4, and ``left`` and
-    ``right`` multiply a block by J3 as row and column scalings by Lambda.
-    The other blocks come from the two thin N x N by N x r products
-    A = V-dagger J+ and B = J+ V: ``plus`` = V-dagger J+ V = A V, ``minus``
-    its adjoint, ``pm`` = V-dagger J+J- V = A A-dagger and ``mp`` =
-    V-dagger J-J+ V = B-dagger B.  The J- blocks may come from J+ because
-    J- = J+-dagger is judged in its own row, ``adjoint-pairing``; the
-    windowed rows measure J+, J+-dagger and P.  No N x N residual is ever
-    formed.
+    of the real quadrature basis whose eigenvalues Lambda lie in it, turned
+    by R = diag(i^n) (``fock._quadrature_basis``).  So the block of J3^m is
+    diag(Lambda^m), and J3 M and M J3 scale M's block by Lambda.  The other
+    blocks come from the thin products A = V-dagger J+ and B = J+ V:
+    ``plus`` = A V, ``minus`` its adjoint, ``pm`` (J+J-) = A A-dagger and
+    ``mp`` (J-J+) = B-dagger B.  The J- blocks may come from J+ because
+    J- = J+-dagger is judged in its own row, ``adjoint-pairing``.  No N x N
+    residual is formed, and on an empty window no residual block is.
     """
 
-    def __init__(self, r: Realization, lo: float, hi: float):
+    def __init__(self, r: Realization):
         import numpy as np
         dim = r.space.dim
-        lam, u = _quadrature_basis(dim)
-        inside = _in_window(lam, lo, hi)
-        self._lam, self._u = lam[inside], u[:, inside]
-        self.rank = len(self._lam)
-        cols = _quarter_turns(dim)[:, None] * self._u
-        jp = r.jp.entries
-        a, b = cols.conj().T @ jp, jp @ cols
-        self.plus = a @ cols
-        self.minus = self.plus.conj().T
-        self.pm, self.mp = a @ a.conj().T, b.conj().T @ b
-        self.powers = tuple(np.diag(self._lam ** m) for m in range(1, 5))
+        # a built J3 is the cached array itself; a loaded one round-trips exactly
+        p = _momentum_entries(dim)
+        if r.j3.entries is not p and not np.array_equal(r.j3.entries, p):
+            raise ValueError(f"a {r.kind} realization needs J3 = P, the momentum quadrature;"
+                             " this J3 differs")
+        lo, hi = (_to_float(x, "the momentum window") for x in r.window)
+        self.r = r
+        # _judge catches overflow past the float range; numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam, u = _quadrature_basis(dim)
+            inside = _in_window(lam, lo, hi)
+            self._lam, self._u = lam, u = lam[inside], u[:, inside]
+            self.block = len(lam)
+            cols = _quarter_turns(dim)[:, None] * u
+            jp = r.jp.entries
+            a, b = cols.conj().T @ jp, jp @ cols
+            self.plus = plus = a @ cols
+            self.minus = minus = plus.conj().T
+            self.pm, self.mp = pm, mp = a @ a.conj().T, b.conj().T @ b
+            if not self.block:
+                return
+            powers = tuple(np.diag(lam ** m) for m in range(1, 5))
+            coefficients = _casimir_coefficients(r.params)
+            self.c_sym = _casimir(pm, mp, powers, coefficients, symmetric=True)
+            c_prod = _casimir(pm, mp, powers, coefficients, symmetric=False)
+            self._closure = (pm - mp) - (coefficients[1] * powers[0] + coefficients[3] * powers[2])
+            # [J3, op] - sign op, zero when op shifts J3 by sign
+            self._raise = (lam[:, None] * plus - plus * lam) - 1.0 * plus
+            self._lower = (lam[:, None] * minus - minus * lam) - -1.0 * minus
+            self._two_forms = self.c_sym - c_prod
 
-    def left(self, block):
-        """The block of J3 M from the block of M."""
-        return self._lam[:, None] * block
+    def closure(self):
+        return self.max_entry(self._closure), None
 
-    def right(self, block):
-        """The block of M J3 from the block of M."""
-        return block * self._lam
+    def raising(self):
+        return self.max_entry(self._raise), None
+
+    def lowering(self):
+        return self.max_entry(self._lower), None
+
+    def deviation(self):
+        import numpy as np
+        lam = _eigenvalue(self.r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.max_entry(self.c_sym - lam * np.eye(self.block)), None
+
+    def two_forms(self):
+        return self.max_entry(self._two_forms), None
 
     def max_entry(self, block) -> float:
         """max |V B V-dagger|: the largest entry of a compressed residual B
@@ -269,25 +348,28 @@ class _Window:
         and keeps the squares inside the float range; a non-finite B
         gives its own non-finite largest entry."""
         import numpy as np
-        top = float(np.abs(block).max())
-        if not math.isfinite(top):
-            return top
-        shift = math.frexp(top)[1]
-        block = block * math.ldexp(1.0, -shift)
-        u = self._u
-        n = len(u)
-        parts = np.concatenate((u @ block.real, u @ block.imag)) @ u.T
-        np.square(parts, out=parts)
-        squares = np.add(parts[:n], parts[n:], out=parts[:n])
-        return math.ldexp(math.sqrt(float(squares.max())), shift)
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = float(np.abs(block).max())
+            if not math.isfinite(top):
+                return top
+            shift = math.frexp(top)[1]
+            block = block * math.ldexp(1.0, -shift)
+            u = self._u
+            n = len(u)
+            parts = np.concatenate((u @ block.real, u @ block.imag)) @ u.T
+            np.square(parts, out=parts)
+            squares = np.add(parts[:n], parts[n:], out=parts[:n])
+            return math.ldexp(math.sqrt(float(squares.max())), shift)
+
+    rows = (("ladder-closure-window", True, True, closure),
+            ("grading-raise-window", True, True, raising),
+            ("grading-lower-window", True, True, lowering),
+            ("casimir-deviation-window", True, True, deviation),
+            ("casimir-two-forms-window", True, True, two_forms),
+            _PAIRING)
 
 
 # -- the step rows ------------------------------------------------------------
-
-def _num(c) -> float:
-    """A scale factor of a complex-field formula, as a float."""
-    return _to_float(c, "a scale factor")
-
 
 def _top(values, den: int) -> Fraction:
     """max |v| / den over int numerators: the one Fraction an exact row
@@ -307,12 +389,26 @@ def _split(op: BandedOperator, d: int, size: int) -> tuple:
     return _padded(band, size, op.field), rest
 
 
+def _off_band(op: BandedOperator, rest: dict, inside: set | None = None):
+    """The largest entry of ``rest``, ``op``'s bands off its own, on the whole
+    space or where both ends of the entry lie ``inside``; 0 if there is none."""
+    top = 0
+    for d, band in rest.items():
+        if inside is not None:
+            r, c = _band_start(d)
+            band = [x for e, x in enumerate(band) if r + e in inside and c + e in inside]
+        if band:
+            top = max(top, Fraction(max(map(abs, band)), op._den)
+                      if op.field == RATIONAL else _peak(band))
+    return top
+
+
 class _Steps:
-    """The three vectors the rows of a step realization read: J+'s band P
+    """The rows of a step realization, read from three vectors: J+'s band P
     at +k, J-'s band M at -k and J3's diagonal T (``_split``).  P and M
-    are read up to the block's last state, or to their stored end where
-    that lies further, and T on all N states, since the grading rows read
-    it at both ends of every bond of a band.
+    are read up to the interior block's last state, or to their stored end
+    where that lies further, and T on all N states, since the grading rows
+    read it at both ends of every bond of a band.
 
     On them J+J- and J-J+ are the diagonals P(n) M(n) and M(n - k) P(n - k),
     the powers of J3 are diagonals, so both Casimir forms are a diagonal C,
@@ -325,18 +421,45 @@ class _Steps:
     scales: max |C| of the symmetric form, max |C| of the normal-ordered
     one and the largest of the three terms the closure cancels, all on
     the block.
+
+    Entries off the bands, which only a loaded file holds, are measured
+    once: ``off_block`` on the block, which the block rows read, and
+    ``off_raise`` and ``off_lower`` on the whole space, in J3 and the band's
+    generator, which a grading row reads; each is 0 where there are none.
     """
 
-    def __init__(self, r: Realization, states: list[int]):
-        self.r, self.k, self.states = r, r.step_k, states
+    def __init__(self, r: Realization):
+        k = r.step_k
+        self.r, self.k = r, k
+        self.states = states = interior_check_states(r)
+        self.block = len(states)
         size = states[-1] + 1 if states else 0
         (self.p, rp), (self.m, rm), (self.t, rt) = (
-            _split(r.jp, self.k, size), _split(r.jm, -self.k, size), _split(r.j3, 0, r.space.dim))
-        # the generators that hold an entry off their band, each with the rest
-        self._rest = {name: (op, rest) for name, op, rest in
-                      (("jp", r.jp, rp), ("jm", r.jm, rm), ("j3", r.j3, rt)) if rest}
+            _split(r.jp, k, size), _split(r.jm, -k, size), _split(r.j3, 0, r.space.dim))
         # the bands' denominators, 1 in the complex field
         self.dp, self.dm, self.dt = r.jp._den, r.jm._den, r.j3._den
+        self.off_block = self.off_raise = self.off_lower = 0
+        if rp or rm or rt:
+            rests = ((r.jp, rp), (r.jm, rm), (r.j3, rt))
+            jp, jm, j3 = (_off_band(op, rest) for op, rest in rests)
+            self.off_raise, self.off_lower = max(jp, j3), max(jm, j3)
+            inside = set(states)
+            self.off_block = max(_off_band(op, rest, inside) for op, rest in rests)
+        # the class's functions, not bound methods, which would hold self in a cycle
+        cls = type(self)
+        rows = [("ladder-closure", True, True, cls.closure),
+                (f"grading-raise-k{k}", False, False, cls.raising),
+                (f"grading-lower-k{k}", False, False, cls.lowering)]
+        if r.kind == "hp":
+            rows.append(_PAIRING)
+        rows.append(("casimir-two-forms", False, True, cls.two_forms))
+        # the quartic Casimir is the step-1 invariant; a step-k realization
+        # keeps C_k = 2 J-J+ + P_k(J3) with another polynomial P_k, not formed
+        # here, so only step-1 realizations carry these two rows
+        if k == 1:
+            rows += [("casimir-commutes", True, True, cls.commutes),
+                     ("casimir-scalar", True, True, cls.scalar)]
+        self.rows = rows
         if states:
             self._form()
 
@@ -347,35 +470,12 @@ class _Steps:
         return [(i, where[n + self.k], n) for i, n in enumerate(self.states)
                 if n + self.k in where]
 
-    def reading(self, residual, names: Sequence[str] = ("jp", "jm", "j3"), whole: bool = False):
-        """The residual of a row that reads the generators ``names``: the
-        larger of ``residual()`` and their largest entry off the band in
-        the row's region, the whole space or the block.  An entry off the
-        band is measured, never dropped.  Where none of them holds one, as
-        in every built realization, this is ``residual`` itself."""
-        rests = [self._rest[name] for name in names if name in self._rest]
-        if not rests:
-            return residual
-
-        def measured():
-            value, inside = residual(), set(self.states)
-            for op, rest in rests:
-                for d, band in rest.items():
-                    if not whole:
-                        r, c = _band_start(d)
-                        band = [x for e, x in enumerate(band)
-                                if r + e in inside and c + e in inside]
-                    if band:
-                        value = max(value, Fraction(max(map(abs, band)), op._den)
-                                    if op.field == RATIONAL else _peak(band))
-            return value
-        return measured
-
 
 class _ExactSteps(_Steps):
     """The step rows in the rational field.  The vectors hold int
     numerators, each band over its operator's denominator; a row's values
-    are ints over one denominator, and the row makes one Fraction."""
+    are ints over one denominator, and the row makes one Fraction.  No row
+    has a scale."""
 
     def _form(self) -> None:
         """The closure over u q dt^3 and both Casimir forms over
@@ -403,31 +503,37 @@ class _ExactSteps(_Steps):
             sym.append((pm + mp) * f4 + quartic)
             prod.append(2 * mp * f4 + b1 * x + b3 * x3 + quartic)
 
-    def closure(self) -> Fraction:
-        return _top(self.closure_num, self.closure_den)
+    def closure(self) -> tuple:
+        return max(_top(self.closure_num, self.closure_den), self.off_block), None
 
-    def grading(self, sign: int) -> Fraction:
-        """[J3, J+] - k J+, or [J3, J-] + k J-: the band times
-        T(n) - T(n + k) - k, up to sign, on every bond."""
-        band, den = (self.p, self.dp) if sign > 0 else (self.m, self.dm)
+    def _grading(self, band: tuple, den: int) -> Fraction:
+        """The band times T(n) - T(n + k) - k on every bond: [J3, J+] - k J+
+        on P, and [J3, J-] + k J- on M up to sign."""
         t, kt = self.t, self.k * self.dt
         return _top([(a - b - kt) * x for a, b, x in zip(t, t[self.k:], band)], self.dt * den)
 
-    def two_forms(self) -> Fraction:
-        return _top([a - b for a, b in zip(self.sym, self.prod)], self.e)
+    def raising(self) -> tuple:
+        return max(self._grading(self.p, self.dp), self.off_raise), None
 
-    def commutes(self) -> Fraction:
+    def lowering(self) -> tuple:
+        return max(self._grading(self.m, self.dm), self.off_lower), None
+
+    def two_forms(self) -> tuple:
+        return max(_top([a - b for a, b in zip(self.sym, self.prod)], self.e), self.off_block), None
+
+    def commutes(self) -> tuple:
         """[C, J+] and [C, J-] on the bonds inside the block; [C, J3] is
         zero, both being diagonal."""
         c, p, m = self.sym, self.p, self.m
         jumps = [(c[i] - c[j], n) for i, j, n in self._bonds()]
         return max(_top([x * p[n] for x, n in jumps], self.e * self.dp),
-                   _top([x * m[n] for x, n in jumps], self.e * self.dm))
+                   _top([x * m[n] for x, n in jumps], self.e * self.dm), self.off_block), None
 
-    def deviation(self, lam: Fraction) -> Fraction:
+    def scalar(self) -> tuple:
         """C - lam 1 on the block."""
+        lam = casimir_eigenvalue(self.r.params, self.r.j)
         den, shift = lam.denominator, lam.numerator * self.e
-        return _top([c * den - shift for c in self.sym], self.e * den)
+        return max(_top([c * den - shift for c in self.sym], self.e * den), self.off_block), None
 
 
 class _FloatSteps(_Steps):
@@ -456,166 +562,57 @@ class _FloatSteps(_Steps):
         self.c_size, self.prod_size = _peak(self.sym), _peak(self.prod)
         self.closure_size = max(_peak(v) for v in terms)
 
-    def closure(self) -> float:
-        return _peak(self.closure_vec)
+    def closure(self) -> tuple:
+        return max(_peak(self.closure_vec), self.off_block), self.closure_size
 
-    def grading(self, sign: int) -> float:
-        """[J3, J+] - k J+, or [J3, J-] + k J-, on the nonzero entries of
-        the band: where J3 is finite a zero entry gives a zero term.  Where
-        it is not, inf * 0 is NaN, so the band is read padded to its
-        N - k bonds."""
-        t, kf, band = self.t, _num(sign * self.k), self.p if sign > 0 else self.m
-        tail = itertools.islice(t, self.k, None)  # J3's tail, read in place
-        if math.isfinite(self.r.j3.max_norm()):
-            terms = itertools.compress(zip(t, tail, band), band)
-        else:
-            terms = zip(t, tail, _padded(band, len(t) - self.k, self.r.field))
-        if sign > 0:
-            return _peak([((a * x) - (x * b)) - kf * x for a, b, x in terms])
-        return _peak([((b * x) - (x * a)) - kf * x for a, b, x in terms])
+    def _terms(self, band: tuple):
+        """(T(n), T(n + k), band(n)) on the band's nonzero entries, T's tail
+        read in place.  Where J3 is not finite, a skipped zero entry leaves
+        the grading row's scale max |J3| max |op| not finite all the same."""
+        t = self.t
+        return itertools.compress(zip(t, itertools.islice(t, self.k, None), band), band)
 
-    def two_forms(self) -> float:
-        return _peak([a - b for a, b in zip(self.sym, self.prod)])
+    def raising(self) -> tuple:
+        """[J3, J+] - k J+, scaled by max |J3| max |J+|."""
+        kf, r = float(self.k), self.r
+        value = _peak([((a * x) - (x * b)) - kf * x for a, b, x in self._terms(self.p)])
+        return max(value, self.off_raise), float(r.j3.max_norm()) * float(r.jp.max_norm())
 
-    def commutes(self) -> float:
+    def lowering(self) -> tuple:
+        """[J3, J-] + k J-, scaled by max |J3| max |J-|."""
+        kf, r = float(-self.k), self.r
+        value = _peak([((b * x) - (x * a)) - kf * x for a, b, x in self._terms(self.m)])
+        return max(value, self.off_lower), float(r.j3.max_norm()) * float(r.jm.max_norm())
+
+    def two_forms(self) -> tuple:
+        value = _peak([a - b for a, b in zip(self.sym, self.prod)])
+        return max(value, self.off_block), self.c_size + self.prod_size
+
+    def commutes(self) -> tuple:
         """[C, J+], [C, J-] on the bonds inside the block, and [C, J3],
         which is zero unless a product leaves the float range."""
-        c, x, p, m = self.sym, self.x, self.p, self.m
+        c, x, p, m, r = self.sym, self.x, self.p, self.m, self.r
         bonds = self._bonds()
-        return _peak([(c[i] * p[n]) - (p[n] * c[j]) for i, j, n in bonds]
-                     + [(c[j] * m[n]) - (m[n] * c[i]) for i, j, n in bonds]
-                     + [(y * z) - (z * y) for y, z in zip(c, x)])
+        value = _peak([(c[i] * p[n]) - (p[n] * c[j]) for i, j, n in bonds]
+                      + [(c[j] * m[n]) - (m[n] * c[i]) for i, j, n in bonds]
+                      + [(y * z) - (z * y) for y, z in zip(c, x)])
+        norms = float(r.jp.max_norm()), float(r.jm.max_norm()), float(r.j3.max_norm())
+        return max(value, self.off_block), self.c_size * max(1.0, max(norms))
 
-    def deviation(self, lam: float) -> float:
-        """C - lam 1 on the block."""
-        return _peak([c - lam for c in self.sym])
+    def scalar(self) -> tuple:
+        """C - lam 1 on the block, scaled by max(max |C|, |lam|)."""
+        lam = _eigenvalue(self.r)
+        value = _peak([c - lam for c in self.sym])
+        return max(value, self.off_block), max(self.c_size, abs(lam))
 
 
 # -- the checks ---------------------------------------------------------------
 
 def _checks(r: Realization, tolerance_coefficient: float) -> list[CheckResult]:
-    exact = r.field == RATIONAL
-    k = r.step_k
-    dim = r.space.dim
-    c1, c3 = r.params.c1, r.params.c3
-    jp, jm, j3 = r.jp, r.jm, r.j3
-    checks: list[CheckResult] = []
-
-    def judge(name, block, substantive, residual, scale) -> None:
-        """Record one check.  ``residual`` and ``scale`` are callables, so
-        nothing is measured on an empty block.  In order: an empty block is
-        vacuous, with no residual; a check with no scale is a spectral
-        asymptotic measurement, with no tolerance; an exact residual is
-        held to zero; a float residual is held to the tolerance at
-        ``scale()``.  A check passes unless its residual exceeds its
-        tolerance."""
-        value = tol = None
-        passed = True
-        asymptotic = block > 0 and scale is None
-        if asymptotic:
-            (value,) = _finite(name, residual())
-        elif block > 0 and exact:
-            # a residual is a largest magnitude: held to zero, it passes only at zero
-            value, tol = residual(), _ZERO
-            passed = not value
-        elif block > 0:
-            value, size = residual(), scale()
-            if not (math.isfinite(value) and math.isfinite(size)):
-                _finite(name, value, size)
-            tol = tolerance_coefficient * dim * max(1.0, size)
-            if not math.isfinite(tol):
-                _finite(name, tol, what="the float tolerance", why="coefficient x dim x scale is")
-            passed = value <= tol
-        checks.append(CheckResult(name, value, tol, block, passed, block == 0, substantive,
-                                  exact and not asymptotic, asymptotic))
-
-    def eigenvalue(lam: Fraction, name: str):
-        """The Casimir eigenvalue ``lam``, as a float outside the exact
-        field; converted in the row that reads it, so its refusal names
-        that row."""
-        return lam if exact else _to_float(lam, f"{name}: the Casimir eigenvalue")
-
-    def pairing() -> None:
-        def residual():
-            """max |J- - J+-dagger|.  A built J- is J+'s remembered adjoint,
-            so where J+ is finite the difference is exactly 0.0 and is not
-            formed; a loaded J- is compared entry by entry, on its band and
-            off it (``_gap``)."""
-            dagger = jp.adjoint()
-            if dagger is jm and math.isfinite(jp.max_norm()):
-                return 0.0
-            return jm._gap(dagger)
-
-        judge("adjoint-pairing", dim, False, residual, lambda: float(jp.max_norm()))
-
-    if r.kind in VILLAIN_KINDS:
-        import numpy as np
-        # judge catches overflow past the float range; numpy need not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            # Every formula reads the r x r blocks of the named products J+J-,
-            # J-J+ and the powers of J3 on the momentum window, and J+ or J-
-            # times J3 on either side; a row is measured with ``max_entry``.
-            # A built J3 is the cached array itself; a loaded one round-trips
-            # exactly.
-            p = _momentum_entries(dim)
-            if j3.entries is not p and not np.array_equal(j3.entries, p):
-                raise ValueError(f"a {r.kind} realization needs J3 = P, the momentum quadrature;"
-                                 " this J3 differs")
-            lo, hi = (_to_float(x, "the momentum window") for x in r.window)
-            w = _Window(r, lo, hi)
-            block, measure = w.rank, w.max_entry
-            if block:
-                # on an empty window every row is vacuous, and none of these is formed
-                coefficients = _casimir_coefficients(r.params)
-                lam = casimir_eigenvalue(r.params, r.j)
-                c_sym = _casimir(w.pm, w.mp, w.powers, coefficients, symmetric=True)
-                c_prod = _casimir(w.pm, w.mp, w.powers, coefficients, symmetric=False)
-                closure = (w.pm - w.mp) - (_num(c1) * w.powers[0] + _num(c3) * w.powers[2])
-
-            def grading(op, sign: int):
-                """[J3, op] - sign op, zero when op shifts J3 by sign."""
-                return (w.left(op) - w.right(op)) - _num(sign) * op
-
-            judge("ladder-closure-window", block, True, lambda: measure(closure), None)
-            judge("grading-raise-window", block, True,
-                  lambda: measure(grading(w.plus, 1)), None)
-            judge("grading-lower-window", block, True,
-                  lambda: measure(grading(w.minus, -1)), None)
-            judge("casimir-deviation-window", block, True, lambda: measure(
-                c_sym - eigenvalue(lam, "casimir-deviation-window") * np.eye(block)), None)
-            judge("casimir-two-forms-window", block, True, lambda: measure(c_sym - c_prod), None)
-            pairing()
-            return checks
-
-    # The step rows read the three vectors of ``_Steps``: the block rows on
-    # the interior block, the grading rows on the bands.
-    states = interior_check_states(r)
-    block = len(states)
-    rows = (_ExactSteps if exact else _FloatSteps)(r, states)
-    read = rows.reading
-
-    judge("ladder-closure", block, True, read(rows.closure), lambda: rows.closure_size)
-    for label, name, op, sign in ((f"grading-raise-k{k}", "jp", jp, 1),
-                                  (f"grading-lower-k{k}", "jm", jm, -1)):
-        judge(label, dim, False, read(lambda sign=sign: rows.grading(sign), (name, "j3"), True),
-              lambda op=op: float(j3.max_norm()) * float(op.max_norm()))
-    if r.kind == "hp":
-        pairing()
-    judge("casimir-two-forms", block, False, read(rows.two_forms),
-          lambda: rows.c_size + rows.prod_size)
-
-    # the quartic Casimir is the step-1 invariant; a step-k realization
-    # keeps C_k = 2 J-J+ + P_k(J3) with another polynomial P_k, not formed
-    # here, so only step-1 realizations carry these two checks
-    if k == 1:
-        # the eigenvalue's Fraction is made once, and only on a non-empty block
-        lam = casimir_eigenvalue(r.params, r.j) if block else None
-        judge("casimir-commutes", block, True, read(rows.commutes),
-              lambda: rows.c_size * max(1.0, max(float(op.max_norm()) for op in (jp, jm, j3))))
-        judge("casimir-scalar", block, True,
-              read(lambda: rows.deviation(eigenvalue(lam, "casimir-scalar"))),
-              lambda: max(rows.c_size, abs(eigenvalue(lam, "casimir-scalar"))))
-    return checks
+    """Every row of the realization's one source, judged in report order."""
+    exact, dim = r.field == RATIONAL, r.space.dim
+    source = (_Window if r.kind in VILLAIN_KINDS else _ExactSteps if exact else _FloatSteps)(r)
+    return [_judge(row, source, exact, dim, tolerance_coefficient) for row in source.rows]
 
 
 def verify_realization(r: Realization,
@@ -624,17 +621,8 @@ def verify_realization(r: Realization,
     residual does not exceed tolerance_coefficient * dim * scale."""
     if r.kind not in STEP_KINDS + VILLAIN_KINDS:
         raise ValueError(f"unknown realization kind {r.kind!r}")
-    checks = _checks(r, tolerance_coefficient)
-    return VerificationReport(
-        kind=r.kind,
-        step_k=r.step_k,
-        j2=r.j2,
-        c1=str(r.params.c1),
-        c3=str(r.params.c3),
-        dim=r.space.dim,
-        field_name=r.field,
-        checks=tuple(checks),
-    )
+    return VerificationReport(r.kind, r.step_k, r.j2, str(r.params.c1), str(r.params.c3),
+                              r.space.dim, r.field, tuple(_checks(r, tolerance_coefficient)))
 
 
 # -- grid sweeps --------------------------------------------------------------

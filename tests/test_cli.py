@@ -158,19 +158,17 @@ def test_sweep_text_and_grid_file(tmp_path, capsys):
     assert "total=4 failed=0 vacuous=0" in out
 
 
-def test_sweep_json_deterministic_across_threads(tmp_path, capsys, monkeypatch):
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps([
-        {"c1": "2", "c3": "1", "j2": j2} for j2 in (2, 3, 4)
-    ]))
-    argv = ["sweep", "--kinds", "hp:1,dyson:2", "--grid", str(grid),
-            "--dim", "12", "--format", "json"]
+def test_sweep_ignores_higgsalg_threads(capsys, monkeypatch):
+    """``HIGGSALG_THREADS`` is ignored: a sweep prints the same JSON with
+    it unset and with any value, a number or not."""
+    argv = ["sweep", "--kinds", "hp:1,dyson:1,dyson:2", "--dim", "12", "--format", "json"]
     monkeypatch.delenv("HIGGSALG_THREADS", raising=False)
     assert main(argv) == 0
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("HIGGSALG_THREADS", "3")
-    assert main(argv) == 0
-    assert capsys.readouterr().out == serial
+    unset = capsys.readouterr().out
+    for value in ("1", "4", "x"):
+        monkeypatch.setenv("HIGGSALG_THREADS", value)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == unset
 
 
 def test_export_transform(capsys):
@@ -753,7 +751,7 @@ def test_the_closure_reads_its_whole_block(tmp_path, capsys, kind):
     """One J+ entry off its band, at (n, n + 2) for the first interior
     state n, lies inside the block.  The closure and the Casimir's scalar
     deviation read J+ on the whole block, and an entry off the band is
-    measured, never dropped (``verify._Steps.reading``): both take the
+    measured, never dropped (``verify._Steps``): both take the
     entry itself as their residual, 1 in either field, and FAIL, with
     exit 1."""
     path = tmp_path / "r.json"

@@ -24,7 +24,6 @@ from higgsalg import (
     FockSpace,
     Realization,
     build_realization,
-    interior_check_states,
 )
 from higgsalg import fock, verify
 from higgsalg.fock import BandedOperator
@@ -151,7 +150,7 @@ def _float_rows() -> verify._FloatSteps:
     """The float step rows of hp:1 at (c1, c3) = (2, 0), 2j = 12: a block
     of twelve states and eleven bonds."""
     r = build_realization(FockSpace(32), AlgebraParams.of(2, 0), 6, "hp", 1)
-    rows = verify._FloatSteps(r, interior_check_states(r))
+    rows = verify._FloatSteps(r)
     assert len(rows.states) == 12 and len(rows._bonds()) == 11
     return rows
 
@@ -167,7 +166,8 @@ def test_the_grading_and_commutes_loops_give_nan_wherever_it_stands(where):
     the row NaN: every band entry for the grading rows; the bands on the
     bonds and C on the block for ``casimir-commutes``."""
     rows = _float_rows()
-    assert all(math.isfinite(x) for x in (rows.grading(1), rows.grading(-1), rows.commutes()))
+    assert all(math.isfinite(x) for x in (rows.raising()[0], rows.lowering()[0],
+                                           rows.commutes()[0]))
 
     def pick(seq) -> int:
         return {"first": 0, "middle": len(seq) // 2, "last": len(seq) - 1}[where]
@@ -175,18 +175,18 @@ def test_the_grading_and_commutes_loops_give_nan_wherever_it_stands(where):
     p, m, sym = rows.p, rows.m, rows.sym
     bonds = [n for _, _, n in rows._bonds()]
     rows.p = _poisoned(p, pick(p))
-    assert math.isnan(rows.grading(1))
+    assert math.isnan(rows.raising()[0])
     rows.p = _poisoned(p, bonds[pick(bonds)])
-    assert math.isnan(rows.commutes())
+    assert math.isnan(rows.commutes()[0])
     rows.p = p
     rows.m = _poisoned(m, pick(m))
-    assert math.isnan(rows.grading(-1))
+    assert math.isnan(rows.lowering()[0])
     rows.m = _poisoned(m, bonds[pick(bonds)])
-    assert math.isnan(rows.commutes())
+    assert math.isnan(rows.commutes()[0])
     rows.m = m
     rows.sym = _poisoned(sym, pick(sym))
-    assert math.isnan(rows.commutes())
-    assert math.isnan(rows.two_forms()) and math.isnan(rows.deviation(1.0))
+    assert math.isnan(rows.commutes()[0])
+    assert math.isnan(rows.two_forms()[0]) and math.isnan(rows.scalar()[0])
 
 
 def test_every_row_runs_on_python_numbers():
@@ -200,20 +200,26 @@ def test_every_row_runs_on_python_numbers():
             assert all(type(band) is tuple and {type(x) for x in band} == {want}
                        for band in op._bands.values())
     rows = _float_rows()
-    values = (rows.closure(), rows.grading(1), rows.grading(-1), rows.two_forms(),
-              rows.commutes(), rows.deviation(1.0))
+    values = tuple(measure(rows)[0] for _, _, _, measure in rows.rows)
     assert {type(x) for x in values} == {float}
     assert json.dumps(values)
 
 
-def test_a_zero_band_entry_is_read_where_j3_is_not_finite():
-    """The grading rows skip zero band entries only while J3 is finite: an
-    infinite J3 entry next to a zero one makes the row NaN, as the product
-    inf * 0 does."""
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("n,row", [(0, "ladder-closure"), (3, "ladder-closure"),
+                                   (31, "grading-raise-k1")])
+def test_a_j3_entry_that_is_not_finite_is_refused_by_the_first_row_that_reads_it(value, n, row):
+    """A J3 entry that is not finite makes the grading rows' scale
+    max |J3| max |op| not finite, so the realization is refused whatever
+    those rows read: by ``ladder-closure`` where the entry lies in the
+    interior block (states 0 .. 11), by ``grading-raise-k1`` at the last
+    state, outside it."""
     r = build_realization(FockSpace(32), AlgebraParams.of(2, 0), 6, "hp", 1)
-    assert r.jp.diagonal(1)[30] == r.jm.diagonal(-1)[30] == 0.0
-    t = [*r.j3.diagonal()[:31], math.inf]
+    t = list(r.j3.diagonal())
+    t[n] = value
     broken = Realization(r.kind, r.step_k, r.j2, r.params, r.jp, r.jm,
                          BandedOperator(r.space, COMPLEX, {0: t}), r.admissible_mask)
-    rows = verify._FloatSteps(broken, [])
-    assert math.isnan(rows.grading(1)) and math.isnan(rows.grading(-1))
+    with pytest.raises(ValueError) as refused:
+        verify.verify_realization(broken)
+    assert str(refused.value) == (f"{row}: the float residual or its scale is not finite;"
+                                  " the entries are beyond the float range")

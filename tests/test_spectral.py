@@ -237,12 +237,14 @@ class _ReferenceWindow:
 
 def _window_blocks(window: _Window) -> dict:
     """The blocks the windowed checks read, by their words in + (J+), - (J-)
-    and 3 (J3); the empty word is the identity the Casimir deviation reads."""
-    j3, j3_2, j3_3, j3_4 = window.powers
+    and 3 (J3); the empty word is the identity the Casimir deviation reads.
+    J3 is P, so its blocks are diagonal scalings by the window's eigenvalues."""
+    lam = window._lam
+    j3, j3_2, j3_3, j3_4 = (np.diag(lam ** m) for m in range(1, 5))
     plus, minus = window.plus, window.minus
-    return {"": np.eye(window.rank), "+-": window.pm, "-+": window.mp, "3": j3, "333": j3_3,
-            "3333": j3_4, "33": j3_2, "3+": window.left(plus), "+3": window.right(plus),
-            "+": plus, "3-": window.left(minus), "-3": window.right(minus), "-": minus}
+    return {"": np.eye(window.block), "+-": window.pm, "-+": window.mp, "3": j3, "333": j3_3,
+            "3333": j3_4, "33": j3_2, "3+": lam[:, None] * plus, "+3": plus * lam,
+            "+": plus, "3-": lam[:, None] * minus, "-3": minus * lam, "-": minus}
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -255,7 +257,7 @@ def test_window_blocks_agree_with_the_eight_product_reference(form, dim):
     for c1, c3, j2 in POINTS:
         j = Fraction(j2, 2)
         r = build_realization(FockSpace(dim), AlgebraParams.of(c1, c3), j, "villain", form)
-        window = _Window(r, -float(j), float(j))
+        window = _Window(r)
         ref = _ReferenceWindow(window_columns(r.space, -float(j), float(j)))
         ops = {"+": r.jp, "-": r.jm, "3": r.j3}
         blocks = _window_blocks(window)

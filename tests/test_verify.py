@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import gc
 import json
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -256,17 +260,40 @@ def test_all_vacuous_sweep_exit():
     assert exit_code(report) == 2
 
 
-def test_sweep_is_deterministic_across_thread_counts(monkeypatch):
-    grid = [
-        (AlgebraParams.of(2, 0), j2) for j2 in range(1, 5)
-    ] + [
-        (AlgebraParams.of(-2, 1), j2) for j2 in range(1, 5)
-    ]
-    monkeypatch.delenv("HIGGSALG_THREADS", raising=False)
-    serial = report_to_json(sweep(["hp:1", "dyson:1"], grid, dim=12))
-    monkeypatch.setenv("HIGGSALG_THREADS", "4")
-    threaded = report_to_json(sweep(["hp:1", "dyson:1"], grid, dim=12))
-    assert serial == threaded
+@pytest.mark.parametrize("kind,field,source", [
+    ("villain", "complex", "_Window"), ("hp", "complex", "_FloatSteps"),
+    ("dyson", "rational", "_ExactSteps"),
+], ids=["villain", "hp", "dyson-rational"])
+def test_a_source_of_rows_is_freed_when_its_verify_returns(kind, field, source):
+    """No row holds its source in a reference cycle, so a source and the
+    blocks it formed (N x r arrays for the momentum window) are freed as
+    soon as the last reference goes, not at the cycle collector's next
+    pass."""
+    r = build_realization(FockSpace(32), AlgebraParams.of(1, 1), 2, kind, 1, field)
+    made = getattr(verify_module, source)(r)
+    assert made.block and len(made.rows) > 5
+    gone = weakref.ref(made)
+    gc.disable()
+    try:
+        del made
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_every_row_is_judged_at_one_call_site():
+    """``_checks`` is one loop over its source's rows: ``_judge`` has one
+    call site in the module, and ``_checks`` defines no function or
+    lambda of its own, so nothing is rebuilt per verify."""
+    tree = ast.parse(Path(verify_module.__file__).read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_judge"]
+    assert len(calls) == 1
+    (checks,) = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_checks"]
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    assert not [node for node in ast.walk(checks)
+                if node is not checks and isinstance(node, nested)]
 
 
 @pytest.mark.parametrize("kind,k,field", [
