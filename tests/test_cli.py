@@ -158,7 +158,7 @@ def test_sweep_text_and_grid_file(tmp_path, capsys):
     assert "total=4 failed=0 vacuous=0" in out
 
 
-def test_sweep_ignores_higgsalg_threads(capsys, monkeypatch):
+def test_sweep_json_deterministic_across_threads(capsys, monkeypatch):
     """``HIGGSALG_THREADS`` is ignored: a sweep prints the same JSON with
     it unset and with any value, a number or not."""
     argv = ["sweep", "--kinds", "hp:1,dyson:1,dyson:2", "--dim", "12", "--format", "json"]

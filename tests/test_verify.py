@@ -260,6 +260,21 @@ def test_all_vacuous_sweep_exit():
     assert exit_code(report) == 2
 
 
+def test_sweep_is_deterministic_across_thread_counts(monkeypatch):
+    """``HIGGSALG_THREADS`` is ignored: a sweep reports the same JSON with
+    it unset and set."""
+    grid = [
+        (AlgebraParams.of(2, 0), j2) for j2 in range(1, 5)
+    ] + [
+        (AlgebraParams.of(-2, 1), j2) for j2 in range(1, 5)
+    ]
+    monkeypatch.delenv("HIGGSALG_THREADS", raising=False)
+    serial = report_to_json(sweep(["hp:1", "dyson:1"], grid, dim=12))
+    monkeypatch.setenv("HIGGSALG_THREADS", "4")
+    threaded = report_to_json(sweep(["hp:1", "dyson:1"], grid, dim=12))
+    assert serial == threaded
+
+
 @pytest.mark.parametrize("kind,field,source", [
     ("villain", "complex", "_Window"), ("hp", "complex", "_FloatSteps"),
     ("dyson", "rational", "_ExactSteps"),
