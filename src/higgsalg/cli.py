@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import AlgebraParams, representation_table
-from .fock import FockSpace, RATIONAL, _operator_text
+from .fock import FockSpace, RATIONAL, _fraction, _operator_text
 from .realizations import Realization, _realization_text, build_realization
 from .similarity import _transform_text, s1_closed_form, s1_recurrence, s2_matching
 from .verify import (
@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
@@ -302,18 +302,39 @@ def _is_value(parser: argparse.ArgumentParser, text: str) -> bool:
                 and not parser._has_negative_number_optionals))
 
 
+@functools.lru_cache(maxsize=16)
+def _table(parser: argparse.ArgumentParser) -> tuple[dict, frozenset, dict]:
+    """What ``_quick`` reads of a leaf parser: its plain store actions by
+    option string; the actions that must be given, being required or having
+    a string default their type refuses; and the value of every other one
+    left out, as argparse fills it, then the parser's ``set_defaults``."""
+    options, needed, absent = {}, set(), {}
+    for action in parser._actions:
+        if type(action) is argparse._StoreAction and action.nargs is None:
+            options.update(dict.fromkeys(action.option_strings, action))
+        if action.required:
+            needed.add(action)
+        elif action.default is not argparse.SUPPRESS:
+            value, typed = action.default, isinstance(action.default, str) and action.type
+            try:
+                absent[action.dest] = action.type(value) if typed else value
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                needed.add(action)
+    for dest, default in parser._defaults.items():
+        absent.setdefault(dest, default)
+    return options, frozenset(needed), absent
+
+
 def _quick(argv) -> argparse.Namespace | None:
     """The namespace ``_parser().parse_args(argv)`` returns, read in one
-    pass over the parser's own table, or None.
+    pass over the parser's own table (``_table``), or None.
 
     It reads only a well-formed command line: a subcommand path, then exact
     option strings of that subcommand, each given once with one value, as
     ``--opt value`` or ``--opt=value``.  Anything else (help, an
     abbreviation, a repeated or unknown option, a missing required one, a
     value its type or choices refuse) gives None and is left to argparse,
-    so every usage line, message and exit code stays argparse's own.
-    Defaults are filled as argparse fills them: a string default goes
-    through its type, then the subcommand's ``set_defaults`` apply."""
+    so every usage line, message and exit code stays argparse's own."""
     parser, path, i = _parser(), {}, 0
     while parser._subparsers is not None:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -322,45 +343,37 @@ def _quick(argv) -> argparse.Namespace | None:
         path[sub.dest] = argv[i]
         parser = sub.choices[argv[i]]
         i += 1
+    options, needed, absent = _table(parser)
     given = {}
     while i < len(argv):
         word = argv[i]
-        action = parser._option_string_actions.get(word)
+        action = options.get(word)
         if action is not None and i + 1 < len(argv) and _is_value(parser, argv[i + 1]):
             text, i = argv[i + 1], i + 2
         elif word.startswith("--") and "=" in word:
             option, text = word.split("=", 1)
-            action, i = parser._option_string_actions.get(option), i + 1
+            action, i = options.get(option), i + 1
             if text == "--":  # argparse drops a "--" from an option's values
                 return None
         else:
             return None
-        if type(action) is not argparse._StoreAction or action.nargs is not None or action in given:
+        if action is None or action in given:
             return None
         given[action] = text
-    values = {}
-    for action in parser._actions:
-        if action in given:
-            text = given[action]
-        elif action.required:
-            return None
-        elif action.default is argparse.SUPPRESS:
-            continue
-        elif not isinstance(action.default, str):
-            values[action.dest] = action.default
-            continue
-        else:
-            text = action.default
+    if not needed.issubset(given):
+        return None
+    values = {**path, **absent}
+    for action, text in given.items():
         try:
             value = text if action.type is None else action.type(text)
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
-        if action in given and action.choices is not None and value not in action.choices:
+        if action.choices is not None and value not in action.choices:
             return None
         values[action.dest] = value
-    for dest, default in parser._defaults.items():
-        values.setdefault(dest, default)
-    return argparse.Namespace(**{**path, **values})
+    args = argparse.Namespace()
+    args.__dict__.update(values)
+    return args
 
 
 def main(argv=None) -> int:

@@ -146,13 +146,23 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)`` or its refusal; ASCII digits after an optional "-",
+    then optionally "/" and ASCII digits, are read by int(), not the regex."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(text)
+
+
 def _parse_rational(x) -> Fraction:
     """A file's ``p/q`` string or integer as a Fraction.  Any other value
     raises ValueError: a float, a bool, null, a list, or a string that is
     not a rational or has a zero denominator."""
     if isinstance(x, str) or _is_int(x):
         try:
-            return Fraction(x)
+            return _fraction(x) if isinstance(x, str) else Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"not a finite rational entry: {json.dumps(x)}")

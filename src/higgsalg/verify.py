@@ -32,6 +32,7 @@ entry by entry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -82,7 +83,8 @@ def _residual_text(x: Residual) -> str:
 # ``encode_basestring_ascii``, the function json.dumps applies to a str,
 # an int is its repr, a bool true or false, and a residual as
 # ``_residual_json`` spells it.  ``pad`` is the indent of the line that
-# closes the object; the object opens where it is placed.
+# closes the object; the object opens where it is placed.  A report fills
+# one %-template per (pad, number of checks), ``_template``, made once.
 
 _BOOL = ("false", "true")
 
@@ -104,13 +106,17 @@ def _residual_json(x: Residual) -> str:
     return repr(x)
 
 
-def _list_json(items, pad: str) -> str:
-    """A JSON list of report objects, closed at indent ``pad``; ``[]`` when
-    empty."""
-    if not items:
-        return "[]"
-    item = pad + "  "
-    return "[\n" + ",\n".join([item + x._json(item) for x in items]) + f"\n{pad}]"
+@functools.lru_cache(maxsize=32)
+def _template(pad: str, count: int) -> str:
+    """The JSON of a VerificationReport of ``count`` checks, as a %-template."""
+    k, c, i = pad + "  ", pad + "    ", pad + "      "
+    check = (f'{c}{{\n{i}"name": %s,\n{i}"residual": %s,\n{i}"tolerance": %s,\n{i}"block": %d,\n'
+             f'{i}"passed": %s,\n{i}"vacuous": %s,\n{i}"substantive": %s,\n{i}"exact": %s,\n'
+             f'{i}"asymptotic": %s\n{c}}}')
+    checks = "[\n" + ",\n".join([check] * count) + f"\n{k}]" if count else "[]"
+    return (f'{{\n{k}"kind": %s,\n{k}"k": %d,\n{k}"j2": %d,\n{k}"c1": %s,\n{k}"c3": %s,\n'
+            f'{k}"dim": %d,\n{k}"field": %s,\n{k}"checks": {checks},\n{k}"passed": %s,\n'
+            f'{k}"vacuous_only": %s\n{pad}}}')
 
 
 class CheckResult(namedtuple("CheckResult", "name residual tolerance block_size passed vacuous"
@@ -125,18 +131,6 @@ class CheckResult(namedtuple("CheckResult", "name residual tolerance block_size 
         """The status column of the text report."""
         return ("vacuous" if self.vacuous else "measured" if self.asymptotic
                 else "ok" if self.passed else "FAIL")
-
-    def _json(self, pad: str) -> str:
-        k = pad + "  "
-        return (f'{{\n{k}"name": {_string_json(self.name)},\n'
-                f'{k}"residual": {_residual_json(self.residual)},\n'
-                f'{k}"tolerance": {_residual_json(self.tolerance)},\n'
-                f'{k}"block": {self.block_size:d},\n'
-                f'{k}"passed": {_BOOL[self.passed]},\n'
-                f'{k}"vacuous": {_BOOL[self.vacuous]},\n'
-                f'{k}"substantive": {_BOOL[self.substantive]},\n'
-                f'{k}"exact": {_BOOL[self.exact]},\n'
-                f'{k}"asymptotic": {_BOOL[self.asymptotic]}\n{pad}}}')
 
 
 class VerificationReport(namedtuple("VerificationReport", "kind step_k j2 c1 c3 dim field_name"
@@ -163,17 +157,14 @@ class VerificationReport(namedtuple("VerificationReport", "kind step_k j2 c1 c3 
         return self[:8]
 
     def _json(self, pad: str) -> str:
-        k = pad + "  "
-        return (f'{{\n{k}"kind": {_string_json(self.kind)},\n'
-                f'{k}"k": {self.step_k:d},\n'
-                f'{k}"j2": {self.j2:d},\n'
-                f'{k}"c1": {_string_json(self.c1)},\n'
-                f'{k}"c3": {_string_json(self.c3)},\n'
-                f'{k}"dim": {self.dim:d},\n'
-                f'{k}"field": {_string_json(self.field_name)},\n'
-                f'{k}"checks": {_list_json(self.checks, k)},\n'
-                f'{k}"passed": {_BOOL[self.passed]},\n'
-                f'{k}"vacuous_only": {_BOOL[self.vacuous_only]}\n{pad}}}')
+        values = [_string_json(self.kind), self.step_k, self.j2, _string_json(self.c1),
+                  _string_json(self.c3), self.dim, _string_json(self.field_name)]
+        for c in self.checks:
+            values += (_string_json(c.name), _residual_json(c.residual),
+                       _residual_json(c.tolerance), c.block_size, _BOOL[c.passed],
+                       _BOOL[c.vacuous], _BOOL[c.substantive], _BOOL[c.exact], _BOOL[c.asymptotic])
+        values += (_BOOL[self.passed], _BOOL[self.vacuous_only])
+        return _template(pad, len(self.checks)) % tuple(values)
 
     def to_text(self) -> str:
         head = (
@@ -371,11 +362,13 @@ class _Window:
 
 # -- the step rows ------------------------------------------------------------
 
-def _top(values, den: int) -> Fraction:
-    """max |v| / den over int numerators: the one Fraction an exact row
-    makes, or the shared zero when that is 0 or there are no values."""
+def _top(values, den: int, off=0) -> Fraction:
+    """max |v| / den over int numerators, the shared zero when that is 0 or
+    there are no values, or ``off``, the row's largest entry off the bands,
+    where that is larger; ``off`` is nonzero only in a file's realization."""
     top = max(map(abs, values), default=0)
-    return Fraction(top, den) if top else _ZERO
+    value = Fraction(top, den) if top else _ZERO
+    return max(value, off) if off else value
 
 
 def _split(op: BandedOperator, d: int, size: int) -> tuple:
@@ -401,6 +394,21 @@ def _off_band(op: BandedOperator, rest: dict, inside: set | None = None):
             top = max(top, Fraction(max(map(abs, band)), op._den)
                       if op.field == RATIONAL else _peak(band))
     return top
+
+
+@functools.lru_cache(maxsize=64)
+def _step_rows(cls: type, hp: bool, k: int) -> tuple:
+    """The rows of a step source of class ``cls``; each measure is the
+    class's function, as a bound method would hold its source in a cycle."""
+    # the quartic Casimir is the step-1 invariant; a step-k realization keeps
+    # C_k = 2 J-J+ + P_k(J3), not formed here, so only step 1 has the last two
+    return (("ladder-closure", True, True, cls.closure),
+            (f"grading-raise-k{k}", False, False, cls.raising),
+            (f"grading-lower-k{k}", False, False, cls.lowering),
+            *((_PAIRING,) if hp else ()),
+            ("casimir-two-forms", False, True, cls.two_forms),
+            *((("casimir-commutes", True, True, cls.commutes),
+               ("casimir-scalar", True, True, cls.scalar)) if k == 1 else ()))
 
 
 class _Steps:
@@ -445,21 +453,7 @@ class _Steps:
             self.off_raise, self.off_lower = max(jp, j3), max(jm, j3)
             inside = set(states)
             self.off_block = max(_off_band(op, rest, inside) for op, rest in rests)
-        # the class's functions, not bound methods, which would hold self in a cycle
-        cls = type(self)
-        rows = [("ladder-closure", True, True, cls.closure),
-                (f"grading-raise-k{k}", False, False, cls.raising),
-                (f"grading-lower-k{k}", False, False, cls.lowering)]
-        if r.kind == "hp":
-            rows.append(_PAIRING)
-        rows.append(("casimir-two-forms", False, True, cls.two_forms))
-        # the quartic Casimir is the step-1 invariant; a step-k realization
-        # keeps C_k = 2 J-J+ + P_k(J3) with another polynomial P_k, not formed
-        # here, so only step-1 realizations carry these two rows
-        if k == 1:
-            rows += [("casimir-commutes", True, True, cls.commutes),
-                     ("casimir-scalar", True, True, cls.scalar)]
-        self.rows = rows
+        self.rows = _step_rows(type(self), r.kind == "hp", k)
         if states:
             self._form()
 
@@ -504,36 +498,36 @@ class _ExactSteps(_Steps):
             prod.append(2 * mp * f4 + b1 * x + b3 * x3 + quartic)
 
     def closure(self) -> tuple:
-        return max(_top(self.closure_num, self.closure_den), self.off_block), None
+        return _top(self.closure_num, self.closure_den, self.off_block), None
 
-    def _grading(self, band: tuple, den: int) -> Fraction:
+    def _grading(self, band: tuple, den: int, off) -> Fraction:
         """The band times T(n) - T(n + k) - k on every bond: [J3, J+] - k J+
         on P, and [J3, J-] + k J- on M up to sign."""
         t, kt = self.t, self.k * self.dt
-        return _top([(a - b - kt) * x for a, b, x in zip(t, t[self.k:], band)], self.dt * den)
+        return _top([(a - b - kt) * x for a, b, x in zip(t, t[self.k:], band)], self.dt * den, off)
 
     def raising(self) -> tuple:
-        return max(self._grading(self.p, self.dp), self.off_raise), None
+        return self._grading(self.p, self.dp, self.off_raise), None
 
     def lowering(self) -> tuple:
-        return max(self._grading(self.m, self.dm), self.off_lower), None
+        return self._grading(self.m, self.dm, self.off_lower), None
 
     def two_forms(self) -> tuple:
-        return max(_top([a - b for a, b in zip(self.sym, self.prod)], self.e), self.off_block), None
+        return _top([a - b for a, b in zip(self.sym, self.prod)], self.e, self.off_block), None
 
     def commutes(self) -> tuple:
         """[C, J+] and [C, J-] on the bonds inside the block; [C, J3] is
         zero, both being diagonal."""
         c, p, m = self.sym, self.p, self.m
         jumps = [(c[i] - c[j], n) for i, j, n in self._bonds()]
-        return max(_top([x * p[n] for x, n in jumps], self.e * self.dp),
-                   _top([x * m[n] for x, n in jumps], self.e * self.dm), self.off_block), None
+        lower = _top([x * m[n] for x, n in jumps], self.e * self.dm, self.off_block)
+        return _top([x * p[n] for x, n in jumps], self.e * self.dp, lower), None
 
     def scalar(self) -> tuple:
         """C - lam 1 on the block."""
         lam = casimir_eigenvalue(self.r.params, self.r.j)
         den, shift = lam.denominator, lam.numerator * self.e
-        return max(_top([c * den - shift for c in self.sym], self.e * den), self.off_block), None
+        return _top([c * den - shift for c in self.sym], self.e * den, self.off_block), None
 
 
 class _FloatSteps(_Steps):
@@ -707,8 +701,10 @@ class SweepReport(namedtuple("SweepReport", "entries n_failed n_vacuous outcome"
         return self[:1]
 
     def _json(self, pad: str) -> str:
-        k = pad + "  "
-        return (f'{{\n{k}"entries": {_list_json(self.entries, k)},\n'
+        k, item = pad + "  ", pad + "    "
+        entries = ",\n".join([item + e._json(item) for e in self.entries])
+        entries = f"[\n{entries}\n{k}]" if entries else "[]"
+        return (f'{{\n{k}"entries": {entries},\n'
                 f'{k}"total": {len(self.entries):d},\n'
                 f'{k}"failed": {self.n_failed:d},\n'
                 f'{k}"vacuous": {self.n_vacuous:d}\n{pad}}}')

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -948,7 +949,10 @@ _COMMANDS = [("verify",), ("build",), ("sweep",), ("table",), ("export", "transf
 _NUMBERS = ("1", "-2", "0.5", "-.5", "3")
 # Per option, values its type takes; an option with choices takes those.
 _TAKEN = {
-    "c1": (*_NUMBERS, "2/3"), "c3": (*_NUMBERS, "2/3"), "q0": _NUMBERS, "q0_odd": _NUMBERS,
+    # integers and p/q take int()'s path of fock._fraction, the rest Fraction's regex
+    "c1": (*_NUMBERS, "2/3", "0", "-0", "007", "4/6"),
+    "c3": (*_NUMBERS, "2/3", "0", "-0", "007", "4/6"),
+    "q0": _NUMBERS, "q0_odd": _NUMBERS,
     "tolerance_coefficient": ("1", "0.5", "0", "1e-3"),
     "j2": ("0", "5", "4"),
     "dim": ("2", "8", "12"),
@@ -1028,6 +1032,29 @@ def test_quick_reads_what_argparse_reads(argv):
     """The fast path either gives up or returns argparse's own namespace."""
     quick = cli._quick(argv)
     assert quick is None or quick == _argparse(argv)
+
+
+def test_quick_reads_a_refused_default_once(monkeypatch):
+    """A string default its type refuses is read once, into the table of its
+    parser, and the fast path gives up whenever that option is left out,
+    as argparse refuses it then; given, the option reads as usual."""
+    calls = []
+
+    def count(text):
+        calls.append(text)
+        return int(text)
+
+    parser = argparse.ArgumentParser(prog="scratch")
+    parser.add_argument("--count", type=count, default="many")
+    parser.add_argument("--name", default="x")
+    monkeypatch.setattr(cli, "_parser", lambda: parser)
+    assert cli._quick([]) is None
+    assert cli._quick(["--name", "y"]) is None
+    assert calls == ["many"]
+    assert vars(cli._quick(["--count", "3"])) == {"count": 3, "name": "x"}
+    assert calls == ["many", "3"]
+    with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit):
+        parser.parse_args([])
 
 
 # One argv of each shape the benchmark workloads send (perfbench/workloads.py):

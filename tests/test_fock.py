@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from higgsalg import (
@@ -507,3 +507,38 @@ def test_banded_complex_matches_dense_numpy(operands, c):
     dense = DenseOperator(a.space, x)
     assert a.max_norm() == dense.max_norm() == float(np.abs(x).max())
     assert np.array_equal(a.diagonal(), x.diagonal())
+
+
+# Text for the rational helper: ASCII and non-ASCII digits (Arabic-Indic
+# three, a superscript two) with every other character Fraction's regex or
+# int() treats specially.
+_RATIONAL_TEXT = st.text(alphabet="0123456789٣²-+/_.e ", max_size=12)
+
+
+_RATIONAL_EXAMPLES = ("-0", "007", "4/6", "-0/5", "1/0", "5/-3", "--5", "7" * 4301,
+                      "1/" + "7" * 4301, " 2", "2_0", "+3", "1e3", "٣", "²", "")
+
+
+def _with_examples(test):
+    for text in _RATIONAL_EXAMPLES:
+        test = example(text)(test)
+    return test
+
+
+@settings(max_examples=500, deadline=None)
+@given(_RATIONAL_TEXT)
+@_with_examples
+def test_fraction_is_fraction_of_text(text):
+    """``fock._fraction`` returns ``Fraction(text)``, or refuses with the
+    same exception where ``Fraction(text)`` refuses, on either of its paths:
+    ASCII integers and p/q through int(), any other text through the regex,
+    and past int()'s digit limit a ValueError from both."""
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError) as err:
+        with pytest.raises(type(err)):
+            fock._fraction(text)
+    else:
+        value = fock._fraction(text)
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)

@@ -187,6 +187,23 @@ def test_sweep_report_json_is_the_indent_2_layout():
         _assert_indent_2_layout(report)
 
 
+def test_sweep_entries_of_every_row_count_fill_one_template_each():
+    """A sweep whose entries hold 7, 5 and 6 checks, with an error entry
+    where villain:1 has no real coupling, is written in the indent-2
+    layout, and the report templates it made are one per (pad, count)."""
+    grid = grid_from_json([{"c1": "1", "c3": "1", "j2": 3}, {"c1": "-2", "c3": "0", "j2": 2}])
+    report = sweep(["hp:1", "hp:2", "dyson:1", "villain:1"], grid, dim=24)
+    assert [len(e.report.checks) if e.error is None else None for e in report.entries] == [
+        7, 5, 6, 6, 7, 5, 6, None]
+    verify_module._template.cache_clear()
+    _assert_indent_2_layout(report)
+    info = verify_module._template.cache_info()
+    assert (info.currsize, info.misses) == (3, 3)
+    for count in (5, 6, 7):  # an entry's report closes at indent 6
+        assert verify_module._template(" " * 6, count).count("%") == 9 + 9 * count
+    assert verify_module._template.cache_info().misses == 3
+
+
 def test_report_json_refuses_a_non_finite_value():
     report = verify_realization(build_realization(FockSpace(8), SU2_PARAMS, 2, "hp", 1))
     c = report.checks[0]
